@@ -14,9 +14,19 @@ the relations, applicable filters, and internal join predicates of the
 sub-join.  The alternative estimators (oracle, noisy, learned, pessimistic)
 share this interface so the optimizer is agnostic to which one it is driven
 by.
+
+The join enumerator asks that question for every relation subset of a query,
+so it goes through :meth:`CardinalityEstimator.subset_estimator`: one callable
+per planned query, from relation bitmask to rows.  The base implementation
+only assembles the ``estimate_rows`` arguments from precomputed masks; the
+default estimator overrides it to compute each scan and join factor once.
+Whatever an override caches, it must return bit for bit the float
+``estimate_rows`` would -- plans, and the traces that hash them, depend on it.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.catalog.statistics import ColumnStats, DEFAULT_EQ_SELECTIVITY
 from repro.catalog.types import DataType
@@ -32,7 +42,7 @@ from repro.plan.expressions import (
     StringContains,
     StringPrefix,
 )
-from repro.plan.logical import RelationRef
+from repro.plan.logical import RelationMasks, RelationRef
 from repro.storage.database import Database
 
 #: Default selectivity used for string pattern matches (LIKE '%x%').
@@ -74,6 +84,17 @@ class CardinalityEstimator:
         """
         raise NotImplementedError
 
+    def subset_estimator(self, masks: RelationMasks) -> Callable[[int], float]:
+        """``estimate_rows`` of any relation subset of one query, by bitmask.
+
+        The returned callable is meant to live for one ``plan()`` call: it
+        may cache whatever statistics-derived factors it likes, because the
+        statistics cannot change under a single planning pass.
+        """
+        def rows(mask: int) -> float:
+            return self.estimate_rows(*masks.subset(mask), masks.query_name)
+        return rows
+
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
@@ -101,6 +122,29 @@ class DefaultCardinalityEstimator(CardinalityEstimator):
         for pred in join_predicates:
             rows *= self.join_selectivity(pred, relations)
         return max(rows, MIN_ROWS)
+
+    def subset_estimator(self, masks: RelationMasks) -> Callable[[int], float]:
+        if type(self).estimate_rows is not DefaultCardinalityEstimator.estimate_rows:
+            # A subclass changed what a sub-join estimate is; honour it.
+            return super().subset_estimator(masks)
+        # Each factor below is the value estimate_rows would recompute for
+        # every subset containing it, and they are multiplied in its order
+        # (relations, then join predicates), so the product is bit-identical.
+        scans = [(1 << i, self.scan_rows(relation, masks.subset(1 << i)[1]))
+                 for i, relation in enumerate(masks.relations)]
+        joins = [(pair, self.join_selectivity(pred, masks.relations))
+                 for pair, pred in masks.joins]
+
+        def rows(mask: int) -> float:
+            rows = 1.0
+            for bit, scan_rows in scans:
+                if mask & bit:
+                    rows *= scan_rows
+            for pair, selectivity in joins:
+                if mask & pair == pair:
+                    rows *= selectivity
+            return max(rows, MIN_ROWS)
+        return rows
 
     # ------------------------------------------------------------------
     # Base relation estimation

@@ -101,23 +101,31 @@ class CostModel:
                   output_rows: float, inner_indexed: bool = False) -> float:
         """Incremental cost of a join (children's costs not included)."""
         if method is JoinMethod.HASH:
-            return self._hash_join_cost(outer_rows, inner_rows, output_rows)
+            return self.hash_join_cost(outer_rows, inner_rows, output_rows)
         if method is JoinMethod.INDEX_NL:
             if not inner_indexed:
                 raise ValueError("INDEX_NL join requires an indexed inner relation")
-            return self._index_nl_cost(outer_rows, inner_rows, output_rows)
+            return self.index_nl_cost(outer_rows, inner_rows, output_rows)
         if method is JoinMethod.MERGE:
-            return self._merge_join_cost(outer_rows, inner_rows, output_rows)
-        return self._nested_loop_cost(outer_rows, inner_rows, output_rows)
+            return self.merge_join_cost(outer_rows, inner_rows, output_rows,
+                                        self.sort_cost(outer_rows),
+                                        self.sort_cost(inner_rows))
+        return self.nested_loop_cost(outer_rows, inner_rows, output_rows)
 
-    def _hash_join_cost(self, outer_rows, inner_rows, output_rows) -> float:
+    # The per-method formulas are public so the join enumerator, which
+    # scores every split of every relation subset, can skip the dispatch.
+
+    def hash_join_cost(self, outer_rows, inner_rows, output_rows) -> float:
+        """Build on the inner input, probe with the outer, emit the output."""
         p = self.params
         build = inner_rows * p.cpu_tuple_cost * p.hash_build_factor
         probe = outer_rows * (p.cpu_tuple_cost + p.cpu_operator_cost)
         emit = output_rows * p.cpu_tuple_cost
         return build + probe + emit
 
-    def _index_nl_cost(self, outer_rows, inner_rows, output_rows) -> float:
+    def index_nl_cost(self, outer_rows, inner_rows, output_rows) -> float:
+        """One index descent per outer row; ``inner_rows`` is the indexed
+        table's raw size."""
         p = self.params
         # Each outer row descends the index: a few random page touches worth
         # of work amortized plus per-index-tuple CPU.
@@ -127,16 +135,26 @@ class CostModel:
         emit = output_rows * p.cpu_tuple_cost
         return probes + emit
 
-    def _merge_join_cost(self, outer_rows, inner_rows, output_rows) -> float:
+    def sort_cost(self, rows: float) -> float:
+        """Cost of sorting one merge-join input.
+
+        It depends on that input alone, so a caller costing many joins of
+        the same input computes it once and hands it to
+        :meth:`merge_join_cost`.
+        """
+        return rows * self.params.cpu_operator_cost * math.log2(max(rows, 2.0))
+
+    def merge_join_cost(self, outer_rows, inner_rows, output_rows,
+                        outer_sort: float, inner_sort: float) -> float:
+        """Sort both inputs (their :meth:`sort_cost`), then one merging scan."""
         p = self.params
-        sort = sum(
-            rows * p.cpu_operator_cost * math.log2(max(rows, 2.0))
-            for rows in (outer_rows, inner_rows))
+        sort = outer_sort + inner_sort
         scan = (outer_rows + inner_rows) * p.cpu_tuple_cost
         emit = output_rows * p.cpu_tuple_cost
         return sort + scan + emit
 
-    def _nested_loop_cost(self, outer_rows, inner_rows, output_rows) -> float:
+    def nested_loop_cost(self, outer_rows, inner_rows, output_rows) -> float:
+        """Compare every outer row with every inner row."""
         p = self.params
         return (outer_rows * inner_rows * p.cpu_operator_cost
                 + output_rows * p.cpu_tuple_cost)

@@ -1,7 +1,7 @@
 """Join-order enumeration.
 
-The enumerator performs the classic dynamic programming over connected
-sub-plans (DPsize / DPsub style) used by System R descendants, limited to a
+The enumerator performs the classic dynamic programming over relation
+subsets (DPsub style) used by System R descendants, limited to a
 configurable relation count, and falls back to greedy operator ordering (GOO)
 for wider queries.  For every join it considers hash join, index nested-loop
 join (when the inner side is a single indexed base relation), merge join, and
@@ -12,18 +12,32 @@ estimator: feeding it the default estimator reproduces PostgreSQL's
 behaviour (including its mistakes), feeding it the oracle produces the
 "Optimal" baseline, and feeding it a noisy estimator produces the robustness
 study of Figure 10.
+
+The optimizer is re-invoked at every re-optimization point, so one ``plan()``
+call is kept cheap: relation subsets are int bitmasks (bit ``i`` is
+``query.relations[i]``), everything that depends only on the query is
+derived once per call (:class:`_JoinSearch`), each candidate join is scored
+as plain floats, and a :class:`~repro.plan.physical.JoinNode` is built only
+for the winner of each subset.  ``tests/reference_enum.py`` keeps the
+straightforward formulation; the two must agree on every node and every
+float (see ARCHITECTURE.md, "The optimizer").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
-from repro.plan.expressions import JoinPredicate, Predicate
-from repro.plan.logical import RelationRef, SPJQuery
+from repro.plan.expressions import ColumnRef, JoinPredicate, Predicate
+from repro.plan.logical import RelationMasks, RelationRef, SPJQuery
 from repro.plan.physical import JoinMethod, JoinNode, PlanNode, ScanNode
 from repro.storage.database import Database
+
+#: One way to join two solved subsets:
+#: ``(est_cost, left mask, right mask, output rows, method, index column)``.
+_Join = tuple[float, int, int, float, JoinMethod, ColumnRef | None]
 
 
 @dataclass(frozen=True)
@@ -47,6 +61,53 @@ class EnumeratorConfig:
     robustness_weight: float = 0.0
 
 
+#: The plan chosen for one relation subset, with the numbers joins above it
+#: are scored from: ``(node, est_rows, est_cost, sort cost, neighbours)``.
+#: The sort cost is ``CostModel.sort_cost(est_rows)``, the subset as a
+#: merge-join input.  ``neighbours`` is the mask of every relation that shares
+#: a join predicate with one inside the subset (members of the subset may be
+#: in it too), so ``neighbours & other`` tells whether a disjoint subset
+#: ``other`` connects.  (A plain tuple: the scoring loop unpacks two of these
+#: per split.)
+_Solved = tuple[PlanNode, float, float, float, int]
+
+
+class _JoinSearch:
+    """Working state of one ``plan()`` call: what is derived once from the
+    query, and the solution of every subset solved so far."""
+
+    def __init__(self, masks: RelationMasks, estimate: Callable[[int], float],
+                 predicate_table: tuple[tuple[int, tuple[JoinPredicate, ...]], ...]):
+        self.masks = masks
+        self._estimate = estimate
+        self._estimates: dict[int, float] = {}
+        #: ``(pair mask, predicates)`` rows; a join's predicates are the
+        #: rows whose pair has one relation on each side, in table order.
+        self.predicate_table = predicate_table
+        #: Relations an INDEX_NL join may probe: relation bit -> ``(raw row
+        #: count of the stored table, [(partner bit, indexed column of the
+        #: relation), ...] in predicate-table order)``.
+        self.indexed_inner: dict[int, tuple[float, list[tuple[int, ColumnRef]]]] = {}
+        #: mask -> solution, in the order the masks were solved.
+        self.solved: dict[int, _Solved] = {}
+
+    def estimate(self, mask: int) -> float:
+        """Estimated rows of the sub-join over ``mask`` (asked once per mask)."""
+        rows = self._estimates.get(mask)
+        if rows is None:
+            rows = self._estimates[mask] = self._estimate(mask)
+        return rows
+
+    def node(self, mask: int) -> PlanNode:
+        """The plan chosen for ``mask``."""
+        return self.solved[mask][0]
+
+    def predicates_between(self, left: int, right: int) -> tuple[JoinPredicate, ...]:
+        """Join predicates connecting two disjoint masks."""
+        return tuple(pred for pair, preds in self.predicate_table
+                     if pair & left and pair & right for pred in preds)
+
+
 class JoinEnumerator:
     """Builds the cheapest physical join tree for an SPJ query."""
 
@@ -62,20 +123,65 @@ class JoinEnumerator:
     # ------------------------------------------------------------------
     def plan(self, query: SPJQuery) -> PlanNode:
         """Return the root of the cheapest join tree found for ``query``."""
-        base_nodes = [self._scan_node(query, rel) for rel in query.relations]
-        if len(base_nodes) == 1:
-            return base_nodes[0]
-        if len(base_nodes) <= self.config.dp_relation_limit:
-            return self._dynamic_programming(query, base_nodes)
-        return self._greedy(query, base_nodes)
+        num_relations = len(query.relations)
+        use_dp = num_relations <= self.config.dp_relation_limit
+        search = self._start_search(query, group_by_pair=use_dp)
+        if num_relations == 1:
+            return search.node(1)
+        if use_dp:
+            return self._dynamic_programming(search)
+        return self._greedy(search)
+
+    def _start_search(self, query: SPJQuery, group_by_pair: bool) -> _JoinSearch:
+        """Derive the per-query tables and solve the single-relation masks.
+
+        ``group_by_pair`` fixes the order in which a join lists its
+        predicates (it shows in EXPLAIN output and decides which indexed
+        column an INDEX_NL join probes): the DP groups them by relation pair,
+        pairs in order of first appearance in ``query.join_predicates``; the
+        greedy search keeps plain ``query.join_predicates`` order.
+        """
+        masks = RelationMasks.of(query)
+        if group_by_pair:
+            by_pair: dict[int, list[JoinPredicate]] = {}
+            for pair, pred in masks.joins:
+                by_pair.setdefault(pair, []).append(pred)
+            predicate_table = tuple((pair, tuple(preds))
+                                    for pair, preds in by_pair.items())
+        else:
+            predicate_table = tuple((pair, (pred,)) for pair, pred in masks.joins)
+        search = _JoinSearch(masks, self.estimator.subset_estimator(masks),
+                             predicate_table)
+
+        neighbours = dict.fromkeys((1 << i for i in range(len(masks.relations))), 0)
+        for pair, _ in predicate_table:
+            low = pair & -pair
+            neighbours[low] |= pair
+            neighbours[pair ^ low] |= pair
+        for i, relation in enumerate(masks.relations):
+            bit = 1 << i
+            table_rows = self.estimator.relation_rows(relation)
+            node = self._scan_node(query, relation, search.estimate(bit),
+                                   table_rows)
+            search.solved[bit] = (
+                node, node.est_rows, node.est_cost,
+                self.cost_model.sort_cost(node.est_rows), neighbours[bit])
+            if self.config.enable_index_nl and not relation.is_temp:
+                probes = [(pair ^ bit, side)
+                          for pair, preds in predicate_table if pair & bit
+                          for pred in preds for side in (pred.left, pred.right)
+                          if relation.covers(side.alias) and self.database.has_index(
+                              relation.table_name, side.column)]
+                if probes:
+                    search.indexed_inner[bit] = (table_rows, probes)
+        return search
 
     # ------------------------------------------------------------------
     # Leaf plans
     # ------------------------------------------------------------------
-    def _scan_node(self, query: SPJQuery, relation: RelationRef) -> ScanNode:
+    def _scan_node(self, query: SPJQuery, relation: RelationRef,
+                   rows: float, table_rows: float) -> ScanNode:
         filters = query.filters_for(relation)
-        rows = self.estimator.estimate_rows((relation,), filters, (), query.name)
-        table_rows = self.estimator.relation_rows(relation)
         pruned, block_rows = self._pruned_fraction(relation, filters)
         cost = self.cost_model.scan_cost(
             table_rows, rows, len(filters),
@@ -126,311 +232,195 @@ class JoinEnumerator:
     # ------------------------------------------------------------------
     # Dynamic programming over subsets
     # ------------------------------------------------------------------
-    def _dynamic_programming(self, query: SPJQuery,
-                             base_nodes: list[ScanNode]) -> PlanNode:
-        n = len(base_nodes)
-        full_mask = (1 << n) - 1
-        best: dict[int, PlanNode] = {}
-        rows_cache: dict[int, float] = {}
-        for i, node in enumerate(base_nodes):
-            best[1 << i] = node
-            rows_cache[1 << i] = node.est_rows
-
-        # Pre-compute, for every pair of relations, the predicates connecting
-        # them, so split connectivity checks are cheap.
-        pair_preds = self._pair_predicates(query, base_nodes)
-
-        for mask in sorted(range(1, full_mask + 1), key=_popcount):
-            if _popcount(mask) < 2:
+    def _dynamic_programming(self, search: _JoinSearch) -> PlanNode:
+        full_mask = (1 << len(search.masks.relations)) - 1
+        for mask in sorted(range(1, full_mask + 1), key=int.bit_count):
+            if not mask & (mask - 1):
                 continue
-            subset_rows = self._subset_rows(query, base_nodes, mask, rows_cache)
-            best_node: PlanNode | None = None
-            best_score = float("inf")
-            # Every ordered split (sub, other) is considered so that both join
-            # orientations (which side builds / is probed via its index) are
-            # explored.
-            sub = (mask - 1) & mask
-            while sub:
-                other = mask ^ sub
-                left = best.get(sub)
-                right = best.get(other)
-                if left is None or right is None:
-                    sub = (sub - 1) & mask
+            join = self._cheapest_join(
+                search, _ordered_splits(mask, search.estimate(mask)))
+            if join is not None:
+                self._add_join(search, join)
+        if full_mask not in search.solved:
+            # The join graph is disconnected and cross products were not
+            # allowed inside the DP (``enable_nl`` off): cross-join the
+            # largest solved masks until everything is covered.
+            covered = 0
+            for mask in sorted(search.solved, key=int.bit_count, reverse=True):
+                if covered & mask:
                     continue
-                preds = self._predicates_between(pair_preds, sub, other)
-                for node in self._join_candidates(left, right, preds, subset_rows):
-                    score = self._plan_score(node)
-                    if score < best_score:
-                        best_score = score
-                        best_node = node
-                sub = (sub - 1) & mask
-            if best_node is not None:
-                best[mask] = best_node
-
-        if full_mask in best:
-            return best[full_mask]
-        # The join graph is disconnected: combine the best plans of its
-        # connected components with cross products.
-        return self._combine_components(query, base_nodes, best, rows_cache)
-
-    def _subset_rows(self, query: SPJQuery, base_nodes: list[ScanNode],
-                     mask: int, cache: dict[int, float]) -> float:
-        if mask in cache:
-            return cache[mask]
-        relations = tuple(base_nodes[i].relation
-                          for i in range(len(base_nodes)) if mask & (1 << i))
-        filters = _filters_within(query, relations)
-        joins = _joins_within(query, relations)
-        rows = self.estimator.estimate_rows(relations, filters, joins, query.name)
-        cache[mask] = rows
-        return rows
-
-    def _combine_components(self, query: SPJQuery, base_nodes: list[ScanNode],
-                            best: dict[int, PlanNode],
-                            rows_cache: dict[int, float]) -> PlanNode:
-        n = len(base_nodes)
-        full_mask = (1 << n) - 1
-        # Greedily merge the largest solved masks until everything is covered.
-        solved = sorted(best, key=_popcount, reverse=True)
-        covered = 0
-        parts: list[PlanNode] = []
-        for mask in solved:
-            if covered & mask:
-                continue
-            parts.append(best[mask])
-            covered |= mask
-            if covered == full_mask:
-                break
-        result = parts[0]
-        for part in parts[1:]:
-            out_rows = max(result.est_rows * part.est_rows, 1.0)
-            cost = (result.est_cost + part.est_cost
-                    + self.cost_model.join_cost(JoinMethod.NL, result.est_rows,
-                                                part.est_rows, out_rows))
-            result = JoinNode(left=result, right=part, predicates=(),
-                              method=JoinMethod.NL, est_rows=out_rows, est_cost=cost)
-        return result
+                if covered:
+                    self._add_join(search, self._cross_product(search, covered, mask))
+                covered |= mask
+                if covered == full_mask:
+                    break
+        return search.node(full_mask)
 
     # ------------------------------------------------------------------
     # Greedy operator ordering for wide queries
     # ------------------------------------------------------------------
-    def _greedy(self, query: SPJQuery, base_nodes: list[ScanNode]) -> PlanNode:
-        components: list[PlanNode] = list(base_nodes)
+    def _greedy(self, search: _JoinSearch) -> PlanNode:
+        components = list(search.solved)
         while len(components) > 1:
-            best_pair: tuple[int, int] | None = None
-            best_node: PlanNode | None = None
-            best_score = float("inf")
-            for i in range(len(components)):
-                for j in range(len(components)):
-                    if i == j:
-                        continue
-                    left, right = components[i], components[j]
-                    preds = self._predicates_between_nodes(query, left, right)
-                    if not preds:
-                        continue
-                    out_rows = self._estimate_merged_rows(query, left, right)
-                    for node in self._join_candidates(left, right, preds, out_rows):
-                        score = self._plan_score(node)
+            join = self._cheapest_join(
+                search, _connected_pairs(search, components))
+            if join is None:
+                # No connected pair remains: cross product the two smallest.
+                components.sort(key=lambda mask: search.solved[mask][1])
+                join = self._cross_product(search, components[0], components[1])
+            _, left, right, *_ = join
+            self._add_join(search, join)
+            components = [c for c in components if c != left and c != right]
+            components.append(left | right)
+        return search.node(components[0])
+
+    # ------------------------------------------------------------------
+    # Join scoring (shared by both searches)
+    # ------------------------------------------------------------------
+    def _cheapest_join(self, search: _JoinSearch,
+                       splits: Iterable[tuple[int, int, float]]) -> _Join | None:
+        """Best-scoring join over ``(left mask, right mask, output rows)`` splits.
+
+        Candidates are compared in split order and, within a split, in the
+        order HASH, MERGE, INDEX_NL, NL; a later candidate replaces the
+        incumbent only when its score is strictly lower.  Splits with an
+        unsolved side are skipped.  This loop runs once per split of every
+        subset, so it works on floats only.
+        """
+        config = self.config
+        hash_cost = self.cost_model.hash_join_cost
+        merge_cost = self.cost_model.merge_join_cost
+        index_nl_cost = self.cost_model.index_nl_cost
+        nested_loop_cost = self.cost_model.nested_loop_cost
+        solved, indexed_inner = search.solved, search.indexed_inner
+        robust = config.robustness_weight > 0.0
+        best: _Join | None = None
+        best_score = float("inf")
+        for left, right, out_rows in splits:
+            left_solved = solved.get(left)
+            right_solved = solved.get(right)
+            if left_solved is None or right_solved is None:
+                continue
+            _, left_rows, left_cost, left_sort, neighbours = left_solved
+            _, right_rows, right_cost, right_sort, _ = right_solved
+            child_cost = left_cost + right_cost
+            found = False
+            if neighbours & right:
+                if config.enable_hash:
+                    found = True
+                    est_cost = child_cost + hash_cost(left_rows, right_rows, out_rows)
+                    score = est_cost if not robust else self._plan_score(
+                        JoinMethod.HASH, est_cost, left_rows, right_rows,
+                        out_rows, left_cost, right_cost)
+                    if score < best_score:
+                        best_score = score
+                        best = (est_cost, left, right, out_rows,
+                                JoinMethod.HASH, None)
+                if config.enable_merge:
+                    found = True
+                    est_cost = child_cost + merge_cost(
+                        left_rows, right_rows, out_rows, left_sort, right_sort)
+                    score = est_cost if not robust else self._plan_score(
+                        JoinMethod.MERGE, est_cost, left_rows, right_rows,
+                        out_rows, left_cost, right_cost)
+                    if score < best_score:
+                        best_score = score
+                        best = (est_cost, left, right, out_rows,
+                                JoinMethod.MERGE, None)
+                if right in indexed_inner:
+                    table_rows, probes = indexed_inner[right]
+                    for partner, index_column in probes:
+                        if not partner & left:
+                            continue
+                        found = True
+                        # The inner scan is replaced by index probes into
+                        # the whole stored table.
+                        est_cost = child_cost - right_cost + index_nl_cost(
+                            left_rows, table_rows, out_rows)
+                        score = est_cost if not robust else self._plan_score(
+                            JoinMethod.INDEX_NL, est_cost, left_rows, right_rows,
+                            out_rows, left_cost, right_cost)
                         if score < best_score:
                             best_score = score
-                            best_node = node
-                            best_pair = (i, j)
-            if best_node is None:
-                # No connected pair remains: cross product the two smallest.
-                components.sort(key=lambda n: n.est_rows)
-                left, right = components[0], components[1]
-                out_rows = max(left.est_rows * right.est_rows, 1.0)
-                cost = (left.est_cost + right.est_cost
-                        + self.cost_model.join_cost(JoinMethod.NL, left.est_rows,
-                                                    right.est_rows, out_rows))
-                best_node = JoinNode(left=left, right=right, predicates=(),
-                                     method=JoinMethod.NL, est_rows=out_rows,
-                                     est_cost=cost)
-                best_pair = (0, 1)
-            i, j = best_pair
-            components = [c for k, c in enumerate(components) if k not in (i, j)]
-            components.append(best_node)
-        return components[0]
+                            best = (est_cost, left, right, out_rows,
+                                    JoinMethod.INDEX_NL, index_column)
+                        break
+            if config.enable_nl and not found:
+                # Last resort for connected splits, and the cross product
+                # the DP is allowed for unconnected ones.
+                est_cost = child_cost + nested_loop_cost(
+                    left_rows, right_rows, out_rows)
+                score = est_cost if not robust else self._plan_score(
+                    JoinMethod.NL, est_cost, left_rows, right_rows,
+                    out_rows, left_cost, right_cost)
+                if score < best_score:
+                    best_score = score
+                    best = (est_cost, left, right, out_rows, JoinMethod.NL, None)
+        return best
 
-    def _estimate_merged_rows(self, query: SPJQuery, left: PlanNode,
-                              right: PlanNode) -> float:
-        relations = tuple(
-            rel for rel in query.relations
-            if rel.covered_aliases <= (left.covered_aliases() | right.covered_aliases()))
-        filters = _filters_within(query, relations)
-        joins = _joins_within(query, relations)
-        return self.estimator.estimate_rows(relations, filters, joins, query.name)
+    def _plan_score(self, method: JoinMethod, est_cost: float,
+                    left_rows: float, right_rows: float, out_rows: float,
+                    left_cost: float, right_cost: float) -> float:
+        """Robust objective used to compare candidates (the FS baseline).
 
-    # ------------------------------------------------------------------
-    # Join candidate generation
-    # ------------------------------------------------------------------
-    def _join_candidates(self, left: PlanNode, right: PlanNode,
-                         preds: tuple[JoinPredicate, ...],
-                         output_rows: float) -> list[JoinNode]:
-        candidates: list[JoinNode] = []
-        child_cost = left.est_cost + right.est_cost
-        if not preds:
-            if self.config.enable_nl:
-                cost = child_cost + self.cost_model.join_cost(
-                    JoinMethod.NL, left.est_rows, right.est_rows, output_rows)
-                candidates.append(JoinNode(
-                    left=left, right=right, predicates=(), method=JoinMethod.NL,
-                    est_rows=output_rows, est_cost=cost))
-            return candidates
-
-        if self.config.enable_hash:
-            cost = child_cost + self.cost_model.join_cost(
-                JoinMethod.HASH, left.est_rows, right.est_rows, output_rows)
-            candidates.append(JoinNode(
-                left=left, right=right, predicates=preds, method=JoinMethod.HASH,
-                est_rows=output_rows, est_cost=cost))
-
-        if self.config.enable_merge:
-            cost = child_cost + self.cost_model.join_cost(
-                JoinMethod.MERGE, left.est_rows, right.est_rows, output_rows)
-            candidates.append(JoinNode(
-                left=left, right=right, predicates=preds, method=JoinMethod.MERGE,
-                est_rows=output_rows, est_cost=cost))
-
-        if self.config.enable_index_nl:
-            index_column = self._indexed_inner_column(right, preds)
-            if index_column is not None:
-                inner_rows = self.estimator.relation_rows(right.relation)  # type: ignore[union-attr]
-                cost = child_cost - right.est_cost + self.cost_model.join_cost(
-                    JoinMethod.INDEX_NL, left.est_rows, inner_rows, output_rows,
-                    inner_indexed=True)
-                candidates.append(JoinNode(
-                    left=left, right=right, predicates=preds,
-                    method=JoinMethod.INDEX_NL, index_column=index_column,
-                    est_rows=output_rows, est_cost=cost))
-
-        if self.config.enable_nl and len(preds) > 0 and not candidates:
-            cost = child_cost + self.cost_model.join_cost(
-                JoinMethod.NL, left.est_rows, right.est_rows, output_rows)
-            candidates.append(JoinNode(
-                left=left, right=right, predicates=preds, method=JoinMethod.NL,
-                est_rows=output_rows, est_cost=cost))
-        return candidates
-
-    def _indexed_inner_column(self, right: PlanNode,
-                              preds: tuple[JoinPredicate, ...]):
-        """Return the indexed inner column if an index nested-loop join applies."""
-        if not isinstance(right, ScanNode):
-            return None
-        relation = right.relation
-        if relation.is_temp:
-            return None
-        for pred in preds:
-            for side in (pred.left, pred.right):
-                if relation.covers(side.alias) and self.database.has_index(
-                        relation.table_name, side.column):
-                    return side
-        return None
-
-    def _plan_score(self, node: JoinNode) -> float:
-        """Objective used to compare candidate plans.
-
-        With robustness disabled this is simply the estimated cost; the FS
-        baseline mixes in the cost the plan would have if every cardinality
-        were ``robustness_blowup`` times larger.
+        Mixes the estimated cost with the cost the join would have if every
+        cardinality were ``robustness_blowup`` times larger; with
+        ``robustness_weight`` 0 candidates compare on ``est_cost`` alone and
+        this is not called.
         """
-        if self.config.robustness_weight <= 0.0:
-            return node.est_cost
         blowup = self.config.robustness_blowup
         inflated = self.cost_model.join_cost(
-            node.method,
-            node.left.est_rows * blowup,
-            node.right.est_rows * blowup,
-            node.est_rows * blowup,
-            inner_indexed=node.method is JoinMethod.INDEX_NL,
-        ) + node.left.est_cost + node.right.est_cost
+            method,
+            left_rows * blowup,
+            right_rows * blowup,
+            out_rows * blowup,
+            inner_indexed=method is JoinMethod.INDEX_NL,
+        ) + left_cost + right_cost
         w = self.config.robustness_weight
-        return (1.0 - w) * node.est_cost + w * inflated
+        return (1.0 - w) * est_cost + w * inflated
 
-    # ------------------------------------------------------------------
-    # Predicate bookkeeping
-    # ------------------------------------------------------------------
-    def _pair_predicates(self, query: SPJQuery, base_nodes: list[ScanNode]
-                         ) -> dict[tuple[int, int], list[JoinPredicate]]:
-        index_of: dict[str, int] = {}
-        for i, node in enumerate(base_nodes):
-            for alias in node.relation.covered_aliases:
-                index_of[alias] = i
-        pairs: dict[tuple[int, int], list[JoinPredicate]] = {}
-        for pred in query.join_predicates:
-            i = index_of[pred.left.alias]
-            j = index_of[pred.right.alias]
-            if i == j:
-                continue
-            key = (min(i, j), max(i, j))
-            pairs.setdefault(key, []).append(pred)
-        return pairs
+    def _cross_product(self, search: _JoinSearch, left: int, right: int) -> _Join:
+        """The NL cross product of two solved masks, outside any scoring."""
+        _, left_rows, left_cost, _, _ = search.solved[left]
+        _, right_rows, right_cost, _, _ = search.solved[right]
+        out_rows = max(left_rows * right_rows, 1.0)
+        est_cost = (left_cost + right_cost
+                    + self.cost_model.nested_loop_cost(left_rows, right_rows,
+                                                       out_rows))
+        return est_cost, left, right, out_rows, JoinMethod.NL, None
 
-    @staticmethod
-    def _predicates_between(pair_preds: dict[tuple[int, int], list[JoinPredicate]],
-                            mask_a: int, mask_b: int) -> tuple[JoinPredicate, ...]:
-        preds: list[JoinPredicate] = []
-        for (i, j), plist in pair_preds.items():
-            in_a = bool(mask_a & (1 << i)), bool(mask_a & (1 << j))
-            in_b = bool(mask_b & (1 << i)), bool(mask_b & (1 << j))
-            if (in_a[0] and in_b[1]) or (in_a[1] and in_b[0]):
-                preds.extend(plist)
-        return tuple(preds)
-
-    @staticmethod
-    def _predicates_between_nodes(query: SPJQuery, left: PlanNode,
-                                  right: PlanNode) -> tuple[JoinPredicate, ...]:
-        left_aliases = left.covered_aliases()
-        right_aliases = right.covered_aliases()
-        preds = []
-        for pred in query.join_predicates:
-            a, b = pred.left.alias, pred.right.alias
-            if (a in left_aliases and b in right_aliases) or (
-                    b in left_aliases and a in right_aliases):
-                preds.append(pred)
-        return tuple(preds)
+    def _add_join(self, search: _JoinSearch, join: _Join) -> None:
+        """Record ``join`` as the solution of the mask it covers."""
+        est_cost, left, right, out_rows, method, index_column = join
+        left_node, _, _, _, left_neighbours = search.solved[left]
+        right_node, _, _, _, right_neighbours = search.solved[right]
+        node = JoinNode(
+            left=left_node, right=right_node,
+            predicates=search.predicates_between(left, right),
+            method=method, index_column=index_column,
+            est_rows=out_rows, est_cost=est_cost)
+        search.solved[left | right] = (
+            node, out_rows, est_cost, self.cost_model.sort_cost(out_rows),
+            left_neighbours | right_neighbours)
 
 
-# ----------------------------------------------------------------------
-# Module-level helpers shared with the estimators
-# ----------------------------------------------------------------------
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+def _ordered_splits(mask: int, out_rows: float) -> Iterator[tuple[int, int, float]]:
+    """Every ordered split of ``mask`` into two non-empty halves.
 
-
-def _filters_within(query: SPJQuery,
-                    relations: tuple[RelationRef, ...]) -> tuple[Predicate, ...]:
-    """Filters of ``query`` fully contained in the given relation subset."""
-    covered: set[str] = set()
-    for rel in relations:
-        covered.update(rel.covered_aliases)
-    return tuple(
-        pred for pred in query.filters
-        if all(alias in covered for alias in pred.aliases()))
-
-
-def _joins_within(query: SPJQuery,
-                  relations: tuple[RelationRef, ...]) -> tuple[JoinPredicate, ...]:
-    """Join predicates of ``query`` internal to the given relation subset.
-
-    Predicates whose two sides are covered by the *same* relation (e.g. both
-    inside one materialized temporary) are excluded: they were already applied
-    when the temporary was built.
+    Both orientations are produced because the sides are not symmetric
+    (which one builds the hash table / is probed through its index).
     """
-    preds = []
-    for pred in query.join_predicates:
-        left_rel = _covering(relations, pred.left.alias)
-        right_rel = _covering(relations, pred.right.alias)
-        if left_rel is None or right_rel is None:
-            continue
-        if left_rel is right_rel:
-            continue
-        preds.append(pred)
-    return tuple(preds)
+    sub = (mask - 1) & mask
+    while sub:
+        yield sub, mask ^ sub, out_rows
+        sub = (sub - 1) & mask
 
 
-def _covering(relations: tuple[RelationRef, ...], alias: str) -> RelationRef | None:
-    for rel in relations:
-        if rel.covers(alias):
-            return rel
-    return None
+def _connected_pairs(search: _JoinSearch,
+                     components: list[int]) -> Iterator[tuple[int, int, float]]:
+    """Every ordered pair of components joined by at least one predicate."""
+    for left in components:
+        neighbours = search.solved[left][4]
+        for right in components:
+            if right != left and neighbours & right:
+                yield left, right, search.estimate(left | right)

@@ -266,6 +266,58 @@ class SPJQuery:
         return f"SPJQuery({self.name}: {rels}; {len(self.join_predicates)} joins)"
 
 
+@dataclass(frozen=True)
+class RelationMasks:
+    """Bitmask view of one SPJ query's relations and predicates.
+
+    Bit ``i`` of a mask stands for ``query.relations[i]``.  The optimizer
+    builds this once per planned query so that "which filters and join
+    predicates lie inside this relation subset" is a few integer tests
+    instead of a walk over alias sets.
+    """
+
+    query_name: str
+    relations: tuple[RelationRef, ...]
+    #: ``(mask of the relations a filter reads, filter)``, in
+    #: ``query.filters`` order.
+    filters: tuple[tuple[int, Predicate], ...]
+    #: ``(two-bit mask of the relations joined, predicate)``, in
+    #: ``query.join_predicates`` order.  Predicates with both sides inside
+    #: one relation are absent: they were applied when that temporary was
+    #: materialized.
+    joins: tuple[tuple[int, JoinPredicate], ...]
+
+    @classmethod
+    def of(cls, query: SPJQuery) -> "RelationMasks":
+        """Index ``query`` by relation position."""
+        bit_of: dict[str, int] = {}
+        for i, relation in enumerate(query.relations):
+            for alias in relation.covered_aliases:
+                bit_of[alias] = 1 << i
+        filters = []
+        for pred in query.filters:
+            mask = 0
+            for alias in pred.aliases():
+                mask |= bit_of[alias]
+            filters.append((mask, pred))
+        joins = []
+        for pred in query.join_predicates:
+            left, right = bit_of[pred.left.alias], bit_of[pred.right.alias]
+            if left != right:
+                joins.append((left | right, pred))
+        return cls(query.name, query.relations, tuple(filters), tuple(joins))
+
+    def subset(self, mask: int) -> tuple[tuple[RelationRef, ...],
+                                         tuple[Predicate, ...],
+                                         tuple[JoinPredicate, ...]]:
+        """Relations of ``mask`` with the filters and joins internal to them."""
+        return (
+            tuple(rel for i, rel in enumerate(self.relations) if mask >> i & 1),
+            tuple(pred for m, pred in self.filters if m & mask == m),
+            tuple(pred for m, pred in self.joins if m & mask == m),
+        )
+
+
 # ----------------------------------------------------------------------
 # Non-SPJ query trees (Section 3.3)
 # ----------------------------------------------------------------------

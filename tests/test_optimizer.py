@@ -1,5 +1,8 @@
 """Unit tests for cardinality estimation, the cost model, and plan enumeration."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.optimizer.cardinality import DefaultCardinalityEstimator
@@ -14,7 +17,11 @@ from repro.optimizer.robust import fs_config, optimality_range, use_config
 from repro.plan.expressions import ColumnRef, Comparison, JoinPredicate, StringPrefix
 from repro.plan.logical import RelationRef, SPJQuery
 from repro.plan.physical import JoinMethod, JoinNode, ScanNode
+from repro.reopt.registry import make_algorithm
+from repro.workloads.job_queries import job_queries
+from repro.workloads.sqlgen import JoinSamplerConfig, RandomQueryGenerator
 from tests.conftest import five_way_query
+from tests.reference_enum import ReferenceJoinEnumerator
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +315,213 @@ class TestJoinEnumeration:
         default_rows = sum(j.actual_rows for j in default_plan.join_nodes())
         optimal_rows = sum(j.actual_rows for j in optimal_plan.join_nodes())
         assert optimal_rows <= default_rows * 1.5
+
+
+# ----------------------------------------------------------------------
+# Differential: production enumerator vs. tests/reference_enum.py
+# ----------------------------------------------------------------------
+def assert_same_plan(actual, expected, context):
+    """Node-by-node equality, ``==`` on every float."""
+    assert type(actual) is type(expected), context
+    assert actual.est_rows == expected.est_rows, context
+    assert actual.est_cost == expected.est_cost, context
+    if isinstance(expected, ScanNode):
+        assert actual.relation == expected.relation, context
+        assert actual.filters == expected.filters, context
+        return
+    assert actual.method is expected.method, context
+    assert actual.predicates == expected.predicates, context
+    assert actual.index_column == expected.index_column, context
+    assert_same_plan(actual.left, expected.left, context)
+    assert_same_plan(actual.right, expected.right, context)
+
+
+def _spj(query):
+    (spj,) = query.root.spj_leaves()
+    return spj
+
+
+def _disconnect(spj):
+    """``spj`` without the join predicates of its last relation."""
+    cut = spj.relations[-1].alias
+    return dataclasses.replace(
+        spj, name=spj.name + "-cut",
+        join_predicates=tuple(p for p in spj.join_predicates
+                              if cut not in p.aliases()))
+
+
+def _densify(spj):
+    """``spj`` with cycles and several predicates per relation pair.
+
+    Adds the equalities implied by two predicates sharing a column, then a
+    mirrored copy of every predicate, so that one join applies predicates of
+    several pairs that are interleaved in ``join_predicates`` -- the case in
+    which the DP's and the greedy search's predicate orders differ.
+    """
+    preds = list(spj.join_predicates)
+    for i, p in enumerate(spj.join_predicates):
+        for q in spj.join_predicates[i + 1:]:
+            shared = {p.left, p.right} & {q.left, q.right}
+            if len(shared) == 1:
+                a, b = ({p.left, p.right} | {q.left, q.right}) - shared
+                preds.append(JoinPredicate(a, b))
+    preds += [JoinPredicate(p.right, p.left) for p in preds]
+    return dataclasses.replace(spj, name=spj.name + "-dense",
+                               join_predicates=tuple(preds))
+
+
+ENUMERATOR_CONFIGS = {
+    "default": EnumeratorConfig(),
+    "no-hash": EnumeratorConfig(enable_hash=False),
+    "no-merge": EnumeratorConfig(enable_merge=False),
+    "no-index-nl": EnumeratorConfig(enable_index_nl=False),
+    "no-nl": EnumeratorConfig(enable_nl=False),
+    "nl-last-resort": EnumeratorConfig(enable_hash=False, enable_merge=False,
+                                       enable_index_nl=False),
+    "use": use_config(),
+    "fs": fs_config(),
+    "greedy": EnumeratorConfig(dp_relation_limit=3),
+    "greedy-fs": fs_config(EnumeratorConfig(dp_relation_limit=2)),
+    "greedy-no-nl": EnumeratorConfig(dp_relation_limit=2, enable_nl=False),
+}
+
+
+def assert_matches_reference(database, estimator, config, spj, label=""):
+    """Plan ``spj`` with both enumerators and compare; returns the plan."""
+    expected = ReferenceJoinEnumerator(
+        database, estimator, CostModel(), config).plan(spj)
+    actual = JoinEnumerator(database, estimator, CostModel(), config).plan(spj)
+    assert_same_plan(actual, expected, f"{label}: {spj}")
+    return actual
+
+
+class ReferenceCheckedOptimizer(Optimizer):
+    """Before planning a query that reads a temporary -- while the temporary
+    and its statistics exist -- compares the two enumerators on it under
+    every configuration and estimator of the static test."""
+
+    temps_checked = 0
+
+    def plan(self, query):
+        if any(relation.is_temp for relation in query.relations):
+            noisy = NoisyCardinalityEstimator(self.estimator, sigma=2.0, seed=7)
+            for estimator in (self.estimator, noisy):
+                for name, config in ENUMERATOR_CONFIGS.items():
+                    assert_matches_reference(self.database, estimator, config,
+                                             query, name)
+            self.temps_checked += 1
+        return super().plan(query)
+
+
+class TestEnumeratorMatchesReference:
+    @pytest.fixture(scope="class")
+    def queries(self, imdb_db):
+        """JOB and a seeded generated stream, plus disconnected and
+        densely connected twins of some of them."""
+        job = [_spj(q) for q in job_queries()]
+        generated = [
+            _spj(q) for q in RandomQueryGenerator(
+                imdb_db, seed=17, join_config=JoinSamplerConfig(max_joins=6),
+            ).generate(40)]
+        connected = job + generated
+        cut = [_disconnect(spj) for spj in connected[::3] if spj.join_predicates]
+        assert any(not spj.is_connected() for spj in cut)
+        dense = [_densify(spj) for spj in connected[1::5]]
+        return {"all": connected + cut + dense,
+                "slice": connected[::4] + cut[::2] + dense[::2]}
+
+    @pytest.fixture(scope="class", params=["default", "noisy"])
+    def estimator(self, request, imdb_db):
+        default = DefaultCardinalityEstimator(imdb_db)
+        if request.param == "default":
+            return default
+        return NoisyCardinalityEstimator(default, sigma=2.0, seed=7)
+
+    @pytest.mark.parametrize("config_name", list(ENUMERATOR_CONFIGS))
+    def test_same_tree_and_floats(self, imdb_db, queries, estimator, config_name):
+        config = ENUMERATOR_CONFIGS[config_name]
+        # Whole-JOB reference planning is the slow part; the full stream
+        # runs under the default config and greedy, a slice elsewhere.
+        full = config_name in ("default", "greedy")
+        methods = set()
+        for spj in queries["all" if full else "slice"]:
+            plan = assert_matches_reference(imdb_db, estimator, config, spj,
+                                            config_name)
+            methods.update(j.method for j in plan.join_nodes())
+        # The comparison is only worth something if each scoring branch
+        # actually produced winners.
+        assert methods >= {"default": {JoinMethod.HASH, JoinMethod.INDEX_NL},
+                           "no-hash": {JoinMethod.MERGE},
+                           "nl-last-resort": {JoinMethod.NL}}.get(config_name, set())
+
+    def test_pessimistic_subclass_keeps_its_estimates(self, imdb_db, queries):
+        """A DefaultCardinalityEstimator subclass that redefines
+        ``estimate_rows`` must not be served the cached-factor fast path."""
+        estimator = PessimisticCardinalityEstimator(imdb_db)
+        for spj in queries["slice"]:
+            assert_matches_reference(imdb_db, estimator, EnumeratorConfig(), spj)
+
+    @pytest.mark.parametrize("algorithm", ["QuerySplit", "Reopt", "Pop"])
+    def test_queries_over_temporaries(self, imdb_db, algorithm):
+        """The queries re-optimizing policies build with
+        ``SPJQuery.substitute`` (a temporary standing in for the relations
+        it covers, their internal predicates dropped) plan identically too."""
+        runner = make_algorithm(algorithm, imdb_db)
+        runner.optimizer = ReferenceCheckedOptimizer(imdb_db)
+        wanted = {"6d", "13a", "17b", "23b", "28a"}
+        for query in job_queries():
+            if query.name in wanted:
+                assert not runner.run(query).timed_out
+        assert runner.optimizer.temps_checked > 0
+        assert imdb_db.temp_table_names == []
+
+
+JOB_SLICE = ("1a", "3b", "6d", "9c", "13a", "17b", "21a", "23b", "28a", "30c")
+
+#: ``Optimizer.invocations`` per query of JOB_SLICE, recorded on the revision
+#: before the enumerator rewrite (imdb scale 0.25, identical for
+#: PYTHONHASHSEED 0-3 and random).
+PLANNER_INVOCATIONS = {
+    "QuerySplit": [2, 5, 5, 9, 9, 9, 2, 14, 20, 9],
+    "Default": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+    "Reopt": [1, 1, 1, 1, 1, 1, 1, 2, 3, 1],
+    "Pop": [1, 2, 3, 3, 3, 4, 3, 2, 5, 5],
+}
+
+
+class TestPlannerCallStructure:
+    """What the drivers and ``benchmarks/e2e/tracing.py`` rely on."""
+
+    def test_plans_share_no_nodes(self, imdb_db):
+        """The executor writes ``actual_rows`` into nodes and
+        ``reopt/base.py`` keys on ``id(node)``: trees must be private."""
+        def nodes(node):
+            yield node
+            for child in node.children():
+                yield from nodes(child)
+
+        optimizer = Optimizer(imdb_db)
+        greedy = Optimizer(imdb_db, config=OptimizerConfig(
+            enumerator=EnumeratorConfig(dp_relation_limit=3)))
+        for query in job_queries(families=[1, 6, 17]):
+            spj = _spj(query)
+            for opt in (optimizer, greedy):
+                first, second = opt.plan(spj), opt.plan(spj)  # both alive
+                assert {id(n) for n in nodes(first.root)}.isdisjoint(
+                    id(n) for n in nodes(second.root))
+
+    def test_plan_and_estimate_signatures(self):
+        assert list(inspect.signature(Optimizer.plan).parameters) == ["self", "query"]
+        assert list(inspect.signature(Optimizer.estimate).parameters) == [
+            "self", "query"]
+
+    @pytest.mark.parametrize("algorithm", list(PLANNER_INVOCATIONS))
+    def test_invocations_per_query_unchanged(self, imdb_db, algorithm):
+        by_name = {q.name: q for q in job_queries()}
+        runner = make_algorithm(algorithm, imdb_db)
+        invocations = [runner.run(by_name[name]).planner_invocations
+                       for name in JOB_SLICE]
+        assert invocations == PLANNER_INVOCATIONS[algorithm]
 
 
 class TestRobustHelpers:
