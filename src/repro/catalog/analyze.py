@@ -78,8 +78,7 @@ def analyze_table(table, **kwargs) -> TableStats:
     valid-row mask excludes deleted rows), so a re-ANALYZE after deletes
     reports the row count and value distribution a rebuilt table would.
     """
-    columns = {name: table.column_values(name, cache=False)
-               for name in table.columns}
+    columns = table.decoded_columns()
     num_rows = table.num_rows
     if getattr(table, "valid_mask", None) is not None:
         valid = table.valid_row_ids()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.executor.executor import group_aggregate, union_all
+from repro.executor.aggregates import group_aggregate, union_all
 from repro.plan.logical import (
     AggregateNode,
     QueryPlanNode,
@@ -49,7 +49,7 @@ def execute_query_tree(root: QueryPlanNode, run_spj: SPJRunner) -> DataTable:
             child = run_spj(_with_aggregation_columns(child_node.query, root))
         else:
             child = execute_query_tree(child_node, run_spj)
-        return group_aggregate(dict(child.columns), root.group_by, root.aggregates)
+        return group_aggregate(child, root.group_by, root.aggregates)
     if isinstance(root, UnionNode):
         tables = [execute_query_tree(child, run_spj) for child in root.inputs]
         return union_all(tables)

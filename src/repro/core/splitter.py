@@ -29,12 +29,8 @@ from repro.catalog.statistics import TableStats
 from repro.core.nonspj import execute_query_tree
 from repro.core.qsa import QSAStrategy, generate_subqueries
 from repro.core.ssa import CostFunction, SubqueryEstimate, select_subquery
-from repro.executor.executor import (
-    ExecutionError,
-    Executor,
-    _scalar_aggregate,
-    group_aggregate,
-)
+from repro.executor.aggregates import _scalar_aggregate, group_aggregate
+from repro.executor.executor import ExecutionError, Executor
 from repro.executor.joins import JoinOverflowError
 from repro.executor.morsels import MorselCancelled
 from repro.optimizer.optimizer import Optimizer
@@ -186,7 +182,8 @@ class QuerySplitExecutor:
     def _collect_stats(self, table: DataTable) -> tuple[TableStats, float, bool]:
         start = time.perf_counter()
         if self.config.collect_statistics:
-            stats = analyze_columns(dict(table.columns), num_rows=table.num_rows)
+            stats = analyze_columns(table.decoded_columns(),
+                                    num_rows=table.num_rows)
             return stats, time.perf_counter() - start, True
         return (TableStats.row_count_only(table.num_rows),
                 time.perf_counter() - start, False)
@@ -228,7 +225,10 @@ class QuerySplitExecutor:
         """Cartesian-merge the result set and apply the final projection."""
         if not result_tables:
             return DataTable(name=spj.name, columns={})
+        # Encoded columns are repeated/tiled as codes; every column comes
+        # from exactly one input, whose dictionary it keeps.
         columns = dict(result_tables[0].columns)
+        dictionaries = dict(result_tables[0].dictionaries)
         rows = result_tables[0].num_rows
         for table in result_tables[1:]:
             other_rows = table.num_rows
@@ -236,12 +236,16 @@ class QuerySplitExecutor:
                 name: np.repeat(arr, other_rows) for name, arr in columns.items()}
             for name, arr in table.columns.items():
                 columns[name] = np.tile(arr, rows)
+                dictionaries.pop(name, None)
+            dictionaries.update(table.dictionaries)
             rows = rows * other_rows
+        merged = DataTable(name=spj.name, columns=columns,
+                           dictionaries=dictionaries)
         if spj.aggregates:
-            return (_scalar_aggregate(columns, spj.aggregates)
+            return (_scalar_aggregate(merged, spj.aggregates)
                     if not spj.projections
-                    else group_aggregate(columns, spj.projections, spj.aggregates))
+                    else group_aggregate(merged, spj.projections, spj.aggregates))
         if spj.projections:
             wanted = {ref.qualified for ref in spj.projections}
-            columns = {name: arr for name, arr in columns.items() if name in wanted}
-        return DataTable(name=spj.name, columns=columns)
+            return merged.project([name for name in columns if name in wanted])
+        return merged

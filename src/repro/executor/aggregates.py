@@ -1,11 +1,34 @@
-"""Vectorized aggregation kernels (shared with the non-SPJ execution path).
+"""Grouping and aggregation on dense integer keys.
 
-GROUP BY aggregation is computed with sort + segment reductions
-(``np.ufunc.reduceat``) instead of a per-group Python loop: rows are ordered
-by group id once, group boundaries are located with ``searchsorted``, and
-every aggregate is then a single reduceat call over the sorted values.  The
-output arrays keep the historical ``object`` dtype contract (mixed int/float
-aggregate values per table).
+One kernel, :func:`group_aggregate`, serves the plan-root ``Aggregate``
+operator, QuerySplit's ``_finalize`` and the non-SPJ aggregation nodes.  It
+takes a :class:`~repro.storage.table.DataTable` whose dictionary-encoded
+string columns are still ``int32`` codes (see
+:mod:`repro.storage.dictionary`) and never looks at a string to find a
+group:
+
+* every key column becomes a non-negative integer below a known *span*,
+  in the column's value order (:func:`_dense_key`, chosen from dtype and
+  value range);
+* the keys are combined mixed-radix, first key most significant, so group
+  ids ascend in the lexicographic key order the output rows are emitted in;
+* when the combined span is small against the row count the groups are
+  found by ``np.bincount`` without sorting, otherwise by one stable integer
+  argsort (:func:`_find_groups`);
+* counts, float sums and averages are ``np.bincount`` over the group ids;
+  integer sums (exact in ``int64``) and MIN/MAX go through one stable
+  argsort of the group ids, shared by all of them, plus ``reduceat``.
+  MIN/MAX of an encoded column is the min/max of its non-NULL codes,
+  decoded once per group.
+
+**Output contract.**  Key columns are the input's own arrays at each
+group's first row (codes stay codes, dictionary shared by reference).
+Aggregate outputs are ``dtype=object`` columns whose elements are: Python
+``int`` for ``count``; the numpy scalar ``reduceat`` yields for ``sum`` /
+``min`` / ``max`` of a numeric column (``np.int64`` / ``np.float64`` for the
+engine's column types); Python ``float`` for ``avg``; ``str`` or ``None``
+for MIN/MAX of a string column.  A scalar aggregate (empty ``group_by``)
+over zero rows yields ``0`` for ``count`` and ``None`` otherwise.
 """
 
 from __future__ import annotations
@@ -15,127 +38,193 @@ import numpy as np
 from repro.executor.joins import _MAX_COMBINED_CODE
 from repro.plan.expressions import ColumnRef
 from repro.plan.logical import AggregateSpec
+from repro.storage.dictionary import decode_lookup
 from repro.storage.table import DataTable
 
 
-def _num_rows(columns: dict[str, np.ndarray]) -> int:
-    if not columns:
-        return 0
-    return len(next(iter(columns.values())))
+def _dense_limit(rows: int) -> int:
+    """Largest span worth a table of that many slots for ``rows`` rows."""
+    return max(4 * rows, 1024)
 
 
-def _scalar_aggregate(columns: dict[str, np.ndarray],
-                      aggregates: tuple[AggregateSpec, ...],
-                      num_rows: int | None = None) -> DataTable:
-    """Apply scalar (ungrouped) aggregates to a result.
+def _dense_key(values: np.ndarray, dictionary: np.ndarray | None
+               ) -> tuple[np.ndarray, int]:
+    """One key column as order-preserving ints in ``[0, span)``.
 
-    ``num_rows`` overrides the row count inferred from ``columns`` -- needed
-    for pure ``COUNT(*)`` queries whose input chunk carries no columns.
+    Encoded columns use ``code + 1`` (NULL, code -1, becomes 0 and sorts
+    first); signed integers whose range is small against the row count use
+    ``value - min``; everything else (floats, wide or unsigned integers,
+    unencoded object columns) takes the inverse of one ``np.unique``.
     """
-    rows = _num_rows(columns) if num_rows is None else num_rows
-    out: dict[str, np.ndarray] = {}
-    for spec in aggregates:
-        out[spec.output_name] = np.array([_aggregate_value(columns, spec, rows)],
-                                         dtype=object)
-    return DataTable(name="aggregate", columns=out)
+    if dictionary is not None:
+        return values.astype(np.int64) + 1, len(dictionary) + 1
+    if values.dtype.kind in "ib":
+        low, high = int(values.min()), int(values.max())
+        if high - low < _dense_limit(len(values)):
+            return values.astype(np.int64) - low, high - low + 1
+    uniques, inverse = np.unique(values, return_inverse=True)
+    return inverse, len(uniques)
 
 
-def group_aggregate(columns: dict[str, np.ndarray],
-                    group_by: tuple[ColumnRef, ...],
-                    aggregates: tuple[AggregateSpec, ...]) -> DataTable:
-    """GROUP BY aggregation over a joined result."""
-    rows = _num_rows(columns)
+class _Groups:
+    """The rows of a table partitioned into ``len(counts)`` groups.
+
+    ``ids`` is each row's group number (``None`` when there is a single
+    group), ``counts`` each group's size and ``first`` each group's first
+    row.  The row order that makes every group contiguous is computed on
+    first use and shared by all aggregates that need it.
+    """
+
+    def __init__(self, ids: np.ndarray | None, counts: np.ndarray,
+                 first: np.ndarray, order: np.ndarray | None = None):
+        self.ids = ids
+        self.counts = counts
+        self.first = first
+        self._order = order
+        self._starts = np.cumsum(counts) - counts
+
+    def segments(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``values`` in group order and each group's start in it (the two
+        arguments of ``ufunc.reduceat``; groups are never empty)."""
+        if self.ids is None:
+            return values, self._starts
+        if self._order is None:
+            # Stable sorts of <= 16-bit integers are radix sorts.
+            narrow = np.min_scalar_type(len(self.counts) - 1)
+            self._order = np.argsort(self.ids.astype(narrow), kind="stable")
+        return values[self._order], self._starts
+
+
+def _find_groups(table: DataTable, group_by: tuple[ColumnRef, ...],
+                 rows: int) -> _Groups:
+    """Partition ``table``'s rows by the ``group_by`` columns."""
     if not group_by:
-        return _scalar_aggregate(columns, aggregates)
-    key_arrays = [columns[ref.qualified] for ref in group_by]
-    # Build group ids via successive uniquification of the key columns.  As
-    # in joins.combine_key_pair, the running ``ids * span + inverse``
-    # encoding is re-uniquified into a dense range whenever the next
-    # extension could overflow int64 (equal composites stay equal, so the
-    # grouping is unchanged).
-    group_ids = np.zeros(rows, dtype=np.int64)
-    for arr in key_arrays:
-        _, inverse = np.unique(arr, return_inverse=True)
-        span = int(inverse.max()) + 1 if rows else 1
-        current_max = int(group_ids.max()) if rows else 0
-        if current_max and span > _MAX_COMBINED_CODE // (current_max + 1):
-            _, group_ids = np.unique(group_ids, return_inverse=True)
-            group_ids = group_ids.astype(np.int64)
-        group_ids = group_ids * span + inverse
-    uniq_ids, group_index, inverse = np.unique(group_ids, return_index=True,
-                                               return_inverse=True)
-    out: dict[str, np.ndarray] = {}
+        return _Groups(None, np.array([rows]), np.zeros(1, dtype=np.int64))
+    ids, span = None, 1
     for ref in group_by:
-        out[ref.qualified] = columns[ref.qualified][group_index]
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(len(uniq_ids)))
-    counts = np.diff(np.append(starts, rows))
-    for spec in aggregates:
-        data = (columns[spec.column.qualified] if spec.column is not None else None)
-        out[spec.output_name] = _segment_aggregate(data, order, starts, counts, spec)
-    return DataTable(name="aggregate", columns=out)
+        key, key_span = _dense_key(table.column(ref.qualified),
+                                   table.dictionaries.get(ref.qualified))
+        if ids is None:
+            ids, span = key, key_span
+            continue
+        if span > _MAX_COMBINED_CODE // key_span:
+            # The next digit could overflow int64: renumber the prefix
+            # densely first (equal composites stay equal, order is kept).
+            uniques, ids = np.unique(ids, return_inverse=True)
+            span = len(uniques)
+        ids = ids * key_span + key
+        span *= key_span
+
+    if span <= _dense_limit(rows):
+        per_id = np.bincount(ids, minlength=span)
+        occupied = np.flatnonzero(per_id)
+        if len(occupied) < span:
+            renumber = np.empty(span, dtype=np.int64)
+            renumber[occupied] = np.arange(len(occupied))
+            ids = renumber[ids]
+        first = np.empty(len(occupied), dtype=np.int64)
+        # Assigning in reverse row order leaves each group's earliest row.
+        first[ids[::-1]] = np.arange(rows - 1, -1, -1)
+        return _Groups(ids, per_id[occupied], first)
+
+    order = np.argsort(ids, kind="stable")
+    in_order = ids[order]
+    boundary = np.ones(rows, dtype=bool)
+    boundary[1:] = in_order[1:] != in_order[:-1]
+    starts = np.flatnonzero(boundary)
+    ids = np.empty(rows, dtype=np.int64)
+    ids[order] = np.cumsum(boundary) - 1
+    return _Groups(ids, np.diff(np.append(starts, rows)), order[starts], order)
 
 
-def _segment_aggregate(data: np.ndarray | None, order: np.ndarray,
-                       starts: np.ndarray, counts: np.ndarray,
-                       spec: AggregateSpec) -> np.ndarray:
-    """One aggregate over every group segment, fully vectorized.
-
-    ``order`` sorts the input rows by group; ``starts`` holds each group's
-    first position in that ordering.  Groups are never empty (they exist
-    because at least one row mapped to them), which is what makes plain
-    ``reduceat`` safe here.
-    """
-    num_groups = len(starts)
-    out = np.empty(num_groups, dtype=object)
-    if num_groups == 0:
-        return out
+def _aggregate(spec: AggregateSpec, table: DataTable, groups: _Groups) -> list:
+    """One aggregate's value per group, as the output column's elements."""
     if spec.func == "count":
-        out[:] = [int(c) for c in counts]
-        return out
-    sorted_vals = data[order]
+        return groups.counts.tolist()
+    name = spec.column.qualified
+    values = table.column(name)
+    if name in table.dictionaries:
+        lookup = decode_lookup(table.dictionaries[name])
+        if spec.func == "max":
+            # NULL is the smallest code and decodes through lookup[-1].
+            return list(lookup[np.maximum.reduceat(*groups.segments(values))])
+        if spec.func == "min":
+            # Move NULL above every code: it loses to any string and still
+            # decodes to None (lookup's last slot).
+            codes = np.where(values < 0, len(lookup) - 1, values)
+            return list(lookup[np.minimum.reduceat(*groups.segments(codes))])
+        values = lookup[values]
+    if spec.func == "min":
+        return list(np.minimum.reduceat(*groups.segments(values)))
+    if spec.func == "max":
+        return list(np.maximum.reduceat(*groups.segments(values)))
+    if values.dtype == np.float64 and groups.ids is not None:
+        sums = np.bincount(groups.ids, weights=values,
+                           minlength=len(groups.counts))
+    else:
+        sums = np.add.reduceat(*groups.segments(values))
     if spec.func == "sum":
-        out[:] = list(np.add.reduceat(sorted_vals, starts))
-    elif spec.func == "min":
-        out[:] = list(np.minimum.reduceat(sorted_vals, starts))
-    elif spec.func == "max":
-        out[:] = list(np.maximum.reduceat(sorted_vals, starts))
-    else:  # avg
-        sums = np.add.reduceat(sorted_vals, starts).astype(np.float64)
-        out[:] = [float(v) for v in sums / counts]
-    return out
+        return list(sums)
+    return (sums.astype(np.float64) / groups.counts).tolist()  # avg
+
+
+def group_aggregate(table: DataTable, group_by: tuple[ColumnRef, ...],
+                    aggregates: tuple[AggregateSpec, ...],
+                    num_rows: int | None = None) -> DataTable:
+    """GROUP BY aggregation; an empty ``group_by`` is the scalar aggregate.
+
+    Output rows ascend in key order (see the module docstring for the
+    element types).  ``num_rows`` overrides the row count of ``table`` --
+    needed for pure ``COUNT(*)`` inputs, which carry no columns.
+    """
+    rows = table.num_rows if num_rows is None else num_rows
+    columns: dict[str, np.ndarray] = {}
+    dictionaries = {ref.qualified: table.dictionaries[ref.qualified]
+                    for ref in group_by if ref.qualified in table.dictionaries}
+    if rows == 0:
+        for ref in group_by:
+            columns[ref.qualified] = table.column(ref.qualified)[:0]
+        for spec in aggregates:
+            columns[spec.output_name] = np.array(
+                [] if group_by else [0 if spec.func == "count" else None],
+                dtype=object)
+        return DataTable(name="aggregate", columns=columns,
+                         dictionaries=dictionaries)
+    groups = _find_groups(table, group_by, rows)
+    for ref in group_by:
+        columns[ref.qualified] = table.column(ref.qualified)[groups.first]
+    for spec in aggregates:
+        out = np.empty(len(groups.counts), dtype=object)
+        out[:] = _aggregate(spec, table, groups)
+        columns[spec.output_name] = out
+    return DataTable(name="aggregate", columns=columns,
+                     dictionaries=dictionaries)
+
+
+def _scalar_aggregate(table: DataTable, aggregates: tuple[AggregateSpec, ...],
+                      num_rows: int | None = None) -> DataTable:
+    """Ungrouped aggregates: :func:`group_aggregate` with no keys."""
+    return group_aggregate(table, (), aggregates, num_rows)
 
 
 def union_all(tables: list[DataTable]) -> DataTable:
-    """UNION ALL of result tables with identical column sets."""
+    """UNION ALL of result tables with identical column sets.
+
+    A column stays encoded only when every input holds codes into the
+    *same* dictionary object; codes of different dictionaries are not
+    comparable, so such a column is decoded.
+    """
     if not tables:
         return DataTable(name="union", columns={})
-    names = tables[0].column_names
-    columns = {
-        name: np.concatenate([t.column(name) for t in tables]) for name in names
-    }
-    return DataTable(name="union", columns=columns)
-
-
-def _aggregate_value(columns: dict[str, np.ndarray], spec: AggregateSpec,
-                     rows: int):
-    if spec.func == "count" and spec.column is None:
-        return rows
-    data = columns[spec.column.qualified]
-    return _aggregate_over(data, np.arange(rows), spec)
-
-
-def _aggregate_over(data: np.ndarray | None, member_rows: np.ndarray,
-                    spec: AggregateSpec):
-    if spec.func == "count":
-        return int(len(member_rows))
-    if data is None or len(member_rows) == 0:
-        return None
-    values = data[member_rows]
-    if spec.func == "min":
-        return values.min()
-    if spec.func == "max":
-        return values.max()
-    if spec.func == "sum":
-        return values.sum()
-    return float(values.sum()) / len(values)
+    columns: dict[str, np.ndarray] = {}
+    dictionaries: dict[str, np.ndarray] = {}
+    for name in tables[0].column_names:
+        dictionary = tables[0].dictionaries.get(name)
+        if dictionary is not None and all(
+                t.dictionaries.get(name) is dictionary for t in tables):
+            dictionaries[name] = dictionary
+            columns[name] = np.concatenate([t.column(name) for t in tables])
+        else:
+            columns[name] = np.concatenate(
+                [t.column_values(name, cache=False) for t in tables])
+    return DataTable(name="union", columns=columns, dictionaries=dictionaries)

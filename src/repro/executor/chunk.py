@@ -6,7 +6,11 @@ does *not* store the payload columns of the rows it describes; it stores one
 columnar table) plus enough metadata to resolve any column on demand.  Joins
 therefore only ever copy ``int64`` row ids, and real columns are gathered
 from the base tables exactly once -- at the plan root, or when a join needs
-its key columns.
+its key columns.  Join keys are gathered as *values*
+(:meth:`Chunk.column`); the plan root gathers dictionary-encoded string
+columns as *codes* plus the table's dictionary
+(:meth:`ColumnSource.gather_encoded`), so results and temporaries stay
+encoded.
 
 This is the standard late-materialization design of vectorized engines
 (DuckDB-style selection vectors): compared to the previous eager executor,
@@ -46,7 +50,11 @@ class MaterializationStats:
     gathered_columns: int = 0
 
     def count(self, array: np.ndarray) -> None:
-        """Record one materialized array (gathered column or copied vector)."""
+        """Record one materialized array (gathered column or copied vector).
+
+        Dictionary codes gathered without decoding are charged what they
+        are: four bytes a row.
+        """
         self.gathered_columns += 1
         if array.dtype == object:
             # Same accounting convention as DataTable.memory_bytes: pointer
@@ -71,8 +79,16 @@ class ColumnSource:
 
     def gather(self, ref: ColumnRef,
                stats: MaterializationStats | None = None) -> np.ndarray:
-        """Materialize one column for the rows this source selects."""
+        """Materialize one column's *values* for the rows this source selects."""
         raise NotImplementedError
+
+    def gather_encoded(self, ref: ColumnRef,
+                       stats: MaterializationStats | None = None
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Like :meth:`gather`, but a dictionary-encoded column comes back
+        as ``(codes, dictionary)`` -- the dictionary shared by reference,
+        nothing decoded.  ``(values, None)`` for every other column."""
+        return self.gather(ref, stats), None
 
     def take(self, indices: np.ndarray,
              stats: MaterializationStats | None = None) -> "ColumnSource":
@@ -134,6 +150,19 @@ class TableSource(ColumnSource):
         if stats is not None:
             stats.count(data)
         return data
+
+    def gather_encoded(self, ref: ColumnRef,
+                       stats: MaterializationStats | None = None
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+        name = self._storage_name(ref)
+        if not self.table.is_encoded(name):
+            return self.gather(ref, stats), None
+        codes = self.table.column(name)
+        if self.row_ids is not None:
+            codes = codes[self.row_ids]
+            if stats is not None:
+                stats.count(codes)
+        return codes, self.table.dictionary(name)
 
     def take(self, indices: np.ndarray,
              stats: MaterializationStats | None = None) -> "TableSource":
@@ -239,15 +268,22 @@ class Chunk:
     # ------------------------------------------------------------------
     def column(self, ref: ColumnRef,
                stats: MaterializationStats | None = None) -> np.ndarray:
-        """Materialize one column for every row of the chunk."""
+        """Materialize one column's values for every row of the chunk
+        (what joins compare: keys are values, never codes)."""
         return self.source_for(ref.alias).gather(ref, stats)
 
-    def materialize(self, refs: tuple[ColumnRef, ...],
-                    stats: MaterializationStats | None = None
-                    ) -> dict[str, np.ndarray]:
-        """Gather ``refs`` (those the chunk covers) into a column dict."""
-        return {ref.qualified: self.column(ref, stats) for ref in refs
-                if self.covers(ref.alias)}
+    def table(self, name: str, refs: tuple[ColumnRef, ...],
+              stats: MaterializationStats | None = None) -> DataTable:
+        """Gather ``refs`` (those the chunk covers) into a :class:`DataTable`
+        whose dictionary-encoded columns are still codes, under the source
+        tables' own dictionaries -- no string is decoded."""
+        columns: dict[str, np.ndarray] = {}
+        dictionaries: dict[str, np.ndarray] = {}
+        for ref in refs:
+            if self.covers(ref.alias):
+                _gather_into(columns, dictionaries,
+                             self.source_for(ref.alias), ref, stats)
+        return DataTable(name=name, columns=columns, dictionaries=dictionaries)
 
     # ------------------------------------------------------------------
     # Row selection
@@ -272,8 +308,23 @@ def merge_chunks(left: Chunk, left_idx: np.ndarray,
     return Chunk(sources, len(left_idx))
 
 
+def _gather_into(columns: dict[str, np.ndarray],
+                 dictionaries: dict[str, np.ndarray] | None,
+                 source: ColumnSource, ref: ColumnRef,
+                 stats: MaterializationStats | None) -> None:
+    """Gather ``ref`` into ``columns``: decoded, or -- given a
+    ``dictionaries`` dict to record the dictionary in -- still encoded."""
+    if dictionaries is None:
+        columns[ref.qualified] = source.gather(ref, stats)
+        return
+    columns[ref.qualified], dictionary = source.gather_encoded(ref, stats)
+    if dictionary is not None:
+        dictionaries[ref.qualified] = dictionary
+
+
 def materialize_default(chunk: Chunk, needed: frozenset[ColumnRef],
-                        stats: MaterializationStats | None = None
+                        stats: MaterializationStats | None = None,
+                        dictionaries: dict[str, np.ndarray] | None = None
                         ) -> dict[str, np.ndarray]:
     """Materialize every needed column the chunk covers into a column dict.
 
@@ -282,7 +333,10 @@ def materialize_default(chunk: Chunk, needed: frozenset[ColumnRef],
     (pure existence joins); already-inline sources pass their columns
     through unchanged.  Shared by the executor's default (projection-less)
     output path and by :func:`compact`, so the late and eager modes can
-    never diverge on output semantics.
+    never diverge on output semantics.  Given a ``dictionaries`` dict,
+    encoded columns are gathered as codes and their dictionaries recorded
+    in it (the output path); without one every column is decoded (the
+    eager mode).
     """
     columns: dict[str, np.ndarray] = {}
     for source in chunk.sources:
@@ -293,7 +347,7 @@ def materialize_default(chunk: Chunk, needed: frozenset[ColumnRef],
                          key=lambda ref: ref.qualified)
         if covered:
             for ref in covered:
-                columns[ref.qualified] = source.gather(ref, stats)
+                _gather_into(columns, dictionaries, source, ref, stats)
         else:
             columns.update(source.rowid_columns())
     return columns

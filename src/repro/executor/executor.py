@@ -6,7 +6,11 @@ evaluates every node with the operator pipeline of
 :class:`~repro.executor.chunk.Chunk` objects -- one base-table row-id vector
 per input relation -- so joins only ever copy ``int64`` selection vectors.
 Real columns are gathered from the stored tables exactly once: join keys
-when a join needs them, and output/aggregate columns at the plan root.
+(as values) when a join needs them, and output/aggregate columns at the
+plan root -- where dictionary-encoded strings stay codes, so the result
+table, a temporary registered from it, and the aggregation kernel all work
+on ``int32`` codes and only the caller's ``column_values`` / ``to_rows``
+decodes.
 
 Two caches sit around the pipeline:
 
@@ -32,11 +36,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.executor.aggregates import (  # re-exported for compatibility
-    _aggregate_over,
-    _aggregate_value,
-    _num_rows,
-    _scalar_aggregate,
+from repro.executor.aggregates import (  # noqa: F401  (re-exported)
     group_aggregate,
     union_all,
 )
@@ -232,13 +232,15 @@ class Executor:
         output_refs = tuple(dict.fromkeys(plan.output_columns + tuple(extra_columns)))
         if plan.aggregates:
             table = Aggregate(plan).execute(ctx, chunk)
+        elif output_refs:
+            # Encoded string columns leave as codes + the source table's
+            # dictionary; whoever needs the strings decodes (column_values).
+            table = chunk.table(plan.query_name, output_refs, stats)
         else:
-            if output_refs:
-                columns = {ref.qualified: chunk.column(ref, stats)
-                           for ref in output_refs if chunk.covers(ref.alias)}
-            else:
-                columns = materialize_default(chunk, needed, stats)
-            table = DataTable(name=plan.query_name, columns=columns)
+            dictionaries: dict = {}
+            columns = materialize_default(chunk, needed, stats, dictionaries)
+            table = DataTable(name=plan.query_name, columns=columns,
+                              dictionaries=dictionaries)
         wall = time.perf_counter() - start
         return ExecutionResult(table=table, join_rows=join_rows, wall_time=wall,
                                operator_times=dict(ctx.operator_times),

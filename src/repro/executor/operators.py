@@ -9,8 +9,8 @@ late-materialized :class:`~repro.executor.chunk.Chunk` inputs:
   :mod:`repro.executor.joins` serves all of them);
 * :class:`IndexNLJoin` -- index nested-loop join probing a sorted index;
 * :class:`CrossProduct`-- predicate-less join (guarded Cartesian product);
-* :class:`Aggregate`   -- plan-root aggregation, the point where real
-  columns are finally materialized.
+* :class:`Aggregate`   -- plan-root aggregation, the point where the
+  aggregated columns are finally gathered (encoded strings as codes).
 
 Operators never copy payload columns between them -- they pass chunks whose
 sources are row-id vectors into the stored tables.  The
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.executor.aggregates import _scalar_aggregate, group_aggregate
+from repro.executor.aggregates import group_aggregate
 from repro.executor.chunk import (
     Chunk,
     MaterializationStats,
@@ -424,7 +424,8 @@ class CrossProduct(Operator):
 
 
 class Aggregate:
-    """Plan-root aggregation: the single full materialization point."""
+    """Plan-root aggregation: gathers its inputs once (strings as codes)
+    and hands them to the shared kernel in :mod:`repro.executor.aggregates`."""
 
     name = "Aggregate"
     label = "Aggregate"
@@ -439,11 +440,8 @@ class Aggregate:
             + tuple(spec.column for spec in plan.aggregates
                     if spec.column is not None)))
         start = time.perf_counter()
-        columns = chunk.materialize(refs, ctx.stats)
-        if plan.group_by:
-            table = group_aggregate(columns, plan.group_by, plan.aggregates)
-        else:
-            table = _scalar_aggregate(columns, plan.aggregates,
-                                      num_rows=chunk.num_rows)
+        table = group_aggregate(chunk.table(plan.query_name, refs, ctx.stats),
+                                plan.group_by, plan.aggregates,
+                                num_rows=chunk.num_rows)
         ctx.operator_times[self.label] = time.perf_counter() - start
         return table

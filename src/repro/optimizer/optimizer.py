@@ -56,6 +56,9 @@ class Optimizer:
             root=root,
             output_columns=query.projections,
             aggregates=query.aggregates,
+            # Projections next to aggregates are the GROUP BY keys (what
+            # QuerySplit's _finalize groups such a block by).
+            group_by=query.projections if query.aggregates else (),
         )
 
     def estimate(self, query: SPJQuery) -> tuple[float, float]:

@@ -122,7 +122,8 @@ class AlgorithmBase:
     def _collect_stats(self, table: DataTable) -> tuple[TableStats, float, bool]:
         start = time.perf_counter()
         if self.config.collect_statistics:
-            stats = analyze_columns(dict(table.columns), num_rows=table.num_rows)
+            stats = analyze_columns(table.decoded_columns(),
+                                    num_rows=table.num_rows)
             return stats, time.perf_counter() - start, True
         return (TableStats.row_count_only(table.num_rows),
                 time.perf_counter() - start, False)

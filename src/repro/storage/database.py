@@ -314,7 +314,8 @@ class Database:
         """Register a materialized intermediate result and return its name."""
         self._temp_counter += 1
         name = f"__temp_{self._temp_counter}"
-        table = DataTable(name=name, columns=table.columns)
+        table = DataTable(name=name, columns=table.columns,
+                          dictionaries=table.dictionaries)
         self._temp_tables[name] = TempTableEntry(
             table=table, stats=stats, covered_aliases=covered_aliases)
         return name

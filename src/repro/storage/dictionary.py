@@ -21,10 +21,20 @@ hot path three things at once:
    the dictionary, an empty prefix range) are recognized as unsatisfiable
    *before* touching any data.
 
-Decoding happens only where real values must surface: ``DataTable.gather``
-(the late-materialization points) and :meth:`DataTable.column_values
-<repro.storage.table.DataTable.column_values>` for whole-column consumers
-(ANALYZE, the true-cardinality oracle, the differential-test oracle).
+**Codes until a value is needed.**  Inside the engine an encoded column is
+``(int32 codes, dictionary shared by reference)`` everywhere: the plan root
+gathers ``codes[row_ids]`` and passes the table's dictionary along, so
+result tables, temporaries registered from them, QuerySplit's final merge
+and the aggregation kernel (:mod:`repro.executor.aggregates`: group ids
+from ``code + 1``, MIN/MAX on codes) never see a string.  Decoding happens
+in exactly three places: a join key (``DataTable.gather`` -- joins compare
+values, since two tables' codes are unrelated), ANALYZE
+(:meth:`DataTable.decoded_columns
+<repro.storage.table.DataTable.decoded_columns>`, so statistics hold real
+strings), and when the caller asks for values
+(:meth:`DataTable.column_values
+<repro.storage.table.DataTable.column_values>` / ``to_rows``: the result
+checkers, the true-cardinality oracle, the differential-test oracle).
 
 The :func:`null_mask` helper is the single dtype-aware null test shared by
 the encoder and by ANALYZE (``None`` for object columns, ``NaN`` for

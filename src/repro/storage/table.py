@@ -65,7 +65,9 @@ class DataTable:
     #: Sorted value dictionary per dictionary-encoded column: the stored
     #: array holds ``int32`` codes into it (``-1`` = NULL).  Excluded from
     #: equality for the same reason as zone maps: encoding is a storage
-    #: representation, not data.
+    #: representation, not data.  Results, temporaries and every table
+    #: derived from another one hold the *same* dictionary objects as the
+    #: base table the codes came from (passed in here, never copied).
     dictionaries: dict[str, np.ndarray] = field(default_factory=dict,
                                                 compare=False, repr=False)
 
@@ -76,6 +78,9 @@ class DataTable:
                 f"columns of table {self.name!r} have differing lengths: {lengths}")
         #: Lazily cached decoded columns (query-time identity gathers).
         self._decoded: dict[str, np.ndarray] = {}
+        #: Columns whose dictionary this table built (:meth:`encode_strings`)
+        #: rather than borrowed; only those are charged to its memory.
+        self._owned_dictionaries: set[str] = set()
         #: Valid-row mask (``None`` = every physical row is live).  Deletes
         #: never rewrite column data or zones; this mask is the single
         #: source of truth that every scan path intersects.
@@ -114,11 +119,12 @@ class DataTable:
     def gather(self, name: str, row_ids: np.ndarray) -> np.ndarray:
         """Materialize column ``name`` at the given row ids.
 
-        This is the single point where the late-materialization executor
-        turns a selection vector back into real column data; chunks call it
-        exactly once per (column, plan-root) instead of once per operator.
-        Dictionary-encoded columns are decoded here -- i.e. only for the
-        rows that actually survive to a gather point.
+        This is where a selection vector becomes real column *values*:
+        join keys, index-probe residuals, the eager mode.  Dictionary-encoded
+        columns are decoded here -- only for the selected rows.  (The plan
+        root does not come through here for encoded columns: it takes
+        ``codes[row_ids]`` and this table's dictionary, see
+        :meth:`repro.executor.chunk.ColumnSource.gather_encoded`.)
         """
         selected = self.column(name)[row_ids]
         if name in self.dictionaries:
@@ -153,6 +159,12 @@ class DataTable:
             self._decoded[name] = values
         return values
 
+    def decoded_columns(self) -> dict[str, np.ndarray]:
+        """Every column as real values, in column order (what ANALYZE reads;
+        decoded copies are not cached)."""
+        return {name: self.column_values(name, cache=False)
+                for name in self.columns}
+
     def encode_strings(self, skip: set[str] | frozenset[str] = frozenset()
                        ) -> list[str]:
         """Dictionary-encode every eligible object column in place.
@@ -171,6 +183,7 @@ class DataTable:
             codes, dictionary = result
             self.columns[name] = codes
             self.dictionaries[name] = dictionary
+            self._owned_dictionaries.add(name)
             self._decoded.pop(name, None)
             encoded.append(name)
         return encoded
@@ -377,10 +390,14 @@ class DataTable:
         total = 0
         for name, arr in self.columns.items():
             if name in self.dictionaries:
-                # int32 codes plus the dictionary payload (pointer + assumed
-                # 24-byte average string per distinct value).
-                dictionary = self.dictionaries[name]
-                total += arr.nbytes + dictionary.nbytes + 24 * len(dictionary)
+                # int32 codes; the dictionary payload (pointer + assumed
+                # 24-byte average string per distinct value) is charged to
+                # the table that built it, not to results and temporaries
+                # that only reference it.
+                total += arr.nbytes
+                if name in self._owned_dictionaries:
+                    dictionary = self.dictionaries[name]
+                    total += dictionary.nbytes + 24 * len(dictionary)
             elif arr.dtype == object:
                 # Assume an average of 24 bytes per string payload plus the
                 # 8-byte pointer stored in the array itself.

@@ -202,14 +202,15 @@ def canonicalize_table(table) -> dict[tuple, dict]:
     Group-by key columns are the qualified (``alias.column``) ones;
     aggregate outputs never contain a dot.
     """
-    names = table.column_names
-    key_names = [n for n in names if "." in n]
-    value_names = [n for n in names if "." not in n]
+    # column_values decodes: result tables keep strings dictionary-encoded.
+    columns = {n: table.column_values(n, cache=False)
+               for n in table.column_names}
+    key_names = [n for n in columns if "." in n]
+    value_names = [n for n in columns if "." not in n]
     result: dict[tuple, dict] = {}
     for i in range(table.num_rows):
-        key = tuple(_python_value(table.columns[n][i]) for n in key_names)
-        result[key] = {n: _python_value(table.columns[n][i])
-                       for n in value_names}
+        key = tuple(_python_value(columns[n][i]) for n in key_names)
+        result[key] = {n: _python_value(columns[n][i]) for n in value_names}
     return result
 
 

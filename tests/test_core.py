@@ -245,6 +245,46 @@ class TestQuerySplitDriver:
         assert report.final_table.to_rows()[0][0] == expected
 
 
+class TestFinalizeCarriesDictionaries:
+    """The Cartesian merge repeats/tiles codes; each column keeps the
+    dictionary of the one result table it came from."""
+
+    @staticmethod
+    def _tables():
+        import numpy as np
+
+        from repro.storage.table import DataTable
+
+        left = DataTable("l", {"a.s": np.array([1, 0, -1], dtype=np.int32),
+                               "a.x": np.array([10, 20, 30])},
+                         dictionaries={"a.s": np.array(["p", "q"], dtype=object)})
+        # Code 0 is "q" here: merging must not mix the two code spaces.
+        right = DataTable("r", {"b.s": np.array([0, 1], dtype=np.int32)},
+                          dictionaries={"b.s": np.array(["q", "r"], dtype=object)})
+        return left, right
+
+    def test_projection_of_a_two_table_merge(self, tiny_db):
+        runner = QuerySplitExecutor(tiny_db, Optimizer(tiny_db))
+        left, right = self._tables()
+        spj = SPJQuery(name="merge", relations=(),
+                       projections=(ColumnRef("a", "s"), ColumnRef("b", "s")))
+        merged = runner._finalize([left, right], spj)
+        assert merged.dictionary("a.s") is left.dictionary("a.s")
+        assert merged.dictionary("b.s") is right.dictionary("b.s")
+        assert merged.to_rows() == [("q", "q"), ("q", "r"), ("p", "q"),
+                                    ("p", "r"), (None, "q"), (None, "r")]
+
+    def test_grouping_a_two_table_merge(self, tiny_db):
+        runner = QuerySplitExecutor(tiny_db, Optimizer(tiny_db))
+        spj = SPJQuery(name="merge", relations=(),
+                       projections=(ColumnRef("b", "s"),),
+                       aggregates=(AggregateSpec("min", ColumnRef("a", "s"), "lo"),
+                                   AggregateSpec("sum", ColumnRef("a", "x"), "x"),
+                                   AggregateSpec("count", None, "n")))
+        out = runner._finalize(list(self._tables()), spj)
+        assert out.to_rows() == [("q", "p", 60, 3), ("r", "p", 60, 3)]
+
+
 class TestNonSPJ:
     def test_aggregate_over_spj(self, tiny_db):
         spj = SPJQuery(

@@ -261,3 +261,86 @@ class TestCrossPolicyEquivalence:
                                     f"seed={SEED + 1}, index={index})")
         # The shared cache must have been exercised, not bypassed.
         assert shared_cache.hits > 0
+
+
+class TestTpchOracle:
+    """TPC-H itself against the row-at-a-time oracle, policy by policy.
+
+    Every query but q9 (cyclic join graph, wrong under QuerySplit; see
+    ROADMAP.md) at a scale the oracle's nested loops finish in seconds:
+    string group keys, filters on dictionary codes, temporaries that carry
+    codes into the next iteration, and the aggregation kernel on all of
+    them, under the default engine, with every hot-path representation
+    off, and in the eager-materialization mode (no codes past an operator).
+    """
+
+    POLICIES = ("QuerySplit", "Default", "Reopt", "Pop")
+    SCALE = 0.2
+
+    @pytest.fixture(scope="class")
+    def queries(self):
+        from repro.workloads.tpch import tpch_queries
+
+        return [q for q in tpch_queries() if q.name != "tpch-q9"]
+
+    @pytest.fixture(scope="class")
+    def tpch_db(self):
+        from repro.workloads.tpch import build_tpch_database
+
+        return build_tpch_database(scale=self.SCALE)
+
+    @pytest.fixture(scope="class")
+    def expected(self, tpch_db, queries):
+        return {q.name: reference_execute(tpch_db, q) for q in queries}
+
+    @staticmethod
+    def _check(runner, queries, expected, context: str) -> None:
+        for query in queries:
+            report = runner.run(query)
+            assert report.final_table is not None, (context, query.name)
+            assert_results_match(expected[query.name],
+                                 canonicalize_table(report.final_table),
+                                 context=f"{context} [{query.name}]")
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_default_engine(self, tpch_db, queries, expected, policy):
+        assert any(len(groups) > 1 for groups in expected.values())
+        self._check(make_algorithm(policy, tpch_db), queries, expected, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_hot_path_off(self, queries, expected, policy):
+        from repro.workloads.tpch import build_tpch_database
+
+        plain = build_tpch_database(scale=self.SCALE, dict_encode=False,
+                                    block_size=0)
+        runner = make_algorithm(policy, plain, fused_kernels=False,
+                                semijoin_pruning=False)
+        self._check(runner, queries, expected, f"{policy}, hot path off")
+
+    @pytest.mark.parametrize("policy", ("QuerySplit", "Pop"))
+    def test_eager_materialization(self, tpch_db, queries, expected, policy):
+        from repro.executor.executor import Executor
+
+        runner = make_algorithm(policy, tpch_db)
+        runner.executor = Executor(tpch_db, materialization="eager")
+        self._check(runner, queries, expected, f"{policy}, eager")
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_aggregate_folded_into_the_spj_block_is_grouped(
+            self, tpch_db, queries, expected, policy):
+        """An SPJ block with projections *and* aggregates groups by its
+        projections under every policy (the plan-root Aggregate used to
+        scalar-aggregate it while QuerySplit's _finalize grouped)."""
+        from dataclasses import replace
+
+        from repro.plan.logical import Query
+
+        q12 = next(q for q in queries if q.name == "tpch-q12")
+        folded = Query.from_spj(replace(q12.root.child.query,
+                                        projections=q12.root.group_by,
+                                        aggregates=q12.root.aggregates))
+        assert len(expected["tpch-q12"]) > 1
+        report = make_algorithm(policy, tpch_db).run(folded)
+        assert_results_match(expected["tpch-q12"],
+                             canonicalize_table(report.final_table),
+                             context=f"{policy}, folded q12")

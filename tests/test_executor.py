@@ -202,6 +202,45 @@ class TestExecutor:
         result = executor.execute(Optimizer(executor.database).plan(spj))
         assert result.table.to_rows()[0][0] == 0
 
+    def test_strings_stay_encoded_from_scan_to_result_to_temp(
+            self, tiny_db, executor, optimizer):
+        """The result of a projection holds codes + the base dictionary
+        (four bytes a row materialized); registered as a temporary it is
+        filtered in code space and still joins on values."""
+        from repro.catalog.statistics import TableStats
+
+        spj = SPJQuery(name="people", relations=(RelationRef.base("n", "n"),),
+                       filters=(Comparison(ColumnRef("n", "id"), "<=", 100),),
+                       projections=(ColumnRef("n", "gender"), ColumnRef("n", "id")))
+        result = executor.execute(optimizer.plan(spj))
+        base = tiny_db.table("n")
+        assert result.table.dictionary("n.gender") is base.dictionary("gender")
+        assert result.table.column("n.gender").dtype == np.int32
+        assert result.materialized_bytes == 100 * (4 + 8)
+        assert result.memory_bytes == 100 * (4 + 8)
+        assert (list(result.table.column_values("n.gender"))
+                == list(base.column_values("gender")[:100]))
+
+        name = tiny_db.register_temp(result.table, TableStats.row_count_only(100),
+                                     frozenset({"n"}))
+        try:
+            over_temp = SPJQuery(
+                name="over-temp",
+                relations=(RelationRef.temp(name, frozenset({"n"})),
+                           RelationRef.base("ci", "ci")),
+                filters=(Comparison(ColumnRef("n", "gender"), "=", "f"),),
+                join_predicates=(JoinPredicate(ColumnRef("ci", "person_id"),
+                                               ColumnRef("n", "id")),),
+                aggregates=(AggregateSpec("count", None, "cnt"),
+                            AggregateSpec("max", ColumnRef("n", "gender"), "g")))
+            final = executor.execute(optimizer.plan(over_temp))
+            assert final.dict_predicates == 1
+            person = tiny_db.table("ci").column("person_id")
+            women = int(np.isin(person, np.arange(2, 101, 2)).sum())
+            assert final.table.to_rows() == [(women, "f")]
+        finally:
+            tiny_db.drop_temp_tables()
+
     def test_temp_table_scan(self, tiny_db, executor, optimizer):
         """Materialized temporaries can be joined like base relations."""
         from repro.catalog.analyze import analyze_columns
@@ -213,7 +252,7 @@ class TestExecutor:
                                                       ColumnRef("t", "id")),))
         result = executor.execute(optimizer.plan(sub),
                                   extra_columns=(ColumnRef("mk", "keyword_id"),))
-        stats = analyze_columns(dict(result.table.columns))
+        stats = analyze_columns(result.table.decoded_columns())
         temp_name = tiny_db.register_temp(result.table, stats, frozenset({"t", "mk"}))
         temp_ref = RelationRef.temp(temp_name, frozenset({"t", "mk"}))
         joined = SPJQuery(
@@ -355,7 +394,7 @@ class TestSubplanCache:
                                                       ColumnRef("t", "id")),))
         result = executor.execute(optimizer.plan(sub),
                                   extra_columns=(ColumnRef("mk", "keyword_id"),))
-        stats = analyze_columns(dict(result.table.columns))
+        stats = analyze_columns(result.table.decoded_columns())
         temp_name = tiny_db.register_temp(result.table, stats,
                                           frozenset({"t", "mk"}))
         temp_ref = RelationRef.temp(temp_name, frozenset({"t", "mk"}))
@@ -462,7 +501,7 @@ class TestAggregationHelpers:
             "g.key": np.array(["a", "b", "a", "a"], dtype=object),
             "v.x": np.array([1, 2, 3, 4]),
         }
-        out = group_aggregate(columns, (ColumnRef("g", "key"),),
+        out = group_aggregate(DataTable("in", columns), (ColumnRef("g", "key"),),
                               (AggregateSpec("sum", ColumnRef("v", "x"), "total"),
                                AggregateSpec("count", None, "cnt")))
         rows = {tuple(r) for r in out.to_rows()}
@@ -470,7 +509,7 @@ class TestAggregationHelpers:
 
     def test_group_aggregate_without_groups_is_scalar(self):
         columns = {"v.x": np.array([1.0, 2.0, 3.0])}
-        out = group_aggregate(columns, (),
+        out = group_aggregate(DataTable("in", columns), (),
                               (AggregateSpec("avg", ColumnRef("v", "x"), "mean"),))
         assert out.to_rows()[0][0] == pytest.approx(2.0)
 
@@ -481,7 +520,7 @@ class TestAggregationHelpers:
             "v.s": np.array(["b", "z", "a", "c", "d"], dtype=object),
         }
         out = group_aggregate(
-            columns, (ColumnRef("g", "key"),),
+            DataTable("in", columns), (ColumnRef("g", "key"),),
             (AggregateSpec("min", ColumnRef("v", "x"), "lo"),
              AggregateSpec("max", ColumnRef("v", "x"), "hi"),
              AggregateSpec("avg", ColumnRef("v", "x"), "mean"),
@@ -495,7 +534,7 @@ class TestAggregationHelpers:
     def test_group_aggregate_empty_input(self):
         columns = {"g.key": np.array([], dtype=np.int64),
                    "v.x": np.array([], dtype=np.float64)}
-        out = group_aggregate(columns, (ColumnRef("g", "key"),),
+        out = group_aggregate(DataTable("in", columns), (ColumnRef("g", "key"),),
                               (AggregateSpec("sum", ColumnRef("v", "x"), "total"),
                                AggregateSpec("count", None, "cnt")))
         assert out.num_rows == 0
@@ -506,7 +545,7 @@ class TestAggregationHelpers:
         vals = rng.normal(size=400)
         columns = {"g.k": keys, "v.x": vals}
         out = group_aggregate(
-            columns, (ColumnRef("g", "k"),),
+            DataTable("in", columns), (ColumnRef("g", "k"),),
             (AggregateSpec("sum", ColumnRef("v", "x"), "s"),
              AggregateSpec("min", ColumnRef("v", "x"), "lo"),
              AggregateSpec("max", ColumnRef("v", "x"), "hi"),
@@ -541,7 +580,7 @@ class TestAggregationHelpers:
         columns = {f"g.k{i}": arr for i, arr in enumerate(keys)}
         columns["v.x"] = np.ones(n_rows + 10, dtype=np.int64)
         refs = tuple(ColumnRef("g", f"k{i}") for i in range(n_cols))
-        out = group_aggregate(columns, refs,
+        out = group_aggregate(DataTable("in", columns), refs,
                               (AggregateSpec("count", None, "cnt"),))
         composites = {tuple(arr[i] for arr in keys) for i in range(n_rows + 10)}
         assert out.num_rows == len(composites)
@@ -556,6 +595,204 @@ class TestAggregationHelpers:
 
     def test_union_all_empty(self):
         assert union_all([]).num_rows == 0
+
+    def test_union_all_keeps_codes_only_under_one_dictionary(self):
+        shared = np.array(["a", "b"], dtype=object)
+        a = DataTable("a", {"s": np.array([0, 1], dtype=np.int32)},
+                      dictionaries={"s": shared})
+        b = DataTable("b", {"s": np.array([1, -1], dtype=np.int32)},
+                      dictionaries={"s": shared})
+        merged = union_all([a, b])
+        assert merged.dictionary("s") is shared
+        assert merged.column("s").dtype == np.int32
+        assert merged.to_rows() == [("a",), ("b",), ("b",), (None,)]
+
+        # Same strings, another dictionary: code 0 means "b" there.
+        other = DataTable("c", {"s": np.array([0, 1], dtype=np.int32)},
+                          dictionaries={"s": np.array(["b", "c"], dtype=object)})
+        raw = DataTable("d", {"s": np.array(["z"], dtype=object)})
+        merged = union_all([a, other, raw])
+        assert not merged.is_encoded("s")
+        assert merged.to_rows() == [("a",), ("b",), ("b",), ("c",), ("z",)]
+
+
+def _encoded(values: list) -> tuple[np.ndarray, np.ndarray]:
+    from repro.storage.dictionary import encode_column
+
+    return encode_column(np.array(values, dtype=object))
+
+
+class TestNullsInCodeSpace:
+    """NULL strings as group keys and under MIN/MAX (code -1)."""
+
+    def test_null_key_forms_its_own_group_sorted_first(self):
+        codes, dictionary = _encoded(["b", None, "a", None, "b"])
+        table = DataTable("in", {"g.k": codes, "v.x": np.arange(5)},
+                          dictionaries={"g.k": dictionary})
+        out = group_aggregate(table, (ColumnRef("g", "k"),),
+                              (AggregateSpec("sum", ColumnRef("v", "x"), "s"),
+                               AggregateSpec("count", None, "c")))
+        assert out.dictionary("g.k") is dictionary
+        assert out.to_rows() == [(None, 4, 2), ("a", 2, 1), ("b", 4, 2)]
+
+    def test_string_min_max_skip_nulls(self):
+        codes, dictionary = _encoded(["m", None, "c", None, None, "x"])
+        table = DataTable("in", {"g.k": np.array([0, 0, 0, 1, 1, 2]),
+                                 "v.s": codes},
+                          dictionaries={"v.s": dictionary})
+        aggregates = (AggregateSpec("min", ColumnRef("v", "s"), "lo"),
+                      AggregateSpec("max", ColumnRef("v", "s"), "hi"))
+        out = group_aggregate(table, (ColumnRef("g", "k"),), aggregates)
+        assert out.to_rows() == [(0, "c", "m"), (1, None, None), (2, "x", "x")]
+        assert out.column("lo").dtype == object
+        assert group_aggregate(table, (), aggregates).to_rows() == [("c", "x")]
+
+    def test_all_null_scalar_min_max_is_none(self):
+        codes, dictionary = _encoded([None, None])
+        table = DataTable("in", {"v.s": codes}, dictionaries={"v.s": dictionary})
+        out = group_aggregate(table, (),
+                              (AggregateSpec("min", ColumnRef("v", "s"), "lo"),
+                               AggregateSpec("max", ColumnRef("v", "s"), "hi")))
+        assert out.to_rows() == [(None, None)]
+
+
+AGGREGATES = (
+    AggregateSpec("count", None, "n"),
+    AggregateSpec("sum", ColumnRef("v", "i"), "sum_i"),
+    AggregateSpec("min", ColumnRef("v", "i"), "min_i"),
+    AggregateSpec("max", ColumnRef("v", "i"), "max_i"),
+    AggregateSpec("avg", ColumnRef("v", "i"), "avg_i"),
+    AggregateSpec("sum", ColumnRef("v", "f"), "sum_f"),
+    AggregateSpec("min", ColumnRef("v", "f"), "min_f"),
+    AggregateSpec("max", ColumnRef("v", "f"), "max_f"),
+    AggregateSpec("avg", ColumnRef("v", "f"), "avg_f"),
+    AggregateSpec("min", ColumnRef("v", "enc"), "min_enc"),
+    AggregateSpec("max", ColumnRef("v", "enc"), "max_enc"),
+    AggregateSpec("min", ColumnRef("v", "raw"), "min_raw"),
+    AggregateSpec("max", ColumnRef("v", "raw"), "max_raw"),
+)
+#: Sums accumulated by bincount (row order) vs. reduceat (pairwise): a few
+#: ulps over at most 260 float64 addends.
+FLOAT_SUM_RTOL = 1e-12
+
+
+class TestAggregateKernelMatchesReference:
+    """The code-space kernel against the previous one (tests/reference_aggregate.py):
+    same values, same row order, same ``type()`` of every output element."""
+
+    KEY_KINDS = ("encoded", "narrow_int", "wide_int", "float", "object")
+    SHAPES = ("empty", "one_group", "few_groups", "all_distinct", "span_overflow")
+
+    @staticmethod
+    def _key_values(kind: str, shape: str, rows: int, rng) -> np.ndarray:
+        """One key column's values (object strings for the string kinds)."""
+        distinct = {"one_group": 1, "few_groups": 4}.get(shape, max(rows, 1))
+        if shape == "span_overflow":
+            distinct = 90
+        if kind in ("encoded", "object"):
+            # "" stands in for NULL on the reference side (see _run).
+            pool = np.array([""] + [f"s{i:04d}" for i in range(1, distinct)],
+                            dtype=object)
+        elif kind == "narrow_int":
+            # Gaps: most slots of the dense id table stay empty.
+            pool = (np.arange(distinct) - distinct // 2) * 3
+        elif kind == "wide_int":
+            pool = (np.arange(distinct) - distinct // 2) * (2 ** 40 + 7)
+        else:
+            pool = (np.arange(distinct) - distinct // 2) * 0.37
+        if shape == "all_distinct":
+            return rng.permutation(pool)[:rows]
+        return pool[rng.integers(0, len(pool), rows)]
+
+    def _run(self, kind: str, shape: str, group: bool):
+        from tests.reference_aggregate import group_aggregate as reference
+
+        rng = np.random.default_rng(
+            [self.KEY_KINDS.index(kind), self.SHAPES.index(shape)])
+        rows = {"empty": 0, "span_overflow": 260}.get(shape, 200)
+        num_keys = 12 if shape == "span_overflow" else 2
+        group_by = tuple(ColumnRef("g", f"k{i}") for i in range(num_keys))
+        decoded: dict[str, np.ndarray] = {}   # what the reference reads
+        columns: dict[str, np.ndarray] = {}   # what the kernel reads
+        dictionaries: dict[str, np.ndarray] = {}
+        for ref in group_by:
+            values = self._key_values(kind, shape, rows, rng)
+            if shape == "span_overflow":
+                # Repeat rows so composites have more than one member.
+                values = np.concatenate([values[:200], values[:60]])
+            decoded[ref.qualified] = columns[ref.qualified] = values
+            if kind == "encoded":
+                # The "" key becomes a real NULL, under a dictionary wider
+                # than the values present (as borrowed from a base table):
+                # a little wider keeps the combined span dense, a lot wider
+                # forces the sort path.
+                nulled = [None if v == "" else v for v in values]
+                unused = 5 if shape == "few_groups" else 1000
+                codes, dictionary = _encoded(
+                    nulled + [f"zz{i}" for i in range(unused)])
+                columns[ref.qualified] = codes[:rows]
+                dictionaries[ref.qualified] = dictionary
+        strings = np.array([f"w{i:03d}" for i in rng.integers(0, 50, rows)],
+                           dtype=object)
+        codes, dictionary = _encoded(list(strings) + ["w999"])
+        dictionaries["v.enc"] = dictionary
+        decoded.update({"v.i": rng.integers(-10 ** 6, 10 ** 6, rows),
+                        "v.f": rng.normal(size=rows) * 1e3,
+                        "v.enc": strings, "v.raw": strings})
+        columns.update({"v.i": decoded["v.i"], "v.f": decoded["v.f"],
+                        "v.enc": codes[:rows], "v.raw": strings})
+        table = DataTable("in", columns, dictionaries=dictionaries)
+
+        keys = group_by if group else ()
+        expected = reference(decoded, keys, AGGREGATES)
+        actual = group_aggregate(table, keys, AGGREGATES)
+        assert actual.column_names == expected.column_names
+        assert actual.num_rows == expected.num_rows
+        if shape == "one_group" and rows:
+            assert actual.num_rows == 1
+        if shape == "all_distinct" and group:
+            assert actual.num_rows == rows
+        for name in expected.column_names:
+            want = expected.column(name)
+            got = actual.column_values(name, cache=False)
+            if name in dictionaries:
+                assert actual.dictionary(name) is dictionaries[name]
+                want = np.where(want == "", None, want)
+            assert len(got) == len(want), name
+            for g, w in zip(got, want):
+                assert type(g) is type(w), (name, type(g), type(w))
+                if name in ("sum_f", "avg_f"):
+                    assert g == pytest.approx(w, rel=FLOAT_SUM_RTOL), name
+                else:
+                    assert g == w, name
+
+    @pytest.mark.parametrize("num_keys", (1, 2), ids=("bincount", "sort"))
+    def test_key_value_is_the_groups_first_row(self, num_keys):
+        """Equal keys that are distinguishable (0.0 and -0.0): both kernels
+        show the value of the group's first row.  One key of 1500 values
+        over 3000 rows is a dense span; the same key twice is 1500**2."""
+        from tests.reference_aggregate import group_aggregate as reference
+
+        keys = np.arange(3000, dtype=np.float64) % 1500
+        keys[keys == 0] = [-0.0, 0.0]
+        group_by = tuple(ColumnRef("g", f"k{i}") for i in range(num_keys))
+        columns = {ref.qualified: keys for ref in group_by}
+        aggregates = (AggregateSpec("count", None, "n"),)
+        expected = reference(columns, group_by, aggregates)
+        actual = group_aggregate(DataTable("in", columns), group_by, aggregates)
+        assert np.signbit(expected.column("g.k0")[0])
+        np.testing.assert_array_equal(np.signbit(actual.column("g.k0")),
+                                      np.signbit(expected.column("g.k0")))
+        assert actual.to_rows() == expected.to_rows()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kind", KEY_KINDS)
+    def test_grouped(self, kind, shape):
+        self._run(kind, shape, group=True)
+
+    @pytest.mark.parametrize("shape", ("empty", "few_groups"))
+    def test_scalar(self, shape):
+        self._run("narrow_int", shape, group=False)
 
 
 class TestEmptyTablePath:

@@ -72,6 +72,21 @@ class TestDataTable:
         assert strings.memory_bytes > 800
 
 
+    def test_borrowed_dictionary_is_not_charged(self):
+        """A base table pays for the dictionary it built; a temporary or
+        result holding codes into it pays four bytes a row."""
+        words = np.array([f"word{i:05d}" for i in range(5000)], dtype=object)
+        base = DataTable("base", {"s": words.copy(), "x": np.arange(5000)})
+        assert base.encode_strings() == ["s"]
+        owned = 5000 * 4 + 5000 * 8 + 5000 * (8 + 24)
+        assert base.memory_bytes == owned
+        for derived in (base.take(np.arange(10)),
+                        DataTable("temp", {"t.s": base.column("s")[:10]},
+                                  dictionaries={"t.s": base.dictionary("s")})):
+            assert derived.memory_bytes == 10 * 4 + (
+                10 * 8 if derived.has_column("x") else 0)
+
+
 class TestSortedIndex:
     def test_lookup_single(self):
         values = np.array([5, 3, 5, 1, 5])
@@ -144,6 +159,22 @@ class TestDatabase:
         assert db.stats(name).num_rows == 10
         assert db.temp_entry(name).covered_aliases == frozenset({"t"})
         assert db.temp_memory_bytes() > 0
+        db.drop_temp_tables()
+
+    def test_temp_table_keeps_codes_and_dictionary(self, tiny_schema):
+        from tests.conftest import build_tiny_database
+
+        db = build_tiny_database(tiny_schema)
+        dictionary = np.array(["f", "m"], dtype=object)
+        table = DataTable("out", {"n.gender": np.array([1, 0, 1], dtype=np.int32)},
+                          dictionaries={"n.gender": dictionary})
+        name = db.register_temp(table, TableStats.row_count_only(3),
+                                frozenset({"n"}))
+        temp = db.table(name)
+        assert temp.dictionary("n.gender") is dictionary
+        assert temp.column("n.gender").dtype == np.int32
+        assert list(temp.column_values("n.gender")) == ["m", "f", "m"]
+        assert db.temp_memory_bytes() == 3 * 4
         db.drop_temp_tables()
         assert not db.has_table(name)
         assert db.temp_table_names == []
