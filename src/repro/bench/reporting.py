@@ -47,7 +47,8 @@ def describe_report(report: ExecutionReport) -> str:
               else f"{report.total_time * 1000:8.1f} ms")
     return (f"  [{report.algorithm:>10s}] {report.query_name:<12s} {status} "
             f"({report.num_iterations} iterations, "
-            f"{report.materializations} materializations)")
+            f"{report.materializations} materializations, "
+            f"{report.stats_columns} columns analyzed)")
 
 
 def summarize_workloads(results: dict[str, WorkloadResult]) -> list[tuple]:

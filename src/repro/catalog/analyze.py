@@ -4,6 +4,15 @@ This is the reproduction of PostgreSQL's statistics collector used by the
 paper (Section 5): after a subquery's result is materialized into a temporary
 table, QuerySplit (and the baseline re-optimizers) optionally run these
 routines so the optimizer can estimate cardinalities over the new relation.
+
+Like PostgreSQL's ANALYZE, :func:`analyze_columns` computes statistics only
+for the columns it is handed: the re-optimization drivers pass the columns
+the next plan can ask about (:meth:`SPJQuery.columns_read_after
+<repro.plan.logical.SPJQuery.columns_read_after>`), not every column of a
+temporary.  Dictionary-encoded string columns are analyzed on their
+``int32`` codes -- the dictionary is sorted, so code order is value order
+and every statistic equals the one computed over the strings; only the MCV
+winners are decoded.
 """
 
 from __future__ import annotations
@@ -29,8 +38,15 @@ def analyze_columns(columns: dict[str, np.ndarray],
                     mcv_size: int = DEFAULT_MCV_SIZE,
                     histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
                     sample_rows: int = DEFAULT_SAMPLE_ROWS,
-                    rng: np.random.Generator | None = None) -> TableStats:
+                    rng: np.random.Generator | None = None,
+                    dictionaries: dict[str, np.ndarray] | None = None
+                    ) -> TableStats:
     """Compute full statistics for a mapping of column name -> numpy array.
+
+    Columns longer than ``sample_rows`` are sampled with one ``rng.choice``
+    draw per column from a single generator, in the order given -- so which
+    sample a column gets depends on its position among the *analyzed*
+    columns.
 
     Parameters
     ----------
@@ -44,13 +60,18 @@ def analyze_columns(columns: dict[str, np.ndarray],
     rng:
         Random generator used for sampling large tables; deterministic by
         default.
+    dictionaries:
+        Sorted value dictionary of every column in ``columns`` that holds
+        ``int32`` dictionary codes (``-1`` = NULL) instead of strings.
     """
+    dictionaries = dictionaries or {}
     if num_rows is None:
         num_rows = len(next(iter(columns.values()))) if columns else 0
     stats = TableStats(num_rows=num_rows)
     if num_rows == 0:
         for name, values in columns.items():
-            dtype = DataType.from_numpy(np.asarray(values).dtype)
+            dtype = (DataType.STRING if name in dictionaries
+                     else DataType.from_numpy(np.asarray(values).dtype))
             stats.columns[name] = ColumnStats(dtype=dtype, num_rows=0, ndv=0)
         return stats
 
@@ -64,33 +85,42 @@ def analyze_columns(columns: dict[str, np.ndarray],
             sample = values
         stats.columns[name] = _analyze_column(
             sample, total_rows=num_rows, mcv_size=mcv_size,
-            histogram_buckets=histogram_buckets)
+            histogram_buckets=histogram_buckets,
+            dictionary=dictionaries.get(name))
     return stats
 
 
 def analyze_table(table, **kwargs) -> TableStats:
     """Compute full statistics for a :class:`repro.storage.table.DataTable`.
 
-    Dictionary-encoded columns are analyzed over their decoded values
-    (uncached -- ANALYZE is a one-shot whole-column read), so statistics
-    such as MCVs hold real strings regardless of the storage encoding.
+    Dictionary-encoded columns are analyzed on their stored codes (no
+    column is decoded); statistics such as MCVs still hold real strings,
+    equal to those an analysis of the decoded values would give.
     Mutated tables are analyzed over their **live** rows only (the
     valid-row mask excludes deleted rows), so a re-ANALYZE after deletes
     reports the row count and value distribution a rebuilt table would.
     """
-    columns = table.decoded_columns()
+    columns = table.columns
     num_rows = table.num_rows
     if getattr(table, "valid_mask", None) is not None:
         valid = table.valid_row_ids()
         columns = {name: values[valid] for name, values in columns.items()}
         num_rows = len(valid)
-    return analyze_columns(columns, num_rows=num_rows, **kwargs)
+    return analyze_columns(columns, num_rows=num_rows,
+                           dictionaries=table.dictionaries, **kwargs)
 
 
 def _analyze_column(sample: np.ndarray, total_rows: int,
-                    mcv_size: int, histogram_buckets: int) -> ColumnStats:
-    """Analyze one column sample, scaling counts up to ``total_rows``."""
-    dtype = DataType.from_numpy(sample.dtype)
+                    mcv_size: int, histogram_buckets: int,
+                    dictionary: np.ndarray | None = None) -> ColumnStats:
+    """Analyze one column sample, scaling counts up to ``total_rows``.
+
+    With a ``dictionary`` the sample holds codes into it: NULL is a negative
+    code, and since the dictionary is sorted ``np.unique`` over the codes
+    yields the same distinct values in the same order as over the strings.
+    """
+    encoded = dictionary is not None
+    dtype = DataType.STRING if encoded else DataType.from_numpy(sample.dtype)
     sample_size = len(sample)
     if sample_size == 0:
         return ColumnStats(dtype=dtype, num_rows=total_rows, ndv=0)
@@ -100,7 +130,7 @@ def _analyze_column(sample: np.ndarray, total_rows: int,
     # DataType, and float columns use NaN.  The previous
     # ``np.isnan(sample.astype(float))`` crashed on string data reaching
     # the FLOAT branch via object arrays of mixed numerics.
-    nulls = null_mask(sample)
+    nulls = sample < 0 if encoded else null_mask(sample)
     non_null = sample[~nulls]
     null_fraction = float(nulls.mean()) if sample_size else 0.0
 
@@ -115,6 +145,8 @@ def _analyze_column(sample: np.ndarray, total_rows: int,
     order = np.argsort(counts)[::-1]
     top = order[:mcv_size]
     mcv_values = [uniques[i] for i in top if counts[i] > 1]
+    if encoded:
+        mcv_values = [dictionary[code] for code in mcv_values]
     mcv_fractions = [float(counts[i]) / len(non_null) for i in top if counts[i] > 1]
 
     min_value = max_value = None

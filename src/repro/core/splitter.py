@@ -137,8 +137,14 @@ class QuerySplitExecutor:
             materialized = bool(overlapping)
             stats_collected = False
             analyze_time = 0.0
+            stats_columns = 0
             if overlapping:
-                stats, analyze_time, stats_collected = self._collect_stats(result.table)
+                covered = subquery.covered_aliases()
+                stats, analyze_time, stats_collected = self._collect_stats(
+                    result.table, tuple(dict.fromkeys(
+                        ref for q in overlapping
+                        for ref in q.columns_read_after(covered))))
+                stats_columns = len(stats.columns)
                 report.total_time += analyze_time
                 if stats_collected:
                     report.stats_collections += 1
@@ -164,6 +170,7 @@ class QuerySplitExecutor:
                 materialized=materialized,
                 replanned=True,
                 stats_collected=stats_collected,
+                stats_columns=stats_columns,
             ))
             iteration += 1
 
@@ -179,11 +186,14 @@ class QuerySplitExecutor:
         if self._deadline is not None and time.perf_counter() > self._deadline:
             raise QueryTimeout()
 
-    def _collect_stats(self, table: DataTable) -> tuple[TableStats, float, bool]:
+    def _collect_stats(self, table: DataTable, refs: tuple[ColumnRef, ...]
+                       ) -> tuple[TableStats, float, bool]:
+        """ANALYZE the columns of ``table`` the next plan can ask about."""
         start = time.perf_counter()
         if self.config.collect_statistics:
-            stats = analyze_columns(table.decoded_columns(),
-                                    num_rows=table.num_rows)
+            stats = analyze_columns(
+                {ref.qualified: table.columns[ref.qualified] for ref in refs},
+                num_rows=table.num_rows, dictionaries=table.dictionaries)
             return stats, time.perf_counter() - start, True
         return (TableStats.row_count_only(table.num_rows),
                 time.perf_counter() - start, False)

@@ -73,6 +73,16 @@ class RelationRef:
         return f"{self.table_name} AS {self.alias}"
 
 
+def _internal_to(pred: Predicate | JoinPredicate, covered: frozenset[str]) -> bool:
+    """True if every alias ``pred`` reads lies in ``covered``.
+
+    Such a predicate was applied when the temporary covering ``covered`` was
+    materialized.  This is the one test :meth:`SPJQuery.substitute` drops
+    predicates by and :meth:`SPJQuery.columns_read_after` keeps columns by.
+    """
+    return all(alias in covered for alias in pred.aliases())
+
+
 @dataclass(frozen=True)
 class AggregateSpec:
     """A scalar or grouped aggregate in the projection list."""
@@ -182,15 +192,20 @@ class SPJQuery:
         refs.extend(spec.column for spec in self.aggregates if spec.column is not None)
         return tuple(refs)
 
-    def referenced_columns(self) -> frozenset[ColumnRef]:
-        """Every column referenced anywhere in the query."""
-        refs: set[ColumnRef] = set(self.output_columns())
+    def referenced_columns(self) -> tuple[ColumnRef, ...]:
+        """Every column referenced anywhere in the query, each once.
+
+        Outputs, then filter columns, then join columns, each in query
+        order -- never a set: the re-optimizers lay out materialized
+        temporaries in this order, and a layout that followed the hash seed
+        would hand each sampled column a different ANALYZE draw.
+        """
+        refs = list(self.output_columns())
         for pred in self.filters:
-            refs.update(pred.column_refs())
+            refs.extend(pred.column_refs())
         for pred in self.join_predicates:
-            refs.add(pred.left)
-            refs.add(pred.right)
-        return frozenset(refs)
+            refs.extend((pred.left, pred.right))
+        return tuple(dict.fromkeys(refs))
 
     @property
     def num_joins(self) -> int:
@@ -240,14 +255,12 @@ class SPJQuery:
         new_relations = tuple(kept) + (temp,)
         new_covered = frozenset().union(*(r.covered_aliases for r in new_relations))
 
-        def internal_to_temp(aliases: frozenset[str]) -> bool:
-            return all(alias in temp.covered_aliases for alias in aliases)
-
         new_filters = tuple(
-            pred for pred in self.filters if not internal_to_temp(pred.aliases()))
+            pred for pred in self.filters
+            if not _internal_to(pred, temp.covered_aliases))
         new_joins = tuple(
             pred for pred in self.join_predicates
-            if not internal_to_temp(pred.aliases()))
+            if not _internal_to(pred, temp.covered_aliases))
         # Sanity: every remaining predicate must still be answerable.
         for pred in itertools.chain(new_filters, new_joins):
             for alias in pred.aliases():
@@ -256,6 +269,28 @@ class SPJQuery:
                         f"substitution broke predicate {pred}: alias {alias!r} lost")
         return replace(self, relations=new_relations, filters=new_filters,
                        join_predicates=new_joins)
+
+    def columns_read_after(self, covered: frozenset[str]) -> tuple[ColumnRef, ...]:
+        """Columns of ``covered`` a plan can still ask about once a temporary
+        covering ``covered`` is substituted.
+
+        The estimator reads column statistics only for columns of the
+        planned query's predicates, and :meth:`substitute` drops every
+        predicate internal to the temporary -- so these are the only columns
+        of that temporary whose statistics anything can read.  Ordered and
+        de-duplicated: join predicates first, then filters, each in query
+        order, so the result never depends on set iteration order.
+        """
+        refs: list[ColumnRef] = []
+        for pred in self.join_predicates:
+            if not _internal_to(pred, covered):
+                refs.extend(ref for ref in (pred.left, pred.right)
+                            if ref.alias in covered)
+        for pred in self.filters:
+            if not _internal_to(pred, covered):
+                refs.extend(ref for ref in pred.column_refs()
+                            if ref.alias in covered)
+        return tuple(dict.fromkeys(refs))
 
     def with_projections(self, projections: tuple[ColumnRef, ...]) -> "SPJQuery":
         """Return a copy with a different projection list (no aggregates)."""

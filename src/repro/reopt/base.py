@@ -119,18 +119,22 @@ class AlgorithmBase:
         if self._deadline is not None and time.perf_counter() > self._deadline:
             raise QueryTimeout()
 
-    def _collect_stats(self, table: DataTable) -> tuple[TableStats, float, bool]:
+    def _collect_stats(self, table: DataTable, refs: tuple[ColumnRef, ...]
+                       ) -> tuple[TableStats, float, bool]:
+        """ANALYZE the columns of ``table`` the next plan can ask about."""
         start = time.perf_counter()
         if self.config.collect_statistics:
-            stats = analyze_columns(table.decoded_columns(),
-                                    num_rows=table.num_rows)
+            stats = analyze_columns(
+                {ref.qualified: table.columns[ref.qualified] for ref in refs},
+                num_rows=table.num_rows, dictionaries=table.dictionaries)
             return stats, time.perf_counter() - start, True
         return (TableStats.row_count_only(table.num_rows),
                 time.perf_counter() - start, False)
 
     @staticmethod
     def _retained_columns(spj: SPJQuery, aliases: frozenset[str]) -> tuple[ColumnRef, ...]:
-        """Every column of ``spj`` (outputs and predicates) within ``aliases``."""
+        """Every column of ``spj`` (outputs and predicates) within ``aliases``,
+        in the fixed order of :meth:`SPJQuery.referenced_columns`."""
         return tuple(ref for ref in spj.referenced_columns() if ref.alias in aliases)
 
 
@@ -214,8 +218,11 @@ class ReoptimizerBase(AlgorithmBase):
 
             analyze_time = 0.0
             stats_collected = False
+            stats_columns = 0
             if materialize:
-                stats, analyze_time, stats_collected = self._collect_stats(result.table)
+                stats, analyze_time, stats_collected = self._collect_stats(
+                    result.table, remaining.columns_read_after(aliases))
+                stats_columns = len(stats.columns)
                 report.total_time += analyze_time
                 if stats_collected:
                     report.stats_collections += 1
@@ -235,6 +242,7 @@ class ReoptimizerBase(AlgorithmBase):
                 materialized=materialize,
                 replanned=triggered,
                 stats_collected=stats_collected,
+                stats_columns=stats_columns,
             ))
 
     def _next_point(self, points: list[JoinNode], remaining: SPJQuery,

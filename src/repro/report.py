@@ -31,6 +31,8 @@ class IterationRecord:
     materialized: bool
     replanned: bool
     stats_collected: bool = False
+    #: Columns of the materialized temporary this iteration ran ANALYZE on.
+    stats_columns: int = 0
 
 
 @dataclass
@@ -59,6 +61,11 @@ class ExecutionReport:
     def materializations(self) -> int:
         """Number of intermediate results materialized into temporary tables."""
         return sum(1 for it in self.iterations if it.materialized)
+
+    @property
+    def stats_columns(self) -> int:
+        """Number of temporary-table columns analyzed across all iterations."""
+        return sum(it.stats_columns for it in self.iterations)
 
     @property
     def materialized_bytes(self) -> int:

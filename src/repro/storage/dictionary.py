@@ -27,14 +27,15 @@ gathers ``codes[row_ids]`` and passes the table's dictionary along, so
 result tables, temporaries registered from them, QuerySplit's final merge
 and the aggregation kernel (:mod:`repro.executor.aggregates`: group ids
 from ``code + 1``, MIN/MAX on codes) never see a string.  Decoding happens
-in exactly three places: a join key (``DataTable.gather`` -- joins compare
-values, since two tables' codes are unrelated), ANALYZE
-(:meth:`DataTable.decoded_columns
-<repro.storage.table.DataTable.decoded_columns>`, so statistics hold real
-strings), and when the caller asks for values
-(:meth:`DataTable.column_values
+in exactly two places: a join key (``DataTable.gather`` -- joins compare
+values, since two tables' codes are unrelated) and when the caller asks for
+values (:meth:`DataTable.column_values
 <repro.storage.table.DataTable.column_values>` / ``to_rows``: the result
 checkers, the true-cardinality oracle, the differential-test oracle).
+ANALYZE (:mod:`repro.catalog.analyze`) reads the codes: the dictionary is
+sorted -- :func:`encode_append` keeps it so -- hence code order is value
+order, and only the few MCV winners are looked up, so statistics still hold
+real strings.
 
 The :func:`null_mask` helper is the single dtype-aware null test shared by
 the encoder and by ANALYZE (``None`` for object columns, ``NaN`` for

@@ -145,9 +145,9 @@ class DataTable:
     def column_values(self, name: str, cache: bool = True) -> np.ndarray:
         """The full *decoded* column (the stored array when unencoded).
 
-        Whole-column consumers that need real values (ANALYZE, the
-        cardinality oracle, identity-selection gathers) funnel through
-        here.  ``cache=True`` keeps the decoded array for reuse across
+        Whole-column consumers that need real values (the cardinality
+        oracle, identity-selection gathers, callers reading results) funnel
+        through here.  ``cache=True`` keeps the decoded array for reuse across
         queries; one-shot consumers pass ``cache=False``.
         """
         if name not in self.dictionaries:
@@ -158,12 +158,6 @@ class DataTable:
         if cache:
             self._decoded[name] = values
         return values
-
-    def decoded_columns(self) -> dict[str, np.ndarray]:
-        """Every column as real values, in column order (what ANALYZE reads;
-        decoded copies are not cached)."""
-        return {name: self.column_values(name, cache=False)
-                for name in self.columns}
 
     def encode_strings(self, skip: set[str] | frozenset[str] = frozenset()
                        ) -> list[str]:

@@ -202,3 +202,114 @@ class TestAnalyze:
         assert stats.column("anything") is None
         fallback = stats.column_or_default("anything")
         assert fallback.num_rows == 42
+
+
+def assert_column_stats_equal(actual: ColumnStats, expected: ColumnStats,
+                              context: str = "") -> None:
+    """Field-by-field equality, including MCV order and element types."""
+    for name in ("dtype", "num_rows", "null_fraction", "ndv", "min_value",
+                 "max_value", "mcv_values", "mcv_fractions"):
+        assert getattr(actual, name) == getattr(expected, name), (context, name)
+    assert ([type(v) for v in actual.mcv_values]
+            == [type(v) for v in expected.mcv_values]), context
+    assert (actual.histogram is None) == (expected.histogram is None), context
+    if actual.histogram is not None:
+        assert np.array_equal(actual.histogram.bounds,
+                              expected.histogram.bounds), context
+
+
+def value_space_stats(table: DataTable, **kwargs) -> TableStats:
+    """ANALYZE over the decoded live rows: what ``analyze_table`` must equal."""
+    valid = table.valid_row_ids()
+    return analyze_columns(
+        {name: table.column_values(name, cache=False)[valid]
+         for name in table.columns}, **kwargs)
+
+
+def _strings(values) -> np.ndarray:
+    return np.array(values, dtype=object)
+
+
+_RNG = np.random.default_rng(7)
+
+STRING_COLUMNS = {
+    "no-nulls": _strings(["a", "b", "c", "d"] * 250),
+    "some-nulls": _strings(["x", None, "y", "x", None, "z", "x"] * 100),
+    "all-null": _strings([None] * 50),
+    "empty": _strings([]),
+    "all-distinct": _strings([f"v{i:05d}" for i in range(3000)]),
+    # Twelve values tied at the same count: which ten become MCVs, and in
+    # what order, is decided by the argsort over the counts alone.
+    "tied-mcv-counts": _strings([f"t{i:02d}" for i in range(12)] * 40
+                                + ["once", "twice", "twice"]),
+    "sampled": _strings([None if i % 17 == 0 else f"s{i:04d}" for i in
+                         _RNG.zipf(1.3, 25_000) % 4000]),
+}
+
+
+class TestAnalyzeOnCodes:
+    """ANALYZE over dictionary codes equals ANALYZE over the strings."""
+
+    @pytest.mark.parametrize("case", STRING_COLUMNS)
+    def test_code_space_equals_value_space(self, case):
+        table = DataTable("s", {"c": STRING_COLUMNS[case].copy()})
+        assert table.encode_strings() == ["c"]
+        on_codes = analyze_columns(table.columns,
+                                   dictionaries=table.dictionaries)
+        on_values = analyze_columns({"c": STRING_COLUMNS[case]})
+        assert on_codes.num_rows == on_values.num_rows
+        assert_column_stats_equal(on_codes.columns["c"],
+                                  on_values.columns["c"], case)
+        assert on_codes.columns["c"].dtype is DataType.STRING
+
+    def test_after_append_grew_the_dictionary(self):
+        table = DataTable("s", {"c": _strings(["m", "b", "m", None, "q"] * 30),
+                                "n": np.arange(150)})
+        table.encode_strings()
+        before = len(table.dictionary("c"))
+        table.append_rows({"c": _strings(["a", "zz", "m", None, "a"] * 20),
+                           "n": np.arange(100)})
+        assert len(table.dictionary("c")) > before
+        expected = value_space_stats(table)
+        actual = analyze_table(table)
+        for name in table.columns:
+            assert_column_stats_equal(actual.columns[name],
+                                      expected.columns[name], name)
+
+    def test_after_delete_only_live_rows_count(self):
+        table = DataTable("s", {"c": _strings(["hot"] * 80 + ["cold"] * 20),
+                                "n": np.arange(100)})
+        table.encode_strings()
+        table.delete_rows(np.arange(0, 70))
+        actual = analyze_table(table)
+        assert actual.num_rows == 30
+        assert actual.columns["c"].mcv_values == ["cold", "hot"]
+        expected = value_space_stats(table)
+        for name in table.columns:
+            assert_column_stats_equal(actual.columns[name],
+                                      expected.columns[name], name)
+
+    @pytest.mark.parametrize("build, scale", [
+        ("imdb", 0.2), ("tpch", 1.0), ("dsb", 0.5)])
+    def test_shipped_databases_column_by_column(self, build, scale):
+        """Sampled tables included: both sides draw one sample per column
+        from one generator, in column order."""
+        from repro.workloads import dsb, imdb, tpch
+
+        builder = {"imdb": imdb.build_imdb_database,
+                   "tpch": tpch.build_tpch_database,
+                   "dsb": dsb.build_dsb_database}[build]
+        db = builder(scale=scale)
+        sampled = encoded = 0
+        for name in db.base_table_names:
+            table = db.table(name)
+            expected = value_space_stats(table)
+            stored = db.stats(name)
+            assert stored.num_rows == expected.num_rows
+            assert list(stored.columns) == list(expected.columns)
+            for column, stats in expected.columns.items():
+                assert_column_stats_equal(stored.columns[column], stats,
+                                          f"{build}.{name}.{column}")
+            sampled += table.num_rows > 10_000
+            encoded += len(table.dictionaries)
+        assert sampled and encoded

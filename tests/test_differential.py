@@ -344,3 +344,73 @@ class TestTpchOracle:
         assert_results_match(expected["tpch-q12"],
                              canonicalize_table(report.final_table),
                              context=f"{policy}, folded q12")
+
+
+class TestTempStatisticsCoverage:
+    """Temp ANALYZE skips columns; the estimator must never notice.
+
+    Every per-column statistic the planner reads from a temporary must have
+    been analyzed (no lookup falls back to the unanalyzed default), and for
+    temporaries small enough not to be sampled each analyzed column's
+    statistics equal what analyzing the whole temporary would have given.
+    """
+
+    POLICIES = ("QuerySplit", "Reopt", "Pop")
+
+    @pytest.fixture()
+    def recording(self, monkeypatch):
+        """Patch in the two checks; returns their counters."""
+        from repro.catalog.analyze import DEFAULT_SAMPLE_ROWS, analyze_table
+        from repro.optimizer.cardinality import DefaultCardinalityEstimator
+        from tests.test_catalog import assert_column_stats_equal
+
+        seen = {"lookups": 0, "temps": 0, "skipped": 0}
+
+        class RecordingEstimator(DefaultCardinalityEstimator):
+            def column_stats(self, relation, ref):
+                if relation.is_temp:
+                    seen["lookups"] += 1
+                    analyzed = self.database.stats(relation.table_name).columns
+                    assert ref.qualified in analyzed, (
+                        f"{ref.qualified} of {relation} was never analyzed")
+                return super().column_stats(relation, ref)
+
+        register_temp = Database.register_temp
+
+        def checking_register(database, table, stats, aliases):
+            seen["temps"] += 1
+            seen["skipped"] += len(table.columns) - len(stats.columns)
+            if table.num_rows <= DEFAULT_SAMPLE_ROWS:
+                full = analyze_table(table)
+                assert stats.num_rows == full.num_rows
+                for name, column in stats.columns.items():
+                    assert_column_stats_equal(column, full.columns[name],
+                                              f"{table.name}.{name}")
+            return register_temp(database, table, stats, aliases)
+
+        monkeypatch.setattr(Database, "register_temp", checking_register)
+        seen["estimator"] = RecordingEstimator
+        return seen
+
+    def test_generated_stream(self, diff_db, recording):
+        generator = make_stream(diff_db)
+        for policy in self.POLICIES:
+            runner = make_algorithm(policy, diff_db,
+                                    estimator=recording["estimator"](diff_db))
+            for index in range(200):
+                report = runner.run(generator.query_at(index))
+                assert not report.timed_out, (policy, index)
+        assert recording["temps"] and recording["lookups"]
+        assert recording["skipped"]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_job_smoke_subset(self, imdb_db, recording, policy):
+        """Every seventh JOB query (the e2e benchmark's smoke subset)."""
+        from repro.workloads.job_queries import job_queries
+
+        runner = make_algorithm(policy, imdb_db,
+                                estimator=recording["estimator"](imdb_db))
+        for query in job_queries()[::7]:
+            assert not runner.run(query).timed_out, (policy, query.name)
+        assert recording["temps"] and recording["lookups"]
+        assert recording["skipped"]

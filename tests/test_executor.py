@@ -243,7 +243,7 @@ class TestExecutor:
 
     def test_temp_table_scan(self, tiny_db, executor, optimizer):
         """Materialized temporaries can be joined like base relations."""
-        from repro.catalog.analyze import analyze_columns
+        from repro.catalog.analyze import analyze_table
 
         sub = SPJQuery(name="sub",
                        relations=(RelationRef.base("t", "t"),
@@ -252,7 +252,7 @@ class TestExecutor:
                                                       ColumnRef("t", "id")),))
         result = executor.execute(optimizer.plan(sub),
                                   extra_columns=(ColumnRef("mk", "keyword_id"),))
-        stats = analyze_columns(result.table.decoded_columns())
+        stats = analyze_table(result.table)
         temp_name = tiny_db.register_temp(result.table, stats, frozenset({"t", "mk"}))
         temp_ref = RelationRef.temp(temp_name, frozenset({"t", "mk"}))
         joined = SPJQuery(
@@ -383,7 +383,7 @@ class TestSubplanCache:
         assert replan.root.actual_rows is not None
 
     def test_temp_subtrees_not_cached(self, tiny_db, optimizer):
-        from repro.catalog.analyze import analyze_columns
+        from repro.catalog.analyze import analyze_table
 
         cache = SubplanCache()
         executor = Executor(tiny_db, subplan_cache=cache)
@@ -394,7 +394,7 @@ class TestSubplanCache:
                                                       ColumnRef("t", "id")),))
         result = executor.execute(optimizer.plan(sub),
                                   extra_columns=(ColumnRef("mk", "keyword_id"),))
-        stats = analyze_columns(result.table.decoded_columns())
+        stats = analyze_table(result.table)
         temp_name = tiny_db.register_temp(result.table, stats,
                                           frozenset({"t", "mk"}))
         temp_ref = RelationRef.temp(temp_name, frozenset({"t", "mk"}))

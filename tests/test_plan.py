@@ -1,5 +1,7 @@
 """Unit tests for expressions, the SPJ normal form, physical plans, similarity."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.plan.expressions import (
     IsNotNull,
     JoinPredicate,
     OrPredicate,
+    Predicate,
     StringContains,
     StringPrefix,
 )
@@ -32,6 +35,20 @@ def _resolver(**columns):
     data = {ColumnRef(*name.split(".")): np.asarray(values)
             for name, values in columns.items()}
     return lambda ref: data[ref]
+
+
+@dataclass(frozen=True)
+class _ColumnLess(Predicate):
+    """``left < right`` across two relations (no shipped predicate does this)."""
+
+    left: ColumnRef
+    right: ColumnRef
+
+    def column_refs(self):
+        return (self.left, self.right)
+
+    def evaluate(self, resolve):
+        return resolve(self.left) < resolve(self.right)
 
 
 class TestPredicates:
@@ -129,8 +146,11 @@ class TestSPJQuery:
         spj = five_way_query()
         assert spj.num_joins == 4
         refs = spj.referenced_columns()
-        assert ColumnRef("t", "year") in refs
-        assert ColumnRef("mk", "movie_id") in refs
+        # Ordered and de-duplicated (outputs, filters, joins), never a set:
+        # temporaries are laid out in this order.
+        assert refs[:4] == (ColumnRef("t", "year"), ColumnRef("k", "kw"),
+                            ColumnRef("n", "gender"), ColumnRef("mk", "movie_id"))
+        assert len(refs) == len(set(refs)) == 10
 
     def test_substitute_replaces_covered_relations(self):
         spj = five_way_query()
@@ -148,6 +168,41 @@ class TestSPJQuery:
         spj = five_way_query()
         temp = RelationRef.temp("__temp_9", frozenset({"zz"}))
         assert spj.substitute(temp) is spj
+
+    def test_columns_read_after_follows_substitute(self):
+        spj = five_way_query()
+        covered = frozenset({"t", "mk", "k"})
+        # Joins first, then filters, each in query order, de-duplicated:
+        # only ci.movie_id = t.id survives (t-mk, mk-k and the filters on t
+        # and k are internal), so t.id is all the next plan can ask about.
+        assert spj.columns_read_after(covered) == (ColumnRef("t", "id"),)
+        assert spj.columns_read_after(frozenset({"t"})) == (ColumnRef("t", "id"),)
+        assert spj.columns_read_after(frozenset({"ci", "n"})) == (
+            ColumnRef("ci", "movie_id"),)
+        assert spj.columns_read_after(frozenset({"mk"})) == (
+            ColumnRef("mk", "movie_id"), ColumnRef("mk", "keyword_id"))
+        assert spj.columns_read_after(spj.covered_aliases()) == ()
+        # The same predicates substitute() keeps are the ones counted.
+        rewritten = spj.substitute(RelationRef.temp("__temp_1", covered))
+        kept = {ref for pred in rewritten.join_predicates
+                for ref in (pred.left, pred.right) if ref.alias in covered}
+        assert set(spj.columns_read_after(covered)) == kept
+
+    def test_columns_read_after_keeps_a_surviving_multi_alias_filter(self):
+        """A filter with one alias inside the temporary and one outside is
+        not internal to it: substitute() keeps it, so its temp-side column
+        stays readable."""
+        year_below_id = _ColumnLess(ColumnRef("t", "year"), ColumnRef("n", "id"))
+        spj = five_way_query()
+        spj = SPJQuery(name="cross-filter", relations=spj.relations,
+                       filters=spj.filters + (year_below_id,),
+                       join_predicates=spj.join_predicates)
+        covered = frozenset({"t", "mk"})
+        assert spj.columns_read_after(covered) == (
+            ColumnRef("mk", "keyword_id"), ColumnRef("t", "id"),
+            ColumnRef("t", "year"))
+        rewritten = spj.substitute(RelationRef.temp("__temp_1", covered))
+        assert year_below_id in rewritten.filters
 
     def test_aggregate_spec_validation(self):
         with pytest.raises(ValueError):
