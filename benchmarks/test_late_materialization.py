@@ -1,52 +1,15 @@
-"""Microbenchmark: late vs. eager materialization, and cross-policy reuse.
+"""Microbenchmark: cross-policy reuse of executed subtrees.
 
-Two acceptance checks for the late-materialization engine:
-
-* on a JOB-style query with at least five joins, the chunked (late) executor
-  must materialize strictly fewer bytes than the old eager copy-per-join
-  path (kept available as ``Executor(..., materialization="eager")``);
-* a Table 3 policy-grid run sharing one :class:`SubplanCache` must actually
-  reuse executed subtrees across policies (hit rate > 0) without changing
-  any query result.
+A Table 3 policy-grid run sharing one :class:`SubplanCache` must actually
+reuse executed subtrees across policies (hit rate > 0) without changing
+any query result.
 """
 
 from benchmarks.conftest import full_mode
 from repro.core.qsa import QSAStrategy
 from repro.core.ssa import CostFunction
-from repro.executor.executor import Executor
 from repro.executor.subplan_cache import SubplanCache
 from repro.experiments import table3_policies
-from repro.optimizer.optimizer import Optimizer
-from repro.storage.database import IndexConfig
-from repro.workloads.imdb import build_imdb_database
-from repro.workloads.job_queries import job_queries
-
-
-def _job_spj_with_joins(min_joins: int):
-    for query in job_queries():
-        if query.is_spj and len(query.spj.join_predicates) >= min_joins:
-            return query.spj
-    raise AssertionError(f"no JOB query with >= {min_joins} joins found")
-
-
-def test_late_materializes_fewer_bytes(scale):
-    scale = scale if full_mode() else min(scale, 0.5)
-    database = build_imdb_database(scale=scale, index_config=IndexConfig.PK_FK)
-    spj = _job_spj_with_joins(5)
-
-    late = Executor(database)
-    eager = Executor(database, materialization="eager")
-    late_result = late.execute(Optimizer(database).plan(spj))
-    eager_result = eager.execute(Optimizer(database).plan(spj))
-
-    assert late_result.table.to_rows() == eager_result.table.to_rows()
-    assert late_result.join_rows == eager_result.join_rows
-    assert late_result.materialized_bytes < eager_result.materialized_bytes
-    ratio = eager_result.materialized_bytes / max(late_result.materialized_bytes, 1)
-    print(f"\n  {spj.name} ({len(spj.join_predicates)} joins): "
-          f"late={late_result.materialized_bytes:,} B, "
-          f"eager={eager_result.materialized_bytes:,} B "
-          f"({ratio:.1f}x reduction)")
 
 
 def test_subplan_cache_hit_rate_on_table3_run(scale):

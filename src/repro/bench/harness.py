@@ -43,14 +43,6 @@ class HarnessConfig:
     #: when the same instance is passed to several runs, across whole
     #: algorithms/policies).  ``None`` keeps runs fully independent.
     subplan_cache: SubplanCache | None = None
-    #: Executor hot-path toggles: fused selectivity-ordered predicate
-    #: evaluation in scans, and build-side semijoin/Bloom filters pushed
-    #: into probe-side scans.  On by default.
-    fused_kernels: bool = True
-    semijoin_pruning: bool = True
-    #: Morsel-parallel intra-query execution: scans and hash-join probes
-    #: fan out over a worker pool of this width (1 = sequential).
-    workers: int = 1
     verbose: bool = False
 
 
@@ -68,9 +60,6 @@ def run_query(database: Database, query: Query, algorithm: str,
         cost_function=config.cost_function,
         estimator=estimator,
         subplan_cache=config.subplan_cache,
-        fused_kernels=config.fused_kernels,
-        semijoin_pruning=config.semijoin_pruning,
-        workers=config.workers,
     )
     return runner.run(query)
 
@@ -99,8 +88,7 @@ def serve_generated(generator, n: int, algorithm: str, *,
                     subplan_cache: SubplanCache | None = None,
                     seed: int | None = None,
                     time_scale: float = 1.0,
-                    keep_results: bool = False,
-                    morsel_workers: int = 1):
+                    keep_results: bool = False):
     """Served mode: drive ``n`` generated queries through the engine server.
 
     The concurrent counterpart of :func:`run_generated`: the queries at
@@ -129,8 +117,7 @@ def serve_generated(generator, n: int, algorithm: str, *,
     config = ServingConfig(
         algorithm=algorithm, workers=workers, queue_capacity=queue_capacity,
         admission=AdmissionPolicy(admission), timeout_seconds=timeout_seconds,
-        subplan_cache=subplan_cache, keep_results=keep_results,
-        morsel_workers=morsel_workers)
+        subplan_cache=subplan_cache, keep_results=keep_results)
     return run_served(generator.database, queries, arrivals, config,
                       time_scale=time_scale)
 

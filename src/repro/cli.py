@@ -340,16 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--no-dict-encode", action="store_true",
                          help="disable load-time dictionary encoding of "
                               "string columns")
-    run_cmd.add_argument("--no-fused-kernels", action="store_true",
-                         help="disable fused (selectivity-ordered, "
-                              "single-pass) scan predicate evaluation")
-    run_cmd.add_argument("--no-semijoin", action="store_true",
-                         help="disable build-side semijoin/Bloom filters "
-                              "pushed into probe-side scans")
-    run_cmd.add_argument("--workers", type=int, default=None,
-                         help="morsel-parallel intra-query workers for "
-                              "experiments that take the knob (1 = "
-                              "sequential; experiment default: 1)")
     run_cmd.add_argument("--stale", action="store_true",
                          help="for experiments with a stale-statistics mode "
                               "(figure15_statistics): drift the data after "
@@ -392,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="generated-stream length (default: 100)")
     serve_cmd.add_argument("--workers", type=int, default=4,
                            help="engine worker threads (default: 4)")
-    serve_cmd.add_argument("--morsel-workers", type=int, default=1,
-                           help="intra-query morsel workers shared by the "
-                                "whole pool; capped so serving x morsel "
-                                "threads never oversubscribe (default: 1)")
     serve_cmd.add_argument("--users", type=int, default=8,
                            help="simulated users submitting the stream "
                                 "(default: 8)")
@@ -454,15 +440,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     for flag, knob in (("scale", "scale"), ("families", "families"),
                        ("timeout", "timeout_seconds"), ("seed", "seed"),
-                       ("block_size", "block_size"), ("workers", "workers")):
+                       ("block_size", "block_size")):
         value = getattr(args, flag)
         if value is not None:
             overrides.setdefault(knob, value)
-    for flag, knob in (("no_dict_encode", "dict_encode"),
-                       ("no_fused_kernels", "fused_kernels"),
-                       ("no_semijoin", "semijoin_pruning")):
-        if getattr(args, flag):
-            overrides.setdefault(knob, False)
+    if args.no_dict_encode:
+        overrides.setdefault("dict_encode", False)
     if args.stale:
         overrides.setdefault("stale", True)
 
@@ -498,8 +481,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers, users=args.users, rate=args.rate,
         queue_capacity=args.queue_capacity, admission=args.admission,
         timeout_seconds=args.timeout, subplan_cache=cache,
-        seed=args.seed, time_scale=args.time_scale,
-        morsel_workers=args.morsel_workers)
+        seed=args.seed, time_scale=args.time_scale)
     s = result.summary
     rows = [
         ["offered", s["offered"]],

@@ -32,7 +32,6 @@ from repro.core.ssa import CostFunction, SubqueryEstimate, select_subquery
 from repro.executor.aggregates import _scalar_aggregate, group_aggregate
 from repro.executor.executor import ExecutionError, Executor
 from repro.executor.joins import JoinOverflowError
-from repro.executor.morsels import MorselCancelled
 from repro.optimizer.optimizer import Optimizer
 from repro.plan.expressions import ColumnRef
 from repro.plan.logical import Query, RelationRef, SPJQuery
@@ -78,24 +77,19 @@ class QuerySplitExecutor:
                                  total_time=0.0)
         self._deadline = (time.perf_counter() + self.config.timeout_seconds
                           if self.config.timeout_seconds is not None else None)
-        # Share the cooperative deadline with the executor's morsel
-        # fan-out (MorselCancelled unwinds like QueryTimeout below).
-        self.executor.deadline = self._deadline
         planner_before = self.optimizer.invocations
         try:
             final = execute_query_tree(
                 query.root, lambda spj: self._run_spj(spj, report))
             report.final_table = final
             report.final_rows = final.num_rows
-        except (QueryTimeout, MorselCancelled, JoinOverflowError,
-                ExecutionError):
+        except (QueryTimeout, JoinOverflowError, ExecutionError):
             # Exceeding the join-size cap or the time budget is the Python
             # engine's analogue of the paper's 1000 s query timeout.
             report.timed_out = True
             if self.config.timeout_seconds is not None:
                 report.total_time = max(report.total_time, self.config.timeout_seconds)
         finally:
-            self.executor.deadline = None
             report.planner_invocations = self.optimizer.invocations - planner_before
             self.database.drop_temp_tables()
         return report

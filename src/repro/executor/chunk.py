@@ -9,26 +9,17 @@ from the base tables exactly once -- at the plan root, or when a join needs
 its key columns.  Join keys are gathered as *values*
 (:meth:`Chunk.column`); the plan root gathers dictionary-encoded string
 columns as *codes* plus the table's dictionary
-(:meth:`ColumnSource.gather_encoded`), so results and temporaries stay
+(:meth:`TableSource.gather_encoded`), so results and temporaries stay
 encoded.
 
 This is the standard late-materialization design of vectorized engines
-(DuckDB-style selection vectors): compared to the previous eager executor,
-which re-copied every carried column at every join, a chunk costs
-``8 * num_relations`` bytes per row regardless of how many (and how wide)
-columns the query touches.
+(DuckDB-style selection vectors): a chunk costs ``8 * num_relations`` bytes
+per row regardless of how many (and how wide) columns the query touches.
+Every relation inside a chunk is a :class:`TableSource` -- rows of a base
+or temporary :class:`DataTable` addressed by a row-id vector.
 
-Two column-source kinds exist:
-
-* :class:`TableSource` -- rows of a base or temporary :class:`DataTable`,
-  addressed by a row-id vector (the late path);
-* :class:`InlineSource` -- already-materialized arrays (produced by
-  :func:`compact`, which the executor's *eager* compatibility mode uses to
-  reproduce the old copy-per-join behaviour for benchmarking).
-
-All gathers are funneled through a :class:`MaterializationStats` object so
-the late-materialization microbenchmark can compare bytes materialized by
-the two modes.
+All gathers are funneled through a :class:`MaterializationStats` object,
+which reports the bytes an execution materialized.
 """
 
 from __future__ import annotations
@@ -64,52 +55,7 @@ class MaterializationStats:
             self.gathered_bytes += array.nbytes
 
 
-class ColumnSource:
-    """One relation's (or pre-materialized fragment's) rows inside a chunk."""
-
-    aliases: frozenset[str]
-
-    @property
-    def num_rows(self) -> int:
-        raise NotImplementedError
-
-    def covers(self, alias: str) -> bool:
-        """True if this source provides the columns of ``alias``."""
-        return alias in self.aliases
-
-    def gather(self, ref: ColumnRef,
-               stats: MaterializationStats | None = None) -> np.ndarray:
-        """Materialize one column's *values* for the rows this source selects."""
-        raise NotImplementedError
-
-    def gather_encoded(self, ref: ColumnRef,
-                       stats: MaterializationStats | None = None
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Like :meth:`gather`, but a dictionary-encoded column comes back
-        as ``(codes, dictionary)`` -- the dictionary shared by reference,
-        nothing decoded.  ``(values, None)`` for every other column."""
-        return self.gather(ref, stats), None
-
-    def take(self, indices: np.ndarray,
-             stats: MaterializationStats | None = None) -> "ColumnSource":
-        """A new source selecting ``self``'s rows at ``indices``."""
-        raise NotImplementedError
-
-    def rowid_columns(self) -> dict[str, np.ndarray]:
-        """Synthetic ``alias.__rowid`` columns representing this source's rows.
-
-        Used when nothing above the plan needs any real column of the source
-        but the row multiplicity must still be represented in the output.
-        """
-        raise NotImplementedError
-
-    @property
-    def retained_bytes(self) -> int:
-        """Bytes this source keeps alive beyond the stored tables."""
-        raise NotImplementedError
-
-
-class TableSource(ColumnSource):
+class TableSource:
     """Rows of a base or temporary table addressed by a row-id vector.
 
     ``row_ids=None`` is the *identity* selection (an unfiltered scan): every
@@ -134,6 +80,10 @@ class TableSource(ColumnSource):
             return self.table.num_rows
         return len(self.row_ids)
 
+    def covers(self, alias: str) -> bool:
+        """True if this source provides the columns of ``alias``."""
+        return alias in self.aliases
+
     def _storage_name(self, ref: ColumnRef) -> str:
         # Temporary tables store columns under their original qualified
         # names; base tables use bare column names.
@@ -141,6 +91,7 @@ class TableSource(ColumnSource):
 
     def gather(self, ref: ColumnRef,
                stats: MaterializationStats | None = None) -> np.ndarray:
+        """Materialize one column's *values* for the rows this source selects."""
         if self.row_ids is None:
             # Identity selection: hand out the stored column by reference
             # (decoded -- and cached on the table -- when it is
@@ -154,6 +105,9 @@ class TableSource(ColumnSource):
     def gather_encoded(self, ref: ColumnRef,
                        stats: MaterializationStats | None = None
                        ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Like :meth:`gather`, but a dictionary-encoded column comes back
+        as ``(codes, dictionary)`` -- the dictionary shared by reference,
+        nothing decoded.  ``(values, None)`` for every other column."""
         name = self._storage_name(ref)
         if not self.table.is_encoded(name):
             return self.gather(ref, stats), None
@@ -166,6 +120,7 @@ class TableSource(ColumnSource):
 
     def take(self, indices: np.ndarray,
              stats: MaterializationStats | None = None) -> "TableSource":
+        """A new source selecting ``self``'s rows at ``indices``."""
         if self.row_ids is None:
             # arange[indices] == indices: reuse the (read-only) index vector.
             return TableSource(self.relation, self.table, indices)
@@ -175,6 +130,9 @@ class TableSource(ColumnSource):
         return TableSource(self.relation, self.table, row_ids)
 
     def rowid_columns(self) -> dict[str, np.ndarray]:
+        """A synthetic ``alias.__rowid`` column representing this source's
+        rows, for when nothing above the plan needs any real column of the
+        source but the row multiplicity must still be represented."""
         if self.row_ids is None:
             return {f"{self.relation.alias}.__rowid":
                     np.arange(self.table.num_rows, dtype=np.int64)}
@@ -182,61 +140,18 @@ class TableSource(ColumnSource):
 
     @property
     def retained_bytes(self) -> int:
+        """Bytes this source keeps alive beyond the stored tables."""
         return 0 if self.row_ids is None else self.row_ids.nbytes
 
     def __repr__(self) -> str:
         return (f"TableSource({self.relation.alias}, rows={self.num_rows})")
 
 
-class InlineSource(ColumnSource):
-    """Already-materialized columns keyed by qualified name."""
-
-    __slots__ = ("aliases", "columns", "_num_rows")
-
-    def __init__(self, aliases: frozenset[str], columns: dict[str, np.ndarray],
-                 num_rows: int):
-        self.aliases = aliases
-        self.columns = columns
-        self._num_rows = num_rows
-
-    @property
-    def num_rows(self) -> int:
-        return self._num_rows
-
-    def gather(self, ref: ColumnRef,
-               stats: MaterializationStats | None = None) -> np.ndarray:
-        # The data is already materialized: handing out the stored array
-        # costs nothing, exactly like the old eager executor reusing its
-        # carried column dict.
-        return self.columns[ref.qualified]
-
-    def take(self, indices: np.ndarray,
-             stats: MaterializationStats | None = None) -> "InlineSource":
-        taken: dict[str, np.ndarray] = {}
-        for name, arr in self.columns.items():
-            out = arr[indices]
-            if stats is not None:
-                stats.count(out)
-            taken[name] = out
-        return InlineSource(self.aliases, taken, len(indices))
-
-    def rowid_columns(self) -> dict[str, np.ndarray]:
-        return {name: arr for name, arr in self.columns.items()
-                if name.endswith(".__rowid")}
-
-    @property
-    def retained_bytes(self) -> int:
-        return sum(arr.nbytes for arr in self.columns.values())
-
-    def __repr__(self) -> str:
-        return f"InlineSource({sorted(self.aliases)}, rows={self.num_rows})"
-
-
 @dataclass
 class Chunk:
     """A late-materialized intermediate result (one source per relation)."""
 
-    sources: tuple[ColumnSource, ...]
+    sources: tuple[TableSource, ...]
     num_rows: int = field(default=-1)
 
     def __post_init__(self) -> None:
@@ -257,7 +172,7 @@ class Chunk:
     def covers(self, alias: str) -> bool:
         return any(source.covers(alias) for source in self.sources)
 
-    def source_for(self, alias: str) -> ColumnSource:
+    def source_for(self, alias: str) -> TableSource:
         for source in self.sources:
             if source.covers(alias):
                 return source
@@ -300,8 +215,7 @@ def merge_chunks(left: Chunk, left_idx: np.ndarray,
                  stats: MaterializationStats | None = None) -> Chunk:
     """Combine the matched rows of a join into one chunk.
 
-    Only row-id vectors (or, for eager inline sources, the materialized
-    columns) are copied; no base-table column is touched.
+    Only row-id vectors are copied; no base-table column is touched.
     """
     sources = tuple(source.take(left_idx, stats) for source in left.sources)
     sources += tuple(source.take(right_idx, stats) for source in right.sources)
@@ -309,40 +223,31 @@ def merge_chunks(left: Chunk, left_idx: np.ndarray,
 
 
 def _gather_into(columns: dict[str, np.ndarray],
-                 dictionaries: dict[str, np.ndarray] | None,
-                 source: ColumnSource, ref: ColumnRef,
+                 dictionaries: dict[str, np.ndarray],
+                 source: TableSource, ref: ColumnRef,
                  stats: MaterializationStats | None) -> None:
-    """Gather ``ref`` into ``columns``: decoded, or -- given a
-    ``dictionaries`` dict to record the dictionary in -- still encoded."""
-    if dictionaries is None:
-        columns[ref.qualified] = source.gather(ref, stats)
-        return
+    """Gather ``ref`` into ``columns`` still encoded, recording the
+    dictionary of an encoded column in ``dictionaries``."""
     columns[ref.qualified], dictionary = source.gather_encoded(ref, stats)
     if dictionary is not None:
         dictionaries[ref.qualified] = dictionary
 
 
-def materialize_default(chunk: Chunk, needed: frozenset[ColumnRef],
-                        stats: MaterializationStats | None = None,
-                        dictionaries: dict[str, np.ndarray] | None = None
-                        ) -> dict[str, np.ndarray]:
-    """Materialize every needed column the chunk covers into a column dict.
+def materialize_default(chunk: Chunk, name: str,
+                        needed: frozenset[ColumnRef],
+                        stats: MaterializationStats | None = None
+                        ) -> DataTable:
+    """Materialize every needed column the chunk covers into a table.
 
-    A relation none of whose columns are needed contributes a synthetic
+    The executor's output path for plans without a projection.  A
+    relation none of whose columns are needed contributes a synthetic
     ``alias.__rowid`` column so its row multiplicity is still represented
-    (pure existence joins); already-inline sources pass their columns
-    through unchanged.  Shared by the executor's default (projection-less)
-    output path and by :func:`compact`, so the late and eager modes can
-    never diverge on output semantics.  Given a ``dictionaries`` dict,
-    encoded columns are gathered as codes and their dictionaries recorded
-    in it (the output path); without one every column is decoded (the
-    eager mode).
+    (pure existence joins).  Encoded columns stay codes under their
+    source table's dictionary.
     """
     columns: dict[str, np.ndarray] = {}
+    dictionaries: dict[str, np.ndarray] = {}
     for source in chunk.sources:
-        if isinstance(source, InlineSource):
-            columns.update(source.columns)
-            continue
         covered = sorted((ref for ref in needed if source.covers(ref.alias)),
                          key=lambda ref: ref.qualified)
         if covered:
@@ -350,17 +255,4 @@ def materialize_default(chunk: Chunk, needed: frozenset[ColumnRef],
                 _gather_into(columns, dictionaries, source, ref, stats)
         else:
             columns.update(source.rowid_columns())
-    return columns
-
-
-def compact(chunk: Chunk, needed: frozenset[ColumnRef],
-            stats: MaterializationStats | None = None) -> Chunk:
-    """Eagerly materialize ``chunk`` into a single inline source.
-
-    This reproduces the previous executor's behaviour -- gather every carried
-    (needed) column at every operator boundary -- and exists so the eager
-    execution mode stays available for the materialization microbenchmark.
-    """
-    columns = materialize_default(chunk, needed, stats)
-    return Chunk((InlineSource(chunk.aliases, columns, chunk.num_rows),),
-                 chunk.num_rows)
+    return DataTable(name=name, columns=columns, dictionaries=dictionaries)

@@ -40,21 +40,7 @@ from repro.executor.aggregates import (  # noqa: F401  (re-exported)
     group_aggregate,
     union_all,
 )
-from repro.executor.chunk import (
-    Chunk,
-    MaterializationStats,
-    compact,
-    materialize_default,
-)
-from repro.executor.kernels import (
-    MAX_BUILD_ROWS,
-    MIN_PROBE_ROWS,
-    build_semijoin_predicate,
-)
-from repro.executor.morsels import (  # noqa: F401  (re-exported)
-    MorselCancelled,
-    MorselScheduler,
-)
+from repro.executor.chunk import Chunk, MaterializationStats, materialize_default
 from repro.executor.operators import (  # noqa: F401  (re-exported)
     MAX_CROSS_PRODUCT_ROWS,
     Aggregate,
@@ -73,7 +59,7 @@ from repro.storage.table import DataTable
 
 __all__ = [
     "Executor", "ExecutionResult", "ExecutionError", "MAX_CROSS_PRODUCT_ROWS",
-    "MorselCancelled", "MorselScheduler", "group_aggregate", "union_all",
+    "group_aggregate", "union_all",
 ]
 
 
@@ -101,17 +87,10 @@ class ExecutionResult:
     fused_predicates: int = 0
     #: Predicates scans rewrote into dictionary code space.
     dict_predicates: int = 0
-    #: Semijoin pushdown: filters pushed into probe-side scans, and probe
-    #: rows they eliminated before reaching the hash join.
-    semijoin_filters: int = 0
+    #: Always 0: the engine no longer pushes build-side key filters into
+    #: probe scans.  Kept only because the end-to-end benchmark's tracer
+    #: still reads it.
     semijoin_pruned_rows: int = 0
-    #: Morsel parallelism: tasks dispatched to the worker pool, the pool
-    #: width the executor ran with, and base-table rows scanned through
-    #: the parallel filter path (``workers=1`` leaves all three at their
-    #: sequential values).
-    morsels_total: int = 0
-    morsel_workers: int = 1
-    parallel_scan_rows: int = 0
 
     @property
     def scan_pruning_ratio(self) -> float:
@@ -141,66 +120,14 @@ class Executor:
     subplan_cache:
         Optional engine-level cache shared across plans and algorithms;
         executed subtrees are stored/looked up by canonical signature.
-    materialization:
-        ``"late"`` (default) keeps intermediates as row-id chunks;
-        ``"eager"`` re-materializes every carried column at every operator,
-        reproducing the old executor's behaviour for benchmarking.
-    fused:
-        Compile each scan's filter conjunction into a single
-        selectivity-ordered pass (:mod:`repro.executor.kernels`); off
-        restores the naive one-full-pass-per-predicate loop.
-    semijoin:
-        Push a membership filter over the build side's join keys into
-        eligible probe-side base-table scans (exact key set or Bloom
-        filter), so zone maps and the fused kernel drop probe rows before
-        the hash probe.
-    workers:
-        Morsel-parallel intra-query execution: scans and hash-join
-        probes fan out over a :class:`~repro.executor.morsels.MorselScheduler`
-        thread pool of this width, with per-morsel results merged in
-        range order (bit-identical to sequential).  ``1`` (the default)
-        never creates a pool.
-    morsel_scheduler:
-        An externally owned scheduler to share across executors (the
-        serving layer passes one pool to every worker so inter- and
-        intra-query parallelism cannot oversubscribe); overrides
-        ``workers``.
     """
 
     def __init__(self, database: Database,
-                 subplan_cache: SubplanCache | None = None,
-                 materialization: str = "late",
-                 fused: bool = True,
-                 semijoin: bool = True,
-                 workers: int = 1,
-                 morsel_scheduler: MorselScheduler | None = None):
-        if materialization not in ("late", "eager"):
-            raise ValueError(f"unknown materialization mode {materialization!r}")
+                 subplan_cache: SubplanCache | None = None):
         self.database = database
         self.subplan_cache = subplan_cache
         if subplan_cache is not None:
             subplan_cache.bind(database)
-        self.materialization = materialization
-        self.fused = bool(fused)
-        self.semijoin = bool(semijoin)
-        if morsel_scheduler is not None:
-            self.morsels: MorselScheduler | None = morsel_scheduler
-        elif workers > 1:
-            self.morsels = MorselScheduler(workers)
-        elif workers < 1:
-            raise ValueError(f"need >= 1 worker, got {workers}")
-        else:
-            self.morsels = None
-        #: Cooperative per-query deadline (``time.perf_counter`` seconds)
-        #: the re-optimization drivers set around each run; the morsel
-        #: fan-out checks it between waves and unwinds with
-        #: :class:`~repro.executor.morsels.MorselCancelled`.
-        self.deadline: float | None = None
-
-    @property
-    def workers(self) -> int:
-        """Width of the morsel pool this executor fans out over."""
-        return self.morsels.workers if self.morsels is not None else 1
 
     # ------------------------------------------------------------------
     # Public API
@@ -221,11 +148,7 @@ class Executor:
         """
         start = time.perf_counter()
         stats = MaterializationStats()
-        needed = frozenset(self._needed_columns(plan, extra_columns))
-        ctx = ExecContext(database=self.database, stats=stats, needed=needed,
-                          eager=self.materialization == "eager",
-                          fused=self.fused,
-                          morsels=self.morsels, deadline=self.deadline)
+        ctx = ExecContext(database=self.database, stats=stats)
         chunk = self._execute_node(plan.root, ctx, cache)
         join_rows = chunk.num_rows
 
@@ -237,10 +160,8 @@ class Executor:
             # dictionary; whoever needs the strings decodes (column_values).
             table = chunk.table(plan.query_name, output_refs, stats)
         else:
-            dictionaries: dict = {}
-            columns = materialize_default(chunk, needed, stats, dictionaries)
-            table = DataTable(name=plan.query_name, columns=columns,
-                              dictionaries=dictionaries)
+            needed = frozenset(self._needed_columns(plan, extra_columns))
+            table = materialize_default(chunk, plan.query_name, needed, stats)
         wall = time.perf_counter() - start
         return ExecutionResult(table=table, join_rows=join_rows, wall_time=wall,
                                operator_times=dict(ctx.operator_times),
@@ -249,37 +170,19 @@ class Executor:
                                scan_blocks_pruned=ctx.scan_blocks_pruned,
                                fused_rows_touched=ctx.fused_rows_touched,
                                fused_predicates=ctx.fused_predicates,
-                               dict_predicates=ctx.dict_predicates,
-                               semijoin_filters=ctx.semijoin_filters,
-                               semijoin_pruned_rows=ctx.semijoin_pruned_rows,
-                               morsels_total=ctx.morsels_total,
-                               morsel_workers=self.workers,
-                               parallel_scan_rows=ctx.parallel_scan_rows)
+                               dict_predicates=ctx.dict_predicates)
 
     # ------------------------------------------------------------------
     # Node evaluation
     # ------------------------------------------------------------------
     def _execute_node(self, node: PlanNode, ctx: ExecContext,
-                      cache: dict[int, Chunk] | None = None,
-                      scan_extra: tuple = ()) -> Chunk:
-        """Evaluate one plan node (with caching and timing around it).
-
-        ``scan_extra`` carries synthetic semijoin filters a parent hash
-        join pushes into a probe-side scan.  They are conjunctive with the
-        node's own filters *for this plan*, so the per-plan ``cache`` (and
-        the node's recorded ``actual_rows``) may hold the pruned chunk --
-        any row they drop cannot appear in the query's result.  The
-        cross-plan subplan cache must NOT: its key is the node's canonical
-        signature, which does not include the pushed filters.
-        """
+                      cache: dict[int, Chunk] | None = None) -> Chunk:
+        """Evaluate one plan node (with caching and timing around it)."""
         if cache is not None and id(node) in cache:
             return cache[id(node)]
 
         signature = None
-        if self.subplan_cache is not None and not ctx.eager:
-            # Eager mode neither reads nor writes the subplan cache: a cached
-            # late chunk would short-circuit the copy-per-operator behaviour
-            # the mode exists to measure.
+        if self.subplan_cache is not None:
             try:
                 signature = node.signature()
             except TypeError:
@@ -300,132 +203,27 @@ class Executor:
         start = time.perf_counter()
         if isinstance(node, ScanNode):
             operator = Scan(node)
-            chunk = operator.execute(ctx, extra_filters=scan_extra)
+            chunk = operator.execute(ctx)
         elif isinstance(node, JoinNode):
+            left = self._execute_node(node.left, ctx, cache)
             if node.method is JoinMethod.INDEX_NL and isinstance(node.right, ScanNode):
                 operator = IndexNLJoin(node)
-                left = self._execute_node(node.left, ctx, cache)
                 chunk = operator.execute(ctx, left)
             else:
-                operator, chunk = self._execute_join(node, ctx, cache)
+                right = self._execute_node(node.right, ctx, cache)
+                operator = HashJoin(node) if node.predicates else CrossProduct(node)
+                chunk = operator.execute(ctx, left, right)
         else:
             raise ExecutionError(f"unsupported plan node {type(node).__name__}")
-
-        if ctx.eager:
-            chunk = compact(chunk, ctx.needed, ctx.stats)
 
         node.actual_rows = chunk.num_rows
         node.actual_time = time.perf_counter() - start
         ctx.operator_times[operator.label] = node.actual_time
         if cache is not None:
             cache[id(node)] = chunk
-        if signature is not None and not scan_extra:
-            # A semijoin-pruned chunk is correct for this plan only; the
-            # signature does not cover the pushed filters, so sharing it
-            # across plans would silently drop rows elsewhere.
+        if signature is not None:
             self.subplan_cache.put(signature, chunk)
         return chunk
-
-    def _execute_join(self, node: JoinNode, ctx: ExecContext,
-                      cache: dict[int, Chunk] | None):
-        """Hash join / cross product, with semijoin pushdown when eligible.
-
-        When one input is a large base-table scan and the other (build)
-        side turns out small, the build side's join keys are collected
-        into a :class:`~repro.executor.kernels.SemiJoinPredicate` (exact
-        key set or Bloom filter) that the probe scan evaluates like any
-        other pushed-down filter -- zone maps prune probe blocks outside
-        the build key range, and the fused kernel drops non-matching rows
-        before the hash probe ever sees them.
-        """
-        if node.predicates and self.semijoin:
-            probe, build = self._semijoin_sides(node, ctx)
-            if probe is not None:
-                build_chunk = self._execute_node(build, ctx, cache)
-                semis = self._semijoin_filters(node, probe, build_chunk, ctx)
-                probe_chunk = self._execute_node(probe, ctx, cache,
-                                                 scan_extra=semis)
-                left, right = ((probe_chunk, build_chunk)
-                               if probe is node.left
-                               else (build_chunk, probe_chunk))
-                operator = HashJoin(node)
-                return operator, operator.execute(ctx, left, right)
-        left = self._execute_node(node.left, ctx, cache)
-        right = self._execute_node(node.right, ctx, cache)
-        operator = HashJoin(node) if node.predicates else CrossProduct(node)
-        return operator, operator.execute(ctx, left, right)
-
-    def _semijoin_sides(self, node: JoinNode, ctx: ExecContext):
-        """Pick (probe scan, build subtree) for semijoin pushdown, or None.
-
-        The probe must be a scan of a large base table whose join-key
-        column is a raw integer column (semijoin membership operates on
-        key values; dictionary-encoded or temp-table columns do not
-        qualify).  When both inputs qualify the larger table probes: the
-        bigger the probe, the more the pushdown saves.
-        """
-        left_ok = self._semijoin_probe_eligible(node.left, node, ctx)
-        right_ok = self._semijoin_probe_eligible(node.right, node, ctx)
-        if left_ok and right_ok:
-            left_rows = ctx.database.table(node.left.relation.table_name).num_rows
-            right_rows = ctx.database.table(node.right.relation.table_name).num_rows
-            if left_rows >= right_rows:
-                return node.left, node.right
-            return node.right, node.left
-        if left_ok:
-            return node.left, node.right
-        if right_ok:
-            return node.right, node.left
-        return None, None
-
-    @staticmethod
-    def _semijoin_probe_eligible(side: PlanNode, node: JoinNode,
-                                 ctx: ExecContext) -> bool:
-        if not isinstance(side, ScanNode):
-            return False
-        relation = side.relation
-        if relation.is_temp:
-            return False
-        table = ctx.database.table(relation.table_name)
-        if table.num_rows < MIN_PROBE_ROWS:
-            return False
-        for pred in node.predicates:
-            for ref in (pred.left, pred.right):
-                if not relation.covers(ref.alias):
-                    continue
-                if (table.has_column(ref.column)
-                        and not table.is_encoded(ref.column)
-                        and table.column(ref.column).dtype.kind in "iu"):
-                    return True
-        return False
-
-    @staticmethod
-    def _semijoin_filters(node: JoinNode, probe: ScanNode, build_chunk: Chunk,
-                          ctx: ExecContext) -> tuple:
-        """Build one semijoin filter per eligible join key of ``probe``."""
-        if build_chunk.num_rows > MAX_BUILD_ROWS:
-            return ()
-        table = ctx.database.table(probe.relation.table_name)
-        filters = []
-        for pred in node.predicates:
-            if probe.relation.covers(pred.left.alias):
-                probe_ref, build_ref = pred.left, pred.right
-            elif probe.relation.covers(pred.right.alias):
-                probe_ref, build_ref = pred.right, pred.left
-            else:
-                continue
-            if (not table.has_column(probe_ref.column)
-                    or table.is_encoded(probe_ref.column)
-                    or table.column(probe_ref.column).dtype.kind not in "iu"):
-                continue
-            if not build_chunk.covers(build_ref.alias):
-                continue
-            keys = build_chunk.column(build_ref, ctx.stats)
-            if keys.dtype.kind not in "iu":
-                continue
-            filters.append(build_semijoin_predicate(probe_ref, keys))
-        ctx.semijoin_filters += len(filters)
-        return tuple(filters)
 
     # ------------------------------------------------------------------
     # Projection push-down support

@@ -21,44 +21,26 @@ class JoinOverflowError(RuntimeError):
     """Raised when an equi-join would materialize more rows than the cap."""
 
 
-class ProbeSide:
-    """The build side of an equi-join, sorted once and shared read-only.
+def equi_join_indices(left_keys: np.ndarray,
+                      right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices ``(left_idx, right_idx)`` of all equi-join matches.
 
-    Building it is the partial/merge decomposition point of the hash
-    join: after the one-time stable sort, any contiguous slice of the
-    probe keys can be matched independently via :func:`probe_range`, and
-    concatenating the per-slice results in slice order is bit-identical
-    to the whole-input :func:`equi_join_indices` call (the sort fixes the
-    right-index order within each key run, and the left order is the
-    slice order itself).  The arrays are never written after
-    construction, so morsel worker threads share one instance freely.
+    The result enumerates every pair ``(i, j)`` with
+    ``left_keys[i] == right_keys[j]``, probe-major: ``left_idx`` ascends
+    and, within one left row, ``right_idx`` follows the right side's
+    stable sort order.  A join producing more than
+    :data:`MAX_JOIN_RESULT_ROWS` matches raises
+    :class:`JoinOverflowError` before materializing them.
     """
+    if len(left_keys) == 0 or len(right_keys) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
 
-    __slots__ = ("order", "sorted_keys")
-
-    def __init__(self, right_keys: np.ndarray):
-        self.order = np.argsort(right_keys, kind="stable")
-        self.sorted_keys = right_keys[self.order]
-
-    def __len__(self) -> int:
-        return len(self.sorted_keys)
-
-
-def probe_range(side: ProbeSide, left_keys: np.ndarray,
-                start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matches of ``left_keys[start:stop]`` against a shared build side.
-
-    Returns ``(left_idx, right_idx)`` with *global* left indices (already
-    offset by ``start``), so ordered concatenation over a partition of
-    ``[0, len(left_keys))`` reproduces the whole-input join verbatim.
-    A single range producing more than :data:`MAX_JOIN_RESULT_ROWS`
-    matches raises :class:`JoinOverflowError` before materializing them;
-    the caller additionally checks the cap on the merged total.
-    """
-    keys = left_keys[start:stop] if (start, stop) != (0, len(left_keys)) \
-        else left_keys
-    lo = np.searchsorted(side.sorted_keys, keys, side="left")
-    hi = np.searchsorted(side.sorted_keys, keys, side="right")
+    # Sort the right side once, then locate the matching run of every left key.
+    order = np.argsort(right_keys, kind="stable")
+    sorted_keys = right_keys[order]
+    lo = np.searchsorted(sorted_keys, left_keys, side="left")
+    hi = np.searchsorted(sorted_keys, left_keys, side="right")
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
@@ -69,27 +51,12 @@ def probe_range(side: ProbeSide, left_keys: np.ndarray,
             f"equi-join would produce {total} rows "
             f"(cap {MAX_JOIN_RESULT_ROWS}); aborting the query")
 
-    left_idx = np.repeat(np.arange(start, stop, dtype=np.int64), counts)
+    left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
     within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
     right_sorted_pos = np.repeat(lo, counts) + within
-    right_idx = side.order[right_sorted_pos]
+    right_idx = order[right_sorted_pos]
     return left_idx, right_idx
-
-
-def equi_join_indices(left_keys: np.ndarray,
-                      right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices ``(left_idx, right_idx)`` of all equi-join matches.
-
-    The result enumerates every pair ``(i, j)`` with
-    ``left_keys[i] == right_keys[j]``.
-    """
-    if len(left_keys) == 0 or len(right_keys) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-
-    # Sort the right side once, then locate the matching run of every left key.
-    return probe_range(ProbeSide(right_keys), left_keys, 0, len(left_keys))
 
 
 def multi_key_equi_join(left_keys: list[np.ndarray],
@@ -157,5 +124,3 @@ def join_result_size(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
     pos_clipped = np.clip(pos, 0, len(right_vals) - 1)
     matches = right_vals[pos_clipped] == left_vals
     return int(np.sum(left_counts[matches] * right_counts[pos_clipped[matches]]))
-
-

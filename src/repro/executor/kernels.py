@@ -1,27 +1,15 @@
-"""Fused predicate kernels and join-side semijoin/Bloom pruning.
+"""Fused predicate kernels: the compiled scan hot path.
 
-Two pieces of the compiled scan/join hot path live here:
-
-:class:`PredicateCompiler`
-    Turns a scan's conjunctive predicate list into a **single-pass
-    evaluator**.  Predicates are ordered by estimated selectivity
-    (cheap-and-selective first), the first one is evaluated vectorized over
-    the full row range, and every subsequent predicate is evaluated only on
-    the rows that survived so far (gather-then-compare on the shrinking
-    candidate set, short-circuiting when it empties).  Because the filters
-    form a conjunction, reordering cannot change the result: the emitted
-    row-id vector is bit-identical to the naive all-rows-per-predicate
-    loop, while the work drops from ``num_predicates`` full column passes
-    to one full pass plus passes over ever-smaller survivor sets.
-
-:class:`SemiJoinPredicate` / :class:`BloomFilter`
-    The probe-side pruning filter a hash join pushes into its probe scan:
-    membership of the scan's join-key column in the build side's key set,
-    represented exactly (a sorted unique array) when the build side is
-    small, or approximately (a Bloom filter, no false negatives) when it
-    is large.  The predicate subclasses :class:`Between` with the build
-    keys' min/max as bounds, so the existing zone-map machinery prunes
-    whole probe blocks outside the build key range for free.
+:class:`PredicateCompiler` turns a scan's conjunctive predicate list into
+a **single-pass evaluator**.  Predicates are ordered by estimated
+selectivity (cheap-and-selective first), the first one is evaluated
+vectorized over the full row range, and every subsequent predicate is
+evaluated only on the rows that survived so far (gather-then-compare on
+the shrinking candidate set, short-circuiting when it empties).  Because
+the filters form a conjunction, reordering cannot change the result: the
+emitted row-id vector is bit-identical to the naive all-rows-per-predicate
+loop, while the work drops from ``num_predicates`` full column passes to
+one full pass plus passes over ever-smaller survivor sets.
 
 This module deliberately imports neither the operators nor the executor
 (they import *it*); execution counters are duck-typed on the ``ctx``
@@ -30,13 +18,10 @@ object threaded through :meth:`PredicateCompiler.evaluate_range`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.plan.expressions import (
     Between,
-    ColumnRef,
     Comparison,
     InList,
     IsNotNull,
@@ -47,18 +32,6 @@ from repro.plan.expressions import (
 )
 from repro.storage.dictionary import CodeMaskPredicate
 
-#: Probe tables smaller than this skip semijoin pushdown entirely: the
-#: full scan is already cheap and the filter build would dominate.
-MIN_PROBE_ROWS = 4096
-
-#: Build sides larger than this (rows) skip semijoin pushdown: collecting
-#: and uniquing the keys would cost more than the probe saves.
-MAX_BUILD_ROWS = 500_000
-
-#: Distinct build keys up to this count use the exact sorted-array filter;
-#: beyond it a Bloom filter bounds the memory and probe cost.
-EXACT_THRESHOLD = 16_384
-
 
 # ----------------------------------------------------------------------
 # Selectivity-ordered fused evaluation
@@ -68,13 +41,9 @@ def selectivity_rank(predicate: Predicate) -> float:
 
     Only the *relative* order matters.  The ranks follow the classic
     textbook defaults (equality is rare, ``!=`` and NOT NULL are common)
-    with two data-driven refinements: a code-mask predicate knows exactly
-    what fraction of the dictionary it matches, and a semijoin filter is
-    assumed fairly selective (that is why the join pushed it down) but
-    costs a membership probe, so plain equality still goes first.
+    with one data-driven refinement: a code-mask predicate knows exactly
+    what fraction of the dictionary it matches.
     """
-    if isinstance(predicate, SemiJoinPredicate):
-        return 0.25
     if isinstance(predicate, CodeMaskPredicate):
         return predicate.match_fraction
     if isinstance(predicate, Comparison):
@@ -117,18 +86,14 @@ class PredicateCompiler:
 
         ``resolve`` maps a :class:`ColumnRef` to the column slice covering
         the ``length`` rows under evaluation.  ``ctx`` (optional) receives
-        the fused-pass counters: ``fused_rows_touched`` accumulates the
-        candidate-set size each predicate actually evaluated over, and
-        ``semijoin_pruned_rows`` the rows eliminated by pushed-down
-        semijoin filters.
+        the fused-pass counter: ``fused_rows_touched`` accumulates the
+        candidate-set size each predicate actually evaluated over.
         """
         first = self.predicates[0]
         mask = np.asarray(first.evaluate(resolve), dtype=bool)
         positions = np.nonzero(mask)[0].astype(np.int64, copy=False)
         if ctx is not None:
             ctx.fused_rows_touched += length
-            if isinstance(first, SemiJoinPredicate):
-                ctx.semijoin_pruned_rows += length - positions.size
         for predicate in self.predicates[1:]:
             if positions.size == 0:
                 break
@@ -139,108 +104,4 @@ class PredicateCompiler:
             positions = positions[mask]
             if ctx is not None:
                 ctx.fused_rows_touched += before
-                if isinstance(predicate, SemiJoinPredicate):
-                    ctx.semijoin_pruned_rows += before - positions.size
         return positions
-
-
-# ----------------------------------------------------------------------
-# Join-side semijoin / Bloom pruning
-# ----------------------------------------------------------------------
-class BloomFilter:
-    """Vectorized blocked Bloom filter over integer keys (no false negatives).
-
-    Two multiply-xorshift hashes into a power-of-two bit array of roughly
-    ``bits_per_key`` bits per distinct key (false-positive rate a few
-    percent, which is plenty: the filter only pre-prunes rows the hash
-    join would reject anyway).
-    """
-
-    __slots__ = ("num_bits", "words")
-
-    _MULTIPLIERS = (np.uint64(0x9E3779B97F4A7C15),
-                    np.uint64(0xC2B2AE3D27D4EB4F))
-
-    def __init__(self, keys: np.ndarray, bits_per_key: int = 10):
-        target = max(64, len(keys) * bits_per_key)
-        self.num_bits = 1 << int(np.ceil(np.log2(target)))
-        self.words = np.zeros(self.num_bits >> 6, dtype=np.uint64)
-        one = np.uint64(1)
-        six = np.uint64(6)
-        low = np.uint64(63)
-        for h in self._hashes(keys):
-            # bitwise_or.at: duplicate word indices must all land.
-            np.bitwise_or.at(self.words, (h >> six).astype(np.int64),
-                             one << (h & low))
-
-    def _hashes(self, keys: np.ndarray):
-        x = np.ascontiguousarray(keys, dtype=np.int64).view(np.uint64)
-        shift = np.uint64(33)
-        mask = np.uint64(self.num_bits - 1)
-        for mult in self._MULTIPLIERS:
-            h = x * mult
-            h = h ^ (h >> shift)
-            yield h & mask
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean membership mask (may report false positives, never misses)."""
-        result = np.ones(len(keys), dtype=bool)
-        one = np.uint64(1)
-        six = np.uint64(6)
-        low = np.uint64(63)
-        for h in self._hashes(keys):
-            bits = self.words[(h >> six).astype(np.int64)] >> (h & low)
-            result &= (bits & one).astype(bool)
-        return result
-
-    @property
-    def memory_bytes(self) -> int:
-        return int(self.words.nbytes)
-
-
-@dataclass(frozen=True, eq=False)
-class SemiJoinPredicate(Between):
-    """Probe-side join-key membership in the build side's key set.
-
-    Subclasses :class:`Between` with the build keys' min/max as bounds so
-    zone maps prune probe blocks outside the key range through the
-    existing numeric path (an empty build side uses the unsatisfiable
-    ``low=0, high=-1`` range, pruning every block).  Exactly one of
-    ``values`` (sorted unique keys) and ``bloom`` is set.
-
-    Instances are synthetic: they are pushed into a scan as *extra*
-    filters at execution time and never appear in plan-node filter lists
-    (so plan signatures, costing, and the subplan cache never see them).
-    """
-
-    values: np.ndarray = None
-    bloom: BloomFilter = None
-
-    def evaluate(self, resolve) -> np.ndarray:
-        keys = resolve(self.column)
-        if self.values is not None:
-            sorted_keys = self.values
-            if len(sorted_keys) == 0:
-                return np.zeros(len(keys), dtype=bool)
-            pos = np.searchsorted(sorted_keys, keys)
-            np.minimum(pos, len(sorted_keys) - 1, out=pos)
-            return sorted_keys[pos] == keys
-        mask = (keys >= self.low) & (keys <= self.high)
-        if mask.any():
-            mask[mask] = self.bloom.contains(keys[mask])
-        return mask
-
-
-def build_semijoin_predicate(ref: ColumnRef,
-                             build_keys: np.ndarray) -> SemiJoinPredicate:
-    """Build the pruning predicate for one join key from the build side."""
-    if len(build_keys) == 0:
-        # Unsatisfiable Between range: zone maps prune every probe block.
-        return SemiJoinPredicate(column=ref, low=0, high=-1,
-                                 values=np.empty(0, dtype=np.int64))
-    unique = np.unique(build_keys)
-    low, high = int(unique[0]), int(unique[-1])
-    if len(unique) <= EXACT_THRESHOLD:
-        return SemiJoinPredicate(column=ref, low=low, high=high, values=unique)
-    return SemiJoinPredicate(column=ref, low=low, high=high,
-                             bloom=BloomFilter(unique))

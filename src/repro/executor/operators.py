@@ -32,16 +32,8 @@ from repro.executor.chunk import (
     TableSource,
     merge_chunks,
 )
-from repro.executor.joins import (
-    MAX_JOIN_RESULT_ROWS,
-    JoinOverflowError,
-    ProbeSide,
-    combine_key_pair,
-    multi_key_equi_join,
-    probe_range,
-)
+from repro.executor.joins import multi_key_equi_join
 from repro.executor.kernels import PredicateCompiler
-from repro.executor.morsels import MorselCounters, MorselScheduler
 from repro.plan.expressions import ColumnRef
 from repro.storage.dictionary import translate_filters
 from repro.plan.physical import JoinNode, PhysicalPlan, PlanNode, ScanNode
@@ -62,14 +54,6 @@ class ExecContext:
 
     database: Database
     stats: MaterializationStats
-    #: Every column the plan (outputs, join keys, extras) may ever gather.
-    needed: frozenset[ColumnRef]
-    #: Eager compatibility mode: materialize needed columns at every operator
-    #: (the pre-chunk behaviour, kept for the materialization benchmark).
-    eager: bool = False
-    #: Fused predicate kernels: evaluate a scan's conjunction in one
-    #: selectivity-ordered pass (off = the naive per-predicate loop).
-    fused: bool = True
     operator_times: dict[str, float] = field(default_factory=dict)
     #: Zone-map pruning accounting: storage blocks considered by filtered
     #: scans over block-partitioned tables, and how many the zone maps
@@ -82,22 +66,6 @@ class ExecContext:
     fused_predicates: int = 0
     #: Predicates rewritten into dictionary code space by scans.
     dict_predicates: int = 0
-    #: Semijoin pushdown accounting: filters pushed into probe scans, and
-    #: probe rows they eliminated before the hash probe.
-    semijoin_filters: int = 0
-    semijoin_pruned_rows: int = 0
-    #: Intra-query parallelism: the shared morsel worker pool (``None``
-    #: runs everything sequentially) and the cooperative per-query
-    #: deadline (``time.perf_counter`` seconds) the fan-out checks
-    #: between morsel waves.
-    morsels: MorselScheduler | None = None
-    deadline: float | None = None
-    #: Morsel accounting: tasks dispatched to the pool, and base-table
-    #: rows scanned through the parallel filter path.  Worker threads
-    #: never touch these -- per-morsel results are merged by the
-    #: coordinating thread (see :mod:`repro.executor.morsels`).
-    morsels_total: int = 0
-    parallel_scan_rows: int = 0
 
 
 class Operator:
@@ -131,18 +99,14 @@ class Scan(Operator):
     (:func:`~repro.storage.dictionary.translate_filters`), which can decide
     a conjunct outright: a provably unsatisfiable conjunct returns the
     empty selection without scanning, a tautological one is dropped.  And
-    with ``ctx.fused`` the surviving conjunction is compiled into a
-    single selectivity-ordered pass (:class:`PredicateCompiler`) instead
-    of one full-slice pass per predicate.
-
-    ``extra_filters`` carries synthetic predicates pushed down by the
-    executor (semijoin filters from a parent hash join); they never come
-    from the plan node, so plan signatures and costing are unaffected.
+    the surviving conjunction is compiled into a single
+    selectivity-ordered pass (:class:`PredicateCompiler`) instead of one
+    full-slice pass per predicate.
     """
 
     name = "Scan"
 
-    def execute(self, ctx: ExecContext, extra_filters=()) -> Chunk:
+    def execute(self, ctx: ExecContext) -> Chunk:
         node: ScanNode = self.node  # type: ignore[assignment]
         relation = node.relation
         table = ctx.database.table(relation.table_name)
@@ -150,17 +114,8 @@ class Scan(Operator):
         def storage_name(ref: ColumnRef) -> str:
             return ref.qualified if relation.is_temp else ref.column
 
-        filters = tuple(node.filters) + tuple(extra_filters)
-        if not filters:
-            # Identity selection: no vector materialized.  Mutated tables
-            # with deleted rows select their live rows explicitly instead
-            # (the valid-row mask is the single source of truth).
-            return Chunk((TableSource(relation, table,
-                                      table.valid_row_ids()
-                                      if table.has_deletes else None),))
-
         filters, impossible, translated = translate_filters(
-            filters, table, storage_name)
+            node.filters, table, storage_name)
         ctx.dict_predicates += translated
         zone_maps = table.zone_maps
         if impossible:
@@ -172,15 +127,16 @@ class Scan(Operator):
             return Chunk((TableSource(relation, table,
                                       np.empty(0, dtype=np.int64)),))
         if not filters:
-            # Every conjunct was tautological: identity selection.
+            # No filters, or every conjunct was tautological: identity
+            # selection, no vector materialized.  Mutated tables with
+            # deleted rows select their live rows explicitly instead (the
+            # valid-row mask is the single source of truth).
             return Chunk((TableSource(relation, table,
                                       table.valid_row_ids()
                                       if table.has_deletes else None),))
 
-        kernel = None
-        if ctx.fused:
-            kernel = PredicateCompiler(filters)
-            ctx.fused_predicates += len(filters)
+        kernel = PredicateCompiler(filters)
+        ctx.fused_predicates += len(filters)
         if zone_maps is None or zone_maps.num_blocks == 0:
             ranges = [(0, table.num_rows)] if table.num_rows else []
         else:
@@ -191,86 +147,34 @@ class Scan(Operator):
             ranges = [(first * zone_maps.block_size,
                        min(last * zone_maps.block_size, table.num_rows))
                       for first, last in _block_runs(candidates)]
-        row_ids = self._filter_ranges(table, filters, storage_name,
-                                      ranges, ctx, kernel)
+        parts = [self._filter_range(table, kernel, storage_name,
+                                    start, stop, ctx)
+                 for start, stop in ranges]
+        if not parts:
+            row_ids = np.empty(0, dtype=np.int64)
+        else:
+            row_ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if table.has_deletes:
             # Deleted rows may still satisfy the filters (deletes never
             # rewrite blocks); drop them from the selection here so every
-            # scan variant -- zone-pruned or not, fused or not -- returns
-            # exactly the live matches.
+            # scan -- zone-pruned or not -- returns exactly the live
+            # matches.
             row_ids = row_ids[table.valid_mask[row_ids]]
         return Chunk((TableSource(relation, table, row_ids),))
 
     @staticmethod
-    def _filter_range(table: DataTable, filters, storage_name,
-                      start: int, stop: int, ctx: ExecContext | None = None,
-                      kernel: PredicateCompiler | None = None) -> np.ndarray:
-        """Evaluate the filter conjunction over rows ``[start, stop)``."""
+    def _filter_range(table: DataTable, kernel: PredicateCompiler,
+                      storage_name, start: int, stop: int,
+                      ctx: ExecContext) -> np.ndarray:
+        """Evaluate the compiled conjunction over rows ``[start, stop)``."""
 
         def resolve(ref: ColumnRef) -> np.ndarray:
             column = table.column(storage_name(ref))
             return column if start == 0 and stop == len(column) \
                 else column[start:stop]
 
-        if kernel is not None:
-            row_ids = kernel.evaluate_range(resolve, stop - start, ctx)
-        else:
-            mask = filters[0].evaluate(resolve)
-            for pred in filters[1:]:
-                mask = mask & pred.evaluate(resolve)
-            row_ids = np.nonzero(mask)[0].astype(np.int64, copy=False)
+        row_ids = kernel.evaluate_range(resolve, stop - start, ctx)
         return row_ids + start if start else row_ids
-
-    @classmethod
-    def _filter_ranges(cls, table: DataTable, filters, storage_name,
-                       ranges: list[tuple[int, int]], ctx: ExecContext,
-                       kernel: PredicateCompiler | None) -> np.ndarray:
-        """Evaluate the conjunction over every ``[start, stop)`` range.
-
-        The sequential path walks the ranges in order; with a morsel
-        scheduler of more than one worker the ranges are split into
-        morsels and fanned out, and the per-morsel results are merged in
-        range order -- so both paths emit the same row ids in the same
-        order (see :mod:`repro.executor.morsels` for the argument).
-        """
-        scheduler = ctx.morsels
-        if scheduler is not None and scheduler.workers > 1:
-            morsel_ranges = scheduler.split_ranges(ranges)
-            if len(morsel_ranges) > 1:
-                return cls._filter_parallel(table, filters, storage_name,
-                                            morsel_ranges, ctx, kernel)
-        parts = [cls._filter_range(table, filters, storage_name,
-                                   start, stop, ctx, kernel)
-                 for start, stop in ranges]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    @classmethod
-    def _filter_parallel(cls, table: DataTable, filters, storage_name,
-                         morsel_ranges: list[tuple[int, int]],
-                         ctx: ExecContext,
-                         kernel: PredicateCompiler | None) -> np.ndarray:
-        """Fan the filter ranges out over the morsel pool and merge."""
-
-        def make_task(start: int, stop: int):
-            def task() -> tuple[np.ndarray, MorselCounters]:
-                counters = MorselCounters()
-                rows = cls._filter_range(table, filters, storage_name,
-                                         start, stop, counters, kernel)
-                return rows, counters
-            return task
-
-        results = ctx.morsels.run_ordered(
-            [make_task(start, stop) for start, stop in morsel_ranges],
-            deadline=ctx.deadline)
-        ctx.morsels_total += len(results)
-        ctx.parallel_scan_rows += sum(stop - start
-                                      for start, stop in morsel_ranges)
-        for _, counters in results:
-            counters.merge_into(ctx)
-        parts = [rows for rows, _ in results]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _block_runs(candidates: np.ndarray) -> list[tuple[int, int]]:
@@ -301,51 +205,8 @@ class HashJoin(Operator):
                 left_ref, right_ref = pred.right, pred.left
             left_keys.append(left.column(left_ref, ctx.stats))
             right_keys.append(right.column(right_ref, ctx.stats))
-        left_idx, right_idx = self._join_indices(ctx, left_keys, right_keys)
+        left_idx, right_idx = multi_key_equi_join(left_keys, right_keys)
         return merge_chunks(left, left_idx, right, right_idx, ctx.stats)
-
-    @staticmethod
-    def _join_indices(ctx: ExecContext, left_keys: list[np.ndarray],
-                      right_keys: list[np.ndarray]
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Match the key columns, morsel-parallel over the probe side.
-
-        The build (right) side is sorted once into a shared read-only
-        :class:`~repro.executor.joins.ProbeSide`; contiguous slices of
-        the probe keys are matched concurrently and merged in slice
-        order, which is bit-identical to the whole-input kernel.  Small
-        probes (fewer than two morsels) take the sequential kernel
-        directly.
-        """
-        scheduler = ctx.morsels
-        n_probe = len(left_keys[0]) if left_keys else 0
-        if (scheduler is None or scheduler.workers <= 1
-                or not right_keys or len(right_keys[0]) == 0):
-            return multi_key_equi_join(left_keys, right_keys)
-        morsel_ranges = scheduler.split_ranges([(0, n_probe)])
-        if len(morsel_ranges) <= 1:
-            return multi_key_equi_join(left_keys, right_keys)
-        if len(left_keys) > 1:
-            probe_key, build_key = combine_key_pair(left_keys, right_keys)
-        else:
-            probe_key, build_key = left_keys[0], right_keys[0]
-        side = ProbeSide(build_key)
-
-        def make_task(start: int, stop: int):
-            return lambda: probe_range(side, probe_key, start, stop)
-
-        results = scheduler.run_ordered(
-            [make_task(start, stop) for start, stop in morsel_ranges],
-            deadline=ctx.deadline)
-        ctx.morsels_total += len(results)
-        total = sum(len(part_left) for part_left, _ in results)
-        if total > MAX_JOIN_RESULT_ROWS:
-            raise JoinOverflowError(
-                f"equi-join would produce {total} rows "
-                f"(cap {MAX_JOIN_RESULT_ROWS}); aborting the query")
-        left_idx = np.concatenate([part for part, _ in results])
-        right_idx = np.concatenate([part for _, part in results])
-        return left_idx, right_idx
 
 
 class IndexNLJoin(Operator):

@@ -1,27 +1,20 @@
 """Compiled-scan microbenchmark (beyond the paper).
 
 The companion to :mod:`repro.experiments.bench_scan_pruning` for the
-compiled-scan hot-path work: fused kernels + dictionary codes + semijoin.  Zone maps accelerate *which blocks* a scan reads; the three
-layers measured here accelerate *how the surviving rows are filtered*:
-
-* **dict** -- string predicates evaluated over ``int32`` dictionary codes
-  instead of Python-object comparisons (:mod:`repro.storage.dictionary`);
-* **fused** -- the scan conjunction compiled into one selectivity-ordered
-  pass over a shrinking candidate set (:class:`PredicateCompiler
-  <repro.executor.kernels.PredicateCompiler>`) instead of one full-column
-  pass per predicate;
-* **semijoin** -- a hash join's build-side key set pushed into the probe
-  scan as a membership filter (:mod:`repro.executor.kernels`), reported as
-  its own scenario.
+compiled-scan hot path.  Zone maps accelerate *which blocks* a scan reads;
+dictionary codes accelerate *how the surviving rows are filtered*: string
+predicates are evaluated over ``int32`` dictionary codes instead of
+Python-object comparisons (:mod:`repro.storage.dictionary`).  Every scan
+runs the fused, selectivity-ordered kernel
+(:class:`~repro.executor.kernels.PredicateCompiler`).
 
 The sweep runs four scan scenarios (string equality, string IN, and 3- and
-4-predicate mixed-dtype conjunctions) under four engine modes --
-``baseline`` (both layers off, the pre-PR code path), ``dict``, ``fused``,
-and ``full`` -- plus the semijoin join scenario with pushdown on/off.
-Every cell cross-checks its row count against the baseline mode, so a
-correctness bug can never hide behind a good speedup.  Zone maps are
-disabled (``block_size=0``) throughout: the predicate columns are
-unclustered, and this benchmark isolates the per-row filtering cost.
+4-predicate mixed-dtype conjunctions) with dictionary encoding off
+(``baseline``) and on (``dict``).  Every cell cross-checks its row count
+against the baseline mode, so a correctness bug can never hide behind a
+good speedup.  Zone maps are disabled (``block_size=0``) throughout: the
+predicate columns are unclustered, and this benchmark isolates the
+per-row filtering cost.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ import numpy as np
 
 from repro.bench.artifacts import ExperimentResult
 from repro.bench.reporting import format_table
-from repro.catalog.schema import Column, ForeignKey, Schema, TableSchema
+from repro.catalog.schema import Column, Schema, TableSchema
 from repro.catalog.types import DataType
 from repro.executor.executor import Executor
 from repro.experiments.registry import experiment
@@ -41,21 +34,16 @@ from repro.plan.expressions import (
     ColumnRef,
     Comparison,
     InList,
-    JoinPredicate,
     StringPrefix,
 )
 from repro.plan.logical import AggregateSpec, RelationRef
-from repro.plan.physical import JoinNode, PhysicalPlan, ScanNode
+from repro.plan.physical import PhysicalPlan, ScanNode
 from repro.storage.database import Database, IndexConfig
 from repro.storage.table import DataTable
 
 PAPER_ARTIFACT = "Compiled-scan microbenchmark (beyond the paper)"
 
 EVENTS_SCHEMA = Schema([
-    TableSchema("users", [
-        Column("u_id", DataType.INT),
-        Column("u_seg", DataType.STRING),
-    ], primary_key="u_id"),
     TableSchema("events", [
         Column("e_id", DataType.INT),
         Column("e_a", DataType.INT),
@@ -63,28 +51,19 @@ EVENTS_SCHEMA = Schema([
         Column("e_c", DataType.FLOAT),
         Column("e_cat", DataType.STRING),
         Column("e_sku", DataType.STRING),
-        Column("e_user", DataType.INT),
-    ], primary_key="e_id",
-        foreign_keys=[ForeignKey("e_user", "users", "u_id")]),
+    ], primary_key="e_id"),
 ])
 
-NUM_USERS = 2000
-NUM_SEGMENTS = 10
 NUM_CATEGORIES = 64
 NUM_SKUS = 4000
 
 
 def build_events_database(num_rows: int, dict_encode: bool,
                           seed: int = 13, block_size: int = 0) -> Database:
-    """Unclustered synthetic events + a small users dimension."""
+    """Unclustered synthetic events."""
     rng = np.random.default_rng(seed)
     db = Database(EVENTS_SCHEMA, index_config=IndexConfig.NONE,
                   block_size=block_size, dict_encode=dict_encode)
-    db.load_table(DataTable("users", {
-        "u_id": np.arange(1, NUM_USERS + 1, dtype=np.int64),
-        "u_seg": np.array([f"seg_{i % NUM_SEGMENTS}" for i in range(NUM_USERS)],
-                          dtype=object),
-    }), analyze=False)
     categories = np.array([f"cat_{i:02d}" for i in range(NUM_CATEGORIES)],
                           dtype=object)
     skus = np.array([f"sku_{i:05d}" for i in range(NUM_SKUS)], dtype=object)
@@ -95,7 +74,6 @@ def build_events_database(num_rows: int, dict_encode: bool,
         "e_c": rng.normal(0.0, 1.0, num_rows),
         "e_cat": rng.choice(categories, num_rows),
         "e_sku": rng.choice(skus, num_rows),
-        "e_user": rng.integers(1, NUM_USERS + 1, num_rows),
     }), analyze=False)
     return db
 
@@ -105,10 +83,9 @@ def _ref(column: str) -> ColumnRef:
 
 
 #: Scenario name -> pushed-down scan conjunction.  ``string_eq`` and
-#: ``string_in`` isolate the dictionary layer (object-comparison cost);
-#: ``multi3``/``multi4`` isolate the fused layer (a very selective leading
-#: predicate followed by wide ones, so ordering + candidate-set shrinking
-#: pays); ``multi4`` mixes both with a string prefix.
+#: ``string_in`` are pure object-comparison cost; ``multi3`` has no string
+#: predicate (a control: dictionary codes cannot help it); ``multi4`` mixes
+#: numeric predicates with a string prefix.
 SCENARIOS: dict[str, tuple] = {
     "string_eq": (Comparison(_ref("e_cat"), "=", "cat_07"),),
     "string_in": (InList(_ref("e_cat"), ("cat_03", "cat_11", "cat_42")),),
@@ -121,12 +98,10 @@ SCENARIOS: dict[str, tuple] = {
                Comparison(_ref("e_c"), ">", -1.0)),
 }
 
-#: Engine mode -> (dict_encode, fused).  ``baseline`` is the pre-PR path.
-MODES: dict[str, tuple[bool, bool]] = {
-    "baseline": (False, False),
-    "dict": (True, False),
-    "fused": (False, True),
-    "full": (True, True),
+#: Engine mode -> dict_encode.  ``baseline`` compares Python strings.
+MODES: dict[str, bool] = {
+    "baseline": False,
+    "dict": True,
 }
 
 
@@ -135,21 +110,6 @@ def _scan_plan(name: str, filters: tuple) -> PhysicalPlan:
         query_name=f"compiled-scan-{name}",
         root=ScanNode(relation=RelationRef.base("events", "events"),
                       filters=filters),
-        aggregates=(AggregateSpec("count", None, "row_count"),),
-    )
-
-
-def _semijoin_plan() -> PhysicalPlan:
-    """events |x| (users WHERE u_seg = 'seg_3'): hash join, FK probe side."""
-    probe = ScanNode(relation=RelationRef.base("events", "events"))
-    build = ScanNode(relation=RelationRef.base("users", "users"),
-                     filters=(Comparison(ColumnRef("users", "u_seg"),
-                                         "=", "seg_3"),))
-    root = JoinNode(left=probe, right=build,
-                    predicates=(JoinPredicate(ColumnRef("events", "e_user"),
-                                              ColumnRef("users", "u_id")),))
-    return PhysicalPlan(
-        query_name="compiled-scan-semijoin", root=root,
         aggregates=(AggregateSpec("count", None, "row_count"),),
     )
 
@@ -174,11 +134,10 @@ def run(scale: float = 1.0,
         verbose: bool = True) -> ExperimentResult:
     """Sweep scenario x mode and report speedups over the baseline mode.
 
-    ``result.data`` is ``{"grid": grid, "speedups": speedups, "semijoin":
-    semijoin}``: ``grid`` maps ``(scenario, mode)`` to ``{"seconds",
-    "rows", "fused_rows_touched", "dict_predicates"}``, ``speedups`` maps
-    the same keys (mode != baseline) to the time ratio against baseline,
-    and ``semijoin`` reports the join scenario with pushdown off/on.
+    ``result.data`` is ``{"grid": grid, "speedups": speedups}``: ``grid``
+    maps ``(scenario, mode)`` to ``{"seconds", "rows",
+    "fused_rows_touched", "dict_predicates"}`` and ``speedups`` maps the
+    same keys (mode != baseline) to the time ratio against baseline.
     """
     rows = max(int(round(num_rows * scale)), 1_000)
 
@@ -190,8 +149,8 @@ def run(scale: float = 1.0,
     grid: dict[tuple[str, str], dict] = {}
     for scenario, filters in SCENARIOS.items():
         plan = _scan_plan(scenario, filters)
-        for mode, (dict_encode, fused) in MODES.items():
-            executor = Executor(databases[dict_encode], fused=fused)
+        for mode, dict_encode in MODES.items():
+            executor = Executor(databases[dict_encode])
             seconds, result = _measure(executor, plan, repeats)
             grid[(scenario, mode)] = {
                 "seconds": seconds,
@@ -200,7 +159,7 @@ def run(scale: float = 1.0,
                 "dict_predicates": result.dict_predicates,
             }
 
-    # Cross-check: no acceleration layer may change the selected row count.
+    # Cross-check: dictionary codes may not change the selected row count.
     for (scenario, mode), cell in grid.items():
         baseline = grid[(scenario, "baseline")]
         if cell["rows"] != baseline["rows"]:
@@ -214,25 +173,6 @@ def run(scale: float = 1.0,
         if mode != "baseline" and cell["seconds"] > 0
     }
 
-    # Semijoin pushdown scenario (reported, not part of the mode grid).
-    semijoin = {}
-    plan = _semijoin_plan()
-    for label, enabled in (("off", False), ("on", True)):
-        executor = Executor(databases[True], semijoin=enabled)
-        seconds, result = _measure(executor, plan, repeats)
-        semijoin[label] = {
-            "seconds": seconds,
-            "rows": int(result.table.column("row_count")[0]),
-            "semijoin_filters": result.semijoin_filters,
-            "semijoin_pruned_rows": result.semijoin_pruned_rows,
-        }
-    if semijoin["on"]["rows"] != semijoin["off"]["rows"]:
-        raise AssertionError(
-            f"semijoin pushdown changed the join result: "
-            f"{semijoin['on']['rows']} vs {semijoin['off']['rows']} rows")
-    semijoin["speedup"] = (semijoin["off"]["seconds"] / semijoin["on"]["seconds"]
-                           if semijoin["on"]["seconds"] > 0 else None)
-
     headers = ["scenario", "mode", "rows", "time", "speedup vs baseline"]
     table_rows = []
     for scenario in SCENARIOS:
@@ -244,11 +184,6 @@ def run(scale: float = 1.0,
                 f"{cell['seconds'] * 1e3:.3f} ms",
                 f"{speedup:.2f}x" if speedup else "-",
             ])
-    table_rows.append([
-        "semijoin", "on vs off", semijoin["on"]["rows"],
-        f"{semijoin['on']['seconds'] * 1e3:.3f} ms",
-        f"{semijoin['speedup']:.2f}x" if semijoin["speedup"] else "-",
-    ])
     tables = [format_table(headers, table_rows,
                            title=f"Compiled scan kernels ({rows} rows, "
                                  f"best of {repeats})")]
@@ -257,15 +192,13 @@ def run(scale: float = 1.0,
         "num_rows": rows,
         "speedups": {f"{scenario}/{mode}": value
                      for (scenario, mode), value in speedups.items()},
-        "semijoin_speedup": semijoin["speedup"],
-        "semijoin_pruned_rows": semijoin["on"]["semijoin_pruned_rows"],
     }
     outcome = ExperimentResult(
         name="bench_compiled_scan",
         artifact=PAPER_ARTIFACT,
         params={"scale": scale, "num_rows": num_rows,
                 "repeats": repeats, "seed": seed},
-        data={"grid": grid, "speedups": speedups, "semijoin": semijoin},
+        data={"grid": grid, "speedups": speedups},
         workloads={},
         summary=summary,
         tables=tables,

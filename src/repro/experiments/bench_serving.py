@@ -73,7 +73,7 @@ def run(scale: float = 1.0,
     ``result.data`` is ``{"cells": cells, "headline": headline}``:
     ``cells`` maps ``(workers, rate, policy)`` to the reporter summary of
     that served run (see :func:`repro.serving.reporter.latency_summary`),
-    and ``headline`` holds the numbers the microbench trend tracks —
+    and ``headline`` holds the two summary numbers —
     ``p95_under_load`` (the saturated highest-rate/shed cell at maximum
     concurrency) and ``peak_throughput_qps`` across all cells.  Every
     cell's per-query reports are flattened into ``workloads`` under

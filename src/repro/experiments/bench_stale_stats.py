@@ -30,7 +30,7 @@ to >= 1 row.  ANALYZE cost is *not* folded into query seconds -- it is
 reported separately as ``reanalyzes`` so the policy's price stays
 visible next to its benefit.
 
-Headline (tracked by ``tools/microbench_trend.py``):
+Headline:
 
 * ``triggered_qerror_improvement`` -- mean q-error of the static
   optimizer under ``never`` divided by under ``triggered`` at the

@@ -46,11 +46,7 @@ def make_algorithm(name: str, database: Database,
                    qsa_strategy: QSAStrategy = QSAStrategy.FK_CENTER,
                    cost_function: CostFunction = CostFunction.PHI4,
                    estimator=None,
-                   subplan_cache=None,
-                   fused_kernels: bool = True,
-                   semijoin_pruning: bool = True,
-                   workers: int = 1,
-                   morsel_scheduler=None):
+                   subplan_cache=None):
     """Instantiate the algorithm called ``name`` over ``database``.
 
     Parameters
@@ -75,27 +71,11 @@ def make_algorithm(name: str, database: Database,
         canonical signature, and the true-cardinality oracle answers probes
         from it.  Leave ``None`` (the default) to keep every algorithm's
         execution fully independent.
-    fused_kernels, semijoin_pruning:
-        Executor hot-path toggles (see
-        :class:`~repro.executor.executor.Executor`): fused
-        selectivity-ordered predicate evaluation in scans, and build-side
-        semijoin/Bloom filters pushed into probe-side scans.  On by
-        default; benchmarks switch them off to measure the naive path.
-    workers, morsel_scheduler:
-        Morsel-parallel intra-query execution (see
-        :class:`~repro.executor.executor.Executor`): ``workers`` sizes a
-        private pool for this runner's executor, while
-        ``morsel_scheduler`` shares an externally owned
-        :class:`~repro.executor.morsels.MorselScheduler` across runners
-        (the serving layer's oversubscription control) and overrides
-        ``workers``.
     """
     optimizer = Optimizer(database)
     if estimator is not None:
         optimizer = optimizer.with_estimator(estimator)
-    executor = Executor(database, subplan_cache=subplan_cache,
-                        fused=fused_kernels, semijoin=semijoin_pruning,
-                        workers=workers, morsel_scheduler=morsel_scheduler)
+    executor = Executor(database, subplan_cache=subplan_cache)
     baseline_config = BaselineConfig(collect_statistics=collect_statistics,
                                      timeout_seconds=timeout_seconds)
 

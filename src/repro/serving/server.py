@@ -22,12 +22,10 @@ never leave shared state torn.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.executor.morsels import DEFAULT_MORSEL_ROWS, MorselScheduler
 from repro.executor.subplan_cache import SubplanCache
 from repro.plan.logical import Query
 from repro.report import ExecutionReport
@@ -49,25 +47,10 @@ class ServingConfig:
     timeout_seconds: float | None = 30.0
     collect_statistics: bool = True
     subplan_cache: SubplanCache | None = None
-    fused_kernels: bool = True
-    semijoin_pruning: bool = True
     #: Retain each query's final table on its outcome (differential tests
     #: compare served results against the sequential harness); off by
     #: default so large served runs do not pin every result.
     keep_results: bool = False
-    #: Requested intra-query (morsel) parallelism per running query.  The
-    #: server builds ONE shared :class:`~repro.executor.morsels.MorselScheduler`
-    #: for the whole pool, capped so serving workers x morsel workers
-    #: never exceeds :attr:`max_total_threads` -- inter- and intra-query
-    #: parallelism draw from the same budget instead of multiplying.
-    morsel_workers: int = 1
-    #: Rows per morsel for the shared scheduler.  Tests shrink it so the
-    #: small fixture tables still fan out into many morsels.
-    morsel_rows: int = DEFAULT_MORSEL_ROWS
-    #: Thread budget the cap divides between the serving workers.
-    #: ``None`` uses ``max(os.cpu_count(), workers)``; tests override it
-    #: to force a real morsel pool on small machines.
-    max_total_threads: int | None = None
 
 
 @dataclass
@@ -119,22 +102,7 @@ class EngineServer:
         self.config = config or ServingConfig()
         if self.config.workers < 1:
             raise ValueError(f"need >= 1 worker, got {self.config.workers}")
-        if self.config.morsel_workers < 1:
-            raise ValueError(
-                f"need >= 1 morsel worker, got {self.config.morsel_workers}")
         self.database = database
-        # One shared morsel pool for the whole serving pool: every
-        # worker's executor fans intra-query work into the same
-        # scheduler, so total threads stay at workers + morsel_workers
-        # and serving x morsel parallelism cannot oversubscribe the box.
-        budget = self.config.max_total_threads
-        if budget is None:
-            budget = max(os.cpu_count() or 1, self.config.workers)
-        self.morsel_workers = max(
-            1, min(self.config.morsel_workers, budget // self.config.workers))
-        self.morsels = (MorselScheduler(self.morsel_workers,
-                                        morsel_rows=self.config.morsel_rows)
-                        if self.morsel_workers > 1 else None)
         self.queue = AdmissionQueue(self.config.queue_capacity,
                                     self.config.admission)
         self.outcomes: list[QueryOutcome] = []
@@ -195,8 +163,6 @@ class EngineServer:
         self.queue.close()
         for thread in self._threads:
             thread.join()
-        if self.morsels is not None:
-            self.morsels.shutdown()
         if getattr(self, "_serving_marked", False):
             self._serving_marked = False
             self.database.end_serving()
@@ -217,10 +183,7 @@ class EngineServer:
             config.algorithm, session,
             collect_statistics=config.collect_statistics,
             timeout_seconds=config.timeout_seconds,
-            subplan_cache=config.subplan_cache,
-            fused_kernels=config.fused_kernels,
-            semijoin_pruning=config.semijoin_pruning,
-            morsel_scheduler=self.morsels)
+            subplan_cache=config.subplan_cache)
         while True:
             ticket = self.queue.take()
             if ticket is None:

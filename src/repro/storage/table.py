@@ -120,11 +120,11 @@ class DataTable:
         """Materialize column ``name`` at the given row ids.
 
         This is where a selection vector becomes real column *values*:
-        join keys, index-probe residuals, the eager mode.  Dictionary-encoded
-        columns are decoded here -- only for the selected rows.  (The plan
-        root does not come through here for encoded columns: it takes
+        join keys and index-probe residuals.  Dictionary-encoded columns
+        are decoded here -- only for the selected rows.  (The plan root
+        does not come through here for encoded columns: it takes
         ``codes[row_ids]`` and this table's dictionary, see
-        :meth:`repro.executor.chunk.ColumnSource.gather_encoded`.)
+        :meth:`repro.executor.chunk.TableSource.gather_encoded`.)
         """
         selected = self.column(name)[row_ids]
         if name in self.dictionaries:

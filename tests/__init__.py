@@ -1,3 +1,3 @@
-"""Unit/property test package (a real package so test module names are
-namespaced: ``tests.test_morsels`` and ``benchmarks.test_morsels`` may
-share a basename without colliding in pytest's importer)."""
+"""Unit/property test package (a real package so test modules import shared
+helpers as ``tests.<module>`` -- e.g. ``tests.reference_eval`` -- and stay
+namespaced apart from the ``benchmarks`` package in pytest's importer)."""

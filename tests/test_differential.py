@@ -13,6 +13,9 @@ Two acceptance-grade test families for this PR's test subsystem:
   cache enabled.  Counts, group keys, and min/max aggregates must match
   exactly; float sums/averages within 1e-9 relative (different join orders
   legitimately re-associate float additions).
+* **Block boundaries and empty scans** -- the oracle replayed at zone-map
+  block widths that leave ragged final blocks, and scans that zone maps or
+  the dictionary prove empty, with their pruning counters.
 
 The database is a dedicated small movie-ish instance (FK graph with shared
 dimensions, int/float/string columns, clustered and unclustered data) so
@@ -26,9 +29,14 @@ import pytest
 
 from repro.catalog.schema import Column, ForeignKey, Schema, TableSchema
 from repro.catalog.types import DataType
+from repro.executor.executor import Executor
 from repro.executor.subplan_cache import SubplanCache
+from repro.plan.expressions import ColumnRef, Comparison
+from repro.plan.logical import RelationRef
+from repro.plan.physical import PhysicalPlan, ScanNode
 from repro.reopt.registry import REOPT_ALGORITHMS, make_algorithm
 from repro.storage.database import Database, IndexConfig
+from repro.storage.dictionary import translate_filters
 from repro.storage.table import DataTable
 from repro.workloads.sqlgen import (
     AggregateSamplerConfig,
@@ -129,7 +137,7 @@ def diff_db() -> Database:
 
 @pytest.fixture(scope="module")
 def plain_db() -> Database:
-    """The same data with every hot-path acceleration representation off."""
+    """The same data with string columns stored raw (no dictionary)."""
     return build_differential_database(dict_encode=False)
 
 
@@ -144,21 +152,17 @@ def make_stream(db: Database, seed: int = SEED) -> RandomQueryGenerator:
 
 
 class TestDifferentialOracle:
-    @pytest.mark.parametrize("accelerated", [False, True],
-                             ids=["hotpath-off", "hotpath-on"])
+    @pytest.mark.parametrize("dict_encode", [False, True],
+                             ids=["dict-off", "dict-on"])
     def test_200_generated_queries_match_reference(self, diff_db, plain_db,
-                                                   accelerated):
-        """Two passes over the same 200-query stream: the naive engine
-        (raw strings, per-predicate scan loop, no semijoin pushdown) and
-        the full hot path (dictionary codes + fused kernels + Bloom/
-        semijoin pruning) must both match the row-at-a-time oracle --
-        which also makes the two engine configurations transitively
+                                                   dict_encode):
+        """Two passes over the same 200-query stream: raw strings and
+        dictionary codes must both match the row-at-a-time oracle -- which
+        also makes the two string representations transitively
         equivalent on every query."""
-        db = diff_db if accelerated else plain_db
+        db = diff_db if dict_encode else plain_db
         generator = make_stream(db)
-        runner = make_algorithm("Default", db,
-                                fused_kernels=accelerated,
-                                semijoin_pruning=accelerated)
+        runner = make_algorithm("Default", db)
         for index in range(200):
             query = generator.query_at(index)
             expected = reference_execute(db, query)
@@ -168,7 +172,7 @@ class TestDifferentialOracle:
             assert_results_match(
                 expected, actual,
                 context=f"query (seed={SEED}, index={index}, "
-                        f"accelerated={accelerated}) [{query.name}]")
+                        f"dict_encode={dict_encode}) [{query.name}]")
 
     def test_oracle_catches_an_injected_fault(self, diff_db):
         """Sanity: the harness is actually able to fail (no vacuous pass)."""
@@ -208,31 +212,102 @@ class TestDifferentialAfterMutations:
                         f"index={index}) [{query.name}]")
 
 
-class TestMorselDifferential:
-    def test_200_generated_queries_identical_at_1_and_4_workers(self, diff_db):
-        """Two passes over the full 200-query stream: ``workers=1``
-        (inline, no pool) vs. ``workers=4`` over a tiny-morsel scheduler
-        that forces every scan and probe to fan out into many morsels.
-        The merged results must match query by query -- the morsel layer
-        may never change an answer, only its wall-clock."""
-        from repro.executor.morsels import MorselScheduler
+class TestBlockBoundaryOracle:
+    #: Zone-map block widths that do not divide the table sizes (150-700
+    #: rows): one-row blocks, ragged final blocks whose surviving runs
+    #: start and stop mid-table, and one partial block wider than any table.
+    BLOCK_SIZES = (1, 17, 256, 1024)
 
-        generator = make_stream(diff_db)
-        sequential = make_algorithm("Default", diff_db, workers=1)
-        with MorselScheduler(4, morsel_rows=100) as scheduler:
-            parallel = make_algorithm("Default", diff_db,
-                                      morsel_scheduler=scheduler)
-            for index in range(200):
-                query = generator.query_at(index)
-                expected_report = sequential.run(query)
-                actual_report = parallel.run(query)
-                assert not expected_report.timed_out, (SEED, index)
-                assert not actual_report.timed_out, (SEED, index)
-                assert_results_match(
-                    canonicalize_table(expected_report.final_table),
-                    canonicalize_table(actual_report.final_table),
-                    context=f"morsel differential (seed={SEED}, "
-                            f"index={index}, workers=1 vs 4) [{query.name}]")
+    @pytest.mark.parametrize("dict_encode", [False, True],
+                             ids=["dict-off", "dict-on"])
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_generated_queries_match_reference(self, block_size, dict_encode):
+        db = build_differential_database(block_size=block_size,
+                                         dict_encode=dict_encode)
+        generator = make_stream(db, seed=SEED + block_size)
+        runner = make_algorithm("Default", db)
+        for index in range(40):
+            query = generator.query_at(index)
+            report = runner.run(query)
+            assert report.final_table is not None, (block_size, index)
+            assert_results_match(
+                reference_execute(db, query),
+                canonicalize_table(report.final_table),
+                context=f"block_size={block_size}, dict_encode={dict_encode}, "
+                        f"seed={SEED + block_size}, index={index} "
+                        f"[{query.name}]")
+
+
+def _single_scan_plan(table_name: str, filters: tuple) -> PhysicalPlan:
+    return PhysicalPlan(
+        query_name=f"scan-{table_name}",
+        root=ScanNode(relation=RelationRef.base(table_name, table_name),
+                      filters=filters),
+        output_columns=(ColumnRef(table_name, "id"),))
+
+
+class TestScanEdgeCases:
+    #: Conjunctions no row satisfies, decided three different ways.
+    EMPTY_SCANS = {
+        # Every block's year zone lies below the literal.
+        "zone-maps-prune-every-block": (
+            "movie", Comparison(ColumnRef("movie", "year"), ">", 5000)),
+        # The dictionary holds no such string: decided before any read.
+        "dictionary-proves-impossible": (
+            "movie", Comparison(ColumnRef("movie", "kind"), "=",
+                                "no-such-kind")),
+        "float-below-every-zone": (
+            "cast_info", Comparison(ColumnRef("cast_info", "salary"), "<",
+                                    -1.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EMPTY_SCANS))
+    def test_empty_scans_read_no_block(self, diff_db, case):
+        table_name, predicate = self.EMPTY_SCANS[case]
+        result = Executor(diff_db).execute(
+            _single_scan_plan(table_name, (predicate,)))
+        blocks = diff_db.table(table_name).zone_maps.num_blocks
+        assert result.table.num_rows == 0
+        assert result.scan_blocks_total == result.scan_blocks_pruned == blocks
+        assert result.fused_rows_touched == 0
+        impossible = case == "dictionary-proves-impossible"
+        assert result.dict_predicates == int(impossible)
+        assert result.fused_predicates == int(not impossible)
+
+    def test_scan_counters_follow_the_zone_maps(self, diff_db):
+        """A two-predicate scan: the pruning counters equal the zone maps'
+        own verdict, the kernel touches only rows of surviving blocks, and
+        a second execution reports the same counters."""
+        filters = (Comparison(ColumnRef("cast_info", "id"), "<=", 300),
+                   Comparison(ColumnRef("cast_info", "note"), "!=",
+                              "(voice)"))
+        table = diff_db.table("cast_info")
+        zone_maps = table.zone_maps
+        storage_name = lambda ref: ref.column
+        translated, impossible, _ = translate_filters(filters, table,
+                                                      storage_name)
+        assert not impossible
+        survivors = zone_maps.candidate_blocks(translated, storage_name)
+        surviving_rows = sum(
+            zone_maps.block_bounds(block)[1] - zone_maps.block_bounds(block)[0]
+            for block in np.nonzero(survivors)[0])
+        plan = _single_scan_plan("cast_info", filters)
+
+        first = Executor(diff_db).execute(plan)
+        second = Executor(diff_db).execute(plan)
+        assert first.scan_blocks_total == zone_maps.num_blocks
+        assert first.scan_blocks_pruned == zone_maps.num_blocks - survivors.sum()
+        assert 0 < first.scan_blocks_pruned < first.scan_blocks_total
+        assert first.fused_predicates == 2
+        assert surviving_rows <= first.fused_rows_touched < 2 * surviving_rows
+        ids = table.column("id")
+        notes = np.asarray(table.column_values("note"))
+        assert first.table.num_rows == int(((ids <= 300)
+                                            & (notes != "(voice)")).sum())
+        for counter in ("scan_blocks_total", "scan_blocks_pruned",
+                        "fused_rows_touched", "fused_predicates",
+                        "dict_predicates", "materialized_bytes"):
+            assert getattr(first, counter) == getattr(second, counter), counter
 
 
 class TestCrossPolicyEquivalence:
@@ -270,8 +345,7 @@ class TestTpchOracle:
     ROADMAP.md) at a scale the oracle's nested loops finish in seconds:
     string group keys, filters on dictionary codes, temporaries that carry
     codes into the next iteration, and the aggregation kernel on all of
-    them, under the default engine, with every hot-path representation
-    off, and in the eager-materialization mode (no codes past an operator).
+    them, under the default engine and with raw strings and no zone maps.
     """
 
     POLICIES = ("QuerySplit", "Default", "Reopt", "Pop")
@@ -313,17 +387,23 @@ class TestTpchOracle:
 
         plain = build_tpch_database(scale=self.SCALE, dict_encode=False,
                                     block_size=0)
-        runner = make_algorithm(policy, plain, fused_kernels=False,
-                                semijoin_pruning=False)
-        self._check(runner, queries, expected, f"{policy}, hot path off")
+        self._check(make_algorithm(policy, plain), queries, expected,
+                    f"{policy}, hot path off")
 
-    @pytest.mark.parametrize("policy", ("QuerySplit", "Pop"))
-    def test_eager_materialization(self, tpch_db, queries, expected, policy):
-        from repro.executor.executor import Executor
-
-        runner = make_algorithm(policy, tpch_db)
-        runner.executor = Executor(tpch_db, materialization="eager")
-        self._check(runner, queries, expected, f"{policy}, eager")
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_shared_subplan_cache(self, tpch_db, queries, expected, policy):
+        """Two passes through one SubplanCache: every executed subtree,
+        probe-side scans of hash joins included, may be stored and served
+        back, and neither pass may change an answer."""
+        cache = SubplanCache()
+        runner = make_algorithm(policy, tpch_db, subplan_cache=cache)
+        self._check(runner, queries, expected, f"{policy}, cache cold")
+        stored = len(cache)
+        assert stored > 0
+        hits = cache.hits
+        self._check(runner, queries, expected, f"{policy}, cache warm")
+        assert cache.hits > hits
+        assert cache.check_invariants() == []
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_aggregate_folded_into_the_spj_block_is_grouped(

@@ -12,8 +12,8 @@ Three families:
 * **Mutation-equivalence property sweep** -- random append/delete
   sequences applied to a table must leave scans *bit-identical* to a
   database rebuilt from scratch on the surviving rows, across every
-  hot-path toggle combination (zone-map block size, dictionary
-  encoding, fused kernels, semijoin pruning).
+  storage toggle combination (zone-map block size x dictionary
+  encoding).
 """
 
 from __future__ import annotations
@@ -369,22 +369,20 @@ class TestStalenessController:
 # Property sweep: mutated table == from-scratch rebuild, all toggles
 # ----------------------------------------------------------------------
 TOGGLE_COMBOS = [
-    # (block_size, dict_encode, fused_kernels, semijoin_pruning)
-    (64, True, True, True),
-    (0, True, True, True),      # zone maps off
-    (64, False, True, True),    # dictionary encoding off
-    (64, True, False, True),    # fused kernels off
-    (64, True, True, False),    # semijoin pruning off
-    (0, False, False, False),   # everything off
+    # (block_size, dict_encode)
+    (64, True),
+    (0, True),      # zone maps off
+    (64, False),    # dictionary encoding off
+    (0, False),     # both off
+    (17, True),     # ragged blocks: appends extend a partial last block
+    (17, False),
 ]
 
 
 class TestMutationEquivalence:
-    @pytest.mark.parametrize("block_size,dict_encode,fused,semijoin",
-                             TOGGLE_COMBOS)
+    @pytest.mark.parametrize("block_size,dict_encode", TOGGLE_COMBOS)
     def test_mutated_scans_match_from_scratch_rebuild(self, block_size,
-                                                      dict_encode, fused,
-                                                      semijoin):
+                                                      dict_encode):
         """Random append/delete sequences, then every query must return
         bit-identical results on the mutated database and on a database
         rebuilt from scratch over exactly the surviving rows (fresh zone
@@ -397,17 +395,12 @@ class TestMutationEquivalence:
         rebuilt = rebuild_from_live_rows(mutated, block_size, dict_encode)
 
         queries = make_stream(rebuilt, seed=SEED).generate(12)
-        runner_m = make_algorithm("Default", mutated,
-                                  fused_kernels=fused,
-                                  semijoin_pruning=semijoin)
-        runner_r = make_algorithm("Default", rebuilt,
-                                  fused_kernels=fused,
-                                  semijoin_pruning=semijoin)
+        runner_m = make_algorithm("Default", mutated)
+        runner_r = make_algorithm("Default", rebuilt)
         for index, query in enumerate(queries):
             expected = canonicalize_table(runner_r.run(query).final_table)
             actual = canonicalize_table(runner_m.run(query).final_table)
             assert_results_match(
                 expected, actual,
                 context=f"mutated vs rebuilt (block={block_size}, "
-                        f"dict={dict_encode}, fused={fused}, "
-                        f"semijoin={semijoin}, index={index})")
+                        f"dict={dict_encode}, index={index})")

@@ -105,6 +105,110 @@ class TestJoinPrimitives:
         assert len(np.unique(lc)) == 1000
 
 
+def _key_shape(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """One (probe keys, build keys) pair per join-key shape the engine sees."""
+    rng = np.random.default_rng(11)
+    if name == "int-duplicates-both-sides":
+        return rng.integers(0, 10, 60), rng.integers(0, 10, 40)
+    if name == "negative-ints":
+        return rng.integers(-20, 21, 50), rng.integers(-20, 21, 50)
+    if name == "float-keys":
+        pool = np.array([-1.5, 0.0, 0.25, 3.0, 1e9])
+        return pool[rng.integers(0, 5, 40)], pool[rng.integers(0, 5, 30)]
+    if name == "string-keys":
+        pool = np.array(["", "a", "ab", "b", "zz"], dtype=object)
+        return pool[rng.integers(0, 5, 40)], pool[rng.integers(0, 5, 30)]
+    if name == "int32-codes":
+        return (rng.integers(0, 8, 50).astype(np.int32),
+                rng.integers(0, 8, 30).astype(np.int32))
+    if name == "single-hot-key":
+        return np.full(30, 7, dtype=np.int64), np.full(25, 7, dtype=np.int64)
+    if name == "unique-build-side":
+        return rng.integers(1, 60, 80), rng.permutation(np.arange(1, 51))
+    if name == "disjoint":
+        return rng.integers(0, 10, 20), rng.integers(10, 20, 20)
+    if name == "empty-build-side":
+        return rng.integers(0, 10, 20), np.empty(0, dtype=np.int64)
+    if name == "empty-probe-side":
+        return np.empty(0, dtype=np.int64), rng.integers(0, 10, 20)
+    raise ValueError(name)
+
+
+KEY_SHAPES = ("int-duplicates-both-sides", "negative-ints", "float-keys",
+              "string-keys", "int32-codes", "single-hot-key",
+              "unique-build-side", "disjoint", "empty-build-side",
+              "empty-probe-side")
+
+
+class TestEquiJoinOrder:
+    """``equi_join_indices`` is the only match expansion in the engine: the
+    hash, merge and predicate-carrying NL joins all go through it, so its
+    documented output order is what fixes the row order of every join."""
+
+    @pytest.mark.parametrize("shape", KEY_SHAPES)
+    def test_pairs_in_documented_order(self, shape):
+        """Exactly the nested-loop match pairs, probe-major, and within one
+        probe row the build rows in their stable sort order."""
+        left, right = _key_shape(shape)
+        build_order = sorted(range(len(right)), key=lambda j: right[j])
+        expected = [(i, j) for i in range(len(left)) for j in build_order
+                    if left[i] == right[j]]
+        li, ri = equi_join_indices(left, right)
+        assert li.dtype == np.int64 and ri.dtype == np.int64
+        assert list(zip(li.tolist(), ri.tolist())) == expected
+        assert join_result_size(left, right) == len(expected)
+
+
+#: Join predicates between ci (left input) and mk (right input); a pair
+#: written mk-first must be oriented by the operator, not by the caller.
+HASH_JOIN_KEYS = {
+    "one-key": ((("ci", "movie_id"), ("mk", "movie_id")),),
+    "one-key-written-right-first": ((("mk", "movie_id"), ("ci", "movie_id")),),
+    "two-keys": ((("ci", "movie_id"), ("mk", "movie_id")),
+                 (("ci", "person_id"), ("mk", "keyword_id"))),
+    "two-keys-mixed-orientation": ((("ci", "movie_id"), ("mk", "movie_id")),
+                                   (("mk", "keyword_id"), ("ci", "person_id"))),
+}
+
+
+class TestHashJoinOperator:
+    @pytest.mark.parametrize("keys", sorted(HASH_JOIN_KEYS))
+    def test_rows_and_order_match_nested_loop(self, tiny_db, executor, keys):
+        """A HASH join node emits exactly the nested-loop result, probe row
+        by probe row, with each probe row's matches in build-row order."""
+        from repro.plan.physical import JoinNode, PhysicalPlan, ScanNode
+
+        predicates = tuple(JoinPredicate(ColumnRef(*a), ColumnRef(*b))
+                           for a, b in HASH_JOIN_KEYS[keys])
+        note = Comparison(ColumnRef("ci", "note"), "=", "(voice)")
+        join = JoinNode(left=ScanNode(relation=RelationRef.base("ci", "ci"),
+                                      filters=(note,)),
+                        right=ScanNode(relation=RelationRef.base("mk", "mk")),
+                        predicates=predicates, method=JoinMethod.HASH)
+        plan = PhysicalPlan(query_name=keys, root=join,
+                            output_columns=(ColumnRef("ci", "id"),
+                                            ColumnRef("mk", "id")))
+        result = executor.execute(plan)
+
+        ci, mk = tiny_db.table("ci"), tiny_db.table("mk")
+        ci_cols = [ref for pair in HASH_JOIN_KEYS[keys] for ref in pair
+                   if ref[0] == "ci"]
+        mk_cols = [ref for pair in HASH_JOIN_KEYS[keys] for ref in pair
+                   if ref[0] == "mk"]
+        by_key: dict[tuple, list[int]] = {}
+        for j in range(mk.num_rows):
+            key = tuple(int(mk.column(c)[j]) for _, c in mk_cols)
+            by_key.setdefault(key, []).append(int(mk.column("id")[j]))
+        expected = [
+            (int(ci.column("id")[i]), mk_id)
+            for i in np.nonzero(ci.column_values("note") == "(voice)")[0]
+            for mk_id in by_key.get(tuple(int(ci.column(c)[i])
+                                          for _, c in ci_cols), [])]
+        assert expected
+        assert result.join_rows == len(expected)
+        assert result.table.to_rows() == expected
+
+
 @pytest.fixture()
 def executor(tiny_db):
     return Executor(tiny_db)

@@ -1,15 +1,14 @@
-"""Fused-kernel, dictionary-translation, and semijoin pruning correctness.
+"""Fused-kernel and dictionary-translation correctness.
 
-The compiled scan hot path (this PR's tentpole) must be **observationally
-invisible**: every acceleration layer -- selectivity-ordered fused predicate
-evaluation, code-space predicate translation over dictionary-encoded
-strings, and join-side Bloom/semijoin pushdown -- has to produce row-id
-vectors bit-identical to the naive engine it replaces.  The tests here
-check each layer in isolation (property-style sweeps against the naive
-per-predicate conjunction, mirroring ``tests/test_zonemaps.py``) and then
-end to end through the Scan operator and a full hash-join plan, plus the
-two satellite regressions (``InList`` literal coercion and dtype-aware
-ANALYZE null handling).
+The compiled scan hot path must be **observationally invisible**: every
+acceleration layer -- selectivity-ordered fused predicate evaluation and
+code-space predicate translation over dictionary-encoded strings -- has to
+produce row-id vectors bit-identical to the naive engine it replaces.  The
+tests here check each layer in isolation (property-style sweeps against the
+naive per-predicate conjunction, mirroring ``tests/test_zonemaps.py``) and
+then end to end through the Scan operator and a full hash-join plan, plus
+two regressions (``InList`` literal coercion and dtype-aware ANALYZE null
+handling).
 """
 
 from __future__ import annotations
@@ -20,14 +19,7 @@ import pytest
 from repro.catalog.analyze import analyze_columns, analyze_table
 from repro.executor.chunk import MaterializationStats
 from repro.executor.executor import Executor
-from repro.executor.kernels import (
-    EXACT_THRESHOLD,
-    BloomFilter,
-    PredicateCompiler,
-    SemiJoinPredicate,
-    build_semijoin_predicate,
-    selectivity_rank,
-)
+from repro.executor.kernels import PredicateCompiler, selectivity_rank
 from repro.executor.operators import ExecContext, Scan
 from repro.optimizer.optimizer import Optimizer
 from repro.plan.expressions import (
@@ -42,7 +34,7 @@ from repro.plan.expressions import (
     StringPrefix,
 )
 from repro.plan.logical import AggregateSpec, RelationRef, SPJQuery
-from repro.plan.physical import ScanNode
+from repro.plan.physical import JoinMethod, JoinNode, ScanNode
 from repro.catalog.schema import Column, ForeignKey, Schema, TableSchema
 from repro.catalog.types import DataType
 from repro.storage.database import Database, IndexConfig
@@ -122,14 +114,33 @@ class TestFusedKernelEquivalence:
         values = np.arange(100, dtype=np.int64)
         predicates = (Comparison(ColumnRef("t", "a"), "<", 50),
                       Comparison(ColumnRef("t", "a"), ">=", 10))
-        ctx = ExecContext(database=None, stats=MaterializationStats(),
-                          needed=frozenset())
+        ctx = ExecContext(database=None, stats=MaterializationStats())
         positions = PredicateCompiler(predicates).evaluate_range(
             lambda ref: values, 100, ctx)
         assert np.array_equal(positions, np.arange(10, 50))
         # One full pass (100 rows) + one pass over the survivors of the
         # more selective predicate, whichever the ranking ran first.
         assert ctx.fused_rows_touched > 100
+
+    def test_three_predicate_conjunction_touches_fewer_rows(self):
+        """The fused pass evaluates fewer than ``3 x rows`` candidates on a
+        3-predicate conjunction with a selective leading predicate, and
+        selects exactly the naive loop's rows."""
+        rng = np.random.default_rng(SEED + 7)
+        rows = 50_000
+        columns = {"a": rng.integers(0, 1000, rows),
+                   "b": rng.integers(0, 100, rows),
+                   "c": rng.normal(0.0, 1.0, rows)}
+        predicates = (Comparison(ColumnRef("t", "a"), "=", 7),
+                      Comparison(ColumnRef("t", "c"), ">", 0.0),
+                      Comparison(ColumnRef("t", "b"), "<=", 80))
+        resolve = lambda ref: columns[ref.column]
+        ctx = ExecContext(database=None, stats=MaterializationStats())
+        positions = PredicateCompiler(predicates).evaluate_range(
+            resolve, rows, ctx)
+        assert 0 < ctx.fused_rows_touched < 3 * rows
+        assert np.array_equal(positions,
+                              _naive_positions(predicates, resolve, rows))
 
     def test_selectivity_rank_orders_equality_first(self):
         ref = ColumnRef("t", "a")
@@ -203,8 +214,7 @@ class TestDictionaryTranslation:
         assert db.table("s").is_encoded("grp")
         node = ScanNode(relation=RelationRef.base("s", "s"),
                         filters=(Comparison(ColumnRef("s", "grp"), "=", "g_07"),))
-        ctx = ExecContext(database=db, stats=MaterializationStats(),
-                          needed=frozenset())
+        ctx = ExecContext(database=db, stats=MaterializationStats())
         chunk = Scan(node).execute(ctx)
         assert ctx.dict_predicates == 1
         assert ctx.scan_blocks_pruned == (n // per) - 1
@@ -214,8 +224,9 @@ class TestDictionaryTranslation:
 
 class TestScanPathEquivalence:
     def test_scan_row_ids_identical_across_all_toggles(self, tiny_schema):
-        """End to end through Scan: (dict on/off) x (fused on/off) all emit
-        the same selection vector."""
+        """End to end through Scan: dict on and off emit the same selection
+        vector, and both equal the naive per-predicate loop over the raw
+        columns."""
         from tests.conftest import build_tiny_database
 
         filters = (Comparison(ColumnRef("ci", "id"), "<=", 1200),
@@ -223,77 +234,30 @@ class TestScanPathEquivalence:
                    Comparison(ColumnRef("ci", "movie_id"), ">", 3))
         node = ScanNode(relation=RelationRef.base("ci", "ci"), filters=filters)
 
-        def scan_ids(dict_encode, fused):
+        def scan_ids(dict_encode):
             db = build_tiny_database(tiny_schema, dict_encode=dict_encode)
             table = db.table("ci")
             assert table.is_encoded("note") == dict_encode
             table.build_zone_maps(64)
-            ctx = ExecContext(database=db, stats=MaterializationStats(),
-                              needed=frozenset(), fused=fused)
+            ctx = ExecContext(database=db, stats=MaterializationStats())
             chunk = Scan(node).execute(ctx)
             return chunk.sources[0].row_ids, ctx
 
-        baseline, _ = scan_ids(dict_encode=False, fused=False)
+        plain = build_tiny_database(tiny_schema, dict_encode=False).table("ci")
+        baseline = _naive_positions(filters,
+                                    lambda ref: plain.column(ref.column),
+                                    plain.num_rows)
         assert baseline.size > 0
         for dict_encode in (False, True):
-            for fused in (False, True):
-                row_ids, ctx = scan_ids(dict_encode, fused)
-                assert np.array_equal(row_ids, baseline), (dict_encode, fused)
-                if fused:
-                    assert ctx.fused_predicates == len(filters)
-                    assert ctx.fused_rows_touched > 0
+            row_ids, ctx = scan_ids(dict_encode)
+            assert np.array_equal(row_ids, baseline), dict_encode
+            assert ctx.fused_predicates == len(filters)
+            assert ctx.fused_rows_touched > 0
 
 
 # ----------------------------------------------------------------------
-# Bloom filters and semijoin predicates
+# Runtime feedback of a hash-join plan
 # ----------------------------------------------------------------------
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        rng = np.random.default_rng(SEED + 2)
-        keys = rng.integers(-10**12, 10**12, 5000)
-        bloom = BloomFilter(np.unique(keys))
-        assert bloom.contains(keys).all()
-
-    def test_false_positive_rate_is_small(self):
-        rng = np.random.default_rng(SEED + 3)
-        members = np.unique(rng.integers(0, 10**9, 4000))
-        bloom = BloomFilter(members)
-        probes = rng.integers(10**9, 2 * 10**9, 20_000)  # disjoint range
-        assert bloom.contains(probes).mean() < 0.05
-        assert bloom.memory_bytes == bloom.num_bits // 8
-
-
-class TestSemiJoinPredicate:
-    def test_exact_mode_matches_isin(self):
-        rng = np.random.default_rng(SEED + 4)
-        build = rng.integers(0, 200, 150)
-        probe = rng.integers(-50, 250, 3000)
-        pred = build_semijoin_predicate(ColumnRef("f", "k"), build)
-        assert pred.values is not None and pred.bloom is None
-        mask = pred.evaluate(lambda ref: probe)
-        assert np.array_equal(mask, np.isin(probe, build))
-
-    def test_bloom_mode_has_no_false_negatives(self):
-        rng = np.random.default_rng(SEED + 5)
-        build = np.unique(rng.integers(0, 10**8, EXACT_THRESHOLD * 3))
-        assert len(build) > EXACT_THRESHOLD
-        probe = rng.integers(0, 10**8, 5000)
-        pred = build_semijoin_predicate(ColumnRef("f", "k"), build)
-        assert pred.bloom is not None and pred.values is None
-        mask = pred.evaluate(lambda ref: probe)
-        true_mask = np.isin(probe, build)
-        assert (mask | ~true_mask).all()  # never drops a real match
-        # The Between bounds cover the build key range (zone-map pruning).
-        assert pred.low == int(build.min()) and pred.high == int(build.max())
-
-    def test_empty_build_side_matches_nothing_and_prunes_everything(self):
-        pred = build_semijoin_predicate(ColumnRef("f", "k"),
-                                        np.empty(0, dtype=np.int64))
-        probe = np.arange(100)
-        assert not pred.evaluate(lambda ref: probe).any()
-        assert pred.low > pred.high  # unsatisfiable Between: zones prune all
-
-
 SEMI_SCHEMA = Schema([
     TableSchema("dim", [Column("id", DataType.INT),
                         Column("tag", DataType.STRING)], primary_key="id"),
@@ -321,8 +285,11 @@ def _semi_database() -> Database:
     return db
 
 
-class TestSemiJoinEndToEnd:
-    def test_pushdown_prunes_probe_and_preserves_results(self):
+class TestScanFeedback:
+    def test_scan_actual_rows_count_only_its_own_filters(self):
+        """Every executed scan reports, as its runtime feedback, the rows
+        satisfying its own filters -- never a count pruned by its sibling
+        in the join -- and the join result matches brute force."""
         db = _semi_database()
         query = SPJQuery(
             name="semi",
@@ -334,21 +301,65 @@ class TestSemiJoinEndToEnd:
             aggregates=(AggregateSpec("count", None, "row_count"),),
         )
         plan = Optimizer(db).plan(query)
+        result = Executor(db).execute(plan)
 
-        on = Executor(db, semijoin=True).execute(plan)
-        off = Executor(db, semijoin=False).execute(plan)
-        assert on.table.to_rows() == off.table.to_rows()
+        assert isinstance(plan.root, JoinNode)
+        assert plan.root.method is JoinMethod.HASH
+        scans = plan.root.children()
+        assert all(isinstance(scan, ScanNode) for scan in scans)
+        for scan in scans:
+            table = db.table(scan.relation.table_name)
+            expected = _naive_positions(
+                scan.filters, lambda ref: table.column_values(ref.column),
+                table.num_rows).size
+            assert scan.actual_rows == expected, scan.relation.alias
 
-        # Brute-force expected count.
         dim, fact = db.table("dim"), db.table("fact")
         wanted = set(dim.column("id")[
             np.asarray(dim.column_values("tag")) == "x_3"].tolist())
         expected = sum(int(v) in wanted for v in fact.column("dim_id"))
-        assert on.table.to_rows()[0][0] == expected
+        assert result.table.to_rows()[0][0] == expected
+        assert result.semijoin_pruned_rows == 0
 
-        assert on.semijoin_filters == 1
-        assert on.semijoin_pruned_rows > 0
-        assert off.semijoin_filters == 0 and off.semijoin_pruned_rows == 0
+    @pytest.mark.parametrize("dict_encode", [False, True],
+                             ids=["dict-off", "dict-on"])
+    def test_generated_stream_scans_report_own_filter_counts(self,
+                                                             dict_encode):
+        """The same feedback contract over generated join queries, whatever
+        plan shape the optimizer picks: every executed base-table scan's
+        ``actual_rows`` is the number of live rows passing its filters."""
+        from tests.test_differential import (
+            build_differential_database,
+            make_stream,
+        )
+
+        db = build_differential_database(dict_encode=dict_encode)
+        generator = make_stream(db)
+        optimizer, executor = Optimizer(db), Executor(db)
+        checked = 0
+        for index in range(100):
+            query = generator.query_at(index)
+            if not query.is_spj:
+                continue
+            plan = optimizer.plan(query.spj)
+            executor.execute(plan)
+            scans, stack = [], [plan.root]
+            while stack:
+                node = stack.pop()
+                stack.extend(node.children())
+                # An INDEX_NL join probes its inner relation without
+                # running the scan node, which then records no feedback.
+                if isinstance(node, ScanNode) and node.actual_rows is not None:
+                    scans.append(node)
+            for scan in scans:
+                table = db.table(scan.relation.table_name)
+                expected = _naive_positions(
+                    scan.filters,
+                    lambda ref: table.column_values(ref.column),
+                    table.num_rows).size
+                assert scan.actual_rows == expected, (index, scan.relation)
+                checked += 1
+        assert checked >= 60
 
 
 # ----------------------------------------------------------------------

@@ -271,27 +271,18 @@ class TestRealServerSmoke:
         # keep_results defaults off: served runs must not pin result tables.
         assert all(o.report.final_table is None for o in result.outcomes)
 
-    def test_saturated_admission_plus_morsel_pool_no_deadlock(self, db):
-        """Served-under-morsels smoke: a tiny BLOCK admission queue and a
-        shared morsel pool saturated at the same time.  Serving workers
-        block the producer while their queries fan out into the shared
-        scheduler; every arrival must still complete (no deadlock between
-        the admission fence and the morsel pool) and the accounting must
-        conserve every request."""
-        generator = make_stream(db, seed=SEED + 7)
-        queries = generator.generate(24)
-        # All 24 arrivals land almost immediately: the 2-slot queue and
-        # both serving workers saturate from the first moment.
+    def test_saturated_block_admission_completes_every_arrival(self, db):
+        """A 2-slot BLOCK queue and both serving workers saturated from the
+        first moment: the producer blocks on the admission fence while the
+        workers drain it; every arrival must still complete, and the
+        accounting must conserve each request."""
+        queries = make_stream(db, seed=SEED + 7).generate(24)
         arrivals = build_arrivals(uniform_users(4, 500.0, 6), seed=SEED + 7,
                                   max_events=24)
         config = ServingConfig(algorithm="Default", workers=2,
                                queue_capacity=2,
                                admission=AdmissionPolicy.BLOCK,
-                               timeout_seconds=30.0,
-                               morsel_workers=2,
-                               # Force a real pool on a small machine, and
-                               # tiny morsels so the fixture tables fan out.
-                               max_total_threads=4, morsel_rows=64)
+                               timeout_seconds=30.0)
         result = run_served(db, queries, arrivals, config, time_scale=0.01)
         summary = result.summary
         assert summary["offered"] == 24
@@ -300,25 +291,6 @@ class TestRealServerSmoke:
         assert summary["errors"] == 0
         assert summary["timeouts"] == 0
         assert sorted(o.index for o in result.outcomes) == list(range(24))
-
-    def test_morsel_worker_cap_respects_thread_budget(self, db):
-        """workers x morsel_workers may never exceed the thread budget."""
-        from repro.serving.server import EngineServer
-
-        server = EngineServer(db, ServingConfig(
-            workers=3, morsel_workers=8, max_total_threads=6))
-        try:
-            assert server.morsel_workers == 2  # 6 // 3
-            assert server.morsels is not None
-        finally:
-            server.shutdown()
-        capped = EngineServer(db, ServingConfig(
-            workers=4, morsel_workers=8, max_total_threads=4))
-        try:
-            assert capped.morsel_workers == 1  # no budget left -> inline
-            assert capped.morsels is None
-        finally:
-            capped.shutdown()
 
     def test_session_views_isolate_temp_tables(self, db):
         view_a = db.session_view()

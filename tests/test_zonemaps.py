@@ -195,8 +195,7 @@ class TestScanEquivalence:
         def scan_ids(block_size):
             db = build_tiny_database(tiny_schema)
             db.table("ci").build_zone_maps(block_size)
-            ctx = ExecContext(database=db, stats=MaterializationStats(),
-                              needed=frozenset())
+            ctx = ExecContext(database=db, stats=MaterializationStats())
             chunk = Scan(node).execute(ctx)
             return chunk.sources[0].row_ids, ctx
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency check: references resolve, experiments are documented.
 
-Two checks:
+Three checks:
 
 1. Scans the repository's Python sources (docstrings and comments included
    -- the whole file text is searched) and Markdown documents for
@@ -12,6 +12,9 @@ Two checks:
 2. Loads the experiment registry (``repro.experiments.registry``) and fails
    if any registered experiment is not mentioned in EXPERIMENTS.md, so the
    CLI catalogue can never drift from the documentation.
+3. Fails if EXPERIMENTS.md or README.md tells the reader to
+   ``repro.cli run <name>`` for a name the registry does not hold, so a
+   deleted or renamed experiment cannot linger in the docs.
 
 Usage::
 
@@ -32,6 +35,12 @@ SCANNED_DIRS = ("src", "examples", "tests", "benchmarks", "tools")
 #: Tokens that look like a Markdown file reference.  URLs are filtered out
 #: separately; a bare ".md" (empty stem) never matches.
 MD_REFERENCE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b")
+
+#: ``repro.cli run`` followed by its experiment names (flags end the list).
+RUN_COMMAND = re.compile(r"repro\.cli run((?:[ \t]+[A-Za-z_][A-Za-z0-9_]*)+)")
+
+#: Documents whose ``repro.cli run <name>`` lines must name real experiments.
+RUN_DOCUMENTS = ("EXPERIMENTS.md", "README.md")
 
 
 def referencing_files(root: Path) -> list[Path]:
@@ -65,12 +74,12 @@ def find_missing_references(root: Path) -> list[tuple[Path, str]]:
     return missing
 
 
-def find_undocumented_experiments(root: Path) -> list[str]:
-    """Registered experiment names that EXPERIMENTS.md never mentions.
+def _registered_experiments(root: Path):
+    """The registry's experiment names, or the ``ImportError`` message.
 
     Loading the registry imports the ``repro`` package (and therefore
-    numpy); in a bare environment the check reports that clearly instead
-    of dying with a traceback — and still fails, because a green docs
+    numpy); in a bare environment the checks report that clearly instead
+    of dying with a traceback — and still fail, because a green docs
     check must mean the registry was actually compared.
     """
     src = str(root / "src")
@@ -78,12 +87,42 @@ def find_undocumented_experiments(root: Path) -> list[str]:
         sys.path.insert(0, src)
     try:
         from repro.experiments import registry
-        specs = registry.load_all()
+        return set(registry.load_all()), None
     except ImportError as exc:
-        return [f"<registry check could not run: {exc}>"]
+        return None, f"<registry check could not run: {exc}>"
+
+
+def find_undocumented_experiments(root: Path) -> list[str]:
+    """Registered experiment names that EXPERIMENTS.md never mentions."""
+    names, error = _registered_experiments(root)
+    if error:
+        return [error]
     experiments_md = (root / "EXPERIMENTS.md")
     text = experiments_md.read_text(encoding="utf-8") if experiments_md.is_file() else ""
-    return sorted(name for name in specs if name not in text)
+    return sorted(name for name in names if name not in text)
+
+
+def find_stale_run_commands(root: Path,
+                            known: set[str] | None = None
+                            ) -> list[tuple[str, str]]:
+    """``(document, name)`` pairs where a ``repro.cli run <name>`` line in
+    EXPERIMENTS.md or README.md names an unregistered experiment.
+
+    ``known`` overrides the registry's names (tests pass a fixed set).
+    """
+    if known is None:
+        known, error = _registered_experiments(root)
+        if error:
+            return [("<registry>", error)]
+    stale: list[tuple[str, str]] = []
+    for document in RUN_DOCUMENTS:
+        path = root / document
+        if not path.is_file():
+            continue
+        for match in RUN_COMMAND.finditer(path.read_text(encoding="utf-8")):
+            stale.extend((document, name) for name in match.group(1).split()
+                         if name not in known)
+    return stale
 
 
 def main(argv: list[str]) -> int:
@@ -102,10 +141,18 @@ def main(argv: list[str]) -> int:
               "missing from EXPERIMENTS.md:")
         for name in undocumented:
             print(f"  {name}")
+    stale = find_stale_run_commands(root)
+    if stale:
+        failures += 1
+        print(f"docs check FAILED: {len(stale)} 'repro.cli run' command(s) "
+              "name an unregistered experiment:")
+        for document, name in stale:
+            print(f"  {document}: {name}")
     if failures:
         return 1
-    print(f"docs check OK: all Markdown references under {root} resolve and "
-          "every registered experiment is documented in EXPERIMENTS.md")
+    print(f"docs check OK: all Markdown references under {root} resolve, "
+          "every registered experiment is documented in EXPERIMENTS.md, and "
+          "every documented 'repro.cli run' names a registered experiment")
     return 0
 
 
