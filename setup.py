@@ -1,8 +1,9 @@
-"""Legacy setuptools shim.
+"""Metadata-free setuptools shim.
 
-The project metadata lives in ``pyproject.toml``; this file exists only so
-that ``pip install -e .`` works in offline environments that lack the
-``wheel`` package (pip then falls back to ``setup.py develop``).
+The project has no ``pyproject.toml`` or ``setup.cfg``: setuptools' automatic
+discovery finds the single ``repro`` package under ``src/`` and names the
+distribution after it.  This file exists only so that ``pip install -e .``
+works; the tests and examples run from a checkout with ``PYTHONPATH=src``.
 """
 
 from setuptools import setup

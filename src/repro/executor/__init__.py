@@ -2,11 +2,12 @@
 
 The executor evaluates physical plans over the in-memory columnar tables
 with a small operator pipeline (:mod:`repro.executor.operators`): filters
-become boolean masks, equi-joins become sort/searchsorted matching over
-gathered key columns, and index nested-loop joins probe the pre-built sorted
-indexes.  Intermediate results are :class:`~repro.executor.chunk.Chunk`
-selection vectors (one base-table row-id vector per relation); real columns
-are materialized exactly once at the plan root.
+become boolean masks, equi-joins match gathered key columns by direct
+addressing (dense integer keys) or sort/searchsorted, and index nested-loop
+joins probe the pre-built sorted indexes.  Intermediate results are
+:class:`~repro.executor.chunk.Chunk` selection vectors (one base-table
+row-id vector per relation); real columns are materialized exactly once at
+the plan root.
 
 Executed subtrees can be shared across plans, queries, and re-optimization
 policies through the signature-keyed

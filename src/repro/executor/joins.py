@@ -1,10 +1,17 @@
 """Low-level vectorized equi-join primitives.
 
 These helpers compute the matching row-index pairs of an equi-join between
-two key arrays without materializing a hash table in Python: both sides are
-sorted once and matched with ``searchsorted``, which keeps the whole join in
-numpy.  They are shared by the executor's hash / merge / index nested-loop
-join operators and by the true-cardinality oracle.
+two key arrays without materializing a hash table in Python, which keeps the
+whole join in numpy.  They are shared by the executor's hash / merge / index
+nested-loop join operators, the sorted indexes and the true-cardinality
+oracle.
+
+Every join finds, for each probe key, the run of matching build rows as a
+start ``lo`` and a length ``count``, and :func:`expand_matches` flattens the
+runs into index pairs.  Integer build keys whose value span is small
+against their number (:func:`dense_span`) are located by direct addressing
+on ``key - min``; everything else is sorted once and located with
+``searchsorted``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,61 @@ MAX_JOIN_RESULT_ROWS = 40_000_000
 
 class JoinOverflowError(RuntimeError):
     """Raised when an equi-join would materialize more rows than the cap."""
+
+
+def check_match_count(total: int) -> None:
+    """Raise :class:`JoinOverflowError` when ``total`` matches exceed the cap."""
+    if total > MAX_JOIN_RESULT_ROWS:
+        raise JoinOverflowError(
+            f"join would produce {total} rows "
+            f"(cap {MAX_JOIN_RESULT_ROWS}); aborting the query")
+
+
+def dense_span(low: int, high: int, rows: int) -> int:
+    """``high - low + 1`` when ``rows`` integer keys between ``low`` and
+    ``high`` are dense enough to address directly, else 0."""
+    span = high - low + 1
+    return span if span <= 4 * rows + 64 else 0
+
+
+def key_slots(keys: np.ndarray, low: int, span: int) -> np.ndarray:
+    """Each key's slot ``key - low``, or ``span`` for a key outside
+    ``[low, low + span)``.
+
+    The subtraction wraps for keys far from ``low``; viewed unsigned, those
+    and the keys below ``low`` all land at or beyond ``span``.
+    """
+    slots = (keys.astype(np.int64, copy=False) - low).view(np.uint64)
+    return np.minimum(slots, span, out=slots).view(np.int64)
+
+
+def expand_matches(lo: np.ndarray, counts: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten match runs into ``(probe_positions, build_positions)``.
+
+    Probe ``i`` matches the ``counts[i]`` consecutive build positions from
+    ``lo[i]``; the pairs come out probe-major.  More than
+    :data:`MAX_JOIN_RESULT_ROWS` matches raise :class:`JoinOverflowError`
+    before any of them is allocated.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    check_match_count(total)
+    probe_positions = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    # Build positions are the running sum of steps: +1 inside a run, and at
+    # each run's first output the jump from the previous run's last
+    # position.  Summing in place keeps only two full-length arrays alive.
+    runs = np.flatnonzero(counts)
+    run_lo = lo[runs].astype(np.int64)
+    run_counts = counts[runs]
+    jumps = run_lo.copy()
+    jumps[1:] -= run_lo[:-1] + run_counts[:-1] - 1
+    build_positions = np.ones(total, dtype=np.int64)
+    build_positions[np.cumsum(run_counts) - run_counts] = jumps
+    np.cumsum(build_positions, out=build_positions)
+    return probe_positions, build_positions
 
 
 def equi_join_indices(left_keys: np.ndarray,
@@ -36,27 +98,27 @@ def equi_join_indices(left_keys: np.ndarray,
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
 
+    if left_keys.dtype.kind == "i" and right_keys.dtype.kind == "i":
+        low = int(right_keys.min())
+        span = dense_span(low, int(right_keys.max()), len(right_keys))
+        if span:
+            # Direct-address table: slot[key - low] is the right row holding
+            # that key, -1 for none, and slot[span] catches out-of-range keys.
+            slot = np.full(span + 1, -1, dtype=np.int64)
+            slot[right_keys - low] = np.arange(len(right_keys), dtype=np.int64)
+            if np.count_nonzero(slot >= 0) == len(right_keys):  # unique keys
+                rows = slot.take(key_slots(left_keys, low, span))
+                left_idx = np.flatnonzero(rows >= 0)
+                check_match_count(len(left_idx))
+                return left_idx, rows[left_idx]
+
     # Sort the right side once, then locate the matching run of every left key.
     order = np.argsort(right_keys, kind="stable")
     sorted_keys = right_keys[order]
     lo = np.searchsorted(sorted_keys, left_keys, side="left")
-    hi = np.searchsorted(sorted_keys, left_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if total > MAX_JOIN_RESULT_ROWS:
-        raise JoinOverflowError(
-            f"equi-join would produce {total} rows "
-            f"(cap {MAX_JOIN_RESULT_ROWS}); aborting the query")
-
-    left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    right_sorted_pos = np.repeat(lo, counts) + within
-    right_idx = order[right_sorted_pos]
-    return left_idx, right_idx
+    counts = np.searchsorted(sorted_keys, left_keys, side="right") - lo
+    left_idx, sorted_positions = expand_matches(lo, counts)
+    return left_idx, order[sorted_positions]
 
 
 def multi_key_equi_join(left_keys: list[np.ndarray],

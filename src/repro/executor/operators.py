@@ -5,7 +5,7 @@ late-materialized :class:`~repro.executor.chunk.Chunk` inputs:
 
 * :class:`Scan`        -- filtered scan producing a row-id selection vector;
 * :class:`HashJoin`    -- equi-join on gathered key columns (also evaluates
-  MERGE and predicate-carrying NL nodes: the sort/searchsorted kernel in
+  MERGE and predicate-carrying NL nodes: the equi-join kernel in
   :mod:`repro.executor.joins` serves all of them);
 * :class:`IndexNLJoin` -- index nested-loop join probing a sorted index;
 * :class:`CrossProduct`-- predicate-less join (guarded Cartesian product);

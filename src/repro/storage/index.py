@@ -2,10 +2,21 @@
 
 This is the stand-in for the B+tree indexes the paper builds on every primary
 key (and optionally every foreign key) column of the JOB / TPC-H / DSB
-schemas.  An index is a sorted copy of the key column together with the
-permutation that maps sorted positions back to row ids; a batch of probe keys
-is answered with two ``searchsorted`` calls, which is the vectorized analogue
-of repeated B+tree descents.
+schemas.  An index is the permutation that sorts the key column, mapping
+sorted positions back to row ids, plus one of two ways to find the run of
+sorted positions holding a probe key:
+
+* **dense** -- integer keys whose span ``max - min + 1`` is at most about
+  four times their number (every generated primary and foreign key).  A CSR
+  ``starts`` array over ``key - min`` gives each key's run with two gathers;
+  on a unique index a run has length 0 or 1 and needs no expansion.
+* **sorted** -- every other key column keeps the sorted keys, and a batch of
+  probe keys is answered with two ``searchsorted`` calls, the vectorized
+  analogue of repeated B+tree descents.  A probe batch of another dtype kind
+  than a dense index's keys takes this path over the keys rebuilt from
+  ``starts``.
+
+Both paths return the same matches in the same order.
 """
 
 from __future__ import annotations
@@ -24,23 +35,39 @@ class SortedIndex:
 
     def __init__(self, table_name: str, column: str, values: np.ndarray,
                  row_ids: np.ndarray | None = None):
+        from repro.executor.joins import dense_span
+
         self.table_name = table_name
         self.column = column
         order = np.argsort(values, kind="stable")
-        self._sorted_values = values[order]
+        self._dtype = values.dtype
+        self._starts = self._sorted_values = None
+        span = 0
+        if values.dtype.kind == "i" and len(values):
+            self._low = int(values[order[0]])
+            span = dense_span(self._low, int(values[order[-1]]), len(values))
+        if span:
+            # starts[s]..starts[s + 1] is the run of key low + s; the extra
+            # slot ``span`` is empty and takes every out-of-range probe.
+            counts = np.bincount(values - self._low, minlength=span)
+            self._starts = np.zeros(
+                span + 2, dtype=np.int32 if len(values) < 2 ** 31 else np.int64)
+            np.cumsum(counts, dtype=self._starts.dtype, out=self._starts[1:span + 1])
+            self._starts[-1] = len(values)
+            self._unique = bool(counts.max() <= 1)
+        else:
+            self._sorted_values = values[order]
         self._row_ids = (order.astype(np.int64, copy=False) if row_ids is None
                          else np.asarray(row_ids, dtype=np.int64)[order])
 
     @property
     def num_keys(self) -> int:
         """Number of indexed rows."""
-        return len(self._sorted_values)
+        return len(self._row_ids)
 
     def lookup(self, key) -> np.ndarray:
         """Row ids of all rows whose key equals ``key``."""
-        lo = np.searchsorted(self._sorted_values, key, side="left")
-        hi = np.searchsorted(self._sorted_values, key, side="right")
-        return self._row_ids[lo:hi]
+        return self.lookup_batch(np.array([key]))[1]
 
     def lookup_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Probe the index with a batch of keys.
@@ -48,33 +75,33 @@ class SortedIndex:
         Returns ``(probe_positions, row_ids)`` where ``probe_positions[i]`` is
         the position in ``keys`` that matched and ``row_ids[i]`` is the
         matching row in the indexed table.  A probe key with *k* matches
-        contributes *k* entries.
+        contributes *k* entries, in the indexed column's stable sort order;
+        the entries are probe-major.
         """
-        from repro.executor.joins import JoinOverflowError, MAX_JOIN_RESULT_ROWS
+        from repro.executor.joins import check_match_count, expand_matches, key_slots
 
-        lo = np.searchsorted(self._sorted_values, keys, side="left")
-        hi = np.searchsorted(self._sorted_values, keys, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if total > MAX_JOIN_RESULT_ROWS:
-            raise JoinOverflowError(
-                f"index probe would produce {total} rows "
-                f"(cap {MAX_JOIN_RESULT_ROWS}); aborting the query")
-        probe_positions = np.repeat(np.arange(len(keys), dtype=np.int64), counts)
-        # Build the flattened list of matched sorted-positions.
-        offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-        sorted_positions = np.repeat(lo, counts) + within
-        return probe_positions, self._row_ids[sorted_positions]
+        if self._starts is not None and keys.dtype.kind == "i":
+            slots = key_slots(keys, self._low, len(self._starts) - 2)
+            lo = self._starts.take(slots)
+            counts = self._starts.take(slots + 1) - lo
+            if self._unique:
+                hit = np.flatnonzero(counts)
+                check_match_count(len(hit))
+                return hit, self._row_ids.take(lo[hit])
+        else:
+            sorted_values = self._sorted_keys()
+            lo = np.searchsorted(sorted_values, keys, side="left")
+            counts = np.searchsorted(sorted_values, keys, side="right") - lo
+        probe_positions, sorted_positions = expand_matches(lo, counts)
+        return probe_positions, self._row_ids.take(sorted_positions)
 
-    def range_lookup(self, low=None, high=None) -> np.ndarray:
-        """Row ids of all rows with ``low <= key <= high`` (bounds optional)."""
-        lo = 0 if low is None else int(np.searchsorted(self._sorted_values, low, side="left"))
-        hi = (len(self._sorted_values) if high is None
-              else int(np.searchsorted(self._sorted_values, high, side="right")))
-        return self._row_ids[lo:hi]
+    def _sorted_keys(self) -> np.ndarray:
+        """The indexed keys in sorted order, rebuilt from a dense index."""
+        if self._sorted_values is not None:
+            return self._sorted_values
+        span = len(self._starts) - 2
+        return np.repeat(np.arange(self._low, self._low + span, dtype=self._dtype),
+                         np.diff(self._starts[:span + 1]))
 
     def __repr__(self) -> str:
         return f"SortedIndex({self.table_name}.{self.column}, keys={self.num_keys})"

@@ -1,0 +1,210 @@
+"""Index probes and equi-joins against the previous kernels.
+
+``tests/reference_join.py`` holds ``SortedIndex.lookup_batch`` and
+``equi_join_indices`` as they were before dense integer keys were located by
+direct addressing.  Every case here asks for the same arrays -- values,
+order and dtype -- from the dense, dense-unique and sorted paths alike.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.executor import joins
+from repro.executor.joins import JoinOverflowError, equi_join_indices, expand_matches
+from repro.storage.index import SortedIndex
+from tests import reference_join
+from tests.conftest import build_tiny_database
+
+
+def _index_case(name: str) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(indexed values, probe keys, whether the index is dense) per shape."""
+    rng = np.random.default_rng(5)
+    if name == "dense-unique":
+        return rng.permutation(np.arange(1, 2001)), rng.integers(-5, 2010, 900), True
+    if name == "dense-duplicates":
+        return rng.integers(0, 300, 1500), rng.integers(-3, 305, 700), True
+    if name == "dense-with-gaps":
+        values = np.arange(0, 4000, 3)  # span 3x the rows, still dense
+        return rng.permutation(values), rng.integers(-10, 4010, 500), True
+    if name == "sparse":
+        return rng.integers(0, 10 ** 12, 400), rng.integers(0, 10 ** 12, 50), False
+    if name == "sparse-probe-hits":
+        values = rng.integers(-10 ** 9, 10 ** 9, 300)
+        return values, np.concatenate((values[:40], values[:40], [7])), False
+    if name == "negative-keys":
+        return rng.integers(-500, -100, 800), rng.integers(-520, -80, 400), True
+    if name == "probes-beyond-both-ends":
+        probes = np.array([-(2 ** 63), -1, 0, 9, 10, 11, 2 ** 63 - 1, 5, 5])
+        return np.arange(10), probes, True
+    if name == "int32-probes":
+        return (rng.integers(0, 100, 300), rng.integers(-5, 110, 200).astype(np.int32),
+                True)
+    if name == "int32-index":
+        return (rng.integers(0, 100, 300).astype(np.int32), rng.integers(-5, 110, 200),
+                True)
+    if name == "float-probes-into-dense":
+        return np.arange(50), np.array([0.0, 1.5, 3.0, 49.0, 50.0, -1.0]), True
+    if name == "float-keys":
+        pool = np.array([-1.5, 0.0, 0.25, 3.0, 1e9])
+        return pool[rng.integers(0, 5, 60)], pool[rng.integers(0, 5, 40)], False
+    if name == "string-keys":
+        pool = np.array(["", "a", "ab", "b", "zz"], dtype=object)
+        return pool[rng.integers(0, 5, 60)], pool[rng.integers(0, 5, 40)], False
+    if name == "empty-probe":
+        return np.arange(100), np.empty(0, dtype=np.int64), True
+    if name == "empty-index":
+        return np.empty(0, dtype=np.int64), rng.integers(0, 10, 20), False
+    if name == "single-key":
+        return np.array([42]), np.array([41, 42, 43, 42]), True
+    if name == "single-hot-key":
+        return np.full(50, 7), np.array([7, 6, 7, 8]), True
+    raise ValueError(name)
+
+
+INDEX_CASES = ("dense-unique", "dense-duplicates", "dense-with-gaps", "sparse",
+               "sparse-probe-hits", "negative-keys", "probes-beyond-both-ends",
+               "int32-probes", "int32-index", "float-probes-into-dense",
+               "float-keys", "string-keys", "empty-probe", "empty-index",
+               "single-key", "single-hot-key")
+
+
+def _assert_same(got, expected):
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g, e)
+
+
+class TestIndexAgainstReference:
+    @pytest.mark.parametrize("case", INDEX_CASES)
+    def test_lookup_batch_identical(self, case):
+        values, probes, dense = _index_case(case)
+        index = SortedIndex("t", "c", values)
+        # The sorted keys are dropped exactly when the dense path replaces them.
+        assert (index._sorted_values is None) == dense
+        reference = reference_join.SortedIndex("t", "c", values)
+        _assert_same(index.lookup_batch(probes), reference.lookup_batch(probes))
+
+    @pytest.mark.parametrize("case", ("dense-unique", "dense-duplicates", "sparse"))
+    def test_row_ids_map_positions(self, case):
+        """``row_ids=`` relabels positions; the mapping follows every path."""
+        values, probes, _ = _index_case(case)
+        row_ids = np.arange(len(values)) * 3 + 11
+        index = SortedIndex("t", "c", values, row_ids=row_ids)
+        reference = reference_join.SortedIndex("t", "c", values, row_ids=row_ids)
+        _assert_same(index.lookup_batch(probes), reference.lookup_batch(probes))
+
+    @pytest.mark.parametrize("case", ("dense-duplicates", "sparse-probe-hits"))
+    def test_lookup_is_a_one_key_batch(self, case):
+        values, probes, _ = _index_case(case)
+        index = SortedIndex("t", "c", values)
+        reference = reference_join.SortedIndex("t", "c", values)
+        for key in probes[:20]:
+            _assert_same((index.lookup(key),),
+                         (reference.lookup_batch(np.array([key]))[1],))
+
+    def test_mutated_table_indexes_live_rows(self, tiny_schema):
+        db = build_tiny_database(tiny_schema)
+        table = db.table("mk")
+        db.append_rows("mk", {"id": np.arange(9001, 9021),
+                              "movie_id": np.arange(481, 501),
+                              "keyword_id": np.ones(20, dtype=np.int64)})
+        db.delete_rows("mk", np.arange(0, table.num_rows, 7))
+        valid = table.valid_row_ids()
+        probes = np.random.default_rng(2).integers(-2, 515, 600)
+        for column in ("id", "movie_id", "keyword_id"):
+            reference = reference_join.SortedIndex(
+                "mk", column, table.column(column)[valid], row_ids=valid)
+            got = db.index("mk", column).lookup_batch(probes)
+            _assert_same(got, reference.lookup_batch(probes))
+            assert not np.isin(got[1], np.arange(0, table.num_rows, 7)).any()
+
+
+def _join_case(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(probe keys, build keys) per shape; the build side is the right."""
+    rng = np.random.default_rng(9)
+    if name == "dense-unique-build":
+        return rng.integers(-3, 130, 300), rng.permutation(np.arange(120))
+    if name == "dense-duplicate-build":
+        return rng.integers(0, 40, 200), rng.integers(0, 40, 150)
+    if name == "sparse-unique-build":
+        build = rng.choice(10 ** 9, 100, replace=False)
+        return np.concatenate((build[::3], rng.integers(0, 10 ** 9, 30))), build
+    if name == "negative-dense-build":
+        return rng.integers(-70, -20, 90), rng.permutation(np.arange(-60, -30))
+    if name == "extreme-probes":
+        return np.array([-(2 ** 63), 2 ** 63 - 1, 3, 0]), np.arange(5)
+    if name == "int32-probe-int64-build":
+        return rng.integers(0, 60, 80).astype(np.int32), rng.permutation(np.arange(50))
+    if name == "float-keys":
+        pool = np.array([-1.5, 0.0, 0.25, 3.0, 1e9])
+        return pool[rng.integers(0, 5, 40)], pool[rng.integers(0, 5, 30)]
+    if name == "float-probe-int-build":
+        return np.array([0.0, 2.5, 3.0, 70.0]), np.arange(50)
+    if name == "string-keys":
+        pool = np.array(["", "a", "ab", "b", "zz"], dtype=object)
+        return pool[rng.integers(0, 5, 40)], pool[rng.integers(0, 5, 30)]
+    if name == "single-key-build":
+        return np.array([4, 5, 5, 6]), np.array([5])
+    if name == "empty-build":
+        return rng.integers(0, 10, 20), np.empty(0, dtype=np.int64)
+    if name == "empty-probe":
+        return np.empty(0, dtype=np.int64), rng.integers(0, 10, 20)
+    raise ValueError(name)
+
+
+JOIN_CASES = ("dense-unique-build", "dense-duplicate-build", "sparse-unique-build",
+              "negative-dense-build", "extreme-probes", "int32-probe-int64-build",
+              "float-keys", "float-probe-int-build", "string-keys",
+              "single-key-build", "empty-build", "empty-probe")
+
+
+class TestEquiJoinAgainstReference:
+    @pytest.mark.parametrize("case", JOIN_CASES)
+    def test_pairs_identical(self, case):
+        left, right = _join_case(case)
+        _assert_same(equi_join_indices(left, right),
+                     reference_join.equi_join_indices(left, right))
+
+
+class TestOverflow:
+    """Every path checks the match cap before materializing the matches."""
+
+    @pytest.fixture
+    def low_cap(self, monkeypatch):
+        monkeypatch.setattr(joins, "MAX_JOIN_RESULT_ROWS", 1000)
+
+    def test_dense_duplicates_raise_before_allocating(self, low_cap):
+        index = SortedIndex("t", "c", np.zeros(2000, dtype=np.int64))
+        assert index._sorted_values is None
+        probes = np.zeros(1000, dtype=np.int64)  # 2M matches, 16 MB per array
+        tracemalloc.start()
+        try:
+            with pytest.raises(JoinOverflowError):
+                index.lookup_batch(probes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_dense_unique_raises(self, low_cap):
+        index = SortedIndex("t", "c", np.arange(5000))
+        with pytest.raises(JoinOverflowError):
+            index.lookup_batch(np.arange(1001))
+        assert len(index.lookup_batch(np.arange(1000))[0]) == 1000
+
+    def test_sorted_path_raises(self, low_cap):
+        index = SortedIndex("t", "c", np.full(50, 0.5))
+        with pytest.raises(JoinOverflowError):
+            index.lookup_batch(np.full(21, 0.5))
+
+    def test_equi_join_slot_table_raises(self, low_cap):
+        with pytest.raises(JoinOverflowError):
+            equi_join_indices(np.arange(1001) % 10, np.arange(10))
+
+    def test_expand_matches_at_the_cap(self, low_cap):
+        probe, build = expand_matches(np.array([0, 5]), np.array([600, 400]))
+        assert len(probe) == 1000
+        with pytest.raises(JoinOverflowError):
+            expand_matches(np.array([0, 5]), np.array([600, 401]))

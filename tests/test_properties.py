@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) on the core invariants.
 
 * equi-join primitives agree with a brute-force reference on arbitrary key
-  arrays;
+  arrays, and index probes with the previous kernel
+  (``tests/reference_join.py``) on dense and sparse key spans;
 * every QSA strategy produces a covering subquery set for randomly generated
   join queries over the tiny schema (Definition 1);
 * QuerySplit produces the same result as direct plan execution for randomly
@@ -26,6 +27,8 @@ from repro.optimizer.optimizer import Optimizer
 from repro.plan.expressions import ColumnRef, Comparison, JoinPredicate
 from repro.plan.logical import AggregateSpec, Query, RelationRef, SPJQuery
 from repro.plan.similarity import plan_similarity
+from repro.storage.index import SortedIndex
+from tests import reference_join
 from tests.conftest import build_tiny_database
 
 # ----------------------------------------------------------------------
@@ -44,6 +47,22 @@ def test_equi_join_matches_bruteforce(left, right):
                 if lv == rv}
     assert {(int(a), int(b)) for a, b in zip(li, ri)} == expected
     assert join_result_size(left_arr, right_arr) == len(expected)
+
+
+#: Key bounds: the small ones give dense indexes, the large one sparse.
+key_bounds = st.sampled_from((3, 40, 10 ** 12))
+
+
+@given(data=st.data(), bound=key_bounds)
+@settings(max_examples=80, deadline=None)
+def test_index_lookup_matches_reference(data, bound):
+    ints = st.integers(min_value=-bound, max_value=bound)
+    values = np.array(data.draw(st.lists(ints, max_size=80)), dtype=np.int64)
+    probes = np.array(data.draw(st.lists(ints, max_size=60)), dtype=np.int64)
+    got = SortedIndex("t", "c", values).lookup_batch(probes)
+    expected = reference_join.SortedIndex("t", "c", values).lookup_batch(probes)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and np.array_equal(g, e)
 
 
 @given(values=st.lists(st.floats(min_value=-1e6, max_value=1e6,

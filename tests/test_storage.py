@@ -109,13 +109,6 @@ class TestSortedIndex:
         probe_pos, row_ids = index.lookup_batch(np.array([9, 10]))
         assert len(probe_pos) == 0 and len(row_ids) == 0
 
-    def test_range_lookup(self):
-        values = np.arange(100)
-        index = SortedIndex("t", "c", values)
-        assert len(index.range_lookup(10, 19)) == 10
-        assert len(index.range_lookup(None, 9)) == 10
-        assert len(index.range_lookup(90, None)) == 10
-
 
 class TestDatabase:
     def test_load_requires_schema_table(self, tiny_schema):
