@@ -96,17 +96,8 @@ def analyze_table(table, **kwargs) -> TableStats:
     Dictionary-encoded columns are analyzed on their stored codes (no
     column is decoded); statistics such as MCVs still hold real strings,
     equal to those an analysis of the decoded values would give.
-    Mutated tables are analyzed over their **live** rows only (the
-    valid-row mask excludes deleted rows), so a re-ANALYZE after deletes
-    reports the row count and value distribution a rebuilt table would.
     """
-    columns = table.columns
-    num_rows = table.num_rows
-    if getattr(table, "valid_mask", None) is not None:
-        valid = table.valid_row_ids()
-        columns = {name: values[valid] for name, values in columns.items()}
-        num_rows = len(valid)
-    return analyze_columns(columns, num_rows=num_rows,
+    return analyze_columns(table.columns, num_rows=table.num_rows,
                            dictionaries=table.dictionaries, **kwargs)
 
 

@@ -244,11 +244,6 @@ class TableStats:
 
     num_rows: int
     columns: dict[str, ColumnStats] = field(default_factory=dict)
-    #: The table's ``data_epoch`` when these statistics were collected.  The
-    #: dynamic-data subsystem compares it against the table's *current*
-    #: epoch to measure staleness (mutation batches since the last ANALYZE);
-    #: see ``Database.stats_staleness`` and :mod:`repro.dynamic`.
-    analyzed_epoch: int = 0
 
     def column(self, name: str) -> ColumnStats | None:
         """Statistics for ``name`` or ``None`` if the column was never analyzed."""

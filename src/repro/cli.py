@@ -340,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--no-dict-encode", action="store_true",
                          help="disable load-time dictionary encoding of "
                               "string columns")
-    run_cmd.add_argument("--stale", action="store_true",
-                         help="for experiments with a stale-statistics mode "
-                              "(figure15_statistics): drift the data after "
-                              "ANALYZE so the optimizer plans on stale "
-                              "statistics")
     run_cmd.add_argument("--jobs", type=int, default=1,
                          help="worker processes; >1 also shards experiments "
                               "by query family where possible")
@@ -446,8 +441,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             overrides.setdefault(knob, value)
     if args.no_dict_encode:
         overrides.setdefault("dict_encode", False)
-    if args.stale:
-        overrides.setdefault("stale", True)
 
     statuses = run_experiments(
         names, jobs=max(1, args.jobs), results_dir=args.results_dir,

@@ -128,12 +128,8 @@ class Scan(Operator):
                                       np.empty(0, dtype=np.int64)),))
         if not filters:
             # No filters, or every conjunct was tautological: identity
-            # selection, no vector materialized.  Mutated tables with
-            # deleted rows select their live rows explicitly instead (the
-            # valid-row mask is the single source of truth).
-            return Chunk((TableSource(relation, table,
-                                      table.valid_row_ids()
-                                      if table.has_deletes else None),))
+            # selection, no vector materialized.
+            return Chunk((TableSource(relation, table, None),))
 
         kernel = PredicateCompiler(filters)
         ctx.fused_predicates += len(filters)
@@ -154,12 +150,6 @@ class Scan(Operator):
             row_ids = np.empty(0, dtype=np.int64)
         else:
             row_ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if table.has_deletes:
-            # Deleted rows may still satisfy the filters (deletes never
-            # rewrite blocks); drop them from the selection here so every
-            # scan -- zone-pruned or not -- returns exactly the live
-            # matches.
-            row_ids = row_ids[table.valid_mask[row_ids]]
         return Chunk((TableSource(relation, table, row_ids),))
 
     @staticmethod

@@ -25,10 +25,10 @@ Keying rules (see ARCHITECTURE.md for the full discussion):
 * subtrees touching **temporary tables are never cached** -- temp names are
   recycled between queries, so their signatures are not stable;
 * entries larger than ``max_rows`` are not cached (memory bound);
-* entries are evicted LRU beyond ``max_entries``;
-* every entry snapshots the ``data_epoch`` of the base tables it reads at
-  put time; a lookup after any of them mutated drops the entry (counted in
-  ``invalidated``), so served sessions never see pre-mutation rows.
+* entries are evicted LRU beyond ``max_entries``.
+
+Base tables are load-once, so an entry stays valid for the life of the
+database it was computed on: nothing is ever invalidated.
 
 A cache instance is bound to one loaded :class:`~repro.storage.database.Database`
 (signatures name tables, not data): never share one across differently loaded
@@ -79,11 +79,6 @@ def _touches_temp(signature: Signature) -> bool:
     return any(scan[3] for scan in signature[0])
 
 
-def signature_tables(signature: Signature) -> frozenset[str]:
-    """Base-table names a signature's scans read (temps excluded)."""
-    return frozenset(scan[1] for scan in signature[0] if not scan[3])
-
-
 class SubplanCache:
     """LRU cache of executed subtree results keyed by canonical signature.
 
@@ -111,17 +106,12 @@ class SubplanCache:
         self.max_bytes = max_bytes
         self._entries: OrderedDict[Signature, Chunk] = OrderedDict()
         self._entry_bytes: dict[Signature, int] = {}
-        #: Per-entry data-epoch snapshot: ((table, epoch), ...) recorded at
-        #: put time.  A lookup whose tables have moved past their snapshot
-        #: drops the entry instead of serving pre-mutation rows.
-        self._entry_epochs: dict[Signature, tuple[tuple[str, int], ...]] = {}
         self._database = None
         self._lock = threading.RLock()
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
         self.rejected = 0
-        self.invalidated = 0
 
     def bind(self, database) -> None:
         """Bind this cache to one loaded database; reject any other.
@@ -164,11 +154,6 @@ class SubplanCache:
             if chunk is None:
                 self.misses += 1
                 return None
-            if self._stale(signature):
-                self._drop(signature)
-                self.invalidated += 1
-                self.misses += 1
-                return None
             self._entries.move_to_end(signature)
             self.hits += 1
             return chunk
@@ -190,14 +175,12 @@ class SubplanCache:
             if previous is not None:
                 self.total_bytes -= self._entry_bytes[signature]
             self._entry_bytes[signature] = cost
-            self._entry_epochs[signature] = self._epoch_snapshot(signature)
             self.total_bytes += cost
             self._entries.move_to_end(signature)
             while (len(self._entries) > self.max_entries
                    or self.total_bytes > self.max_bytes):
                 evicted_sig, _chunk = self._entries.popitem(last=False)
                 self.total_bytes -= self._entry_bytes.pop(evicted_sig)
-                self._entry_epochs.pop(evicted_sig, None)
 
     def peek(self, signature: Signature) -> Chunk | None:
         """Non-mutating lookup: no hit/miss counters, no LRU promotion.
@@ -208,40 +191,14 @@ class SubplanCache:
         """
         with self._lock:
             try:
-                chunk = self._entries.get(signature)
+                return self._entries.get(signature)
             except TypeError:
                 return None
-            if chunk is not None and self._stale(signature):
-                # Read-only probe: report a miss without mutating the cache
-                # (the next get()/put() on this signature cleans it up).
-                return None
-            return chunk
 
     def lookup_rows(self, signature: Signature) -> int | None:
         """Exact row count of a cached subtree (for cardinality probes)."""
         chunk = self.peek(signature)
         return None if chunk is None else chunk.num_rows
-
-    # ------------------------------------------------------------------
-    # Epoch-based invalidation (the dynamic-data subsystem)
-    # ------------------------------------------------------------------
-    def _epoch_snapshot(self, signature: Signature
-                        ) -> tuple[tuple[str, int], ...]:
-        if self._database is None:
-            return ()
-        return tuple((name, self._database.table_epoch(name))
-                     for name in sorted(signature_tables(signature)))
-
-    def _stale(self, signature: Signature) -> bool:
-        if self._database is None:
-            return False
-        return any(self._database.table_epoch(name) != epoch
-                   for name, epoch in self._entry_epochs.get(signature, ()))
-
-    def _drop(self, signature: Signature) -> None:
-        del self._entries[signature]
-        self.total_bytes -= self._entry_bytes.pop(signature)
-        self._entry_epochs.pop(signature, None)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -260,13 +217,11 @@ class SubplanCache:
         with self._lock:
             self._entries.clear()
             self._entry_bytes.clear()
-            self._entry_epochs.clear()
             self._database = None
             self.total_bytes = 0
             self.hits = 0
             self.misses = 0
             self.rejected = 0
-            self.invalidated = 0
 
     def check_invariants(self) -> list[str]:
         """Every violated structural invariant (empty list = consistent).
@@ -281,8 +236,6 @@ class SubplanCache:
             problems: list[str] = []
             if set(self._entries) != set(self._entry_bytes):
                 problems.append("entry map and byte ledger disagree on keys")
-            if set(self._entries) != set(self._entry_epochs):
-                problems.append("entry map and epoch ledger disagree on keys")
             ledger = sum(self._entry_bytes.values())
             if self.total_bytes != ledger:
                 problems.append(
@@ -298,5 +251,4 @@ class SubplanCache:
     def __repr__(self) -> str:
         return (f"SubplanCache(entries={len(self._entries)}, "
                 f"bytes={self.total_bytes}, hits={self.hits}, "
-                f"misses={self.misses}, rejected={self.rejected}, "
-                f"invalidated={self.invalidated})")
+                f"misses={self.misses}, rejected={self.rejected})")

@@ -6,13 +6,6 @@ count to the optimizer.  The paper's finding: the answer is
 algorithm-dependent -- Reopt/Pop/IEF need the statistics, while Perron19 and
 QuerySplit barely benefit because their subqueries are simple (at most two
 relations, or mostly PK-FK joins whose estimation only needs row counts).
-
-``stale=True`` (CLI ``--stale``) reruns the comparison on a database whose
-largest fact table (``cast_info``) has drifted *after* its load-time
-ANALYZE (:mod:`repro.dynamic.drift`, no re-ANALYZE): the base-table
-statistics are now systematically wrong, so runtime statistics on
-materialized temporaries are the only fresh cardinalities any algorithm
-ever sees -- the setting where collecting them should matter most.
 """
 
 from __future__ import annotations
@@ -20,19 +13,14 @@ from __future__ import annotations
 from repro.bench.artifacts import ExperimentResult, base_summary
 from repro.bench.harness import HarnessConfig, run_workload
 from repro.bench.reporting import format_seconds, format_table
-from repro.dynamic import DriftConfig, DriftStream
 from repro.experiments.registry import experiment
 from repro.report import WorkloadResult
 from repro.reopt.registry import REOPT_ALGORITHMS
 from repro.storage.database import IndexConfig
 from repro.workloads import dbcache
-from repro.workloads.imdb import build_imdb_database
 from repro.workloads.job_queries import JOB_FAMILY_NUMBERS, job_queries
 
 PAPER_ARTIFACT = "Figure 15 (statistics collection on/off)"
-
-#: The fact table the stale mode drifts (JOB's largest).
-STALE_FACT_TABLE = "cast_info"
 
 
 @experiment(artifact=PAPER_ARTIFACT, shard_param="families",
@@ -40,37 +28,13 @@ STALE_FACT_TABLE = "cast_info"
 def run(scale: float = 1.0, families: list[int] | None = None,
         algorithms: tuple[str, ...] = REOPT_ALGORITHMS,
         timeout_seconds: float = 30.0,
-        stale: bool = False, drift_steps: int = 4, drift_rate: float = 0.25,
-        seed: int = 7,
         verbose: bool = True) -> ExperimentResult:
     """Run each algorithm with and without statistics collection.
 
     ``result.data`` maps ``(algorithm, collect_statistics)`` to the
-    corresponding :class:`~repro.report.WorkloadResult`.  With
-    ``stale=True`` the database is drifted (``drift_steps`` batches of
-    ``drift_rate`` x the fact table's rows each, plus deletes) after
-    ANALYZE and never re-ANALYZEd; ``summary["staleness"]`` records the
-    pending mutation batches per table.
+    corresponding :class:`~repro.report.WorkloadResult`.
     """
-    staleness: dict[str, int] = {}
-    if stale:
-        # Private build -- the shared dbcache instance must not be mutated.
-        database = build_imdb_database(scale=scale,
-                                       index_config=IndexConfig.PK_FK)
-        fact_rows = database.table(STALE_FACT_TABLE).num_rows
-        stream = DriftStream(
-            database,
-            DriftConfig(fact_table=STALE_FACT_TABLE,
-                        append_rows=max(1, int(round(drift_rate * fact_rows))),
-                        delete_fraction=0.02),
-            seed=seed)
-        stream.run(drift_steps)
-        staleness = {name: database.stats_staleness(name)
-                     for name in database.base_table_names
-                     if database.stats_staleness(name)}
-    else:
-        database = dbcache.build("imdb", scale=scale,
-                                 index_config=IndexConfig.PK_FK)
+    database = dbcache.build("imdb", scale=scale, index_config=IndexConfig.PK_FK)
     queries = job_queries(families=families)
 
     results: dict[tuple[str, bool], WorkloadResult] = {}
@@ -98,16 +62,13 @@ def run(scale: float = 1.0, families: list[int] | None = None,
         artifact=PAPER_ARTIFACT,
         params={"scale": scale, "families": families,
                 "algorithms": list(algorithms),
-                "timeout_seconds": timeout_seconds,
-                "stale": stale, "drift_steps": drift_steps,
-                "drift_rate": drift_rate, "seed": seed},
+                "timeout_seconds": timeout_seconds},
         data=results,
         workloads=workloads,
-        summary={**base_summary(workloads), "staleness": staleness},
+        summary=base_summary(workloads),
         tables=[format_table(
             ["Algorithm", "With statistics", "Row count only"], rows,
-            title="Figure 15: JOB time with and without runtime statistics"
-                  + (" (stale base statistics)" if stale else ""))],
+            title="Figure 15: JOB time with and without runtime statistics")],
     )
     if verbose:
         print(outcome.render())

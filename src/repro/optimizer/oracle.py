@@ -77,7 +77,6 @@ class TrueCardinalityOracle:
         #: which columns to keep in cached components so that larger subsets
         #: can be built incrementally from smaller cached ones.
         self._known_preds: dict[str, set[JoinPredicate]] = {}
-        self._seen_epoch = database.data_epoch
         self.executions = 0
         self.subplan_hits = 0
 
@@ -89,12 +88,6 @@ class TrueCardinalityOracle:
                   join_predicates: tuple[JoinPredicate, ...],
                   query_name: str = "") -> float:
         """Exact number of rows produced by the sub-join."""
-        epoch = self.database.data_epoch
-        if epoch != self._seen_epoch:
-            # The data moved underneath the memoized counts (a mutation
-            # batch landed): every cached cardinality is void.
-            self.reset()
-            self._seen_epoch = epoch
         key = (query_name, frozenset(r.alias for r in relations))
         cached = self._count_cache.get(key)
         if cached is not None:
@@ -245,15 +238,16 @@ class TrueCardinalityOracle:
                 return table.column_values(ref.qualified)
             return table.column_values(ref.column)
 
-        if relation_filters:
-            mask = relation_filters[0].evaluate(resolve)
-            for pred in relation_filters[1:]:
-                mask = mask & pred.evaluate(resolve)
-            if table.has_deletes:
-                mask = mask & table.valid_mask
-            indices = np.nonzero(mask)[0]
-        else:
-            indices = table.valid_row_ids()
+        if not relation_filters:
+            # Components never write their columns, so an unfiltered
+            # relation can share the table's arrays.
+            return _Component(relation.covered_aliases,
+                              {ref: resolve(ref) for ref in needed},
+                              table.num_rows)
+        mask = relation_filters[0].evaluate(resolve)
+        for pred in relation_filters[1:]:
+            mask = mask & pred.evaluate(resolve)
+        indices = np.nonzero(mask)[0]
         columns = {ref: resolve(ref)[indices] for ref in needed}
         return _Component(relation.covered_aliases, columns, len(indices))
 

@@ -108,7 +108,6 @@ class EngineServer:
         self.outcomes: list[QueryOutcome] = []
         self._outcome_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
-        self._serving_marked = False
         self._epoch = time.perf_counter()
 
     # ------------------------------------------------------------------
@@ -123,17 +122,9 @@ class EngineServer:
         self._epoch = time.perf_counter()
 
     def start(self) -> None:
-        """Spawn the worker pool.
-
-        Marks the database as serving first: base-table mutations raise
-        :class:`~repro.storage.database.MutationError` until
-        :meth:`shutdown`, since in-flight workers hold row-id selections
-        into the shared column arrays.
-        """
+        """Spawn the worker pool."""
         if self._threads:
             raise RuntimeError("EngineServer already started")
-        self.database.begin_serving()
-        self._serving_marked = True
         for worker_id in range(self.config.workers):
             thread = threading.Thread(target=self._worker_loop,
                                       args=(worker_id,),
@@ -154,18 +145,10 @@ class EngineServer:
         return False
 
     def shutdown(self) -> list[QueryOutcome]:
-        """Close admission, drain the queue, join workers, return outcomes.
-
-        Releases the serving fence taken by :meth:`start` once every
-        worker has exited (idempotent: a second shutdown is a no-op for
-        the fence).
-        """
+        """Close admission, drain the queue, join workers, return outcomes."""
         self.queue.close()
         for thread in self._threads:
             thread.join()
-        if getattr(self, "_serving_marked", False):
-            self._serving_marked = False
-            self.database.end_serving()
         with self._outcome_lock:
             return sorted(self.outcomes, key=lambda o: o.index)
 

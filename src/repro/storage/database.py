@@ -5,14 +5,16 @@ It corresponds to a loaded PostgreSQL instance in the paper's experiments: the
 base tables of a benchmark (JOB / TPC-H / DSB), their ANALYZE statistics, the
 B+tree indexes built on primary-key (and optionally foreign-key) columns, and
 the temporary tables created while a re-optimization algorithm runs.
+
+Base tables are load-once: :meth:`Database.load_table` encodes, analyzes,
+indexes and zone-maps a table, and nothing writes to it afterwards.  Only
+the temporary namespace changes while queries run.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.catalog.analyze import analyze_table
 from repro.catalog.schema import Schema
@@ -28,17 +30,6 @@ class IndexConfig(enum.Enum):
     PK_ONLY = "pk"
     PK_FK = "pk+fk"
     NONE = "none"
-
-
-class MutationError(RuntimeError):
-    """A base-table mutation was attempted in a state that forbids it.
-
-    Raised when mutating through a :meth:`Database.session_view` (views
-    share tables by reference; mutations must go through the origin) or
-    while serving sessions are live (:meth:`Database.begin_serving` /
-    :meth:`Database.end_serving` fence the window in which shared-by-
-    reference tables would be silently corrupted under in-flight scans).
-    """
 
 
 @dataclass
@@ -78,12 +69,6 @@ class Database:
         self._indexes: dict[tuple[str, str], SortedIndex] = {}
         self._temp_tables: dict[str, TempTableEntry] = {}
         self._temp_counter = 0
-        #: Live serving sessions (see :meth:`begin_serving`): while > 0,
-        #: base-table mutations raise :class:`MutationError`.
-        self._serving_sessions = 0
-        #: Callbacks ``listener(table_name)`` fired after every mutation
-        #: batch (the re-ANALYZE policies hook in here).
-        self._mutation_listeners: list = []
         #: The database whose loaded data this instance exposes.  For a
         #: directly loaded database this is ``self``; a :meth:`session_view`
         #: shares its parent's origin, so consumers that must not be shared
@@ -110,7 +95,6 @@ class Database:
             self._stats[table.name] = analyze_table(table)
         else:
             self._stats[table.name] = TableStats.row_count_only(table.num_rows)
-        self._stats[table.name].analyzed_epoch = table.data_epoch
         self._build_indexes(table)
         table.build_zone_maps(self.block_size)
 
@@ -130,14 +114,8 @@ class Database:
         """Build the indexes mandated by the current :class:`IndexConfig`."""
         for column in self._indexed_columns(table.name):
             if table.has_column(column) and not table.is_encoded(column):
-                if table.has_deletes:
-                    valid = table.valid_row_ids()
-                    self._indexes[(table.name, column)] = SortedIndex(
-                        table.name, column, table.column(column)[valid],
-                        row_ids=valid)
-                else:
-                    self._indexes[(table.name, column)] = SortedIndex(
-                        table.name, column, table.column(column))
+                self._indexes[(table.name, column)] = SortedIndex(
+                    table.name, column, table.column(column))
 
     def table(self, name: str) -> DataTable:
         """Look up a base or temporary table by name."""
@@ -167,133 +145,6 @@ class Database:
     def base_table_names(self) -> list[str]:
         """Names of all loaded base tables."""
         return list(self._tables)
-
-    # ------------------------------------------------------------------
-    # Mutations + statistics staleness (the dynamic-data subsystem; see
-    # ARCHITECTURE.md "Dynamic data")
-    # ------------------------------------------------------------------
-    def append_rows(self, table_name: str, rows, analyze: bool = False) -> int:
-        """Append a batch of rows to a loaded base table.
-
-        Delegates to :meth:`DataTable.append_rows
-        <repro.storage.table.DataTable.append_rows>` (incremental zone maps
-        + dictionary growth), rebuilds the table's sorted indexes over its
-        live rows, and fires the mutation listeners.  Statistics are **not**
-        refreshed unless ``analyze=True`` -- going stale is the point of the
-        subsystem; re-ANALYZE is a policy decision
-        (:class:`~repro.dynamic.staleness.StalenessController`).  Raises
-        :class:`MutationError` through a session view or while serving.
-        """
-        table = self._mutable_table(table_name)
-        count = table.append_rows(rows)
-        self._after_mutation(table, analyze)
-        return count
-
-    def delete_rows(self, table_name: str, row_ids, analyze: bool = False) -> int:
-        """Mark rows of a loaded base table deleted (valid-row mask).
-
-        Same maintenance and fencing contract as :meth:`append_rows`.
-        """
-        table = self._mutable_table(table_name)
-        count = table.delete_rows(row_ids)
-        self._after_mutation(table, analyze)
-        return count
-
-    def _mutable_table(self, table_name: str) -> DataTable:
-        if self.origin is not self:
-            raise MutationError(
-                "base-table mutations must go through the origin database, "
-                "not a session view (views share loaded tables by reference)")
-        if self._serving_sessions:
-            raise MutationError(
-                f"cannot mutate base table {table_name!r} while "
-                f"{self._serving_sessions} serving session(s) are live; shut "
-                "the server down (EngineServer.shutdown) before mutating")
-        if table_name not in self._tables:
-            raise KeyError(f"no base table named {table_name!r} is loaded")
-        return self._tables[table_name]
-
-    def _after_mutation(self, table: DataTable, analyze: bool) -> None:
-        self._rebuild_indexes(table)
-        if analyze:
-            self.analyze(table.name)
-        for listener in list(self._mutation_listeners):
-            listener(table.name)
-
-    def _rebuild_indexes(self, table: DataTable) -> None:
-        """Rebuild the table's existing sorted indexes over its live rows."""
-        for column in self._indexed_columns(table.name):
-            if (table.name, column) not in self._indexes:
-                continue
-            if table.has_deletes:
-                valid = table.valid_row_ids()
-                self._indexes[(table.name, column)] = SortedIndex(
-                    table.name, column, table.column(column)[valid],
-                    row_ids=valid)
-            else:
-                self._indexes[(table.name, column)] = SortedIndex(
-                    table.name, column, table.column(column))
-
-    def analyze(self, table_name: str) -> TableStats:
-        """Re-ANALYZE one base table over its live rows.
-
-        The refreshed statistics are stamped with the table's current
-        :attr:`~repro.storage.table.DataTable.data_epoch`, which is what
-        makes staleness (:meth:`stats_staleness`) observable per table.
-        """
-        if self.origin is not self:
-            raise MutationError(
-                "ANALYZE must go through the origin database, not a "
-                "session view")
-        if table_name not in self._tables:
-            raise KeyError(f"no base table named {table_name!r} is loaded")
-        table = self._tables[table_name]
-        stats = analyze_table(table)
-        stats.analyzed_epoch = table.data_epoch
-        self._stats[table_name] = stats
-        return stats
-
-    def table_epoch(self, name: str) -> int:
-        """Mutation counter of one base table (0 for unknown/temp names)."""
-        table = self._tables.get(name)
-        return 0 if table is None else table.data_epoch
-
-    @property
-    def data_epoch(self) -> int:
-        """Total mutation batches applied across all loaded base tables.
-
-        Consistent across session views and index-config clones because
-        the counter lives on the shared :class:`DataTable` objects.
-        """
-        return sum(table.data_epoch for table in self._tables.values())
-
-    def stats_staleness(self, table_name: str) -> int:
-        """Mutation batches applied to ``table_name`` since its last ANALYZE."""
-        if table_name not in self._tables:
-            raise KeyError(f"no base table named {table_name!r} is loaded")
-        return (self._tables[table_name].data_epoch
-                - self._stats[table_name].analyzed_epoch)
-
-    def add_mutation_listener(self, listener) -> None:
-        """Register ``listener(table_name)`` to run after every mutation."""
-        self.origin._mutation_listeners.append(listener)
-
-    def remove_mutation_listener(self, listener) -> None:
-        """Unregister a mutation listener (no-op when absent)."""
-        try:
-            self.origin._mutation_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def begin_serving(self) -> None:
-        """Mark one serving session live: mutations raise until it ends."""
-        self.origin._serving_sessions += 1
-
-    def end_serving(self) -> None:
-        """Release one serving session taken by :meth:`begin_serving`."""
-        if self.origin._serving_sessions <= 0:
-            raise RuntimeError("end_serving() without a matching begin_serving()")
-        self.origin._serving_sessions -= 1
 
     # ------------------------------------------------------------------
     # Index access
@@ -352,10 +203,8 @@ class Database:
         shares the loaded base tables, statistics, and indexes **by
         reference** but keeps its own temporary namespace, so each serving
         worker executes against its own view while paying zero data-copy
-        cost.  The sharing is safe because mutations are fenced: views
-        refuse :meth:`append_rows` / :meth:`delete_rows` outright, and the
-        origin refuses them while serving sessions are live
-        (:class:`MutationError` in both cases).
+        cost.  The sharing is safe because base tables are load-once:
+        nothing writes to them after :meth:`load_table`.
 
         Views share :attr:`origin` with their parent, which is how the
         (lock-protected) subplan cache recognizes that chunks cached through
@@ -372,10 +221,6 @@ class Database:
         view._indexes = self._indexes
         view._temp_tables = {}
         view._temp_counter = 0
-        # Mutation state lives on the origin: views reject mutations
-        # outright (see MutationError), so these stay inert.
-        view._serving_sessions = 0
-        view._mutation_listeners = []
         view.origin = self.origin
         return view
 

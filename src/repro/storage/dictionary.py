@@ -33,9 +33,8 @@ values (:meth:`DataTable.column_values
 <repro.storage.table.DataTable.column_values>` / ``to_rows``: the result
 checkers, the true-cardinality oracle, the differential-test oracle).
 ANALYZE (:mod:`repro.catalog.analyze`) reads the codes: the dictionary is
-sorted -- :func:`encode_append` keeps it so -- hence code order is value
-order, and only the few MCV winners are looked up, so statistics still hold
-real strings.
+sorted, hence code order is value order, and only the few MCV winners are
+looked up, so statistics still hold real strings.
 
 The :func:`null_mask` helper is the single dtype-aware null test shared by
 the encoder and by ANALYZE (``None`` for object columns, ``NaN`` for
@@ -125,56 +124,6 @@ def decode_lookup(dictionary: np.ndarray) -> np.ndarray:
     lookup[:len(dictionary)] = dictionary
     lookup[len(dictionary)] = None
     return lookup
-
-
-def encode_append(codes: np.ndarray, dictionary: np.ndarray,
-                  values: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Encode appended ``values`` against an existing sorted dictionary.
-
-    Returns ``(old_codes, new_codes, dictionary, remapped)``.  When every
-    appended non-null value is already in the dictionary, ``old_codes`` and
-    ``dictionary`` come back unchanged (``remapped`` is False) and only the
-    appended batch is encoded.  Unseen strings grow the dictionary: the new
-    dictionary is the sorted union of old and new values, and ``old_codes``
-    are rewritten through the old-to-new position map.  Because both
-    dictionaries are sorted, that map is **monotone**, so every code-space
-    property the scan path relies on (order-preserving comparisons, numeric
-    zone pruning) survives the growth; zone maps over the code array must
-    still be rebuilt by the caller since the stored codes changed.
-
-    Appended non-null values that are not plain strings raise ``TypeError``
-    (they would break the dictionary's total order).
-    """
-    values = np.asarray(values, dtype=object)
-    nulls = null_mask(values)
-    non_null = values[~nulls]
-    if len(non_null) and not all(isinstance(v, str) for v in non_null):
-        raise TypeError(
-            "appended values for a dictionary-encoded column must be "
-            "strings or None")
-    distinct = np.unique(non_null).astype(object)
-    pos = np.searchsorted(dictionary, distinct, side="left")
-    present = np.array(
-        [p < len(dictionary) and dictionary[p] == v
-         for p, v in zip(pos, distinct)], dtype=bool)
-
-    def _encode(target: np.ndarray) -> np.ndarray:
-        out = np.full(len(values), NULL_CODE, dtype=np.int32)
-        if len(non_null):
-            out[~nulls] = np.searchsorted(target, non_null).astype(np.int32)
-        return out
-
-    if bool(present.all()):
-        return codes, _encode(dictionary), dictionary, False
-    merged = np.unique(
-        np.concatenate([dictionary, distinct[~present]])).astype(object)
-    mapping = np.searchsorted(merged, dictionary).astype(np.int32)
-    # One extra slot so the NULL code (-1) maps to itself.
-    remap = np.empty(len(mapping) + 1, dtype=np.int32)
-    remap[:len(mapping)] = mapping
-    remap[len(mapping)] = NULL_CODE
-    return remap[codes], _encode(merged), merged, True
 
 
 # ----------------------------------------------------------------------

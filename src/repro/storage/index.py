@@ -25,16 +25,9 @@ import numpy as np
 
 
 class SortedIndex:
-    """A sorted secondary index over one column of a table.
+    """A sorted secondary index over one column of a table."""
 
-    ``row_ids`` optionally maps positions of ``values`` back to physical
-    row ids -- the dynamic-data path rebuilds indexes over only the *live*
-    rows of a mutated table (``values = column[valid]``,
-    ``row_ids = valid``), so probes never surface deleted rows.
-    """
-
-    def __init__(self, table_name: str, column: str, values: np.ndarray,
-                 row_ids: np.ndarray | None = None):
+    def __init__(self, table_name: str, column: str, values: np.ndarray):
         from repro.executor.joins import dense_span
 
         self.table_name = table_name
@@ -57,8 +50,7 @@ class SortedIndex:
             self._unique = bool(counts.max() <= 1)
         else:
             self._sorted_values = values[order]
-        self._row_ids = (order.astype(np.int64, copy=False) if row_ids is None
-                         else np.asarray(row_ids, dtype=np.int64)[order])
+        self._row_ids = order.astype(np.int64, copy=False)
 
     @property
     def num_keys(self) -> int:

@@ -15,13 +15,8 @@ zone maps to skip whole blocks whose summary proves no row can satisfy the
 pushed-down filters; tables without zone maps (temporaries, or a database
 loaded with ``block_size=0``) are scanned in full exactly as before.
 
-Base tables are additionally **mutable** through the dynamic-data subsystem
-(see ARCHITECTURE.md "Dynamic data"): :meth:`DataTable.append_rows` grows
-the table (incrementally extending zone maps and dictionaries) and
-:meth:`DataTable.delete_rows` marks rows dead in a valid-row mask without
-rewriting any block.  Every mutation bumps :attr:`DataTable.data_epoch`,
-the counter the executor's subplan cache and the statistics-staleness
-machinery key invalidation on.
+Tables are never written after they are loaded, so zone maps,
+dictionaries and indexes stay valid for a table's lifetime.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.storage.dictionary import decode_lookup, encode_append, encode_column
+from repro.storage.dictionary import decode_lookup, encode_column
 from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE, TableZoneMaps
 
 
@@ -38,11 +33,10 @@ from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE, TableZoneMaps
 class DataTable:
     """A columnar, in-memory table.
 
-    Temporaries produced by the executor are immutable; loaded base tables
-    may additionally be mutated through :meth:`append_rows` /
-    :meth:`delete_rows` (normally via the
-    :class:`~repro.storage.database.Database` entry points, which also
-    maintain indexes and fence serving sessions).
+    Tables are immutable once built.  A base table's storage changes only
+    while :meth:`Database.load_table
+    <repro.storage.database.Database.load_table>` loads it
+    (:meth:`encode_strings`, :meth:`build_zone_maps`).
 
     Parameters
     ----------
@@ -81,14 +75,6 @@ class DataTable:
         #: Columns whose dictionary this table built (:meth:`encode_strings`)
         #: rather than borrowed; only those are charged to its memory.
         self._owned_dictionaries: set[str] = set()
-        #: Valid-row mask (``None`` = every physical row is live).  Deletes
-        #: never rewrite column data or zones; this mask is the single
-        #: source of truth that every scan path intersects.
-        self.valid_mask: np.ndarray | None = None
-        #: Mutation counter: bumped once per append/delete batch.
-        self.data_epoch: int = 0
-        self._num_deleted: int = 0
-        self._valid_ids: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -200,109 +186,6 @@ class DataTable:
         return self.zone_maps
 
     # ------------------------------------------------------------------
-    # Mutations (the dynamic-data subsystem; see ARCHITECTURE.md)
-    # ------------------------------------------------------------------
-    @property
-    def has_deletes(self) -> bool:
-        """True once any row has been deleted (a valid-row mask exists)."""
-        return self.valid_mask is not None
-
-    @property
-    def num_valid_rows(self) -> int:
-        """Number of live rows (physical rows minus deleted ones)."""
-        return self.num_rows - self._num_deleted
-
-    def valid_row_ids(self) -> np.ndarray:
-        """Physical row ids of the live rows, in order (cached)."""
-        if self.valid_mask is None:
-            return np.arange(self.num_rows, dtype=np.int64)
-        if self._valid_ids is None:
-            self._valid_ids = np.nonzero(self.valid_mask)[0].astype(
-                np.int64, copy=False)
-        return self._valid_ids
-
-    def append_rows(self, rows: dict[str, np.ndarray]) -> int:
-        """Append a batch of rows; returns the number of rows appended.
-
-        ``rows`` must provide exactly this table's columns.  Dictionary-
-        encoded columns take raw string-or-``None`` values: unseen strings
-        grow the dictionary through the monotone sorted-union remap of
-        :func:`~repro.storage.dictionary.encode_append`, so order-preserving
-        predicate translation keeps working.  Zone maps are maintained
-        incrementally -- existing full blocks keep their zones, only the
-        partial tail block and the new blocks are recomputed (columns whose
-        codes were remapped are re-zoned in full).  Bumps
-        :attr:`data_epoch`.
-        """
-        if set(rows) != set(self.columns):
-            raise ValueError(
-                f"append to {self.name!r} must provide exactly columns "
-                f"{sorted(self.columns)}, got {sorted(rows)}")
-        counts = {len(np.asarray(values)) for values in rows.values()}
-        if len(counts) > 1:
-            raise ValueError(
-                f"appended columns for {self.name!r} have differing "
-                f"lengths: {counts}")
-        count = counts.pop() if counts else 0
-        if count == 0:
-            return 0
-        remapped: set[str] = set()
-        for name, stored in list(self.columns.items()):
-            incoming = np.asarray(rows[name])
-            if name in self.dictionaries:
-                old_codes, new_codes, dictionary, grew = encode_append(
-                    stored, self.dictionaries[name], incoming)
-                if grew:
-                    remapped.add(name)
-                    self.dictionaries[name] = dictionary
-                self.columns[name] = np.concatenate([old_codes, new_codes])
-            else:
-                # Pin the column's dtype: silently promoting (say) int64 to
-                # float64 would change predicate semantics table-wide.
-                if stored.dtype == object:
-                    incoming = incoming.astype(object)
-                else:
-                    incoming = incoming.astype(stored.dtype, copy=False)
-                self.columns[name] = np.concatenate([stored, incoming])
-        if self.valid_mask is not None:
-            self.valid_mask = np.concatenate(
-                [self.valid_mask, np.ones(count, dtype=bool)])
-        self._decoded.clear()
-        self._valid_ids = None
-        if self.zone_maps is not None:
-            self.zone_maps = self.zone_maps.extended(self.columns,
-                                                     rebuild=remapped)
-        self.data_epoch += 1
-        return count
-
-    def delete_rows(self, row_ids: np.ndarray) -> int:
-        """Mark physical rows deleted; returns the number of newly dead rows.
-
-        Deletes are conservative by design: column data, dictionaries, and
-        zone maps are left untouched (a zone proving "no row in this block
-        matches" over a superset of the live rows still proves it for the
-        subset), and every scan path intersects its selection with
-        :attr:`valid_mask`.  Deleting an already-deleted row is a no-op.
-        Bumps :attr:`data_epoch`.
-        """
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        if len(row_ids) == 0:
-            return 0
-        if row_ids.min() < 0 or row_ids.max() >= self.num_rows:
-            raise IndexError(
-                f"delete from {self.name!r}: row ids out of range "
-                f"[0, {self.num_rows})")
-        if self.valid_mask is None:
-            self.valid_mask = np.ones(self.num_rows, dtype=bool)
-        self.valid_mask[row_ids] = False
-        live = int(self.valid_mask.sum())
-        newly_deleted = self.num_valid_rows - live
-        self._num_deleted = self.num_rows - live
-        self._valid_ids = None
-        self.data_epoch += 1
-        return newly_deleted
-
-    # ------------------------------------------------------------------
     # Row-level operations (vectorized)
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray, name: str | None = None) -> "DataTable":
@@ -370,10 +253,10 @@ class DataTable:
         return cls(name=name, columns=columns)
 
     def to_rows(self) -> list[tuple]:
-        """Return the live rows as a list of row tuples (tests only)."""
+        """Return the table contents as a list of row tuples (tests only)."""
         names = self.column_names
         arrays = [self.column_values(c, cache=False) for c in names]
-        return [tuple(arr[i] for arr in arrays) for i in self.valid_row_ids()]
+        return [tuple(arr[i] for arr in arrays) for i in range(self.num_rows)]
 
     # ------------------------------------------------------------------
     # Memory accounting (for the Table 4 reproduction)
@@ -398,8 +281,6 @@ class DataTable:
                 total += arr.nbytes + 24 * len(arr)
             else:
                 total += arr.nbytes
-        if self.valid_mask is not None:
-            total += self.valid_mask.nbytes
         return total
 
     def __repr__(self) -> str:

@@ -96,38 +96,6 @@ class TableZoneMaps:
                  for name, array in columns.items()}
         return cls(block_size=block_size, num_rows=num_rows, columns=zones)
 
-    def extended(self, columns: dict[str, np.ndarray],
-                 rebuild: frozenset[str] | set[str] = frozenset()
-                 ) -> "TableZoneMaps":
-        """Zone maps covering ``columns`` after rows were appended.
-
-        The incremental maintenance path of ``DataTable.append_rows``:
-        zones of blocks that were already **full** are carried over
-        untouched, and only the previously partial tail block plus every
-        new block are recomputed from the data.  Columns named in
-        ``rebuild`` (whose stored representation changed wholesale, e.g. a
-        dictionary-code remap) and columns this map has never seen are
-        recomputed in full.  Returns a fresh :class:`TableZoneMaps` (the
-        vectorized-zone cache restarts empty).
-        """
-        num_rows = len(next(iter(columns.values()))) if columns else 0
-        if num_rows < self.num_rows:
-            raise ValueError("extended() requires appended rows, not fewer")
-        keep = self.num_rows // self.block_size
-        start = keep * self.block_size
-        zones: dict[str, tuple[BlockZone, ...]] = {}
-        for name, array in columns.items():
-            array = np.asarray(array)
-            if name in rebuild or name not in self.columns:
-                zones[name] = _column_zones(array, self.block_size)
-                continue
-            # start is block-aligned, so the recomputed tail zones line up
-            # with the retained full-block prefix.
-            tail = _column_zones(array[start:], self.block_size)
-            zones[name] = self.columns[name][:keep] + tail
-        return TableZoneMaps(block_size=self.block_size, num_rows=num_rows,
-                             columns=zones)
-
     def block_bounds(self, block: int) -> tuple[int, int]:
         """The ``[start, stop)`` row range of ``block``."""
         start = block * self.block_size

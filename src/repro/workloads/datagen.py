@@ -98,57 +98,3 @@ def sequential_ids(count: int, start: int = 1) -> np.ndarray:
 def popularity_ranking(rng: np.random.Generator, count: int) -> np.ndarray:
     """A random permutation assigning each id a popularity rank (0 = most popular)."""
     return rng.permutation(count)
-
-
-# ----------------------------------------------------------------------
-# Temporal drift (the dynamic-data subsystem's generators; see
-# repro.dynamic.drift for the stream driver that applies them)
-# ----------------------------------------------------------------------
-def shifting_window_ints(rng: np.random.Generator, size: int, low: int,
-                         high: int, step: int,
-                         drift_per_step: float = 0.25) -> np.ndarray:
-    """Uniform integers from a window that shifts with ``step``.
-
-    At step 0 values are uniform in ``[low, high]``; by step *k* the window
-    has moved up by ``k * drift_per_step * (high - low)``, so a growing
-    fraction of the appended data lies *beyond* the range any stale
-    (step-0) histogram covers -- the systematic-underestimate failure mode
-    re-ANALYZE policies exist to fix.
-    """
-    if high <= low:
-        raise ValueError("high must exceed low")
-    offset = int(round(step * drift_per_step * (high - low)))
-    return rng.integers(low + offset, high + offset + 1, size, dtype=np.int64)
-
-
-def rotating_hotkey_choice(rng: np.random.Generator, n_values: int, size: int,
-                           step: int, stride: int = 7,
-                           hot_fraction: float = 0.4,
-                           skew: float = 1.3) -> np.ndarray:
-    """Zipf-skewed choice whose hottest value rotates with ``step``.
-
-    A ``hot_fraction`` share of the draws hits the current hot key
-    ``(step * stride) % n_values``; the rest follow the stationary Zipf
-    popularity of :func:`zipf_choice`.  Stale MCV lists keep nominating the
-    *old* hot keys while the live data concentrates somewhere else, which
-    is the drifting hot-key skew the defio-style workloads model.
-    """
-    if n_values <= 0:
-        raise ValueError("n_values must be positive")
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be within [0, 1]")
-    out = zipf_choice(rng, n_values, size, skew=skew)
-    hot = (step * stride) % n_values
-    out[rng.random(size) < hot_fraction] = hot
-    return out
-
-
-def novel_strings(prefix: str, step: int, count: int) -> np.ndarray:
-    """``count`` distinct strings guaranteed unseen before ``step``.
-
-    Deterministic (no rng) and disjoint across steps, so appending them
-    exercises dictionary growth without ever colliding with the loaded
-    pool (:func:`string_pool` uses a different shape).
-    """
-    return np.array([f"{prefix}~s{step:04d}~{i:05d}" for i in range(count)],
-                    dtype=object)

@@ -111,10 +111,8 @@ class PredicateSamplerConfig:
     ``point_drop_rate`` is the defio-style point-query drop knob: a sampled
     equality predicate whose statistics-estimated match count is at most
     ``point_drop_rows`` rows is *discarded* with this probability (the
-    filter slot stays empty).  Drifted streams over growing fact tables
-    otherwise degenerate into single-row point lookups -- every hot MCV is
-    near-unique against a table that has doubled since ANALYZE.  The knob
-    defaults to 0.0, in which case no extra random draw happens and
+    filter slot stays empty), so a stream is not dominated by single-row
+    point lookups on near-unique columns.  The knob defaults to 0.0, in which case no extra random draw happens and
     existing seeded streams are byte-identical to before.
     """
 

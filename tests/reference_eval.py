@@ -91,11 +91,8 @@ def _table_rows(database, spj: SPJQuery, relation) -> list[dict]:
     # evaluator always compares real values.
     arrays = [table.column_values(name, cache=False) for name in names]
     filters = spj.filters_for(relation)
-    valid = getattr(table, "valid_mask", None)
     rows = []
     for i in range(table.num_rows):
-        if valid is not None and not valid[i]:
-            continue  # deleted row (dynamic-data valid-row mask)
         row = {name: _python_value(arr[i]) for name, arr in zip(names, arrays)}
         if all(predicate_matches(pred, lambda ref: row[ref.column])
                for pred in filters):

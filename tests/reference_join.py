@@ -18,14 +18,12 @@ from repro.executor.joins import JoinOverflowError, MAX_JOIN_RESULT_ROWS
 class SortedIndex:
     """A sorted secondary index over one column of a table."""
 
-    def __init__(self, table_name: str, column: str, values: np.ndarray,
-                 row_ids: np.ndarray | None = None):
+    def __init__(self, table_name: str, column: str, values: np.ndarray):
         self.table_name = table_name
         self.column = column
         order = np.argsort(values, kind="stable")
         self._sorted_values = values[order]
-        self._row_ids = (order.astype(np.int64, copy=False) if row_ids is None
-                         else np.asarray(row_ids, dtype=np.int64)[order])
+        self._row_ids = order.astype(np.int64, copy=False)
 
     def lookup_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Probe the index with a batch of keys.

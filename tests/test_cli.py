@@ -17,7 +17,6 @@ EXPECTED_EXPERIMENTS = {
     "figure13_dsb_spj", "figure14_dsb_nonspj", "figure15_statistics",
     "table5_existing_costfn", "table6_categories", "figure_sqlgen_scaling",
     "bench_scan_pruning", "bench_compiled_scan", "bench_serving",
-    "bench_stale_stats",
 }
 
 

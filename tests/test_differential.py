@@ -186,32 +186,6 @@ class TestDifferentialOracle:
                                  context="injected")
 
 
-class TestDifferentialAfterMutations:
-    def test_generated_queries_match_reference_on_a_mutated_database(self):
-        """Replay of the differential suite after random append/delete
-        batches: the vectorized engine over a mutated table (valid-row
-        masks, grown dictionaries, incrementally extended zone maps, stale
-        statistics) must still match the row-at-a-time oracle, which reads
-        the valid mask directly."""
-        from tests.test_dynamic import mutate_randomly
-
-        db = build_differential_database()
-        rng = np.random.default_rng(SEED + 2)
-        mutate_randomly(db, rng, "cast_info", batches=3)
-        mutate_randomly(db, rng, "movie_kw", batches=2)
-        generator = make_stream(db, seed=SEED + 2)
-        runner = make_algorithm("Default", db)
-        for index in range(60):
-            query = generator.query_at(index)
-            expected = reference_execute(db, query)
-            report = runner.run(query)
-            assert report.final_table is not None, (SEED + 2, index)
-            assert_results_match(
-                expected, canonicalize_table(report.final_table),
-                context=f"mutated differential (seed={SEED + 2}, "
-                        f"index={index}) [{query.name}]")
-
-
 class TestBlockBoundaryOracle:
     #: Zone-map block widths that do not divide the table sizes (150-700
     #: rows): one-row blocks, ragged final blocks whose surviving runs
@@ -341,11 +315,12 @@ class TestCrossPolicyEquivalence:
 class TestTpchOracle:
     """TPC-H itself against the row-at-a-time oracle, policy by policy.
 
-    Every query but q9 (cyclic join graph, wrong under QuerySplit; see
-    ROADMAP.md) at a scale the oracle's nested loops finish in seconds:
-    string group keys, filters on dictionary codes, temporaries that carry
-    codes into the next iteration, and the aggregation kernel on all of
-    them, under the default engine and with raw strings and no zone maps.
+    Every query but q9 at a scale the oracle's nested loops finish in
+    seconds: string group keys, filters on dictionary codes, temporaries
+    that carry codes into the next iteration, and the aggregation kernel on
+    all of them, under the default engine and with raw strings and no zone
+    maps.  q9 has a cyclic join graph and is pinned on its own below,
+    because QuerySplit answers it wrongly (ROADMAP.md item 1).
     """
 
     POLICIES = ("QuerySplit", "Default", "Reopt", "Pop")
@@ -404,6 +379,22 @@ class TestTpchOracle:
         self._check(runner, queries, expected, f"{policy}, cache warm")
         assert cache.hits > hits
         assert cache.check_invariants() == []
+
+    @pytest.mark.parametrize("policy", [
+        pytest.param("QuerySplit", marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP.md item 1: QuerySplit answers q9's cyclic join "
+                   "graph wrongly (profit 1.85e8 where the oracle gives "
+                   "5.18e6 for NATION_00019 at scale 0.2)")),
+        "Default", "Reopt", "Pop"])
+    def test_q9_cyclic_join_graph(self, tpch_db, policy):
+        """q9 joins lineitem, partsupp, part and supplier in a cycle
+        (l-p, l-s, ps-p, ps-s)."""
+        from repro.workloads.tpch import tpch_queries
+
+        q9 = next(q for q in tpch_queries() if q.name == "tpch-q9")
+        self._check(make_algorithm(policy, tpch_db), [q9],
+                    {q9.name: reference_execute(tpch_db, q9)}, policy)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_aggregate_folded_into_the_spj_block_is_grouped(

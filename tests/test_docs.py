@@ -68,6 +68,62 @@ def test_command_line_check_fails_on_a_stale_run_command(tmp_path, capsys):
     assert "README.md: bench_gone" in capsys.readouterr().out
 
 
+def test_documented_code_samples_import():
+    check_docs = _load_check_docs()
+    broken = check_docs.find_broken_imports(REPO_ROOT)
+    assert broken == [], (
+        "Markdown code samples that do not import: "
+        + ", ".join(f"{doc} -> {problem}" for doc, problem in broken))
+
+
+def _python_block(*lines: str) -> str:
+    return "```python\n" + "\n".join(lines) + "\n```\n"
+
+
+def test_code_sample_with_a_missing_name_is_reported(tmp_path):
+    """A name the module lacks fails the check; the names beside it pass."""
+    check_docs = _load_check_docs()
+    (tmp_path / "README.md").write_text(
+        "Load once:\n\n" + _python_block(
+            "from repro.storage.database import Database, RemovedName",
+            "db = Database(schema)"))
+    assert check_docs.find_broken_imports(tmp_path) == [
+        ("README.md", "repro.storage.database has no 'RemovedName'")]
+
+
+def test_code_sample_with_a_missing_module_is_reported(tmp_path):
+    check_docs = _load_check_docs()
+    (tmp_path / "ARCHITECTURE.md").write_text(
+        _python_block("from repro.no_such_package import Anything"))
+    [(document, problem)] = check_docs.find_broken_imports(tmp_path)
+    assert document == "ARCHITECTURE.md"
+    assert problem.startswith("repro.no_such_package: ")
+
+
+def test_only_python_fences_are_checked(tmp_path):
+    """Parenthesized lists, aliases and submodules import; lines in other
+    fences or in prose are not code samples."""
+    check_docs = _load_check_docs()
+    (tmp_path / "README.md").write_text(
+        _python_block("from repro.workloads import (",
+                      "    build_imdb_database,",
+                      "    job_queries as jq,",
+                      ")",
+                      "from repro import storage  # a submodule")
+        + "```bash\nfrom repro.storage import Missing\n```\n"
+        + "from repro.storage import AlsoMissing\n")
+    assert check_docs.find_broken_imports(tmp_path) == []
+
+
+def test_command_line_check_fails_on_a_broken_code_sample(tmp_path, capsys):
+    check_docs = _load_check_docs()
+    (tmp_path / "README.md").write_text(
+        _python_block("from repro.storage.table import DataTable, Gone"))
+    assert check_docs.main(["check_docs.py", str(tmp_path)]) == 1
+    assert ("README.md: repro.storage.table has no 'Gone'"
+            in capsys.readouterr().out)
+
+
 def test_core_documents_exist():
     for name in ("README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "ROADMAP.md"):
         assert (REPO_ROOT / name).is_file(), f"{name} is missing"

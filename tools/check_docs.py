@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency check: references resolve, experiments are documented.
 
-Three checks:
+Four checks:
 
 1. Scans the repository's Python sources (docstrings and comments included
    -- the whole file text is searched) and Markdown documents for
@@ -15,16 +15,22 @@ Three checks:
 3. Fails if EXPERIMENTS.md or README.md tells the reader to
    ``repro.cli run <name>`` for a name the registry does not hold, so a
    deleted or renamed experiment cannot linger in the docs.
+4. Fails if a ``from repro... import a, b`` line inside a fenced Python
+   block of a top-level Markdown document does not import, or names an
+   attribute the module lacks, so a code sample cannot outlive the API it
+   shows.
 
 Usage::
 
     python tools/check_docs.py [repo_root]
 
-Exits non-zero listing every dangling reference / undocumented experiment.
+Exits non-zero listing every dangling reference, undocumented experiment,
+stale run command and broken code-sample import.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -41,6 +47,14 @@ RUN_COMMAND = re.compile(r"repro\.cli run((?:[ \t]+[A-Za-z_][A-Za-z0-9_]*)+)")
 
 #: Documents whose ``repro.cli run <name>`` lines must name real experiments.
 RUN_DOCUMENTS = ("EXPERIMENTS.md", "README.md")
+
+#: The body of a fenced Python block in Markdown.
+PYTHON_FENCE = re.compile(r"^```(?:python|py)[ \t]*\n(.*?)^```", re.M | re.S)
+
+#: ``from repro... import`` and its names; a parenthesized list may span lines.
+REPRO_IMPORT = re.compile(
+    r"^[ \t]*from[ \t]+(repro(?:\.\w+)*)[ \t]+import[ \t]+(\([^)]*\)|[^\n#]+)",
+    re.M)
 
 
 def referencing_files(root: Path) -> list[Path]:
@@ -74,6 +88,13 @@ def find_missing_references(root: Path) -> list[tuple[Path, str]]:
     return missing
 
 
+def _use_sources(root: Path) -> None:
+    """Make ``import repro`` load the package under ``root/src``."""
+    src = str(root / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+
+
 def _registered_experiments(root: Path):
     """The registry's experiment names, or the ``ImportError`` message.
 
@@ -82,9 +103,7 @@ def _registered_experiments(root: Path):
     of dying with a traceback — and still fail, because a green docs
     check must mean the registry was actually compared.
     """
-    src = str(root / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
+    _use_sources(root)
     try:
         from repro.experiments import registry
         return set(registry.load_all()), None
@@ -125,6 +144,45 @@ def find_stale_run_commands(root: Path,
     return stale
 
 
+def _imports(module, module_name: str, name: str) -> bool:
+    """True if ``from <module_name> import <name>`` would succeed."""
+    if hasattr(module, name):
+        return True
+    try:  # a submodule not imported yet
+        importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def find_broken_imports(root: Path) -> list[tuple[str, str]]:
+    """``(document, problem)`` pairs for ``from repro... import`` lines in
+    fenced Python blocks of the top-level Markdown documents that fail.
+
+    A line fails when its module does not import or lacks a name it
+    imports.  Modules load from ``root/src``.
+    """
+    _use_sources(root)
+    broken: list[tuple[str, str]] = []
+    for path in sorted(root.glob("*.md")):
+        text = path.read_text(encoding="utf-8")
+        for block in PYTHON_FENCE.finditer(text):
+            for match in REPRO_IMPORT.finditer(block.group(1)):
+                module_name, names = match.groups()
+                try:
+                    module = importlib.import_module(module_name)
+                except ImportError as exc:
+                    broken.append((path.name, f"{module_name}: {exc}"))
+                    continue
+                for entry in names.strip("() \t\n").split(","):
+                    words = entry.split()  # "name" or "name as alias"
+                    if (words and words[0] != "*"
+                            and not _imports(module, module_name, words[0])):
+                        broken.append((path.name,
+                                       f"{module_name} has no {words[0]!r}"))
+    return broken
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parents[1]
     failures = 0
@@ -148,11 +206,20 @@ def main(argv: list[str]) -> int:
               "name an unregistered experiment:")
         for document, name in stale:
             print(f"  {document}: {name}")
+    broken = find_broken_imports(root)
+    if broken:
+        failures += 1
+        print(f"docs check FAILED: {len(broken)} 'from repro... import' "
+              "line(s) in Markdown code samples do not import:")
+        for document, problem in broken:
+            print(f"  {document}: {problem}")
     if failures:
         return 1
     print(f"docs check OK: all Markdown references under {root} resolve, "
-          "every registered experiment is documented in EXPERIMENTS.md, and "
-          "every documented 'repro.cli run' names a registered experiment")
+          "every registered experiment is documented in EXPERIMENTS.md, "
+          "every documented 'repro.cli run' names a registered experiment, "
+          "and every 'from repro... import' in a Markdown code sample "
+          "imports")
     return 0
 
 
