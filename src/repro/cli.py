@@ -334,12 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-query timeout in seconds")
     run_cmd.add_argument("--seed", type=int, default=None,
                          help="seed for experiments that take one")
-    run_cmd.add_argument("--block-size", type=int, default=None,
-                         help="storage-block rows for zone-map scan pruning "
-                              "(0 disables pruning; experiment default: 4096)")
-    run_cmd.add_argument("--no-dict-encode", action="store_true",
-                         help="disable load-time dictionary encoding of "
-                              "string columns")
     run_cmd.add_argument("--jobs", type=int, default=1,
                          help="worker processes; >1 also shards experiments "
                               "by query family where possible")
@@ -434,13 +428,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for flag, knob in (("scale", "scale"), ("families", "families"),
-                       ("timeout", "timeout_seconds"), ("seed", "seed"),
-                       ("block_size", "block_size")):
+                       ("timeout", "timeout_seconds"), ("seed", "seed")):
         value = getattr(args, flag)
         if value is not None:
             overrides.setdefault(knob, value)
-    if args.no_dict_encode:
-        overrides.setdefault("dict_encode", False)
 
     statuses = run_experiments(
         names, jobs=max(1, args.jobs), results_dir=args.results_dir,

@@ -76,8 +76,8 @@ class ExecutionResult:
     #: Bytes of column data / selection vectors materialized while executing
     #: (the quantity the late-materialization refactor minimizes).
     materialized_bytes: int = 0
-    #: Zone-map pruning accounting across every filtered scan of the plan:
-    #: storage blocks considered, and blocks skipped without reading data.
+    #: Always 0: base tables have no storage blocks to prune.  Kept only
+    #: because the end-to-end benchmark's tracer still reads them.
     scan_blocks_total: int = 0
     scan_blocks_pruned: int = 0
     #: Fused-kernel accounting: candidate rows each compiled predicate
@@ -91,13 +91,6 @@ class ExecutionResult:
     #: probe scans.  Kept only because the end-to-end benchmark's tracer
     #: still reads it.
     semijoin_pruned_rows: int = 0
-
-    @property
-    def scan_pruning_ratio(self) -> float:
-        """Fraction of considered storage blocks the zone maps pruned."""
-        if self.scan_blocks_total == 0:
-            return 0.0
-        return self.scan_blocks_pruned / self.scan_blocks_total
 
     @property
     def num_rows(self) -> int:
@@ -166,8 +159,6 @@ class Executor:
         return ExecutionResult(table=table, join_rows=join_rows, wall_time=wall,
                                operator_times=dict(ctx.operator_times),
                                materialized_bytes=stats.gathered_bytes,
-                               scan_blocks_total=ctx.scan_blocks_total,
-                               scan_blocks_pruned=ctx.scan_blocks_pruned,
                                fused_rows_touched=ctx.fused_rows_touched,
                                fused_predicates=ctx.fused_predicates,
                                dict_predicates=ctx.dict_predicates)

@@ -55,11 +55,6 @@ class ExecContext:
     database: Database
     stats: MaterializationStats
     operator_times: dict[str, float] = field(default_factory=dict)
-    #: Zone-map pruning accounting: storage blocks considered by filtered
-    #: scans over block-partitioned tables, and how many the zone maps
-    #: eliminated without reading any column data.
-    scan_blocks_total: int = 0
-    scan_blocks_pruned: int = 0
     #: Fused-kernel accounting: candidate rows each compiled predicate
     #: actually evaluated over, and how many predicates ran fused.
     fused_rows_touched: int = 0
@@ -85,16 +80,8 @@ class Operator:
 class Scan(Operator):
     """Sequential scan with pushed-down filters -> row-id selection vector.
 
-    Over a block-partitioned table the scan is two-phase: the pushed-down
-    conjunction is first tested against every block's zone maps
-    (:mod:`repro.storage.zonemaps`), then the predicates are evaluated
-    *only inside the surviving blocks* (adjacent survivors are coalesced
-    into contiguous runs so each predicate still evaluates over large
-    slices).  Pruning is conservative, so the emitted row-id vector is
-    bit-identical to a full scan's; tables without zone maps take the
-    original full-column path.
-
-    Two hot-path rewrites happen before any data is read.  Predicates over
+    The compiled conjunction runs once over the full stored columns.  Two
+    hot-path rewrites happen before any data is read.  Predicates over
     dictionary-encoded string columns are translated into code space
     (:func:`~repro.storage.dictionary.translate_filters`), which can decide
     a conjunct outright: a provably unsatisfiable conjunct returns the
@@ -117,13 +104,8 @@ class Scan(Operator):
         filters, impossible, translated = translate_filters(
             node.filters, table, storage_name)
         ctx.dict_predicates += translated
-        zone_maps = table.zone_maps
         if impossible:
-            # The dictionary proved a conjunct unsatisfiable: empty scan,
-            # every block counts as pruned.
-            if zone_maps is not None:
-                ctx.scan_blocks_total += zone_maps.num_blocks
-                ctx.scan_blocks_pruned += zone_maps.num_blocks
+            # The dictionary proved a conjunct unsatisfiable: empty scan.
             return Chunk((TableSource(relation, table,
                                       np.empty(0, dtype=np.int64)),))
         if not filters:
@@ -133,50 +115,9 @@ class Scan(Operator):
 
         kernel = PredicateCompiler(filters)
         ctx.fused_predicates += len(filters)
-        if zone_maps is None or zone_maps.num_blocks == 0:
-            ranges = [(0, table.num_rows)] if table.num_rows else []
-        else:
-            candidates = zone_maps.candidate_blocks(filters, storage_name)
-            ctx.scan_blocks_total += zone_maps.num_blocks
-            ctx.scan_blocks_pruned += int(zone_maps.num_blocks
-                                          - candidates.sum())
-            ranges = [(first * zone_maps.block_size,
-                       min(last * zone_maps.block_size, table.num_rows))
-                      for first, last in _block_runs(candidates)]
-        parts = [self._filter_range(table, kernel, storage_name,
-                                    start, stop, ctx)
-                 for start, stop in ranges]
-        if not parts:
-            row_ids = np.empty(0, dtype=np.int64)
-        else:
-            row_ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        row_ids = kernel.evaluate_range(
+            lambda ref: table.column(storage_name(ref)), table.num_rows, ctx)
         return Chunk((TableSource(relation, table, row_ids),))
-
-    @staticmethod
-    def _filter_range(table: DataTable, kernel: PredicateCompiler,
-                      storage_name, start: int, stop: int,
-                      ctx: ExecContext) -> np.ndarray:
-        """Evaluate the compiled conjunction over rows ``[start, stop)``."""
-
-        def resolve(ref: ColumnRef) -> np.ndarray:
-            column = table.column(storage_name(ref))
-            return column if start == 0 and stop == len(column) \
-                else column[start:stop]
-
-        row_ids = kernel.evaluate_range(resolve, stop - start, ctx)
-        return row_ids + start if start else row_ids
-
-
-def _block_runs(candidates: np.ndarray) -> list[tuple[int, int]]:
-    """Coalesce a surviving-block mask into ``[first, last)`` block runs."""
-    boundaries = np.diff(candidates.astype(np.int8))
-    starts = list(np.nonzero(boundaries == 1)[0] + 1)
-    stops = list(np.nonzero(boundaries == -1)[0] + 1)
-    if len(candidates) and candidates[0]:
-        starts.insert(0, 0)
-    if len(candidates) and candidates[-1]:
-        stops.append(len(candidates))
-    return list(zip(starts, stops))
 
 
 class HashJoin(Operator):

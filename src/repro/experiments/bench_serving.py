@@ -29,7 +29,6 @@ from repro.executor.subplan_cache import SubplanCache
 from repro.experiments.registry import experiment
 from repro.report import WorkloadResult
 from repro.storage.database import IndexConfig
-from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE
 from repro.workloads import dbcache
 from repro.workloads.sqlgen import (
     AggregateSamplerConfig,
@@ -66,7 +65,6 @@ def run(scale: float = 1.0,
         timeout_seconds: float = 10.0,
         use_subplan_cache: bool = True,
         seed: int = 17,
-        block_size: int = DEFAULT_BLOCK_SIZE,
         verbose: bool = True) -> ExperimentResult:
     """Sweep workers x arrival rate x admission policy over one stream.
 
@@ -81,8 +79,7 @@ def run(scale: float = 1.0,
     usual per-query records next to the serving aggregates.
     """
     database = dbcache.build("imdb", scale=scale,
-                             index_config=IndexConfig.PK_FK,
-                             block_size=block_size)
+                             index_config=IndexConfig.PK_FK)
     generator = _make_generator(database, seed)
 
     cells: dict[tuple[int, float, str], dict] = {}
@@ -151,8 +148,7 @@ def run(scale: float = 1.0,
                 "policies": policies, "algorithm": algorithm, "users": users,
                 "queue_capacity": queue_capacity,
                 "timeout_seconds": timeout_seconds,
-                "use_subplan_cache": use_subplan_cache, "seed": seed,
-                "block_size": block_size},
+                "use_subplan_cache": use_subplan_cache, "seed": seed},
         data={"cells": cells, "headline": headline},
         workloads=workloads,
         summary=summary,

@@ -30,7 +30,6 @@ from repro.executor.subplan_cache import SubplanCache
 from repro.experiments.registry import experiment
 from repro.report import WorkloadResult
 from repro.storage.database import IndexConfig
-from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE
 from repro.workloads import dbcache
 from repro.workloads.sqlgen import (
     AggregateSamplerConfig,
@@ -57,7 +56,6 @@ def run(scale: float = 1.0,
         group_by_probability: float = 0.2,
         timeout_seconds: float = 30.0,
         measure_cache_overlap: bool = True,
-        block_size: int = DEFAULT_BLOCK_SIZE,
         verbose: bool = True) -> ExperimentResult:
     """Run the sweep over stream length x join depth.
 
@@ -67,8 +65,7 @@ def run(scale: float = 1.0,
     and ``robustness`` maps each policy to its worst-case slowdown relative
     to the per-cell best.
     """
-    database = dbcache.build("tpch", scale=scale, index_config=IndexConfig.PK_FK,
-                             block_size=block_size)
+    database = dbcache.build("tpch", scale=scale, index_config=IndexConfig.PK_FK)
     cells: dict = {}
     for max_joins in join_depths:
         generator = RandomQueryGenerator(
@@ -139,8 +136,7 @@ def run(scale: float = 1.0,
                 "fk_only": fk_only,
                 "group_by_probability": group_by_probability,
                 "timeout_seconds": timeout_seconds,
-                "measure_cache_overlap": measure_cache_overlap,
-                "block_size": block_size},
+                "measure_cache_overlap": measure_cache_overlap},
         data={"cells": cells, "robustness": robustness},
         workloads=workloads,
         summary=summary,

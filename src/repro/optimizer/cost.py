@@ -41,10 +41,6 @@ class CostParameters:
 class CostModel:
     """Computes operator and plan costs from estimated cardinalities."""
 
-    #: Rows per storage block assumed when charging zone-map checks and the
-    #: caller does not pass the table's actual block width.
-    zone_map_block_rows: float = 4096.0
-
     def __init__(self, params: CostParameters | None = None):
         self.params = params or CostParameters()
 
@@ -58,18 +54,8 @@ class CostModel:
 
     def scan_cost(self, table_rows: float, output_rows: float,
                   num_filters: int = 0,
-                  pruned_fraction: float = 0.0,
-                  block_rows: float | None = None,
                   code_space_filters: int = 0) -> float:
-        """Cost of a filtered sequential scan.
-
-        ``pruned_fraction`` is the fraction of the table's storage blocks a
-        zone-map pre-pass is expected to skip (0.0 = no pruning, the
-        default): page reads and per-tuple filter evaluation are only paid
-        for the surviving fraction, while the zone-map checks themselves
-        cost one operator invocation per block per filter.  ``block_rows``
-        is the table's actual block width (defaults to
-        :attr:`zone_map_block_rows`).
+        """Cost of a filtered sequential scan over every row of the table.
 
         ``code_space_filters`` counts how many of the ``num_filters``
         evaluate over dictionary-encoded columns; those are charged only
@@ -77,21 +63,13 @@ class CostModel:
         reflecting the int-compare fast path.
         """
         p = self.params
-        pruned_fraction = min(max(pruned_fraction, 0.0), 1.0)
-        read_rows = table_rows * (1.0 - pruned_fraction)
-        pages = max(read_rows / p.rows_per_page, 1.0)
-        zone_checks = 0.0
-        if pruned_fraction > 0.0:
-            per_block = block_rows or self.zone_map_block_rows
-            blocks = max(table_rows / per_block, 1.0)
-            zone_checks = blocks * max(num_filters, 1) * p.cpu_operator_cost
+        pages = max(table_rows / p.rows_per_page, 1.0)
         code_space_filters = min(max(code_space_filters, 0), num_filters)
         effective_filters = (num_filters - code_space_filters
                              + code_space_filters * self.code_space_filter_factor)
         return (pages * p.seq_page_cost
-                + read_rows * p.cpu_tuple_cost
-                + read_rows * effective_filters * p.cpu_operator_cost
-                + zone_checks
+                + table_rows * p.cpu_tuple_cost
+                + table_rows * effective_filters * p.cpu_operator_cost
                 + output_rows * p.cpu_tuple_cost)
 
     # ------------------------------------------------------------------

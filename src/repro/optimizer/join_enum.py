@@ -49,11 +49,6 @@ class EnumeratorConfig:
     enable_hash: bool = True
     enable_merge: bool = True
     enable_nl: bool = True
-    #: Account for zone-map block pruning in scan costs: the expected pruned
-    #: fraction is computed from the stored table's actual zone maps (an
-    #: exact "EXPLAIN-time" dry run of the pruning pass).  Off by default so
-    #: plan choices match the paper's PostgreSQL-style cost model.
-    zone_map_scan_cost: bool = False
     #: Multiplier applied to estimated cardinalities when evaluating plan
     #: robustness (used by the FS baseline); 1.0 disables the penalty.
     robustness_blowup: float = 1.0
@@ -182,10 +177,8 @@ class JoinEnumerator:
     def _scan_node(self, query: SPJQuery, relation: RelationRef,
                    rows: float, table_rows: float) -> ScanNode:
         filters = query.filters_for(relation)
-        pruned, block_rows = self._pruned_fraction(relation, filters)
         cost = self.cost_model.scan_cost(
             table_rows, rows, len(filters),
-            pruned_fraction=pruned, block_rows=block_rows,
             code_space_filters=self._code_space_filters(relation, filters))
         return ScanNode(relation=relation, filters=filters,
                         est_rows=rows, est_cost=cost)
@@ -209,25 +202,6 @@ class JoinEnumerator:
             1 for pred in filters
             if all(table.has_column(ref.column) and table.is_encoded(ref.column)
                    for ref in pred.column_refs()))
-
-    def _pruned_fraction(self, relation: RelationRef,
-                         filters: tuple[Predicate, ...]
-                         ) -> tuple[float, float | None]:
-        """Expected zone-map pruning for this scan: (fraction, block rows).
-
-        (0.0, None) unless ``zone_map_scan_cost`` is enabled and the stored
-        table has zone maps; the fraction is an exact EXPLAIN-time dry run
-        of the pruner over the real zone maps.
-        """
-        if not self.config.zone_map_scan_cost or not filters or relation.is_temp:
-            return 0.0, None
-        if not self.database.has_table(relation.table_name):
-            return 0.0, None
-        zone_maps = self.database.table(relation.table_name).zone_maps
-        if zone_maps is None:
-            return 0.0, None
-        fraction = zone_maps.pruned_fraction(filters, lambda ref: ref.column)
-        return fraction, float(zone_maps.block_size)
 
     # ------------------------------------------------------------------
     # Dynamic programming over subsets

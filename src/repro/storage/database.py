@@ -6,9 +6,9 @@ base tables of a benchmark (JOB / TPC-H / DSB), their ANALYZE statistics, the
 B+tree indexes built on primary-key (and optionally foreign-key) columns, and
 the temporary tables created while a re-optimization algorithm runs.
 
-Base tables are load-once: :meth:`Database.load_table` encodes, analyzes,
-indexes and zone-maps a table, and nothing writes to it afterwards.  Only
-the temporary namespace changes while queries run.
+Base tables are load-once: :meth:`Database.load_table` encodes, analyzes
+and indexes a table, and nothing writes to it afterwards.  Only the
+temporary namespace changes while queries run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.catalog.schema import Schema
 from repro.catalog.statistics import TableStats
 from repro.storage.index import SortedIndex
 from repro.storage.table import DataTable
-from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE
 
 
 class IndexConfig(enum.Enum):
@@ -44,26 +43,15 @@ class TempTableEntry:
 class Database:
     """In-memory database instance shared by the optimizer and executor.
 
-    ``block_size`` is the storage-block width (rows) used when loading base
-    tables: every loaded table is partitioned into blocks of that size with
-    per-block zone maps, which the scan operator uses to skip blocks that
-    cannot satisfy its filters.  ``block_size=0`` disables partitioning (the
-    pre-zone-map behaviour: every filtered scan reads the full columns).
-
-    ``dict_encode`` (default on) dictionary-encodes eligible string columns
-    at load time (:mod:`repro.storage.dictionary`): the stored array becomes
-    ``int32`` codes into a sorted value dictionary, scans evaluate string
-    predicates in code space, and zone maps over the codes prune blocks for
-    string predicates too.  Indexed columns are never encoded.
+    Loading a base table dictionary-encodes its eligible string columns
+    (:mod:`repro.storage.dictionary`): the stored array becomes ``int32``
+    codes into a sorted value dictionary, and scans evaluate string
+    predicates in code space.  Indexed columns are never encoded.
     """
 
-    def __init__(self, schema: Schema, index_config: IndexConfig = IndexConfig.PK_FK,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
-                 dict_encode: bool = True):
+    def __init__(self, schema: Schema, index_config: IndexConfig = IndexConfig.PK_FK):
         self.schema = schema
         self.index_config = index_config
-        self.block_size = int(block_size)
-        self.dict_encode = bool(dict_encode)
         self._tables: dict[str, DataTable] = {}
         self._stats: dict[str, TableStats] = {}
         self._indexes: dict[tuple[str, str], SortedIndex] = {}
@@ -80,23 +68,20 @@ class Database:
     # Base table management
     # ------------------------------------------------------------------
     def load_table(self, table: DataTable, analyze: bool = True) -> None:
-        """Register a base table, analyze it, and build indexes + zone maps.
+        """Register a base table, encode its strings, analyze and index it.
 
-        With ``dict_encode`` on, eligible string columns are re-stored as
-        dictionary codes first, so statistics run over decoded values while
-        zone maps are built over the (numeric) code arrays.
+        Eligible string columns are re-stored as dictionary codes first;
+        statistics read the codes and hold decoded values.
         """
         if not self.schema.has_table(table.name):
             raise KeyError(f"table {table.name!r} is not declared in the schema")
-        if self.dict_encode:
-            table.encode_strings(skip=self._indexed_columns(table.name))
+        table.encode_strings(skip=self._indexed_columns(table.name))
         self._tables[table.name] = table
         if analyze:
             self._stats[table.name] = analyze_table(table)
         else:
             self._stats[table.name] = TableStats.row_count_only(table.num_rows)
         self._build_indexes(table)
-        table.build_zone_maps(self.block_size)
 
     def _indexed_columns(self, table_name: str) -> set[str]:
         """Columns the current :class:`IndexConfig` mandates indexes on."""
@@ -214,8 +199,6 @@ class Database:
         view = Database.__new__(Database)
         view.schema = self.schema
         view.index_config = self.index_config
-        view.block_size = self.block_size
-        view.dict_encode = self.dict_encode
         view._tables = self._tables
         view._stats = self._stats
         view._indexes = self._indexes
@@ -226,9 +209,7 @@ class Database:
 
     def with_index_config(self, index_config: IndexConfig) -> "Database":
         """Return a new database over the same data with a different index setup."""
-        clone = Database(self.schema, index_config=index_config,
-                         block_size=self.block_size,
-                         dict_encode=self.dict_encode)
+        clone = Database(self.schema, index_config=index_config)
         for name, table in self._tables.items():
             clone._tables[name] = table
             clone._stats[name] = self._stats[name]

@@ -1,23 +1,24 @@
 """Dictionary encoding for string columns + code-space predicate translation.
 
 At load time (:meth:`Database.load_table
-<repro.storage.database.Database.load_table>` with ``dict_encode=True``)
-every eligible object-dtype column of a base table is re-stored as
+<repro.storage.database.Database.load_table>`) every eligible object-dtype
+column of a base table is re-stored as
 
 * an ``int32`` **code** array (``-1`` encodes NULL), and
 * a sorted, duplicate-free **dictionary** of the column's distinct non-null
   string values.
 
+Columns that are not eligible (indexed, or holding non-string values) stay
+object arrays, and scans evaluate their predicates in value space.
+
 Because the dictionary is sorted, the mapping is *order-preserving*: value
 comparisons translate to integer comparisons on codes.  That buys the scan
-hot path three things at once:
+hot path two things:
 
 1. predicate evaluation happens on ``int32`` arrays instead of Python-level
    object comparisons (:func:`translate_filters` rewrites a scan's
    conjunction into code space);
-2. zone maps built over the code arrays are numeric, so string predicates
-   participate in vectorized block pruning exactly like integer ones;
-3. predicates with no representable match (an equality literal absent from
+2. predicates with no representable match (an equality literal absent from
    the dictionary, an empty prefix range) are recognized as unsatisfiable
    *before* touching any data.
 
@@ -136,9 +137,7 @@ class CodeMaskPredicate(Between):
     The general translation target: the original predicate is evaluated
     once over the (small) dictionary, yielding one bit per distinct value;
     evaluating the column is then a single fancy-index into that table.
-    The inherited :class:`Between` bounds are the first/last matching code,
-    which is what lets zone maps prune blocks for arbitrary string
-    predicates (contains, IN, prefix) through the existing numeric path.
+    The inherited :class:`Between` bounds are the first/last matching code.
 
     ``mask`` has one trailing ``False`` slot so the NULL code (``-1``)
     never matches (nulls fail every shape this class translates).

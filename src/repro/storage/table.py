@@ -5,18 +5,11 @@ column names (``id``, ``movie_id``); intermediate results produced by the
 executor use qualified names (``t.id``, ``mk.movie_id``) so that columns from
 different relations never collide after a join.
 
-Loaded base tables are additionally **block-partitioned**: at load time
-(:meth:`Database.load_table <repro.storage.database.Database.load_table>`
-calls :meth:`DataTable.build_zone_maps`) the table is split into fixed-size
-row blocks and a per-block :class:`~repro.storage.zonemaps.BlockZone`
-summary (min/max, null count, distinct-ness flag) is recorded for every
-column.  The :class:`~repro.executor.operators.Scan` operator uses those
-zone maps to skip whole blocks whose summary proves no row can satisfy the
-pushed-down filters; tables without zone maps (temporaries, or a database
-loaded with ``block_size=0``) are scanned in full exactly as before.
-
-Tables are never written after they are loaded, so zone maps,
-dictionaries and indexes stay valid for a table's lifetime.
+String columns of a loaded base table are stored as dictionary codes
+(:meth:`DataTable.encode_strings`, called by :meth:`Database.load_table
+<repro.storage.database.Database.load_table>`).  Tables are never written
+after they are loaded, so dictionaries and indexes stay valid for a
+table's lifetime.
 """
 
 from __future__ import annotations
@@ -26,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.storage.dictionary import decode_lookup, encode_column
-from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE, TableZoneMaps
 
 
 @dataclass
@@ -35,8 +27,8 @@ class DataTable:
 
     Tables are immutable once built.  A base table's storage changes only
     while :meth:`Database.load_table
-    <repro.storage.database.Database.load_table>` loads it
-    (:meth:`encode_strings`, :meth:`build_zone_maps`).
+    <repro.storage.database.Database.load_table>` encodes its strings
+    (:meth:`encode_strings`).
 
     Parameters
     ----------
@@ -51,15 +43,9 @@ class DataTable:
 
     name: str
     columns: dict[str, np.ndarray] = field(default_factory=dict)
-    #: Per-block zone maps (built by :meth:`build_zone_maps`; ``None`` until
-    #: then).  Excluded from equality: two tables with the same data are the
-    #: same table regardless of how they are partitioned.
-    zone_maps: TableZoneMaps | None = field(default=None, compare=False,
-                                            repr=False)
     #: Sorted value dictionary per dictionary-encoded column: the stored
     #: array holds ``int32`` codes into it (``-1`` = NULL).  Excluded from
-    #: equality for the same reason as zone maps: encoding is a storage
-    #: representation, not data.  Results, temporaries and every table
+    #: equality: encoding is a storage representation, not data.  Results, temporaries and every table
     #: derived from another one hold the *same* dictionary objects as the
     #: base table the codes came from (passed in here, never copied).
     dictionaries: dict[str, np.ndarray] = field(default_factory=dict,
@@ -167,23 +153,6 @@ class DataTable:
             self._decoded.pop(name, None)
             encoded.append(name)
         return encoded
-
-    # ------------------------------------------------------------------
-    # Block partitioning (zone maps)
-    # ------------------------------------------------------------------
-    def build_zone_maps(self, block_size: int = DEFAULT_BLOCK_SIZE
-                        ) -> TableZoneMaps | None:
-        """Partition the table into ``block_size``-row blocks with zone maps.
-
-        Called once at load time; ``block_size <= 0`` disables partitioning
-        (zone maps are cleared and every scan reads the full columns).
-        Returns the built :class:`TableZoneMaps` (or ``None`` when disabled).
-        """
-        if block_size is None or block_size <= 0:
-            self.zone_maps = None
-        else:
-            self.zone_maps = TableZoneMaps.build(self.columns, block_size)
-        return self.zone_maps
 
     # ------------------------------------------------------------------
     # Row-level operations (vectorized)

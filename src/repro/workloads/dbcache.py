@@ -30,11 +30,10 @@ import threading
 from typing import Callable
 
 from repro.storage.database import Database, IndexConfig
-from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE
 
 _BUILDERS: dict[str, Callable[..., Database]] = {}
 
-_CacheKey = tuple[str, float, IndexConfig, int, bool]
+_CacheKey = tuple[str, float, IndexConfig]
 _CACHE: dict[_CacheKey, Database] = {}
 _ENABLED = False
 #: Guards ``_CACHE`` / ``_ENABLED`` / ``_BUILD_LOCKS`` bookkeeping.
@@ -69,22 +68,17 @@ def disable() -> None:
         _BUILD_LOCKS.clear()
 
 
-def build(workload: str, scale: float, index_config: IndexConfig,
-          block_size: int = DEFAULT_BLOCK_SIZE,
-          dict_encode: bool = True) -> Database:
+def build(workload: str, scale: float, index_config: IndexConfig) -> Database:
     """Build (or reuse) the ``workload`` database at ``scale``.
 
-    ``workload`` is one of ``"imdb"``, ``"tpch"``, ``"dsb"``; ``block_size``
-    is the storage-block width for zone-map scan pruning (0 disables it);
-    ``dict_encode`` controls load-time dictionary encoding of string
-    columns.  Without :func:`enable` this is a plain passthrough to the
-    underlying builder.  Safe to call from many threads: concurrent
-    first-builds of the same key are serialized behind a per-key lock, so
-    every caller receives the same instance.
+    ``workload`` is one of ``"imdb"``, ``"tpch"``, ``"dsb"``.  Without
+    :func:`enable` this is a plain passthrough to the underlying builder.
+    Safe to call from many threads: concurrent first-builds of the same key
+    are serialized behind a per-key lock, so every caller receives the same
+    instance.
     """
     builder = _builders()[workload]
-    key = (workload, float(scale), index_config, int(block_size),
-           bool(dict_encode))
+    key = (workload, float(scale), index_config)
     with _LOCK:
         if not _ENABLED:
             build_lock = None
@@ -93,16 +87,14 @@ def build(workload: str, scale: float, index_config: IndexConfig,
                 return _CACHE[key]
             build_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
     if build_lock is None:
-        return builder(scale=scale, index_config=index_config,
-                       block_size=block_size, dict_encode=dict_encode)
+        return builder(scale=scale, index_config=index_config)
     with build_lock:
         # Double-check under the build lock: the winner of the race
         # published the database while this thread waited.
         with _LOCK:
             if key in _CACHE:
                 return _CACHE[key]
-        database = builder(scale=scale, index_config=index_config,
-                           block_size=block_size, dict_encode=dict_encode)
+        database = builder(scale=scale, index_config=index_config)
         with _LOCK:
             # disable() may have raced the build; publish only while enabled
             # so a cleared cache is not silently repopulated.

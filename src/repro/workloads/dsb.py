@@ -17,7 +17,6 @@ from repro.catalog.schema import Column, ForeignKey, Schema, TableSchema
 from repro.catalog.types import DataType
 from repro.plan.logical import Query
 from repro.storage.database import Database, IndexConfig
-from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE
 from repro.storage.table import DataTable
 from repro.workloads.datagen import (
     categorical,
@@ -157,14 +156,11 @@ _STATES = ["CA", "TX", "NY", "FL", "WA", "IL", "OH", "GA", "NC", "MI"]
 
 def build_dsb_database(scale: float = 1.0,
                        index_config: IndexConfig = IndexConfig.PK_FK,
-                       seed: int = 11,
-                       block_size: int = DEFAULT_BLOCK_SIZE,
-                       dict_encode: bool = True) -> Database:
+                       seed: int = 11) -> Database:
     """Generate the skewed DSB database."""
     rng = np.random.default_rng(seed)
     sizes = {name: max(int(round(count * scale)), 4) for name, count in BASE_SIZES.items()}
-    db = Database(DSB_SCHEMA, index_config=index_config, block_size=block_size,
-                  dict_encode=dict_encode)
+    db = Database(DSB_SCHEMA, index_config=index_config)
 
     n_date = sizes["date_dim"]
     years = 1998 + (np.arange(n_date) // 366)

@@ -24,7 +24,6 @@ import numpy as np
 from repro.catalog.schema import Column, ForeignKey, Schema, TableSchema
 from repro.catalog.types import DataType
 from repro.storage.database import Database, IndexConfig
-from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE
 from repro.storage.table import DataTable
 from repro.workloads.datagen import (
     categorical,
@@ -138,9 +137,7 @@ IMDB_SCHEMA = Schema([
 
 def build_imdb_database(scale: float = 1.0,
                         index_config: IndexConfig = IndexConfig.PK_FK,
-                        seed: int = 42,
-                        block_size: int = DEFAULT_BLOCK_SIZE,
-                        dict_encode: bool = True) -> Database:
+                        seed: int = 42) -> Database:
     """Generate the synthetic IMDB database.
 
     Parameters
@@ -155,8 +152,7 @@ def build_imdb_database(scale: float = 1.0,
     """
     rng = np.random.default_rng(seed)
     sizes = {name: max(int(round(count * scale)), 4) for name, count in BASE_SIZES.items()}
-    db = Database(IMDB_SCHEMA, index_config=index_config, block_size=block_size,
-                  dict_encode=dict_encode)
+    db = Database(IMDB_SCHEMA, index_config=index_config)
 
     # ------------------------------------------------------------------
     # Dimension tables

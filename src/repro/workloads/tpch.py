@@ -19,7 +19,6 @@ from repro.catalog.schema import Column, ForeignKey, Schema, TableSchema
 from repro.catalog.types import DataType
 from repro.plan.logical import Query
 from repro.storage.database import Database, IndexConfig
-from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE
 from repro.storage.table import DataTable
 from repro.workloads.datagen import categorical, sequential_ids, string_pool
 from repro.workloads.spec import (
@@ -122,16 +121,13 @@ def _date(year: int, month: int, day: int) -> int:
 
 def build_tpch_database(scale: float = 1.0,
                         index_config: IndexConfig = IndexConfig.PK_FK,
-                        seed: int = 7,
-                        block_size: int = DEFAULT_BLOCK_SIZE,
-                        dict_encode: bool = True) -> Database:
+                        seed: int = 7) -> Database:
     """Generate the scaled-down TPC-H database."""
     rng = np.random.default_rng(seed)
     sizes = {name: max(int(round(count * scale)), 3) for name, count in BASE_SIZES.items()}
     sizes["region"] = 5
     sizes["nation"] = 25
-    db = Database(TPCH_SCHEMA, index_config=index_config, block_size=block_size,
-                  dict_encode=dict_encode)
+    db = Database(TPCH_SCHEMA, index_config=index_config)
 
     db.load_table(DataTable("region", {
         "r_regionkey": sequential_ids(5, start=0),

@@ -44,12 +44,11 @@ def tiny_schema() -> Schema:
 
 def build_tiny_database(schema: Schema,
                         index_config: IndexConfig = IndexConfig.PK_FK,
-                        seed: int = 0,
-                        dict_encode: bool = True) -> Database:
+                        seed: int = 0) -> Database:
     """Deterministic small database over the tiny schema."""
     rng = np.random.default_rng(seed)
     n_t, n_k, n_n, n_mk, n_ci = 500, 40, 300, 2500, 4000
-    db = Database(schema, index_config=index_config, dict_encode=dict_encode)
+    db = Database(schema, index_config=index_config)
     db.load_table(DataTable("t", {
         "id": np.arange(1, n_t + 1),
         "year": rng.integers(1980, 2021, n_t),

@@ -56,10 +56,8 @@ class ReferenceJoinEnumerator:
         filters = query.filters_for(relation)
         rows = self.estimator.estimate_rows((relation,), filters, (), query.name)
         table_rows = self.estimator.relation_rows(relation)
-        pruned, block_rows = self._pruned_fraction(relation, filters)
         cost = self.cost_model.scan_cost(
             table_rows, rows, len(filters),
-            pruned_fraction=pruned, block_rows=block_rows,
             code_space_filters=self._code_space_filters(relation, filters))
         return ScanNode(relation=relation, filters=filters,
                         est_rows=rows, est_cost=cost)
@@ -83,25 +81,6 @@ class ReferenceJoinEnumerator:
             1 for pred in filters
             if all(table.has_column(ref.column) and table.is_encoded(ref.column)
                    for ref in pred.column_refs()))
-
-    def _pruned_fraction(self, relation: RelationRef,
-                         filters: tuple[Predicate, ...]
-                         ) -> tuple[float, float | None]:
-        """Expected zone-map pruning for this scan: (fraction, block rows).
-
-        (0.0, None) unless ``zone_map_scan_cost`` is enabled and the stored
-        table has zone maps; the fraction is an exact EXPLAIN-time dry run
-        of the pruner over the real zone maps.
-        """
-        if not self.config.zone_map_scan_cost or not filters or relation.is_temp:
-            return 0.0, None
-        if not self.database.has_table(relation.table_name):
-            return 0.0, None
-        zone_maps = self.database.table(relation.table_name).zone_maps
-        if zone_maps is None:
-            return 0.0, None
-        fraction = zone_maps.pruned_fraction(filters, lambda ref: ref.column)
-        return fraction, float(zone_maps.block_size)
 
     # ------------------------------------------------------------------
     # Dynamic programming over subsets

@@ -6,8 +6,8 @@ engine is supposed to have.  It shares **no code** with the executor --
 predicates are re-implemented with plain Python comparisons, joins are
 hash-assisted nested loops over row dicts, and aggregates are computed with
 ``len``/``min``/``max``/``math.fsum`` -- so a bug in the numpy kernels
-(selection vectors, zone-map pruning, reduceat segment aggregation, join
-matching) cannot cancel out on both sides.
+(selection vectors, dictionary-code predicates, reduceat segment
+aggregation, join matching) cannot cancel out on both sides.
 
 The entry point is :func:`reference_execute`, which evaluates a
 :class:`~repro.plan.logical.Query` (an SPJ tree, optionally wrapped in one

@@ -1,21 +1,21 @@
 """Differential correctness: vectorized engine vs. row-at-a-time oracle.
 
-Two acceptance-grade test families for this PR's test subsystem:
+Three test families:
 
 * **Differential oracle** -- 200 seeded ``sqlgen`` queries are executed by
   the vectorized engine (through the ``Default`` baseline: real optimizer,
-  real executor, zone-map pruned scans) and by the independent reference
-  evaluator in ``tests/reference_eval.py``; any row-count or aggregate
-  mismatch fails with the reproducing ``(seed, index)`` pair.
+  real executor, compiled scans over dictionary codes) and by the
+  independent reference evaluator in ``tests/reference_eval.py``; any
+  row-count or aggregate mismatch fails with the reproducing
+  ``(seed, index)`` pair.
 * **Cross-policy equivalence** -- every registered re-optimization policy
   must return identical *results* (not just comparable timings) on a
   50-query generated stream, with and without the cross-policy subplan
   cache enabled.  Counts, group keys, and min/max aggregates must match
   exactly; float sums/averages within 1e-9 relative (different join orders
   legitimately re-associate float additions).
-* **Block boundaries and empty scans** -- the oracle replayed at zone-map
-  block widths that leave ragged final blocks, and scans that zone maps or
-  the dictionary prove empty, with their pruning counters.
+* **Scan edge cases** -- empty scans, decided by the dictionary or by the
+  compiled kernel, and scan counters that repeat exactly.
 
 The database is a dedicated small movie-ish instance (FK graph with shared
 dimensions, int/float/string columns, clustered and unclustered data) so
@@ -36,7 +36,6 @@ from repro.plan.logical import RelationRef
 from repro.plan.physical import PhysicalPlan, ScanNode
 from repro.reopt.registry import REOPT_ALGORITHMS, make_algorithm
 from repro.storage.database import Database, IndexConfig
-from repro.storage.dictionary import translate_filters
 from repro.storage.table import DataTable
 from repro.workloads.sqlgen import (
     AggregateSamplerConfig,
@@ -83,20 +82,11 @@ DIFF_SCHEMA = Schema([
 ])
 
 
-def build_differential_database(seed: int = SEED,
-                                block_size: int = 64,
-                                dict_encode: bool = True) -> Database:
-    """Small, null-free database with a shared-dimension FK graph.
-
-    ``block_size=64`` deliberately makes many blocks, so the zone-map
-    pruning path is exercised by almost every generated filter.
-    ``dict_encode=False`` stores string columns raw (the pre-dictionary
-    baseline representation).
-    """
+def build_differential_database(seed: int = SEED) -> Database:
+    """Small, null-free database with a shared-dimension FK graph."""
     rng = np.random.default_rng(seed)
     n_movie, n_kw, n_person, n_mk, n_ci = 150, 25, 80, 500, 700
-    db = Database(DIFF_SCHEMA, index_config=IndexConfig.PK_FK,
-                  block_size=block_size, dict_encode=dict_encode)
+    db = Database(DIFF_SCHEMA, index_config=IndexConfig.PK_FK)
     db.load_table(DataTable("movie", {
         "id": np.arange(1, n_movie + 1),
         "year": rng.integers(1960, 2026, n_movie),
@@ -135,12 +125,6 @@ def diff_db() -> Database:
     return build_differential_database()
 
 
-@pytest.fixture(scope="module")
-def plain_db() -> Database:
-    """The same data with string columns stored raw (no dictionary)."""
-    return build_differential_database(dict_encode=False)
-
-
 def make_stream(db: Database, seed: int = SEED) -> RandomQueryGenerator:
     return RandomQueryGenerator(
         db, seed=seed,
@@ -152,27 +136,18 @@ def make_stream(db: Database, seed: int = SEED) -> RandomQueryGenerator:
 
 
 class TestDifferentialOracle:
-    @pytest.mark.parametrize("dict_encode", [False, True],
-                             ids=["dict-off", "dict-on"])
-    def test_200_generated_queries_match_reference(self, diff_db, plain_db,
-                                                   dict_encode):
-        """Two passes over the same 200-query stream: raw strings and
-        dictionary codes must both match the row-at-a-time oracle -- which
-        also makes the two string representations transitively
-        equivalent on every query."""
-        db = diff_db if dict_encode else plain_db
-        generator = make_stream(db)
-        runner = make_algorithm("Default", db)
+    def test_200_generated_queries_match_reference(self, diff_db):
+        generator = make_stream(diff_db)
+        runner = make_algorithm("Default", diff_db)
         for index in range(200):
             query = generator.query_at(index)
-            expected = reference_execute(db, query)
+            expected = reference_execute(diff_db, query)
             report = runner.run(query)
             assert report.final_table is not None, (SEED, index)
             actual = canonicalize_table(report.final_table)
             assert_results_match(
                 expected, actual,
-                context=f"query (seed={SEED}, index={index}, "
-                        f"dict_encode={dict_encode}) [{query.name}]")
+                context=f"query (seed={SEED}, index={index}) [{query.name}]")
 
     def test_oracle_catches_an_injected_fault(self, diff_db):
         """Sanity: the harness is actually able to fail (no vacuous pass)."""
@@ -186,32 +161,6 @@ class TestDifferentialOracle:
                                  context="injected")
 
 
-class TestBlockBoundaryOracle:
-    #: Zone-map block widths that do not divide the table sizes (150-700
-    #: rows): one-row blocks, ragged final blocks whose surviving runs
-    #: start and stop mid-table, and one partial block wider than any table.
-    BLOCK_SIZES = (1, 17, 256, 1024)
-
-    @pytest.mark.parametrize("dict_encode", [False, True],
-                             ids=["dict-off", "dict-on"])
-    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    def test_generated_queries_match_reference(self, block_size, dict_encode):
-        db = build_differential_database(block_size=block_size,
-                                         dict_encode=dict_encode)
-        generator = make_stream(db, seed=SEED + block_size)
-        runner = make_algorithm("Default", db)
-        for index in range(40):
-            query = generator.query_at(index)
-            report = runner.run(query)
-            assert report.final_table is not None, (block_size, index)
-            assert_results_match(
-                reference_execute(db, query),
-                canonicalize_table(report.final_table),
-                context=f"block_size={block_size}, dict_encode={dict_encode}, "
-                        f"seed={SEED + block_size}, index={index} "
-                        f"[{query.name}]")
-
-
 def _single_scan_plan(table_name: str, filters: tuple) -> PhysicalPlan:
     return PhysicalPlan(
         query_name=f"scan-{table_name}",
@@ -221,65 +170,53 @@ def _single_scan_plan(table_name: str, filters: tuple) -> PhysicalPlan:
 
 
 class TestScanEdgeCases:
-    #: Conjunctions no row satisfies, decided three different ways.
+    #: Conjunctions no row satisfies: the dictionary decides the first
+    #: before any read, the compiled kernel reads every row for the others.
     EMPTY_SCANS = {
-        # Every block's year zone lies below the literal.
-        "zone-maps-prune-every-block": (
-            "movie", Comparison(ColumnRef("movie", "year"), ">", 5000)),
-        # The dictionary holds no such string: decided before any read.
         "dictionary-proves-impossible": (
             "movie", Comparison(ColumnRef("movie", "kind"), "=",
                                 "no-such-kind")),
-        "float-below-every-zone": (
+        "int-above-every-value": (
+            "movie", Comparison(ColumnRef("movie", "year"), ">", 5000)),
+        "float-below-every-value": (
             "cast_info", Comparison(ColumnRef("cast_info", "salary"), "<",
                                     -1.0)),
     }
 
     @pytest.mark.parametrize("case", sorted(EMPTY_SCANS))
-    def test_empty_scans_read_no_block(self, diff_db, case):
+    def test_empty_scans(self, diff_db, case):
         table_name, predicate = self.EMPTY_SCANS[case]
         result = Executor(diff_db).execute(
             _single_scan_plan(table_name, (predicate,)))
-        blocks = diff_db.table(table_name).zone_maps.num_blocks
         assert result.table.num_rows == 0
-        assert result.scan_blocks_total == result.scan_blocks_pruned == blocks
-        assert result.fused_rows_touched == 0
+        assert result.scan_blocks_total == result.scan_blocks_pruned == 0
         impossible = case == "dictionary-proves-impossible"
+        assert result.fused_rows_touched == (
+            0 if impossible else diff_db.table(table_name).num_rows)
         assert result.dict_predicates == int(impossible)
         assert result.fused_predicates == int(not impossible)
 
-    def test_scan_counters_follow_the_zone_maps(self, diff_db):
-        """A two-predicate scan: the pruning counters equal the zone maps'
-        own verdict, the kernel touches only rows of surviving blocks, and
-        a second execution reports the same counters."""
+    def test_scan_counters_repeat_exactly(self, diff_db):
+        """A two-predicate scan: the first predicate reads every row, the
+        second only the first one's survivors, and a second execution
+        reports the same counters."""
         filters = (Comparison(ColumnRef("cast_info", "id"), "<=", 300),
                    Comparison(ColumnRef("cast_info", "note"), "!=",
                               "(voice)"))
         table = diff_db.table("cast_info")
-        zone_maps = table.zone_maps
-        storage_name = lambda ref: ref.column
-        translated, impossible, _ = translate_filters(filters, table,
-                                                      storage_name)
-        assert not impossible
-        survivors = zone_maps.candidate_blocks(translated, storage_name)
-        surviving_rows = sum(
-            zone_maps.block_bounds(block)[1] - zone_maps.block_bounds(block)[0]
-            for block in np.nonzero(survivors)[0])
         plan = _single_scan_plan("cast_info", filters)
 
         first = Executor(diff_db).execute(plan)
         second = Executor(diff_db).execute(plan)
-        assert first.scan_blocks_total == zone_maps.num_blocks
-        assert first.scan_blocks_pruned == zone_maps.num_blocks - survivors.sum()
-        assert 0 < first.scan_blocks_pruned < first.scan_blocks_total
         assert first.fused_predicates == 2
-        assert surviving_rows <= first.fused_rows_touched < 2 * surviving_rows
+        assert first.dict_predicates == 1
         ids = table.column("id")
         notes = np.asarray(table.column_values("note"))
+        # The code-space "!=" ranks after "<=", so it sees only ids <= 300.
+        assert first.fused_rows_touched == table.num_rows + int((ids <= 300).sum())
         assert first.table.num_rows == int(((ids <= 300)
                                             & (notes != "(voice)")).sum())
-        for counter in ("scan_blocks_total", "scan_blocks_pruned",
-                        "fused_rows_touched", "fused_predicates",
+        for counter in ("fused_rows_touched", "fused_predicates",
                         "dict_predicates", "materialized_bytes"):
             assert getattr(first, counter) == getattr(second, counter), counter
 
@@ -318,8 +255,7 @@ class TestTpchOracle:
     Every query but q9 at a scale the oracle's nested loops finish in
     seconds: string group keys, filters on dictionary codes, temporaries
     that carry codes into the next iteration, and the aggregation kernel on
-    all of them, under the default engine and with raw strings and no zone
-    maps.  q9 has a cyclic join graph and is pinned on its own below,
+    all of them.  q9 has a cyclic join graph and is pinned on its own below,
     because QuerySplit answers it wrongly (ROADMAP.md item 1).
     """
 
@@ -355,15 +291,6 @@ class TestTpchOracle:
     def test_default_engine(self, tpch_db, queries, expected, policy):
         assert any(len(groups) > 1 for groups in expected.values())
         self._check(make_algorithm(policy, tpch_db), queries, expected, policy)
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_hot_path_off(self, queries, expected, policy):
-        from repro.workloads.tpch import build_tpch_database
-
-        plain = build_tpch_database(scale=self.SCALE, dict_encode=False,
-                                    block_size=0)
-        self._check(make_algorithm(policy, plain), queries, expected,
-                    f"{policy}, hot path off")
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_shared_subplan_cache(self, tpch_db, queries, expected, policy):

@@ -124,6 +124,40 @@ def test_command_line_check_fails_on_a_broken_code_sample(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
+def test_documented_cli_flags_exist():
+    check_docs = _load_check_docs()
+    unknown = check_docs.find_unknown_cli_flags(REPO_ROOT)
+    assert unknown == [], (
+        "'python -m repro.cli' lines with undefined options: "
+        + ", ".join(f"{doc} -> {flag}" for doc, flag in unknown))
+
+
+def test_unknown_cli_flags_are_reported(tmp_path):
+    """Flags are checked against their own subcommand, across backslash
+    continuations, up to a comment or a closing backtick."""
+    check_docs = _load_check_docs()
+    (tmp_path / "EXPERIMENTS.md").write_text(
+        "python -m repro.cli run figure11_job --scale 0.1 --jobs=2  # --gone\n"
+        "| serve | `python -m repro.cli serve --no-cache` (--also-gone) |\n"
+        "python -m repro.cli serve --workers 2 \\\n"
+        "    --old-width 64\n"
+        "python -m repro.cli frobnicate\n")
+    (tmp_path / "README.md").write_text(
+        "python -m repro.cli list --json --no-cache\n")
+    assert check_docs.find_unknown_cli_flags(tmp_path) == [
+        ("EXPERIMENTS.md", "serve --old-width"),
+        ("EXPERIMENTS.md", "frobnicate"),
+        ("README.md", "list --no-cache")]
+
+
+def test_command_line_check_fails_on_a_stale_cli_flag(tmp_path, capsys):
+    check_docs = _load_check_docs()
+    (tmp_path / "README.md").write_text(
+        "python -m repro.cli run figure11_job --no-such-option\n")
+    assert check_docs.main(["check_docs.py", str(tmp_path)]) == 1
+    assert "README.md: run --no-such-option" in capsys.readouterr().out
+
+
 def test_core_documents_exist():
     for name in ("README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "ROADMAP.md"):
         assert (REPO_ROOT / name).is_file(), f"{name} is missing"

@@ -900,14 +900,13 @@ class TestAggregateKernelMatchesReference:
 
 
 class TestEmptyTablePath:
-    """The empty-table edge path through Scan and Aggregate (zone maps give
-    such tables zero blocks, so the pruned scan must handle them too)."""
+    """The empty-table edge path through Scan and Aggregate."""
 
     @pytest.fixture()
     def empty_db(self, tiny_schema):
         from repro.storage.database import Database
 
-        db = Database(tiny_schema, block_size=64)
+        db = Database(tiny_schema)
         db.load_table(DataTable("t", {
             "id": np.array([], dtype=np.int64),
             "year": np.array([], dtype=np.int64),
@@ -937,8 +936,3 @@ class TestEmptyTablePath:
         )
         result = Executor(empty_db).execute(Optimizer(empty_db).plan(spj))
         assert result.table.to_rows() == [(0,)]
-
-    def test_empty_table_has_zero_blocks(self, empty_db):
-        zone_maps = empty_db.table("t").zone_maps
-        assert zone_maps is not None
-        assert zone_maps.num_blocks == 0

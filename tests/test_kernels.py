@@ -5,8 +5,7 @@ acceleration layer -- selectivity-ordered fused predicate evaluation and
 code-space predicate translation over dictionary-encoded strings -- has to
 produce row-id vectors bit-identical to the naive engine it replaces.  The
 tests here check each layer in isolation (property-style sweeps against the
-naive per-predicate conjunction, mirroring ``tests/test_zonemaps.py``) and
-then end to end through the Scan operator and a full hash-join plan, plus
+naive per-predicate conjunction) and then end to end through the Scan operator and a full hash-join plan, plus
 two regressions (``InList`` literal coercion and dtype-aware ANALYZE null
 handling).
 """
@@ -40,16 +39,31 @@ from repro.catalog.types import DataType
 from repro.storage.database import Database, IndexConfig
 from repro.storage.dictionary import translate_filters
 from repro.storage.table import DataTable
-from tests.test_zonemaps import _random_floats, _random_ints, _random_strings
 
 SEED = 20260808
+
+
+def _random_ints(rng, n):
+    return rng.integers(-50, 50, n)
+
+
+def _random_floats(rng, n):
+    values = rng.normal(0.0, 30.0, n)
+    values[rng.random(n) < 0.15] = np.nan
+    return values
+
+
+def _random_strings(rng, n):
+    pool = np.array([f"s_{i:03d}" for i in range(40)] + [None] * 6,
+                    dtype=object)
+    return rng.choice(pool, n)
 
 
 # ----------------------------------------------------------------------
 # Random predicate sampling (per-column refs, multi-dtype tables)
 # ----------------------------------------------------------------------
 def _predicates_for(rng, ref: ColumnRef, values: np.ndarray) -> list:
-    """Predicate shapes valid for one column, mirroring test_zonemaps."""
+    """Predicate shapes valid for one column's dtype."""
     non_null = [v for v in values
                 if v is not None and not (isinstance(v, float) and np.isnan(v))]
     preds = [IsNotNull(ref)]
@@ -202,57 +216,182 @@ class TestDictionaryTranslation:
         actual = _naive_positions(translated, lambda _ref: codes, len(raw))
         assert np.array_equal(actual, np.array([0, 1, 3]))
 
-    def test_string_predicates_prune_blocks_via_code_zone_maps(self):
-        """A clustered encoded column prunes blocks for string equality."""
-        schema = Schema([TableSchema(
-            "s", [Column("id", DataType.INT), Column("grp", DataType.STRING)],
-            primary_key="id")])
-        n, per = 4096, 256
-        grp = np.array([f"g_{i // per:02d}" for i in range(n)], dtype=object)
-        db = Database(schema, index_config=IndexConfig.NONE, block_size=per)
-        db.load_table(DataTable("s", {"id": np.arange(n), "grp": grp}))
-        assert db.table("s").is_encoded("grp")
-        node = ScanNode(relation=RelationRef.base("s", "s"),
-                        filters=(Comparison(ColumnRef("s", "grp"), "=", "g_07"),))
-        ctx = ExecContext(database=db, stats=MaterializationStats())
-        chunk = Scan(node).execute(ctx)
+
+# ----------------------------------------------------------------------
+# One predicate shape at a time, through Scan over a loaded table
+# ----------------------------------------------------------------------
+SHAPE_SCHEMA = Schema([TableSchema(
+    "t", [Column("id", DataType.INT), Column("s", DataType.STRING)],
+    primary_key="id")])
+
+#: Dictionary ``a, b, bb, c, d`` (codes 0-4); rows 1 and 6 are NULL.
+SHAPE_VALUES = ("b", None, "d", "a", "d", "c", None, "bb")
+S = ColumnRef("t", "s")
+
+#: ``case -> (predicate, matching row positions, what the dictionary does)``:
+#: ``codes`` rewrites the conjunct for the kernel, ``impossible`` proves it
+#: unsatisfiable before any read, ``dropped`` proves it true for every row.
+SHAPE_CASES = {
+    "eq-present": (Comparison(S, "=", "d"), [2, 4], "codes"),
+    "eq-absent": (Comparison(S, "=", "zz"), [], "impossible"),
+    # NULL != literal is true, as in value space.
+    "ne-present": (Comparison(S, "!=", "d"), [0, 1, 3, 5, 6, 7], "codes"),
+    "ne-absent": (Comparison(S, "!=", "zz"), list(range(8)), "dropped"),
+    "lt-between-entries": (Comparison(S, "<", "bc"), [0, 3, 7], "codes"),
+    "le-on-entry": (Comparison(S, "<=", "b"), [0, 3], "codes"),
+    "gt-on-entry": (Comparison(S, ">", "c"), [2, 4], "codes"),
+    "ge-between-entries": (Comparison(S, ">=", "ba"), [2, 4, 5, 7], "codes"),
+    "lt-below-dictionary": (Comparison(S, "<", "a"), [], "impossible"),
+    "between": (Between(S, "b", "c"), [0, 5, 7], "codes"),
+    "between-inverted": (Between(S, "d", "a"), [], "impossible"),
+    "in-list": (InList(S, ("a", "d", "zz")), [2, 3, 4], "codes"),
+    "in-every-value": (InList(S, ("a", "b", "bb", "c", "d")),
+                       [0, 2, 3, 4, 5, 7], "codes"),
+    "prefix": (StringPrefix(S, "b"), [0, 7], "codes"),
+    "prefix-outside-dictionary": (StringPrefix(S, "z"), [], "impossible"),
+    "contains": (StringContains(S, "d"), [2, 4], "codes"),
+    "is-not-null": (IsNotNull(S), [0, 2, 3, 4, 5, 7], "codes"),
+    "or-skips-impossible-child": (
+        OrPredicate((Comparison(S, "=", "zz"), StringPrefix(S, "c"))),
+        [5], "codes"),
+    "or-with-tautological-child": (
+        OrPredicate((Comparison(S, "!=", "zz"), Comparison(S, "=", "a"))),
+        list(range(8)), "dropped"),
+    "or-of-impossible-children": (
+        OrPredicate((Comparison(S, "=", "zz"), StringPrefix(S, "z"))),
+        [], "impossible"),
+}
+
+
+class TestPredicateShapes:
+    @pytest.fixture(scope="class")
+    def shape_db(self) -> Database:
+        db = Database(SHAPE_SCHEMA)
+        db.load_table(DataTable("t", {
+            "id": np.arange(len(SHAPE_VALUES)),
+            "s": np.array(SHAPE_VALUES, dtype=object)}))
+        assert db.table("t").is_encoded("s")
+        assert db.table("t").dictionary("s").tolist() == ["a", "b", "bb",
+                                                          "c", "d"]
+        return db
+
+    @pytest.mark.parametrize("case", list(SHAPE_CASES))
+    def test_scan_selects_exactly_the_matching_rows(self, shape_db, case):
+        """Each shape the dictionary translates selects exactly its rows,
+        and the dictionary decides the conjunct as documented: an
+        unsatisfiable one reads no row, a tautological one hands out the
+        identity selection."""
+        predicate, expected, outcome = SHAPE_CASES[case]
+        ctx = ExecContext(database=shape_db, stats=MaterializationStats())
+        chunk = Scan(ScanNode(relation=RelationRef.base("t", "t"),
+                              filters=(predicate,))).execute(ctx)
+        row_ids = chunk.sources[0].row_ids
         assert ctx.dict_predicates == 1
-        assert ctx.scan_blocks_pruned == (n // per) - 1
-        assert np.array_equal(chunk.sources[0].row_ids,
-                              np.arange(7 * per, 8 * per))
+        if outcome == "dropped":
+            assert row_ids is None
+            assert ctx.fused_predicates == 0
+            row_ids = np.arange(len(SHAPE_VALUES))
+        else:
+            assert ctx.fused_predicates == int(outcome == "codes")
+        if outcome == "impossible":
+            assert ctx.fused_rows_touched == 0
+        assert row_ids.tolist() == expected
 
 
 class TestScanPathEquivalence:
-    def test_scan_row_ids_identical_across_all_toggles(self, tiny_schema):
-        """End to end through Scan: dict on and off emit the same selection
-        vector, and both equal the naive per-predicate loop over the raw
-        columns."""
-        from tests.conftest import build_tiny_database
-
+    def test_scan_row_ids_match_naive_loop_over_decoded_values(self, tiny_db):
+        """End to end through Scan over an encoded column: the selection
+        vector equals the naive per-predicate loop over decoded values."""
         filters = (Comparison(ColumnRef("ci", "id"), "<=", 1200),
                    StringPrefix(ColumnRef("ci", "note"), "(v"),
                    Comparison(ColumnRef("ci", "movie_id"), ">", 3))
         node = ScanNode(relation=RelationRef.base("ci", "ci"), filters=filters)
-
-        def scan_ids(dict_encode):
-            db = build_tiny_database(tiny_schema, dict_encode=dict_encode)
-            table = db.table("ci")
-            assert table.is_encoded("note") == dict_encode
-            table.build_zone_maps(64)
-            ctx = ExecContext(database=db, stats=MaterializationStats())
-            chunk = Scan(node).execute(ctx)
-            return chunk.sources[0].row_ids, ctx
-
-        plain = build_tiny_database(tiny_schema, dict_encode=False).table("ci")
-        baseline = _naive_positions(filters,
-                                    lambda ref: plain.column(ref.column),
-                                    plain.num_rows)
+        table = tiny_db.table("ci")
+        assert table.is_encoded("note")
+        baseline = _naive_positions(
+            filters, lambda ref: table.column_values(ref.column, cache=False),
+            table.num_rows)
         assert baseline.size > 0
-        for dict_encode in (False, True):
-            row_ids, ctx = scan_ids(dict_encode)
-            assert np.array_equal(row_ids, baseline), dict_encode
-            assert ctx.fused_predicates == len(filters)
-            assert ctx.fused_rows_touched > 0
+        ctx = ExecContext(database=tiny_db, stats=MaterializationStats())
+        chunk = Scan(node).execute(ctx)
+        assert np.array_equal(chunk.sources[0].row_ids, baseline)
+        assert ctx.dict_predicates == 1
+        assert ctx.fused_predicates == len(filters)
+        assert ctx.fused_rows_touched > 0
+
+    def test_unencoded_string_column_filters_in_value_space(self):
+        """An indexed string column is not encoded: its predicates reach the
+        kernel untranslated and compare the stored strings."""
+        schema = Schema([TableSchema(
+            "s", [Column("code", DataType.STRING), Column("n", DataType.INT)],
+            primary_key="code")])
+        db = Database(schema)
+        rng = np.random.default_rng(SEED + 9)
+        db.load_table(DataTable("s", {
+            "code": np.array([f"k_{i:04d}" for i in rng.permutation(500)],
+                             dtype=object),
+            "n": rng.integers(0, 10, 500)}))
+        table = db.table("s")
+        assert not table.is_encoded("code") and db.has_index("s", "code")
+        filters = (StringPrefix(ColumnRef("s", "code"), "k_01"),
+                   Comparison(ColumnRef("s", "code"), "!=", "k_0105"),
+                   Comparison(ColumnRef("s", "n"), "<", 7))
+        ctx = ExecContext(database=db, stats=MaterializationStats())
+        chunk = Scan(ScanNode(relation=RelationRef.base("s", "s"),
+                              filters=filters)).execute(ctx)
+        expected = _naive_positions(filters,
+                                    lambda ref: table.column(ref.column),
+                                    table.num_rows)
+        assert 0 < expected.size < 100
+        assert np.array_equal(chunk.sources[0].row_ids, expected)
+        assert ctx.dict_predicates == 0
+        assert ctx.fused_predicates == len(filters)
+
+    #: String-column generators for the loaded-table sweep below.
+    STRING_COLUMNS = {
+        "with-nulls": _random_strings,
+        "no-nulls": lambda rng, n: rng.choice(
+            np.array([f"s_{i:03d}" for i in range(40)], dtype=object), n),
+        "all-null": lambda rng, n: np.full(n, None, dtype=object),
+        "single-value": lambda rng, n: rng.choice(
+            np.array(["only", None], dtype=object), n),
+        "shared-prefixes": lambda rng, n: rng.choice(
+            np.array(["a", "ab", "abc", "abd", "b", "ba", None],
+                     dtype=object), n),
+    }
+
+    @pytest.mark.parametrize("strings", list(STRING_COLUMNS))
+    def test_loaded_table_scans_match_naive_loop_over_raw_values(self, strings):
+        """Property sweep through ``Database.load_table`` and Scan: an int,
+        a float-with-NaN and an encoded string column under random
+        conjunctions select exactly the rows the naive loop selects over
+        the values as they were before loading."""
+        schema = Schema([TableSchema("t", [Column("a", DataType.INT),
+                                           Column("b", DataType.FLOAT),
+                                           Column("c", DataType.STRING)])])
+        make_strings = self.STRING_COLUMNS[strings]
+        rng = np.random.default_rng(SEED + 11)
+        for trial in range(30):
+            n = int(rng.integers(1, 300))
+            raw = {"a": _random_ints(rng, n), "b": _random_floats(rng, n),
+                   "c": np.asarray(make_strings(rng, n), dtype=object)}
+            db = Database(schema, index_config=IndexConfig.NONE)
+            db.load_table(DataTable("t", {k: v.copy() for k, v in raw.items()}))
+            assert db.table("t").is_encoded("c")
+            pool = []
+            for name, values in raw.items():
+                pool += _predicates_for(rng, ColumnRef("t", name), values)
+            count = int(rng.integers(1, 5))
+            picked = rng.choice(len(pool), size=count, replace=False)
+            filters = tuple(pool[int(i)] for i in picked)
+            ctx = ExecContext(database=db, stats=MaterializationStats())
+            chunk = Scan(ScanNode(relation=RelationRef.base("t", "t"),
+                                  filters=filters)).execute(ctx)
+            row_ids = chunk.sources[0].row_ids
+            if row_ids is None:
+                row_ids = np.arange(n)
+            expected = _naive_positions(filters, lambda ref: raw[ref.column], n)
+            assert np.array_equal(row_ids, expected), (trial, filters)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +411,7 @@ SEMI_SCHEMA = Schema([
 def _semi_database() -> Database:
     rng = np.random.default_rng(SEED + 6)
     n_dim, n_fact = 100, 6000
-    db = Database(SEMI_SCHEMA, index_config=IndexConfig.NONE, block_size=512)
+    db = Database(SEMI_SCHEMA, index_config=IndexConfig.NONE)
     db.load_table(DataTable("dim", {
         "id": np.arange(1, n_dim + 1),
         "tag": np.array([f"x_{i % 10}" for i in range(n_dim)], dtype=object),
@@ -321,10 +460,7 @@ class TestScanFeedback:
         assert result.table.to_rows()[0][0] == expected
         assert result.semijoin_pruned_rows == 0
 
-    @pytest.mark.parametrize("dict_encode", [False, True],
-                             ids=["dict-off", "dict-on"])
-    def test_generated_stream_scans_report_own_filter_counts(self,
-                                                             dict_encode):
+    def test_generated_stream_scans_report_own_filter_counts(self):
         """The same feedback contract over generated join queries, whatever
         plan shape the optimizer picks: every executed base-table scan's
         ``actual_rows`` is the number of live rows passing its filters."""
@@ -333,7 +469,7 @@ class TestScanFeedback:
             make_stream,
         )
 
-        db = build_differential_database(dict_encode=dict_encode)
+        db = build_differential_database()
         generator = make_stream(db)
         optimizer, executor = Optimizer(db), Executor(db)
         checked = 0

@@ -1,12 +1,12 @@
 """Base tables are load-once: nothing writes them after ``load_table``.
 
-``Database.load_table`` encodes, analyzes, indexes and zone-maps a base
-table, and from then on the engine only reads it.  Several layers rely on
+``Database.load_table`` encodes, analyzes and indexes a base table, and
+from then on the engine only reads it.  Several layers rely on
 that without checking it at run time:
 
 * session views share tables, statistics and indexes by reference;
 * a ``SubplanCache`` entry stays valid for the life of its database;
-* zone maps, dictionaries and statistics built at load time stay exact.
+* dictionaries and statistics built at load time stay exact.
 
 These tests run every registered algorithm, queries aborted by the
 join-size cap, a shared cache and a served stream over the differential
@@ -60,8 +60,6 @@ def _snapshot(db) -> dict:
             "dictionaries": dict(table.dictionaries),
             "dictionary_values": {c: d.copy()
                                   for c, d in table.dictionaries.items()},
-            "zone_maps": table.zone_maps,
-            "zones": dict(table.zone_maps.columns),
             "stats": db.stats(name),
             "stats_copy": copy.deepcopy(db.stats(name)),
             "indexes": {c: db.index(name, c) for c in table.columns},
@@ -85,8 +83,6 @@ def _assert_unchanged(db, before: dict) -> None:
             assert dictionary is old["dictionaries"][column], (name, column)
             assert np.array_equal(dictionary,
                                   old["dictionary_values"][column])
-        assert table.zone_maps is old["zone_maps"], name
-        assert table.zone_maps.columns == old["zones"], name
         stats = db.stats(name)
         assert stats is old["stats"], name
         assert stats.num_rows == old["stats_copy"].num_rows == table.num_rows
@@ -223,10 +219,8 @@ class TestIdentityScans:
 class TestOracleAgainstReference:
     """True cardinalities of every sub-join equal the row-at-a-time count."""
 
-    @pytest.mark.parametrize("dict_encode", [False, True],
-                             ids=["dict-off", "dict-on"])
-    def test_every_subset_of_generated_queries(self, dict_encode):
-        db = build_differential_database(dict_encode=dict_encode)
+    def test_every_subset_of_generated_queries(self):
+        db = build_differential_database()
         oracle = TrueCardinalityOracle(db)
         generator = make_stream(db, seed=SEED + 5)
         checked = 0

@@ -184,44 +184,19 @@ class TestCostModel:
         model = CostModel()
         assert model.scan_cost(10_000, 10_000) > model.scan_cost(100, 100)
 
-    def test_zone_map_aware_scan_cost(self):
+    def test_scan_cost_reads_every_row(self):
+        """The PostgreSQL-style formula over the whole table; code-space
+        filters pay a quarter of the per-tuple operator cost."""
         model = CostModel()
-        base = model.scan_cost(100_000, 100, num_filters=2)
-        pruned = model.scan_cost(100_000, 100, num_filters=2,
-                                 pruned_fraction=0.9)
-        assert pruned < base
-        # Smaller blocks mean more zone checks for the same pruned fraction.
-        fine = model.scan_cost(100_000, 100, num_filters=2,
-                               pruned_fraction=0.9, block_rows=64)
-        coarse = model.scan_cost(100_000, 100, num_filters=2,
-                                 pruned_fraction=0.9, block_rows=8192)
-        assert fine > coarse
-        # pruned_fraction=0 must reproduce the classic formula exactly.
-        assert model.scan_cost(100_000, 100, 2, pruned_fraction=0.0) == base
-
-    def test_zone_map_scan_cost_opt_in_via_enumerator(self, tiny_db):
-        """With the opt-in flag, a clustered selective filter lowers the
-        estimated scan cost; without it, estimates are unchanged."""
-        from repro.optimizer.join_enum import EnumeratorConfig, JoinEnumerator
-        from repro.optimizer.cardinality import DefaultCardinalityEstimator
-        from repro.plan.logical import SPJQuery
-        from repro.plan.expressions import Comparison
-
-        spj = SPJQuery(
-            name="prune-cost",
-            relations=(_rel("ci"),),
-            filters=(Comparison(ColumnRef("ci", "id"), "<=", 100),),
-        )
-        tiny_db.table("ci").build_zone_maps(256)
-        try:
-            estimator = DefaultCardinalityEstimator(tiny_db)
-            off = JoinEnumerator(tiny_db, estimator, CostModel()).plan(spj)
-            on = JoinEnumerator(
-                tiny_db, estimator, CostModel(),
-                EnumeratorConfig(zone_map_scan_cost=True)).plan(spj)
-            assert on.est_cost < off.est_cost
-        finally:
-            tiny_db.table("ci").build_zone_maps(tiny_db.block_size)
+        p = model.params
+        expected = (100_000 / p.rows_per_page * p.seq_page_cost
+                    + 100_000 * p.cpu_tuple_cost
+                    + 100_000 * (1 + 0.25) * p.cpu_operator_cost
+                    + 100 * p.cpu_tuple_cost)
+        assert model.scan_cost(100_000, 100, num_filters=2,
+                               code_space_filters=1) == pytest.approx(expected)
+        assert model.scan_cost(100_000, 100, num_filters=2) > model.scan_cost(
+            100_000, 100, num_filters=2, code_space_filters=2)
 
     def test_index_nl_cheap_for_small_outer(self):
         model = CostModel()

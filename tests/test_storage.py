@@ -179,38 +179,77 @@ class TestDatabase:
             tiny_db.stats("missing")
 
 
-class TestBlockPartitioning:
-    def test_loaded_tables_get_zone_maps(self, tiny_db):
-        zone_maps = tiny_db.table("ci").zone_maps
-        assert zone_maps is not None
-        assert zone_maps.block_size == tiny_db.block_size
-        expected = -(-tiny_db.table("ci").num_rows // zone_maps.block_size)
-        assert zone_maps.num_blocks == expected
-        assert set(zone_maps.columns) == set(tiny_db.table("ci").column_names)
+class TestOneStorageFormat:
+    """Loading a table has one outcome: every eligible string column is
+    stored as dictionary codes and everything else stays as given."""
 
-    def test_block_size_zero_disables_partitioning(self, tiny_schema):
-        from tests.conftest import build_tiny_database
+    @staticmethod
+    def _database(columns: dict, analyze: bool = True):
+        from repro.catalog.schema import Column, Schema, TableSchema
+        from repro.catalog.types import DataType
 
-        db = build_tiny_database(tiny_schema)
-        for name in db.base_table_names:
-            db.table(name).build_zone_maps(0)
-            assert db.table(name).zone_maps is None
+        schema = Schema([TableSchema(
+            "s", [Column(name, DataType.STRING if values.dtype == object
+                         else DataType.INT)
+                  for name, values in columns.items()],
+            primary_key="id")])
+        db = Database(schema)
+        db.load_table(DataTable("s", dict(columns)), analyze=analyze)
+        return db
 
-    def test_temp_tables_are_not_partitioned(self, tiny_schema):
-        from tests.conftest import build_tiny_database
+    def test_every_eligible_string_column_is_encoded(self, tiny_db):
+        for name in tiny_db.base_table_names:
+            table = tiny_db.table(name)
+            for column, values in table.columns.items():
+                encoded = table.is_encoded(column)
+                assert encoded == (values.dtype == np.int32
+                                   and not tiny_db.has_index(name, column)), (
+                    name, column)
+                if encoded:
+                    dictionary = table.dictionary(column)
+                    assert list(dictionary) == sorted(set(dictionary))
+        assert tiny_db.table("ci").is_encoded("note")
+        assert tiny_db.table("n").is_encoded("gender")
 
-        db = build_tiny_database(tiny_schema)
-        name = db.register_temp(DataTable("temp", {"t.id": np.arange(10)}),
-                                TableStats.row_count_only(10), frozenset({"t"}))
-        assert db.table(name).zone_maps is None
+    def test_indexed_string_column_stays_values(self):
+        keys = np.array(["b", "a", "c"], dtype=object)
+        db = self._database({"id": keys,
+                             "tag": np.array(["x", "y", "x"], dtype=object)})
+        table = db.table("s")
+        assert not table.is_encoded("id") and table.is_encoded("tag")
+        assert table.column("id") is keys
+        _, rows = db.index("s", "id").lookup_batch(np.array(["c"], dtype=object))
+        assert rows.tolist() == [2]
 
-    def test_zone_bounds_cover_the_data(self, tiny_db):
-        table = tiny_db.table("mk")
-        zones = table.zone_maps.columns["movie_id"]
-        values = table.column("movie_id")
-        for block, zone in enumerate(zones):
-            start, stop = table.zone_maps.block_bounds(block)
-            assert zone.min_value == values[start:stop].min()
-            assert zone.max_value == values[start:stop].max()
-            assert zone.num_rows == stop - start
-            assert zone.null_count == 0
+    def test_mixed_type_object_column_stays_values(self):
+        mixed = np.array(["a", 7, None, "b"], dtype=object)
+        # ANALYZE cannot order mixed types either, so load row counts only.
+        db = self._database({"id": np.arange(4), "v": mixed}, analyze=False)
+        table = db.table("s")
+        assert not table.is_encoded("v")
+        assert table.column("v") is mixed
+        assert table.dictionaries == {}
+
+    def test_session_view_and_index_clone_share_the_encoded_tables(self, tiny_db):
+        for other in (tiny_db.session_view(),
+                      tiny_db.with_index_config(IndexConfig.PK_ONLY)):
+            for name in tiny_db.base_table_names:
+                table = other.table(name)
+                assert table is tiny_db.table(name)
+                assert table.dictionaries == tiny_db.table(name).dictionaries
+
+
+def test_dbcache_keeps_one_database_per_workload_scale_and_indexes():
+    from repro.workloads import dbcache
+
+    dbcache.enable()
+    try:
+        first = dbcache.build("tpch", scale=0.01, index_config=IndexConfig.PK_FK)
+        assert dbcache.build("tpch", scale=0.01,
+                             index_config=IndexConfig.PK_FK) is first
+        assert dbcache.build("tpch", scale=0.01,
+                             index_config=IndexConfig.PK_ONLY) is not first
+    finally:
+        dbcache.disable()
+    assert dbcache.build("tpch", scale=0.01,
+                         index_config=IndexConfig.PK_FK) is not first

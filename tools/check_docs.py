@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency check: references resolve, experiments are documented.
 
-Four checks:
+Five checks:
 
 1. Scans the repository's Python sources (docstrings and comments included
    -- the whole file text is searched) and Markdown documents for
@@ -19,17 +19,22 @@ Four checks:
    block of a top-level Markdown document does not import, or names an
    attribute the module lacks, so a code sample cannot outlive the API it
    shows.
+5. Fails if a ``python -m repro.cli <command> ...`` line in EXPERIMENTS.md
+   or README.md passes a ``--flag`` that ``repro.cli.build_parser()`` does
+   not define for that command (or names no such command), so a removed
+   option cannot linger in the docs.
 
 Usage::
 
     python tools/check_docs.py [repo_root]
 
 Exits non-zero listing every dangling reference, undocumented experiment,
-stale run command and broken code-sample import.
+stale run command, broken code-sample import and unknown CLI flag.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import re
 import sys
@@ -47,6 +52,13 @@ RUN_COMMAND = re.compile(r"repro\.cli run((?:[ \t]+[A-Za-z_][A-Za-z0-9_]*)+)")
 
 #: Documents whose ``repro.cli run <name>`` lines must name real experiments.
 RUN_DOCUMENTS = ("EXPERIMENTS.md", "README.md")
+
+#: ``python -m repro.cli <command>`` and the rest of its command line,
+#: backslash continuations included.
+CLI_COMMAND = re.compile(r"python3? -m repro\.cli[ \t]+(\w+)((?:\\\n|[^\n])*)")
+
+#: A ``--flag`` (or ``--flag=value``) on a command line.
+CLI_FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 
 #: The body of a fenced Python block in Markdown.
 PYTHON_FENCE = re.compile(r"^```(?:python|py)[ \t]*\n(.*?)^```", re.M | re.S)
@@ -183,6 +195,44 @@ def find_broken_imports(root: Path) -> list[tuple[str, str]]:
     return broken
 
 
+def _cli_options(root: Path):
+    """Option strings per ``repro.cli`` subcommand, or the ``ImportError``."""
+    _use_sources(root)
+    try:
+        from repro.cli import build_parser
+    except ImportError as exc:
+        return None, f"<CLI flag check could not run: {exc}>"
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {name: set(sub._option_string_actions)
+            for name, sub in commands.items()}, None
+
+
+def find_unknown_cli_flags(root: Path) -> list[tuple[str, str]]:
+    """``(document, "command --flag")`` pairs for flags that the command's
+    parser does not define, and ``(document, command)`` for unknown
+    commands, on ``python -m repro.cli`` lines of EXPERIMENTS.md or
+    README.md.  A line ends at a backtick or a ``#`` comment."""
+    options, error = _cli_options(root)
+    if error:
+        return [("<repro.cli>", error)]
+    unknown: list[tuple[str, str]] = []
+    for document in RUN_DOCUMENTS:
+        path = root / document
+        if not path.is_file():
+            continue
+        for match in CLI_COMMAND.finditer(path.read_text(encoding="utf-8")):
+            command, rest = match.groups()
+            if command not in options:
+                unknown.append((document, command))
+                continue
+            rest = rest.split("`")[0].split("#")[0]
+            unknown.extend((document, f"{command} {flag}")
+                           for flag in CLI_FLAG.findall(rest)
+                           if flag not in options[command])
+    return unknown
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parents[1]
     failures = 0
@@ -213,13 +263,20 @@ def main(argv: list[str]) -> int:
               "line(s) in Markdown code samples do not import:")
         for document, problem in broken:
             print(f"  {document}: {problem}")
+    flags = find_unknown_cli_flags(root)
+    if flags:
+        failures += 1
+        print(f"docs check FAILED: {len(flags)} 'python -m repro.cli' "
+              "line(s) pass an option the CLI does not define:")
+        for document, flag in flags:
+            print(f"  {document}: {flag}")
     if failures:
         return 1
     print(f"docs check OK: all Markdown references under {root} resolve, "
           "every registered experiment is documented in EXPERIMENTS.md, "
           "every documented 'repro.cli run' names a registered experiment, "
-          "and every 'from repro... import' in a Markdown code sample "
-          "imports")
+          "every 'from repro... import' in a Markdown code sample imports, "
+          "and every documented 'repro.cli' flag exists")
     return 0
 
 
