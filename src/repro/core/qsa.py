@@ -48,9 +48,11 @@ def generate_subqueries(query: SPJQuery, schema: Schema,
         if strategy is QSAStrategy.PK_CENTER:
             graph = graph.reversed()
         subqueries = _center_subqueries(query, graph)
-    subqueries = _repair_coverage(query, subqueries)
-    if validate:
-        assert_covers(subqueries, query)
+    # No gap proves coverage; only a repaired set needs checking again.
+    if coverage_gaps(subqueries, query):
+        subqueries = _repair_coverage(query, subqueries)
+        if validate:
+            assert_covers(subqueries, query)
     return subqueries
 
 
@@ -126,9 +128,6 @@ def _make_subquery(query: SPJQuery, relations: list[RelationRef],
 
 def _repair_coverage(query: SPJQuery, subqueries: list[SPJQuery]) -> list[SPJQuery]:
     """Add minimal subqueries for any join predicate left uncovered."""
-    problems = coverage_gaps(subqueries, query)
-    if not problems:
-        return subqueries
     covered_joins = {pred for sub in subqueries for pred in sub.join_predicates}
     counter = len(subqueries)
     for pred in query.join_predicates:

@@ -3,9 +3,12 @@
 The :class:`QuerySplitExecutor` implements the full algorithm:
 
 1. run the Query Splitting Algorithm to obtain a covering subquery set;
-2. at every iteration ask the optimizer for the estimated cost ``C(q)`` and
-   output cardinality ``S(q)`` of every remaining subquery, and select the
-   one minimizing the configured cost function Phi;
+2. at every iteration rank the remaining subqueries by the configured cost
+   function Phi of the estimated cost ``C(q)`` and output cardinality
+   ``S(q)`` of their plans, and select the minimum.  Each subquery is
+   planned once: its plan supplies ``C(q)`` and ``S(q)`` and, if it wins,
+   is the plan that runs; it is planned again only after a temporary was
+   substituted into it;
 3. execute it; if it overlaps with remaining subqueries, materialize the
    result as a temporary table (optionally collecting statistics) and
    substitute it into the overlapping subqueries; otherwise push the result
@@ -104,28 +107,34 @@ class QuerySplitExecutor:
         if self.config.cost_function is CostFunction.GLOBAL_DEEP:
             global_plan = self.optimizer.plan(spj)
 
-        remaining = list(subqueries)
+        # Each remaining subquery with its plan; None until it is planned.
+        remaining: list[tuple[SPJQuery, PhysicalPlan | None]] = [
+            (sq, None) for sq in subqueries]
         result_tables: list[DataTable] = []
         consumed: set[str] = set()
         iteration = len(report.iterations)
 
         while remaining:
             self._check_timeout(report)
+            remaining = [
+                (sq, plan if plan is not None else self.optimizer.plan(sq))
+                for sq, plan in remaining
+            ]
             estimates = [
-                SubqueryEstimate(sq, *self.optimizer.estimate(sq))
-                for sq in remaining
+                SubqueryEstimate(sq, plan.est_cost, plan.est_rows)
+                for sq, plan in remaining
             ]
             idx = select_subquery(estimates, self.config.cost_function,
                                   global_plan, frozenset(consumed))
-            subquery = remaining.pop(idx)
+            subquery, plan = remaining.pop(idx)
 
-            extra = self._columns_to_retain(subquery, remaining, spj)
-            plan = self.optimizer.plan(subquery)
+            extra = self._columns_to_retain(
+                subquery, [q for q, _ in remaining], spj)
             result = self.executor.execute(plan, extra_columns=extra)
             report.total_time += result.wall_time
 
             overlapping = [
-                q for q in remaining
+                q for q, _ in remaining
                 if q.covered_aliases() & subquery.covered_aliases()
             ]
             materialized = bool(overlapping)
@@ -193,16 +202,23 @@ class QuerySplitExecutor:
                 time.perf_counter() - start, False)
 
     @staticmethod
-    def _substitute(remaining: list[SPJQuery], temp: RelationRef) -> list[SPJQuery]:
+    def _substitute(remaining: list[tuple[SPJQuery, PhysicalPlan | None]],
+                    temp: RelationRef
+                    ) -> list[tuple[SPJQuery, PhysicalPlan | None]]:
+        """Substitute ``temp`` into the overlapping subqueries.
+
+        A substituted subquery loses its plan; an untouched one keeps it,
+        since its query, its relations and their statistics are unchanged.
+        """
         substituted = []
-        for q in remaining:
+        for q, plan in remaining:
             if q.covered_aliases() & temp.covered_aliases:
-                q = q.substitute(temp)
+                q, plan = q.substitute(temp), None
             # Drop subqueries reduced to a bare re-scan of the temporary.
             if (len(q.relations) == 1 and q.relations[0].is_temp
                     and not q.filters and not q.join_predicates):
                 continue
-            substituted.append(q)
+            substituted.append((q, plan))
         return substituted
 
     @staticmethod

@@ -62,7 +62,12 @@ class Optimizer:
         )
 
     def estimate(self, query: SPJQuery) -> tuple[float, float]:
-        """Return ``(C(q), S(q))``: estimated plan cost and output cardinality."""
+        """Return ``(C(q), S(q))``: estimated plan cost and output cardinality.
+
+        QuerySplit reads both numbers from the plan it then executes, so
+        nothing under ``src/`` calls this; it stays as the paper's
+        ``(C(q), S(q))`` interface, which the e2e tracer wraps by name.
+        """
         plan = self.plan(query)
         return plan.est_cost, plan.est_rows
 

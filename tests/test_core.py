@@ -139,6 +139,47 @@ class TestQSA:
             for pred in sub.filters:
                 assert pred in spj.filters
 
+    @staticmethod
+    def _count_coverage_checks(monkeypatch):
+        import repro.core.qsa as qsa
+        import repro.core.subquery as subquery
+
+        calls = []
+
+        def counting(subqueries, query):
+            calls.append(len(subqueries))
+            return coverage_gaps(subqueries, query)
+
+        monkeypatch.setattr(qsa, "coverage_gaps", counting)
+        monkeypatch.setattr(subquery, "coverage_gaps", counting)
+        return calls
+
+    def test_covering_split_is_checked_once(self, tiny_schema, monkeypatch):
+        calls = self._count_coverage_checks(monkeypatch)
+        generate_subqueries(five_way_query(), tiny_schema, QSAStrategy.FK_CENTER)
+        assert calls == [2]
+
+    def test_repaired_split_is_validated(self, tiny_schema, monkeypatch):
+        """A removed cycle edge (ci.id = mk.id) no other predicate implies
+        needs a repair subquery, and the repaired set is checked again."""
+        import repro.core.qsa as qsa
+
+        spj = five_way_query()
+        cyclic = SPJQuery(
+            name="cyclic", relations=spj.relations, filters=spj.filters,
+            join_predicates=spj.join_predicates + (
+                JoinPredicate(ColumnRef("ci", "id"), ColumnRef("mk", "id")),))
+        calls = self._count_coverage_checks(monkeypatch)
+        subqueries = generate_subqueries(cyclic, tiny_schema, QSAStrategy.FK_CENTER)
+        assert calls == [2, 3]
+        assert subqueries[-1].covered_aliases() == {"ci", "mk"}
+        assert covers(subqueries, cyclic)
+
+        # A repair that leaves a gap fails validation.
+        monkeypatch.setattr(qsa, "_repair_coverage", lambda query, subs: subs)
+        with pytest.raises(AssertionError, match="not covered"):
+            generate_subqueries(cyclic, tiny_schema, QSAStrategy.FK_CENTER)
+
     def test_every_strategy_covers_job_queries(self, tiny_schema):
         """Property: all three strategies produce covering sets for all samples."""
         from repro.workloads.imdb import IMDB_SCHEMA
@@ -243,6 +284,111 @@ class TestQuerySplitDriver:
         report = QuerySplitExecutor(tiny_db, Optimizer(tiny_db)).run(Query.from_spj(spj))
         expected = tiny_db.table("k").num_rows * tiny_db.table("n").num_rows
         assert report.final_table.to_rows()[0][0] == expected
+
+
+class _RecordingOptimizer(Optimizer):
+    """Keeps every ``(query, plan)`` it made alive, in order."""
+
+    def __init__(self, database):
+        super().__init__(database)
+        self.made = []
+
+    def plan(self, query):
+        plan = super().plan(query)
+        self.made.append((query, plan))
+        return plan
+
+
+class _CheckingExecutor(Executor):
+    """Checks each plan it receives against a fresh plan of its subquery."""
+
+    def __init__(self, database, optimizer):
+        super().__init__(database)
+        self.optimizer = optimizer
+        self.executed = 0
+
+    def execute(self, plan, *args, **kwargs):
+        [query] = [q for q, made in self.optimizer.made if made is plan]
+        fresh = Optimizer(self.database).plan(query)
+        assert plan.explain() == fresh.explain(), query.name
+        self.executed += 1
+        return super().execute(plan, *args, **kwargs)
+
+
+#: Every (QSA strategy, SSA cost function) pair QuerySplit can run with.
+ALL_POLICIES = [(strategy, cost_function) for strategy in QSAStrategy
+                for cost_function in CostFunction]
+
+
+def assert_plans_once(database, queries, policies=ALL_POLICIES):
+    """Run query ``i`` under ``policies[i % len(policies)]``: each executed
+    plan is the one made for its subquery, equals a fresh plan of it, and
+    no subquery object is planned twice.  Returns the timed-out runs."""
+    timed_out = []
+    for index, query in enumerate(queries):
+        strategy, cost_function = policies[index % len(policies)]
+        optimizer = _RecordingOptimizer(database)
+        executor = _CheckingExecutor(database, optimizer)
+        report = QuerySplitExecutor(
+            database, optimizer, executor,
+            QuerySplitConfig(qsa_strategy=strategy,
+                             cost_function=cost_function)).run(query)
+        context = (query.name, strategy, cost_function)
+        if report.timed_out:  # the join-size cap ends the run mid-execute
+            timed_out.append(context)
+        else:
+            assert executor.executed == report.num_iterations > 0, context
+        # Every planned query is still alive in ``made``: ids are distinct
+        # exactly when the objects are.
+        planned = [id(q) for q, _ in optimizer.made]
+        assert len(set(planned)) == len(planned), context
+        assert report.planner_invocations == len(planned), context
+    assert database.temp_table_names == []
+    return timed_out
+
+
+class TestPlanOnce:
+    """The plan QuerySplit ranks a subquery by is the plan it executes."""
+
+    def test_generated_stream(self):
+        from tests.test_differential import build_differential_database, make_stream
+
+        database = build_differential_database()
+        generator = make_stream(database)
+        assert assert_plans_once(
+            database, [generator.query_at(index) for index in range(200)]) == []
+
+    @pytest.mark.parametrize("cost_function", list(CostFunction))
+    def test_job_slice(self, imdb_db, cost_function):
+        from repro.workloads.job_queries import job_queries
+        from tests.test_optimizer import JOB_SLICE
+
+        queries = [q for q in job_queries() if q.name in JOB_SLICE]
+        policies = [(strategy, cost_function) for strategy in QSAStrategy]
+        # Query i runs under policies[i % 3]: every query meets every strategy.
+        queries = [q for q in queries for _ in policies]
+        timed_out = assert_plans_once(imdb_db, queries, policies)
+        # PK-Center + global_deep overflows the join-size cap on two queries.
+        assert timed_out == ([(name, QSAStrategy.PK_CENTER, cost_function)
+                              for name in ("28a", "30c")]
+                             if cost_function is CostFunction.GLOBAL_DEEP else [])
+
+    def test_untouched_subquery_keeps_its_plan(self):
+        """Substitution replans only the subqueries the temporary overlaps."""
+        spj = five_way_query()
+        plans = [object(), object()]
+        overlapping = SPJQuery(
+            name="overlapping",
+            relations=(RelationRef.base("t", "t"), RelationRef.base("ci", "ci")),
+            join_predicates=(JoinPredicate(ColumnRef("ci", "movie_id"),
+                                           ColumnRef("t", "id")),))
+        untouched = SPJQuery(name="untouched", relations=spj.relations[4:])
+        temp = RelationRef.temp("tmp_0", frozenset({"t", "mk", "k"}))
+        [(substituted, no_plan), (kept, plan)] = QuerySplitExecutor._substitute(
+            [(overlapping, plans[0]), (untouched, plans[1])], temp)
+        assert any(rel.is_temp for rel in substituted.relations)
+        assert no_plan is None
+        assert kept is untouched and plan is plans[1]
 
 
 class TestFinalizeCarriesDictionaries:

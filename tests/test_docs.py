@@ -158,6 +158,43 @@ def test_command_line_check_fails_on_a_stale_cli_flag(tmp_path, capsys):
     assert "README.md: run --no-such-option" in capsys.readouterr().out
 
 
+def test_third_party_imports_are_on_both_install_lines():
+    check_docs = _load_check_docs()
+    assert check_docs.third_party_imports(REPO_ROOT) >= {"numpy", "networkx"}
+    unlisted = check_docs.find_unlisted_dependencies(REPO_ROOT)
+    assert unlisted == [], (
+        "imported under src/repro but not installed: "
+        + ", ".join(f"{doc} -> {module}" for doc, module in unlisted))
+
+
+def test_command_line_check_fails_on_an_unlisted_import(tmp_path, capsys):
+    """Standard-library, relative and ``repro`` imports need no install
+    line; a third-party one missing from either line fails the check."""
+    check_docs = _load_check_docs()
+    package = tmp_path / "src" / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "graph.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from networkx.algorithms import cycles\n"
+        "from repro.plan import logical\n"
+        "from . import subquery\n")
+    (tmp_path / "README.md").write_text(
+        "## Install\n\n```bash\npip install numpy networkx pytest\n```\n\n"
+        "## Use\n\n```bash\npip install -e .\n```\n")
+    workflow = tmp_path / ".github" / "workflows"
+    workflow.mkdir(parents=True)
+    (workflow / "ci.yml").write_text(
+        "      - run: pip install build\n"
+        "      - name: Install dependencies\n"
+        "        run: python -m pip install numpy pytest\n")
+    assert check_docs.find_unlisted_dependencies(tmp_path) == [
+        (".github/workflows/ci.yml", "networkx")]
+    assert check_docs.main(["check_docs.py", str(tmp_path)]) == 1
+    assert ".github/workflows/ci.yml: networkx" in capsys.readouterr().out
+
+
 def test_core_documents_exist():
     for name in ("README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "ROADMAP.md"):
         assert (REPO_ROOT / name).is_file(), f"{name} is missing"

@@ -455,9 +455,12 @@ JOB_SLICE = ("1a", "3b", "6d", "9c", "13a", "17b", "21a", "23b", "28a", "30c")
 
 #: ``Optimizer.invocations`` per query of JOB_SLICE, recorded on the revision
 #: before the enumerator rewrite (imdb scale 0.25, identical for
-#: PYTHONHASHSEED 0-3 and random).
+#: PYTHONHASHSEED 0-3 and random).  QuerySplit's row was re-recorded when it
+#: began executing the plan it ranked a subquery by: one plan per distinct
+#: subquery, where it used to plan every remaining subquery each iteration
+#: and the winner twice.
 PLANNER_INVOCATIONS = {
-    "QuerySplit": [2, 5, 5, 9, 9, 9, 2, 14, 20, 9],
+    "QuerySplit": [1, 3, 3, 6, 6, 6, 1, 10, 15, 6],
     "Default": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
     "Reopt": [1, 1, 1, 1, 1, 1, 1, 2, 3, 1],
     "Pop": [1, 2, 3, 3, 3, 4, 3, 2, 5, 5],

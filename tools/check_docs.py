@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency check: references resolve, experiments are documented.
 
-Five checks:
+Six checks:
 
 1. Scans the repository's Python sources (docstrings and comments included
    -- the whole file text is searched) and Markdown documents for
@@ -23,18 +23,24 @@ Five checks:
    or README.md passes a ``--flag`` that ``repro.cli.build_parser()`` does
    not define for that command (or names no such command), so a removed
    option cannot linger in the docs.
+6. Fails if a third-party module imported under ``src/repro`` is missing
+   from the ``pip install`` line of README.md's "Install" section or of
+   the CI step "Install dependencies", so a fresh checkout that follows
+   either line can import the package.
 
 Usage::
 
     python tools/check_docs.py [repo_root]
 
 Exits non-zero listing every dangling reference, undocumented experiment,
-stale run command, broken code-sample import and unknown CLI flag.
+stale run command, broken code-sample import, unknown CLI flag and
+unlisted dependency.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import re
 import sys
@@ -67,6 +73,15 @@ PYTHON_FENCE = re.compile(r"^```(?:python|py)[ \t]*\n(.*?)^```", re.M | re.S)
 REPRO_IMPORT = re.compile(
     r"^[ \t]*from[ \t]+(repro(?:\.\w+)*)[ \t]+import[ \t]+(\([^)]*\)|[^\n#]+)",
     re.M)
+
+#: Files holding an install line, each with the text its line follows.
+INSTALL_LINES = {
+    "README.md": "## Install",
+    ".github/workflows/ci.yml": "name: Install dependencies",
+}
+
+#: A ``pip install`` line and its arguments.
+PIP_INSTALL = re.compile(r"pip install[ \t]+([^\n`]*)")
 
 
 def referencing_files(root: Path) -> list[Path]:
@@ -233,6 +248,43 @@ def find_unknown_cli_flags(root: Path) -> list[tuple[str, str]]:
     return unknown
 
 
+def third_party_imports(root: Path) -> set[str]:
+    """Top-level modules imported under ``src/repro`` that are neither the
+    standard library nor ``repro`` itself."""
+    modules: set[str] = set()
+    for path in (root / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+    return {name for name in modules
+            if name != "repro" and name not in sys.stdlib_module_names}
+
+
+def _install_line_packages(path: Path, anchor: str) -> set[str]:
+    """The packages on the first ``pip install`` line after ``anchor``."""
+    text = path.read_text(encoding="utf-8") if path.is_file() else ""
+    start = text.find(anchor)
+    match = PIP_INSTALL.search(text, start) if start >= 0 else None
+    if match is None:
+        return set()
+    return {word for word in match.group(1).split() if not word.startswith("-")}
+
+
+def find_unlisted_dependencies(root: Path) -> list[tuple[str, str]]:
+    """``(file, module)`` pairs for third-party modules imported under
+    ``src/repro`` that an install line in ``INSTALL_LINES`` leaves out.
+    Package and module names are taken to be the same."""
+    modules = sorted(third_party_imports(root))
+    unlisted: list[tuple[str, str]] = []
+    for document, anchor in INSTALL_LINES.items():
+        packages = _install_line_packages(root / document, anchor)
+        unlisted.extend((document, name) for name in modules
+                        if name not in packages)
+    return unlisted
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parents[1]
     failures = 0
@@ -270,13 +322,21 @@ def main(argv: list[str]) -> int:
               "line(s) pass an option the CLI does not define:")
         for document, flag in flags:
             print(f"  {document}: {flag}")
+    unlisted = find_unlisted_dependencies(root)
+    if unlisted:
+        failures += 1
+        print(f"docs check FAILED: {len(unlisted)} third-party import(s) "
+              "under src/repro missing from an install line:")
+        for document, module in unlisted:
+            print(f"  {document}: {module}")
     if failures:
         return 1
     print(f"docs check OK: all Markdown references under {root} resolve, "
           "every registered experiment is documented in EXPERIMENTS.md, "
           "every documented 'repro.cli run' names a registered experiment, "
           "every 'from repro... import' in a Markdown code sample imports, "
-          "and every documented 'repro.cli' flag exists")
+          "every documented 'repro.cli' flag exists, "
+          "and every third-party import is on both install lines")
     return 0
 
 
