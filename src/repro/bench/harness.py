@@ -8,9 +8,12 @@ The harness only *measures*; formatting lives in
 
 Measured time is the executor wall-clock time plus materialization and
 statistics-collection time; planner time is excluded for *all* algorithms
-because the pure-Python DP planner is disproportionately slow compared to
-PostgreSQL's C planner and would otherwise dominate the measurements (see
-EXPERIMENTS.md for the full accounting discussion).
+because the pure-Python DP planner is slow next to PostgreSQL's C planner:
+on the ``job_baselines`` stream of ``benchmarks/e2e`` (Default, Reopt and
+Pop over JOB) planning is about a fifth of the wall time (traced
+``optimizer.share`` 0.21 on a 2-vCPU VM), enough to blur the execution
+differences the paper compares (see EXPERIMENTS.md for the full accounting
+discussion).
 """
 
 from __future__ import annotations

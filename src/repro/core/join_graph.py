@@ -16,8 +16,7 @@ exactly as described in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Iterator
 
 from repro.catalog.schema import Schema
 from repro.plan.expressions import JoinPredicate
@@ -136,25 +135,63 @@ def _remove_redundant_edges(graph: JoinGraph) -> None:
 
     Edges are removed one at a time until the graph is acyclic, preferring
     bidirectional (non-PK-FK) edges, exactly as the paper prescribes for
-    join cycles like ``mk -- t -- ci -- mk`` in JOB query 6d.
+    join cycles like ``mk -- t -- ci -- mk`` in JOB query 6d: of the first
+    cycle :func:`_find_cycle` meets, the first bidirectional edge goes, or
+    the first edge if every one is directed.
     """
-    undirected = nx.MultiGraph()
-    undirected.add_nodes_from(graph.vertices)
-    for i, edge in enumerate(graph.edges):
-        undirected.add_edge(edge.source, edge.target, key=i)
+    # vertex -> neighbour -> keys (indexes into graph.edges) of the edges
+    # between them, in insertion order; a self-loop is listed once.
+    adjacency: dict[str, dict[str, list[int]]] = {v: {} for v in graph.vertices}
+    for key, edge in enumerate(graph.edges):
+        adjacency.setdefault(edge.source, {}).setdefault(edge.target, []).append(key)
+        if edge.target != edge.source:
+            adjacency.setdefault(edge.target, {}).setdefault(
+                edge.source, []).append(key)
+    removed: list[int] = []
+    while (cycle := _find_cycle(adjacency, set(removed))) is not None:
+        removed.append(next((key for key in cycle if graph.edges[key].bidirectional),
+                            cycle[0]))
+    graph.removed_edges.extend(graph.edges[key] for key in removed)
+    graph.edges[:] = [edge for key, edge in enumerate(graph.edges)
+                      if key not in removed]
 
-    while True:
-        try:
-            cycle = nx.find_cycle(undirected)
-        except nx.NetworkXNoCycle:
-            break
-        # Choose the edge of the cycle to remove: bidirectional edges first.
-        cycle_keys = [key for (_, _, key) in cycle]
-        cycle_edges = [(key, graph.edges[key]) for key in cycle_keys]
-        bidirectional = [item for item in cycle_edges if item[1].bidirectional]
-        key, edge = (bidirectional or cycle_edges)[0]
-        undirected.remove_edge(edge.source, edge.target, key=key)
-        graph.removed_edges.append(edge)
 
-    kept_keys = {key for (_, _, key) in undirected.edges(keys=True)}
-    graph.edges[:] = [edge for i, edge in enumerate(graph.edges) if i in kept_keys]
+def _find_cycle(adjacency: dict[str, dict[str, list[int]]],
+                removed: set[int]) -> list[int] | None:
+    """Keys of the first cycle a depth-first walk meets, or ``None``.
+
+    The walk starts from each unseen vertex in ``adjacency`` order and
+    follows every edge not in ``removed`` once, in ``adjacency`` order; the
+    first edge that reaches a vertex on the current path closes the cycle,
+    which is reported from that vertex on, in walk order.  (The search, and
+    so the cycle, of ``networkx.find_cycle`` on the equivalent multigraph.)
+    """
+    def incident(vertex: str) -> Iterator[tuple[str, int]]:
+        return ((neighbour, key) for neighbour, keys in adjacency[vertex].items()
+                for key in keys)
+
+    seen: set[str] = set()
+    used = set(removed)
+    for start in adjacency:
+        if start in seen:
+            continue
+        seen.add(start)
+        path, keys = [start], []
+        walks = [incident(start)]
+        while walks:
+            step = next(walks[-1], None)
+            if step is None:
+                walks.pop()
+                path.pop()
+                if keys:
+                    keys.pop()
+            elif step[1] not in used:
+                neighbour, key = step
+                used.add(key)
+                if neighbour in path:
+                    return keys[path.index(neighbour):] + [key]
+                seen.add(neighbour)
+                path.append(neighbour)
+                keys.append(key)
+                walks.append(incident(neighbour))
+    return None

@@ -5,8 +5,8 @@ late-materialized :class:`~repro.executor.chunk.Chunk` inputs:
 
 * :class:`Scan`        -- filtered scan producing a row-id selection vector;
 * :class:`HashJoin`    -- equi-join on gathered key columns (also evaluates
-  MERGE and predicate-carrying NL nodes: the equi-join kernel in
-  :mod:`repro.executor.joins` serves all of them);
+  predicate-carrying NL nodes: the equi-join kernel in
+  :mod:`repro.executor.joins` serves both);
 * :class:`IndexNLJoin` -- index nested-loop join probing a sorted index;
 * :class:`CrossProduct`-- predicate-less join (guarded Cartesian product);
 * :class:`Aggregate`   -- plan-root aggregation, the point where the

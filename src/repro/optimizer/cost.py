@@ -2,17 +2,22 @@
 
 The parameters follow PostgreSQL's conventions (sequential / random page
 cost, CPU tuple cost, ...), scaled so that costs roughly track the wall-clock
-behaviour of the vectorized in-memory executor:
+behaviour of the vectorized in-memory executor.  There is one formula per
+operator the executor has:
 
+* a **scan** reads every row of the table and evaluates its filters;
 * a **hash join** pays to materialize (build) its inner input and to probe
   with its outer input;
 * an **index nested-loop join** pays a per-probe cost proportional to the
   outer cardinality plus a per-match cost -- cheap when the outer input is
   small, ruinous when it is large;
 * a **plain nested-loop join** is quadratic and only ever chosen for tiny
-  inputs or cross products;
-* **materializing** a temporary table (the re-optimization overhead the
-  paper accounts for) costs a per-row write plus a per-row statistics pass.
+  inputs or cross products.
+
+The join enumerator scores every split of every relation subset, so it
+evaluates the join formulas inline from per-subset terms, with the same
+operations in the same order; ``tests/reference_enum.py`` plans through
+:meth:`CostModel.join_cost` and must produce the same floats.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ class CostParameters:
     cpu_operator_cost: float = 0.0025
     rows_per_page: int = 100
     hash_build_factor: float = 1.5
-    materialize_factor: float = 2.0
-    statistics_factor: float = 1.0
 
 
 class CostModel:
@@ -77,73 +80,29 @@ class CostModel:
     # ------------------------------------------------------------------
     def join_cost(self, method: JoinMethod, outer_rows: float, inner_rows: float,
                   output_rows: float, inner_indexed: bool = False) -> float:
-        """Incremental cost of a join (children's costs not included)."""
+        """Incremental cost of a join (children's costs not included).
+
+        HASH builds on the inner input, probes with the outer and emits the
+        output; INDEX_NL descends the index once per outer row
+        (``inner_rows`` is the indexed table's raw size); NL compares every
+        outer row with every inner row.
+        """
+        p = self.params
+        emit = output_rows * p.cpu_tuple_cost
         if method is JoinMethod.HASH:
-            return self.hash_join_cost(outer_rows, inner_rows, output_rows)
+            build = inner_rows * p.cpu_tuple_cost * p.hash_build_factor
+            probe = outer_rows * (p.cpu_tuple_cost + p.cpu_operator_cost)
+            return build + probe + emit
         if method is JoinMethod.INDEX_NL:
             if not inner_indexed:
                 raise ValueError("INDEX_NL join requires an indexed inner relation")
-            return self.index_nl_cost(outer_rows, inner_rows, output_rows)
-        if method is JoinMethod.MERGE:
-            return self.merge_join_cost(outer_rows, inner_rows, output_rows,
-                                        self.sort_cost(outer_rows),
-                                        self.sort_cost(inner_rows))
-        return self.nested_loop_cost(outer_rows, inner_rows, output_rows)
+            return outer_rows * self.index_probe_cost(inner_rows) + emit
+        return outer_rows * inner_rows * p.cpu_operator_cost + emit
 
-    # The per-method formulas are public so the join enumerator, which
-    # scores every split of every relation subset, can skip the dispatch.
-
-    def hash_join_cost(self, outer_rows, inner_rows, output_rows) -> float:
-        """Build on the inner input, probe with the outer, emit the output."""
+    def index_probe_cost(self, table_rows: float) -> float:
+        """Cost of one index descent into a table of ``table_rows`` rows: a
+        few random page touches worth of work amortized plus per-index-tuple
+        CPU."""
         p = self.params
-        build = inner_rows * p.cpu_tuple_cost * p.hash_build_factor
-        probe = outer_rows * (p.cpu_tuple_cost + p.cpu_operator_cost)
-        emit = output_rows * p.cpu_tuple_cost
-        return build + probe + emit
-
-    def index_nl_cost(self, outer_rows, inner_rows, output_rows) -> float:
-        """One index descent per outer row; ``inner_rows`` is the indexed
-        table's raw size."""
-        p = self.params
-        # Each outer row descends the index: a few random page touches worth
-        # of work amortized plus per-index-tuple CPU.
-        per_probe = (p.random_page_cost / p.rows_per_page
-                     + p.cpu_index_tuple_cost * math.log2(max(inner_rows, 2.0)))
-        probes = outer_rows * per_probe
-        emit = output_rows * p.cpu_tuple_cost
-        return probes + emit
-
-    def sort_cost(self, rows: float) -> float:
-        """Cost of sorting one merge-join input.
-
-        It depends on that input alone, so a caller costing many joins of
-        the same input computes it once and hands it to
-        :meth:`merge_join_cost`.
-        """
-        return rows * self.params.cpu_operator_cost * math.log2(max(rows, 2.0))
-
-    def merge_join_cost(self, outer_rows, inner_rows, output_rows,
-                        outer_sort: float, inner_sort: float) -> float:
-        """Sort both inputs (their :meth:`sort_cost`), then one merging scan."""
-        p = self.params
-        sort = outer_sort + inner_sort
-        scan = (outer_rows + inner_rows) * p.cpu_tuple_cost
-        emit = output_rows * p.cpu_tuple_cost
-        return sort + scan + emit
-
-    def nested_loop_cost(self, outer_rows, inner_rows, output_rows) -> float:
-        """Compare every outer row with every inner row."""
-        p = self.params
-        return (outer_rows * inner_rows * p.cpu_operator_cost
-                + output_rows * p.cpu_tuple_cost)
-
-    # ------------------------------------------------------------------
-    # Re-optimization overheads
-    # ------------------------------------------------------------------
-    def materialize_cost(self, rows: float) -> float:
-        """Cost of writing a result into a temporary table."""
-        return rows * self.params.cpu_tuple_cost * self.params.materialize_factor
-
-    def analyze_cost(self, rows: float) -> float:
-        """Cost of collecting statistics on a materialized temporary table."""
-        return rows * self.params.cpu_tuple_cost * self.params.statistics_factor
+        return (p.random_page_cost / p.rows_per_page
+                + p.cpu_index_tuple_cost * math.log2(max(table_rows, 2.0)))

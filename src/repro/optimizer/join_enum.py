@@ -4,8 +4,9 @@ The enumerator performs the classic dynamic programming over relation
 subsets (DPsub style) used by System R descendants, limited to a
 configurable relation count, and falls back to greedy operator ordering (GOO)
 for wider queries.  For every join it considers hash join, index nested-loop
-join (when the inner side is a single indexed base relation), merge join, and
-plain nested-loop join, and keeps the cheapest alternative.
+join (when the inner side is a single indexed base relation) and plain
+nested-loop join -- the three methods the executor has -- and keeps the
+cheapest alternative.
 
 The enumerator is deliberately driven *only* by the injected cardinality
 estimator: feeding it the default estimator reproduces PostgreSQL's
@@ -16,11 +17,14 @@ study of Figure 10.
 The optimizer is re-invoked at every re-optimization point, so one ``plan()``
 call is kept cheap: relation subsets are int bitmasks (bit ``i`` is
 ``query.relations[i]``), everything that depends only on the query is
-derived once per call (:class:`_JoinSearch`), each candidate join is scored
-as plain floats, and a :class:`~repro.plan.physical.JoinNode` is built only
-for the winner of each subset.  ``tests/reference_enum.py`` keeps the
-straightforward formulation; the two must agree on every node and every
-float (see ARCHITECTURE.md, "The optimizer").
+derived once per call (:class:`_JoinSearch`), every solved subset carries
+only numbers (its rows, cost, neighbours and hash-join terms), a split is
+scored with a few float operations on those numbers -- or skipped when its
+inputs alone already cost as much as the best join found -- and
+:class:`~repro.plan.physical.JoinNode` objects are built once, for the
+winning tree.  ``tests/reference_enum.py`` keeps the straightforward
+formulation; the two must agree on every node and every float (see
+ARCHITECTURE.md, "The optimizer").
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ class EnumeratorConfig:
     dp_relation_limit: int = 8
     enable_index_nl: bool = True
     enable_hash: bool = True
-    enable_merge: bool = True
     enable_nl: bool = True
     #: Multiplier applied to estimated cardinalities when evaluating plan
     #: robustness (used by the FS baseline); 1.0 disables the penalty.
@@ -56,15 +59,13 @@ class EnumeratorConfig:
     robustness_weight: float = 0.0
 
 
-#: The plan chosen for one relation subset, with the numbers joins above it
-#: are scored from: ``(node, est_rows, est_cost, sort cost, neighbours)``.
-#: The sort cost is ``CostModel.sort_cost(est_rows)``, the subset as a
-#: merge-join input.  ``neighbours`` is the mask of every relation that shares
-#: a join predicate with one inside the subset (members of the subset may be
-#: in it too), so ``neighbours & other`` tells whether a disjoint subset
-#: ``other`` connects.  (A plain tuple: the scoring loop unpacks two of these
-#: per split.)
-_Solved = tuple[PlanNode, float, float, float, int]
+#: What joins above a solved subset are scored from:
+#: ``(est_rows, est_cost, neighbours, hash build term, hash probe term)``.
+#: ``neighbours`` is the mask of every relation that shares a join predicate
+#: with one inside the subset (members of the subset may be in it too), so
+#: ``neighbours & other`` tells whether a disjoint subset ``other`` connects.
+#: (A plain tuple: the scoring loop unpacks two of these per split.)
+_Solved = tuple[float, float, int, float, float]
 
 
 class _JoinSearch:
@@ -79,12 +80,16 @@ class _JoinSearch:
         #: ``(pair mask, predicates)`` rows; a join's predicates are the
         #: rows whose pair has one relation on each side, in table order.
         self.predicate_table = predicate_table
-        #: Relations an INDEX_NL join may probe: relation bit -> ``(raw row
-        #: count of the stored table, [(partner bit, indexed column of the
-        #: relation), ...] in predicate-table order)``.
+        #: Relations an INDEX_NL join may probe: relation bit -> ``(cost of
+        #: one probe into the stored table, [(partner bit, indexed column of
+        #: the relation), ...] in predicate-table order)``.
         self.indexed_inner: dict[int, tuple[float, list[tuple[int, ColumnRef]]]] = {}
         #: mask -> solution, in the order the masks were solved.
         self.solved: dict[int, _Solved] = {}
+        #: relation bit -> its scan, and mask of two or more relations -> the
+        #: join that solved it; :meth:`node` turns these into the plan.
+        self.scans: dict[int, ScanNode] = {}
+        self.choice: dict[int, _Join] = {}
 
     def estimate(self, mask: int) -> float:
         """Estimated rows of the sub-join over ``mask`` (asked once per mask)."""
@@ -94,8 +99,17 @@ class _JoinSearch:
         return rows
 
     def node(self, mask: int) -> PlanNode:
-        """The plan chosen for ``mask``."""
-        return self.solved[mask][0]
+        """Build the plan chosen for ``mask``: ``JoinNode``s and their
+        predicates are made here, for the winning tree only."""
+        scan = self.scans.get(mask)
+        if scan is not None:
+            return scan
+        est_cost, left, right, out_rows, method, index_column = self.choice[mask]
+        return JoinNode(
+            left=self.node(left), right=self.node(right),
+            predicates=self.predicates_between(left, right),
+            method=method, index_column=index_column,
+            est_rows=out_rows, est_cost=est_cost)
 
     def predicates_between(self, left: int, right: int) -> tuple[JoinPredicate, ...]:
         """Join predicates connecting two disjoint masks."""
@@ -158,9 +172,9 @@ class JoinEnumerator:
             table_rows = self.estimator.relation_rows(relation)
             node = self._scan_node(query, relation, search.estimate(bit),
                                    table_rows)
-            search.solved[bit] = (
-                node, node.est_rows, node.est_cost,
-                self.cost_model.sort_cost(node.est_rows), neighbours[bit])
+            search.scans[bit] = node
+            search.solved[bit] = self._solution(node.est_rows, node.est_cost,
+                                                neighbours[bit])
             if self.config.enable_index_nl and not relation.is_temp:
                 probes = [(pair ^ bit, side)
                           for pair, preds in predicate_table if pair & bit
@@ -168,8 +182,18 @@ class JoinEnumerator:
                           if relation.covers(side.alias) and self.database.has_index(
                               relation.table_name, side.column)]
                 if probes:
-                    search.indexed_inner[bit] = (table_rows, probes)
+                    search.indexed_inner[bit] = (
+                        self.cost_model.index_probe_cost(table_rows), probes)
         return search
+
+    def _solution(self, rows: float, cost: float, neighbours: int) -> _Solved:
+        """The numbers a solved subset is joined from; the hash terms are
+        :meth:`CostModel.join_cost`'s HASH ``build`` and ``probe``, with the
+        same operations."""
+        p = self.cost_model.params
+        return (rows, cost, neighbours,
+                rows * p.cpu_tuple_cost * p.hash_build_factor,
+                rows * (p.cpu_tuple_cost + p.cpu_operator_cost))
 
     # ------------------------------------------------------------------
     # Leaf plans
@@ -240,7 +264,7 @@ class JoinEnumerator:
                 search, _connected_pairs(search, components))
             if join is None:
                 # No connected pair remains: cross product the two smallest.
-                components.sort(key=lambda mask: search.solved[mask][1])
+                components.sort(key=lambda mask: search.solved[mask][0])
                 join = self._cross_product(search, components[0], components[1])
             _, left, right, *_ = join
             self._add_join(search, join)
@@ -256,16 +280,20 @@ class JoinEnumerator:
         """Best-scoring join over ``(left mask, right mask, output rows)`` splits.
 
         Candidates are compared in split order and, within a split, in the
-        order HASH, MERGE, INDEX_NL, NL; a later candidate replaces the
-        incumbent only when its score is strictly lower.  Splits with an
-        unsolved side are skipped.  This loop runs once per split of every
-        subset, so it works on floats only.
+        order HASH, INDEX_NL, NL; a later candidate replaces the incumbent
+        only when its score is strictly lower.  Splits with an unsolved side
+        are skipped.  This loop runs once per split of every subset, so it
+        works on floats only, with :meth:`CostModel.join_cost`'s operations
+        in the same order.  With ``robustness_weight`` 0 a split is also
+        skipped when none of its candidates can score strictly lower than
+        the incumbent: each costs ``child_cost`` (INDEX_NL: ``child_cost``
+        minus the replaced inner scan) plus non-negative terms, and adding a
+        non-negative float never rounds below the other operand.
         """
         config = self.config
-        hash_cost = self.cost_model.hash_join_cost
-        merge_cost = self.cost_model.merge_join_cost
-        index_nl_cost = self.cost_model.index_nl_cost
-        nested_loop_cost = self.cost_model.nested_loop_cost
+        p = self.cost_model.params
+        tuple_cost, operator_cost = p.cpu_tuple_cost, p.cpu_operator_cost
+        enable_hash, enable_nl = config.enable_hash, config.enable_nl
         solved, indexed_inner = search.solved, search.indexed_inner
         robust = config.robustness_weight > 0.0
         best: _Join | None = None
@@ -275,14 +303,19 @@ class JoinEnumerator:
             right_solved = solved.get(right)
             if left_solved is None or right_solved is None:
                 continue
-            _, left_rows, left_cost, left_sort, neighbours = left_solved
-            _, right_rows, right_cost, right_sort, _ = right_solved
+            left_rows, left_cost, neighbours, _, left_probe = left_solved
+            right_rows, right_cost, _, right_build, _ = right_solved
             child_cost = left_cost + right_cost
+            indexed = indexed_inner.get(right)
+            if (child_cost >= best_score and not robust
+                    and (indexed is None or child_cost - right_cost >= best_score)):
+                continue
+            emit = out_rows * tuple_cost
             found = False
             if neighbours & right:
-                if config.enable_hash:
+                if enable_hash:
                     found = True
-                    est_cost = child_cost + hash_cost(left_rows, right_rows, out_rows)
+                    est_cost = child_cost + ((right_build + left_probe) + emit)
                     score = est_cost if not robust else self._plan_score(
                         JoinMethod.HASH, est_cost, left_rows, right_rows,
                         out_rows, left_cost, right_cost)
@@ -290,27 +323,16 @@ class JoinEnumerator:
                         best_score = score
                         best = (est_cost, left, right, out_rows,
                                 JoinMethod.HASH, None)
-                if config.enable_merge:
-                    found = True
-                    est_cost = child_cost + merge_cost(
-                        left_rows, right_rows, out_rows, left_sort, right_sort)
-                    score = est_cost if not robust else self._plan_score(
-                        JoinMethod.MERGE, est_cost, left_rows, right_rows,
-                        out_rows, left_cost, right_cost)
-                    if score < best_score:
-                        best_score = score
-                        best = (est_cost, left, right, out_rows,
-                                JoinMethod.MERGE, None)
-                if right in indexed_inner:
-                    table_rows, probes = indexed_inner[right]
+                if indexed is not None:
+                    per_probe, probes = indexed
                     for partner, index_column in probes:
                         if not partner & left:
                             continue
                         found = True
                         # The inner scan is replaced by index probes into
                         # the whole stored table.
-                        est_cost = child_cost - right_cost + index_nl_cost(
-                            left_rows, table_rows, out_rows)
+                        est_cost = (child_cost - right_cost) + (
+                            left_rows * per_probe + emit)
                         score = est_cost if not robust else self._plan_score(
                             JoinMethod.INDEX_NL, est_cost, left_rows, right_rows,
                             out_rows, left_cost, right_cost)
@@ -319,11 +341,11 @@ class JoinEnumerator:
                             best = (est_cost, left, right, out_rows,
                                     JoinMethod.INDEX_NL, index_column)
                         break
-            if config.enable_nl and not found:
+            if enable_nl and not found:
                 # Last resort for connected splits, and the cross product
                 # the DP is allowed for unconnected ones.
-                est_cost = child_cost + nested_loop_cost(
-                    left_rows, right_rows, out_rows)
+                est_cost = child_cost + (
+                    left_rows * right_rows * operator_cost + emit)
                 score = est_cost if not robust else self._plan_score(
                     JoinMethod.NL, est_cost, left_rows, right_rows,
                     out_rows, left_cost, right_cost)
@@ -355,27 +377,21 @@ class JoinEnumerator:
 
     def _cross_product(self, search: _JoinSearch, left: int, right: int) -> _Join:
         """The NL cross product of two solved masks, outside any scoring."""
-        _, left_rows, left_cost, _, _ = search.solved[left]
-        _, right_rows, right_cost, _, _ = search.solved[right]
+        left_rows, left_cost, *_ = search.solved[left]
+        right_rows, right_cost, *_ = search.solved[right]
         out_rows = max(left_rows * right_rows, 1.0)
         est_cost = (left_cost + right_cost
-                    + self.cost_model.nested_loop_cost(left_rows, right_rows,
-                                                       out_rows))
+                    + self.cost_model.join_cost(JoinMethod.NL, left_rows,
+                                                right_rows, out_rows))
         return est_cost, left, right, out_rows, JoinMethod.NL, None
 
     def _add_join(self, search: _JoinSearch, join: _Join) -> None:
         """Record ``join`` as the solution of the mask it covers."""
-        est_cost, left, right, out_rows, method, index_column = join
-        left_node, _, _, _, left_neighbours = search.solved[left]
-        right_node, _, _, _, right_neighbours = search.solved[right]
-        node = JoinNode(
-            left=left_node, right=right_node,
-            predicates=search.predicates_between(left, right),
-            method=method, index_column=index_column,
-            est_rows=out_rows, est_cost=est_cost)
-        search.solved[left | right] = (
-            node, out_rows, est_cost, self.cost_model.sort_cost(out_rows),
-            left_neighbours | right_neighbours)
+        est_cost, left, right, out_rows, _, _ = join
+        mask = left | right
+        search.choice[mask] = join
+        search.solved[mask] = self._solution(
+            out_rows, est_cost, search.solved[left][2] | search.solved[right][2])
 
 
 def _ordered_splits(mask: int, out_rows: float) -> Iterator[tuple[int, int, float]]:
@@ -394,7 +410,7 @@ def _connected_pairs(search: _JoinSearch,
                      components: list[int]) -> Iterator[tuple[int, int, float]]:
     """Every ordered pair of components joined by at least one predicate."""
     for left in components:
-        neighbours = search.solved[left][4]
+        neighbours = search.solved[left][2]
         for right in components:
             if right != left and neighbours & right:
                 yield left, right, search.estimate(left | right)

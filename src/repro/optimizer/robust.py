@@ -18,7 +18,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.optimizer.join_enum import EnumeratorConfig
 
@@ -26,30 +26,14 @@ from repro.optimizer.join_enum import EnumeratorConfig
 def fs_config(base: EnumeratorConfig | None = None,
               blowup: float = 8.0, weight: float = 0.5) -> EnumeratorConfig:
     """Enumerator configuration used by the FS robust-plan baseline."""
-    base = base or EnumeratorConfig()
-    return EnumeratorConfig(
-        dp_relation_limit=base.dp_relation_limit,
-        enable_index_nl=base.enable_index_nl,
-        enable_hash=base.enable_hash,
-        enable_merge=base.enable_merge,
-        enable_nl=base.enable_nl,
-        robustness_blowup=blowup,
-        robustness_weight=weight,
-    )
+    return replace(base or EnumeratorConfig(),
+                   robustness_blowup=blowup, robustness_weight=weight)
 
 
 def use_config(base: EnumeratorConfig | None = None) -> EnumeratorConfig:
     """Enumerator configuration used by the USE baseline (no nested loops)."""
-    base = base or EnumeratorConfig()
-    return EnumeratorConfig(
-        dp_relation_limit=base.dp_relation_limit,
-        enable_index_nl=False,
-        enable_hash=True,
-        enable_merge=base.enable_merge,
-        enable_nl=False,
-        robustness_blowup=base.robustness_blowup,
-        robustness_weight=base.robustness_weight,
-    )
+    return replace(base or EnumeratorConfig(),
+                   enable_index_nl=False, enable_hash=True, enable_nl=False)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,14 @@
 A physical plan for an SPJ query is a binary join tree whose leaves are
 :class:`ScanNode` (sequential scan + pushed-down filters over a base table or
 a materialized temporary) and whose internal nodes are :class:`JoinNode` with
-one of four join methods:
+one of the three join methods the executor has:
 
 * ``HASH``      -- hash join (build on the right/inner child);
 * ``INDEX_NL``  -- index nested-loop join: the outer child is probed against a
   B+tree-style index on the inner base table (the inner child must be a scan
   of an indexed base relation);
 * ``NL``        -- naive nested-loop join (only used as a last resort, e.g.
-  cross products);
-* ``MERGE``     -- sort-merge join.
+  cross products).
 
 The optimizer annotates every node with its estimated output cardinality and
 cumulative cost, and the executor later fills in the *actual* values, which
@@ -33,7 +32,6 @@ class JoinMethod(enum.Enum):
     HASH = "hash"
     INDEX_NL = "index_nl"
     NL = "nl"
-    MERGE = "merge"
 
 
 def scan_signature(relation: RelationRef,
@@ -154,12 +152,11 @@ class JoinNode(PlanNode):
     def is_pipeline_breaker(self) -> bool:
         """True if this join fully materializes one input before producing output.
 
-        Hash joins and merge joins consume their build/sort inputs entirely
-        before emitting the first output tuple; nested-loop joins (plain or
-        index-based) stream.  This distinction is what the Reopt baseline's
+        Hash joins consume their build input entirely before emitting the
+        first output tuple; nested-loop joins (plain or index-based) stream.  This distinction is what the Reopt baseline's
         "materialize at pipeline breakers" policy keys on.
         """
-        return self.method in (JoinMethod.HASH, JoinMethod.MERGE)
+        return self.method is JoinMethod.HASH
 
     def __str__(self) -> str:
         return (f"Join[{self.method.value}]({', '.join(str(p) for p in self.predicates)},"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ def tiny_db(tiny_schema) -> Database:
 def tiny_query(tiny_schema) -> Query:
     """A 5-way join over the tiny schema (the paper's Figure 8 shape)."""
     return Query.from_spj(five_way_query())
+
+
+def with_implied_edges(spj: SPJQuery) -> SPJQuery:
+    """``spj`` plus the equalities implied by two predicates sharing a
+    column, then a mirrored copy of every predicate: cycles, triangles and
+    several predicates per relation pair, in an order that does not depend
+    on hashing."""
+    preds = list(spj.join_predicates)
+    for i, p in enumerate(spj.join_predicates):
+        for q in spj.join_predicates[i + 1:]:
+            shared = [c for c in (p.left, p.right) if c in (q.left, q.right)]
+            if len(shared) == 1:
+                a, b = [c for c in (p.left, p.right, q.left, q.right)
+                        if c != shared[0]]
+                if a.alias != b.alias:
+                    preds.append(JoinPredicate(a, b))
+    preds += [JoinPredicate(p.right, p.left) for p in preds]
+    return dataclasses.replace(spj, join_predicates=tuple(preds))
 
 
 def five_way_query(name: str = "q5way") -> SPJQuery:

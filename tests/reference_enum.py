@@ -244,13 +244,6 @@ class ReferenceJoinEnumerator:
                 left=left, right=right, predicates=preds, method=JoinMethod.HASH,
                 est_rows=output_rows, est_cost=cost))
 
-        if self.config.enable_merge:
-            cost = child_cost + self.cost_model.join_cost(
-                JoinMethod.MERGE, left.est_rows, right.est_rows, output_rows)
-            candidates.append(JoinNode(
-                left=left, right=right, predicates=preds, method=JoinMethod.MERGE,
-                est_rows=output_rows, est_cost=cost))
-
         if self.config.enable_index_nl:
             index_column = self._indexed_inner_column(right, preds)
             if index_column is not None:

@@ -1,5 +1,11 @@
 """Unit tests for the QuerySplit core: join graph, QSA, SSA, driver, non-SPJ."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.join_graph import build_join_graph
@@ -29,7 +35,24 @@ from repro.plan.logical import (
     SPJQuery,
     UnionNode,
 )
-from tests.conftest import five_way_query
+from repro.workloads.dsb import DSB_SCHEMA, dsb_queries
+from repro.workloads.imdb import IMDB_SCHEMA
+from repro.workloads.job_queries import job_queries
+from repro.workloads.tpch import TPCH_SCHEMA, tpch_queries
+from tests.conftest import five_way_query, with_implied_edges
+
+#: Removed-edge lists of every workload query and of its twin with implied
+#: edges (``tests.conftest.with_implied_edges``), recorded with the
+#: ``networkx.find_cycle`` search the join graph used before its own
+#: depth-first search: ``{query: removed predicates}`` for the queries (all
+#: others remove nothing) and ``(edges removed, sha256 prefix of the lists)``
+#: per workload for the twins.
+PINNED_REMOVED_EDGES = {"tpch-q9": ["l.l_partkey = p.p_partkey"]}
+PINNED_IMPLIED_EDGE_REMOVALS = {
+    "job": (764, "421155a9ee0e96fd"),
+    "tpch": (55, "6f6c2acbff4b59a3"),
+    "dsb": (82, "a4bf1166b1130272"),
+}
 
 
 class TestJoinGraph:
@@ -60,6 +83,36 @@ class TestJoinGraph:
         graph = build_join_graph(cyclic, tiny_schema)
         assert len(graph.removed_edges) == 1
         assert graph.removed_edges[0].bidirectional
+
+    @pytest.mark.parametrize("workload", ["job", "tpch", "dsb"])
+    def test_removed_edges_pinned(self, workload):
+        schema, queries = {"job": (IMDB_SCHEMA, job_queries),
+                           "tpch": (TPCH_SCHEMA, tpch_queries),
+                           "dsb": (DSB_SCHEMA, dsb_queries)}[workload]
+        lines = []
+        for query in queries():
+            for spj in query.root.spj_leaves():
+                removed = build_join_graph(spj, schema).removed_edges
+                assert [str(e.predicate) for e in removed] == \
+                    PINNED_REMOVED_EDGES.get(query.name, []), query.name
+                graph = build_join_graph(with_implied_edges(spj), schema)
+                lines.append(" | ".join(str(e.predicate) for e in graph.removed_edges))
+                # What is left is a forest over the same vertices.
+                assert len(graph.edges) <= len(graph.vertices) - 1
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        removals = sum(line.count(" = ") for line in lines)
+        assert (removals, digest) == PINNED_IMPLIED_EDGE_REMOVALS[workload]
+
+    def test_join_graph_needs_no_graph_library(self):
+        """``import repro.reopt.registry`` (every algorithm, QuerySplit's
+        join graph included) loads no networkx, in a fresh process."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = ("import sys, repro.reopt.registry; "
+                 "print('networkx' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.strip() == "False"
 
     def test_isolated_vertices(self, tiny_schema):
         spj = SPJQuery(name="cross",

@@ -160,7 +160,7 @@ def test_command_line_check_fails_on_a_stale_cli_flag(tmp_path, capsys):
 
 def test_third_party_imports_are_on_both_install_lines():
     check_docs = _load_check_docs()
-    assert check_docs.third_party_imports(REPO_ROOT) >= {"numpy", "networkx"}
+    assert check_docs.third_party_imports(REPO_ROOT) == {"numpy"}
     unlisted = check_docs.find_unlisted_dependencies(REPO_ROOT)
     assert unlisted == [], (
         "imported under src/repro but not installed: "

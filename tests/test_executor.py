@@ -387,7 +387,7 @@ class TestExecutor:
 
         spj = five_way_query()
         hash_only = Optimizer(tiny_db, config=OptimizerConfig(
-            enumerator=EnumeratorConfig(enable_index_nl=False, enable_merge=False)))
+            enumerator=EnumeratorConfig(enable_index_nl=False)))
         a = executor.execute(hash_only.plan(spj)).table.to_rows()
         b = executor.execute(optimizer.plan(spj)).table.to_rows()
         assert a == b
@@ -463,8 +463,7 @@ class TestSubplanCache:
         spj = five_way_query()
         default_plan = Optimizer(tiny_db).plan(spj)
         hash_plan = Optimizer(tiny_db, config=OptimizerConfig(
-            enumerator=EnumeratorConfig(enable_index_nl=False,
-                                        enable_merge=False))).plan(spj)
+            enumerator=EnumeratorConfig(enable_index_nl=False))).plan(spj)
         a = executor.execute(default_plan).table.to_rows()
         assert cache.hits == 0 and len(cache) > 0
         b = executor.execute(hash_plan).table.to_rows()
