@@ -21,7 +21,7 @@ re-optimization algorithms consume.
 from repro.executor.chunk import Chunk, MaterializationStats
 from repro.executor.executor import ExecutionError, ExecutionResult, Executor
 from repro.executor.joins import equi_join_indices, multi_key_equi_join
-from repro.executor.subplan_cache import SubplanCache, subplan_signature
+from repro.executor.subplan_cache import SubplanCache
 
 __all__ = [
     "Chunk",
@@ -32,5 +32,4 @@ __all__ = [
     "SubplanCache",
     "equi_join_indices",
     "multi_key_equi_join",
-    "subplan_signature",
 ]

@@ -2,9 +2,10 @@
 
 These helpers compute the matching row-index pairs of an equi-join between
 two key arrays without materializing a hash table in Python, which keeps the
-whole join in numpy.  They are shared by the executor's hash / merge / index
-nested-loop join operators, the sorted indexes and the true-cardinality
-oracle.
+whole join in numpy.  They are shared by the executor's hash and index
+nested-loop join operators and the sorted indexes; the true-cardinality
+oracle counts a join's matches with :func:`join_result_size` (multi-key via
+:func:`combine_key_pair`) instead of materializing it.
 
 Every join finds, for each probe key, the run of matching build rows as a
 start ``lo`` and a length ``count``, and :func:`expand_matches` flattens the

@@ -34,7 +34,7 @@ from repro.executor.chunk import (
 )
 from repro.executor.joins import multi_key_equi_join
 from repro.executor.kernels import PredicateCompiler
-from repro.plan.expressions import ColumnRef
+from repro.plan.expressions import ColumnRef, JoinPredicate
 from repro.storage.dictionary import translate_filters
 from repro.plan.physical import JoinNode, PhysicalPlan, PlanNode, ScanNode
 from repro.storage.database import Database
@@ -120,24 +120,38 @@ class Scan(Operator):
         return Chunk((TableSource(relation, table, row_ids),))
 
 
+def join_keys(ctx: ExecContext, left: Chunk, right: Chunk,
+              predicates: tuple[JoinPredicate, ...]
+              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Gather the key values of ``predicates`` from both sides of a join,
+    one column per predicate, each from the side that covers it."""
+    left_keys, right_keys = [], []
+    for pred in predicates:
+        if left.covers(pred.left.alias):
+            left_ref, right_ref = pred.left, pred.right
+        else:
+            left_ref, right_ref = pred.right, pred.left
+        left_keys.append(left.column(left_ref, ctx.stats))
+        right_keys.append(right.column(right_ref, ctx.stats))
+    return left_keys, right_keys
+
+
+def hash_join(ctx: ExecContext, left: Chunk, right: Chunk,
+              predicates: tuple[JoinPredicate, ...]) -> Chunk:
+    """Equi-join two chunks on ``predicates`` (the body of :class:`HashJoin`,
+    which the true-cardinality oracle calls without a plan node)."""
+    left_idx, right_idx = multi_key_equi_join(*join_keys(ctx, left, right,
+                                                         predicates))
+    return merge_chunks(left, left_idx, right, right_idx, ctx.stats)
+
+
 class HashJoin(Operator):
     """Equi-join: gather the key columns, match, merge the row-id vectors."""
 
     name = "HashJoin"
 
     def execute(self, ctx: ExecContext, left: Chunk, right: Chunk) -> Chunk:
-        node: JoinNode = self.node  # type: ignore[assignment]
-        left_aliases = node.left.covered_aliases()
-        left_keys, right_keys = [], []
-        for pred in node.predicates:
-            if pred.left.alias in left_aliases:
-                left_ref, right_ref = pred.left, pred.right
-            else:
-                left_ref, right_ref = pred.right, pred.left
-            left_keys.append(left.column(left_ref, ctx.stats))
-            right_keys.append(right.column(right_ref, ctx.stats))
-        left_idx, right_idx = multi_key_equi_join(left_keys, right_keys)
-        return merge_chunks(left, left_idx, right, right_idx, ctx.stats)
+        return hash_join(ctx, left, right, self.node.predicates)
 
 
 class IndexNLJoin(Operator):

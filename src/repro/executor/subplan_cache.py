@@ -13,12 +13,12 @@ canonical subtree signature (see :meth:`repro.plan.physical.PlanNode.signature`)
 ``(frozenset of (table, alias, is_temp, filters) per scan,
    frozenset of join predicates)``
 
-so QuerySplit, the plan-driven re-optimization baselines, and the
-true-cardinality oracle all hit the same entries when they (re-)compute an
-identical subtree -- even when their optimizers picked different join
-orders.  The cache is *opt-in*: an :class:`~repro.executor.executor.Executor`
-only consults it when one is passed at construction, and a workload driver
-shares one instance across every policy/algorithm it runs.
+so QuerySplit and the plan-driven re-optimization baselines hit the same
+entries when they (re-)compute an identical subtree -- even when their
+optimizers picked different join orders.  The cache is *opt-in*: an
+:class:`~repro.executor.executor.Executor` only consults it when one is
+passed at construction, and a workload driver shares one instance across
+every policy/algorithm it runs.
 
 Keying rules (see ARCHITECTURE.md for the full discussion):
 
@@ -39,40 +39,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable
 
 from repro.executor.chunk import Chunk
-from repro.plan.expressions import JoinPredicate, Predicate
-from repro.plan.logical import RelationRef
-from repro.plan.physical import scan_signature  # noqa: F401  (re-exported)
 
 #: Signature type: (frozenset of scan tuples, frozenset of join predicates).
 Signature = tuple[frozenset, frozenset]
-
-
-def subplan_signature(relations: Iterable[RelationRef],
-                      filters: Iterable[Predicate],
-                      join_predicates: Iterable[JoinPredicate]) -> Signature:
-    """Canonical signature of a sub-join described logically.
-
-    This mirrors :meth:`repro.plan.physical.PlanNode.signature` for callers
-    (like the true-cardinality oracle) that reason about relation subsets
-    rather than physical plan subtrees: each relation receives the filters it
-    fully answers, and only join predicates internal to the subset are kept.
-    """
-    relations = tuple(relations)
-    filters = tuple(filters)
-    covered: set[str] = set()
-    for relation in relations:
-        covered.update(relation.covered_aliases)
-    scans = frozenset(
-        scan_signature(relation, tuple(
-            pred for pred in filters
-            if pred.aliases() <= relation.covered_aliases))
-        for relation in relations)
-    preds = frozenset(pred for pred in join_predicates
-                      if all(alias in covered for alias in pred.aliases()))
-    return (scans, preds)
 
 
 def _touches_temp(signature: Signature) -> bool:
@@ -118,8 +89,8 @@ class SubplanCache:
 
         Signatures name tables, not data, so a cache reused against a
         *different* database instance would silently serve the old
-        database's rows.  Every consumer (executor, oracle) binds on
-        construction, turning that misuse into a loud error.  Session views
+        database's rows.  Every executor binds on construction, turning
+        that misuse into a loud error.  Session views
         (:meth:`repro.storage.database.Database.session_view`) of one loaded
         database expose the same data, so binding compares *origins*: every
         view of an already-bound database is accepted.
@@ -185,20 +156,15 @@ class SubplanCache:
     def peek(self, signature: Signature) -> Chunk | None:
         """Non-mutating lookup: no hit/miss counters, no LRU promotion.
 
-        Used by read-only consumers (the true-cardinality oracle issues one
-        probe per DP subset), so speculative probes neither distort the
-        executor-reuse hit rate nor evict entries the executor would reuse.
+        For read-only observers (the end-to-end benchmark's tracer asks
+        whether a put is fresh), so looking neither distorts the
+        executor-reuse hit rate nor evicts entries the executor would reuse.
         """
         with self._lock:
             try:
                 return self._entries.get(signature)
             except TypeError:
                 return None
-
-    def lookup_rows(self, signature: Signature) -> int | None:
-        """Exact row count of a cached subtree (for cardinality probes)."""
-        chunk = self.peek(signature)
-        return None if chunk is None else chunk.num_rows
 
     # ------------------------------------------------------------------
     # Introspection

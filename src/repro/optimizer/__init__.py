@@ -5,7 +5,8 @@ on:
 
 * a **default cardinality estimator** built on per-column statistics and the
   independence assumption (:mod:`repro.optimizer.cardinality`);
-* a **true-cardinality oracle** used for the "Optimal" baseline
+* a **true-cardinality oracle** used for the "Optimal" baseline, which
+  counts sub-joins exactly with the executor's own scan and hash join
   (:mod:`repro.optimizer.oracle`);
 * **controlled error injection** for the robustness study of Figure 10
   (:mod:`repro.optimizer.injection`);

@@ -38,11 +38,10 @@ def scan_signature(relation: RelationRef,
                    filters: tuple[Predicate, ...]) -> tuple:
     """Canonical signature of one filtered scan.
 
-    The single definition of the scan-key encoding used by
-    :meth:`PlanNode.signature` and by the executor's subplan cache
-    (including its logical-subset variant for oracle probes) -- the two
-    sides must build byte-identical keys or every cross-policy lookup
-    silently misses.
+    The single definition of the scan-key encoding, used by
+    :meth:`PlanNode.signature` (the executor's subplan-cache key) and by the
+    true-cardinality oracle's memo, which keys each relation by its
+    filtered scan.
     """
     return ("scan", relation.table_name, relation.alias, relation.is_temp,
             frozenset(filters))

@@ -3,8 +3,9 @@
 * **Default** is PostgreSQL with its default optimizer: plan once using the
   statistics-based estimator, execute the plan, never look back.
 * **Optimal** is PostgreSQL fed the *true* cardinality of every intermediate
-  result: the optimizer is driven by the :class:`TrueCardinalityOracle`, so
-  the plan it picks is optimal with respect to perfect estimates.  Its oracle
+  result: the optimizer is driven by the :class:`TrueCardinalityOracle`,
+  which counts every sub-join exactly with the executor's operators, so the
+  plan it picks is optimal with respect to perfect estimates.  Its oracle
   cost is not charged to the measured execution time (it is an idealized
   upper bound, exactly as in the paper).
 """

@@ -67,9 +67,9 @@ def make_algorithm(name: str, database: Database,
         Optional engine-level
         :class:`~repro.executor.subplan_cache.SubplanCache` shared across
         algorithms: the executor stores/reuses executed subtrees by
-        canonical signature, and the true-cardinality oracle answers probes
-        from it.  Leave ``None`` (the default) to keep every algorithm's
-        execution fully independent.
+        canonical signature.  The true-cardinality oracle of the
+        oracle-backed algorithms does not use it.  Leave ``None`` (the
+        default) to keep every algorithm's execution fully independent.
     """
     optimizer = Optimizer(database)
     if estimator is not None:
@@ -95,7 +95,7 @@ def make_algorithm(name: str, database: Database,
         return DefaultBaseline(database, optimizer, executor=executor,
                                config=baseline_config)
     if name == "Optimal":
-        oracle = TrueCardinalityOracle(database, subplan_cache=subplan_cache)
+        oracle = TrueCardinalityOracle(database)
         return OptimalBaseline(database, optimizer, executor=executor,
                                config=baseline_config, oracle=oracle)
     if name == "Reopt":
@@ -121,7 +121,7 @@ def make_algorithm(name: str, database: Database,
         return OptRangeBaseline(database, optimizer, executor=executor,
                                 config=baseline_config)
     if name in ("NeuroCard", "DeepDB", "MSCN"):
-        oracle = TrueCardinalityOracle(database, subplan_cache=subplan_cache)
+        oracle = TrueCardinalityOracle(database)
         return LearnedCEBaseline(database, model=name.lower(),
                                  optimizer=optimizer, executor=executor,
                                  config=baseline_config, oracle=oracle)

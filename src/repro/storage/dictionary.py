@@ -32,7 +32,7 @@ in exactly two places: a join key (``DataTable.gather`` -- joins compare
 values, since two tables' codes are unrelated) and when the caller asks for
 values (:meth:`DataTable.column_values
 <repro.storage.table.DataTable.column_values>` / ``to_rows``: the result
-checkers, the true-cardinality oracle, the differential-test oracle).
+checkers, the differential-test oracle).
 ANALYZE (:mod:`repro.catalog.analyze`) reads the codes: the dictionary is
 sorted, hence code order is value order, and only the few MCV winners are
 looked up, so statistics still hold real strings.

@@ -117,9 +117,8 @@ class DataTable:
     def column_values(self, name: str, cache: bool = True) -> np.ndarray:
         """The full *decoded* column (the stored array when unencoded).
 
-        Whole-column consumers that need real values (the cardinality
-        oracle, identity-selection gathers, callers reading results) funnel
-        through here.  ``cache=True`` keeps the decoded array for reuse across
+        Whole-column consumers that need real values (identity-selection
+        gathers, callers reading results) funnel through here.  ``cache=True`` keeps the decoded array for reuse across
         queries; one-shot consumers pass ``cache=False``.
         """
         if name not in self.dictionaries:

@@ -11,7 +11,7 @@ from repro.executor.joins import (
     join_result_size,
     multi_key_equi_join,
 )
-from repro.executor.subplan_cache import SubplanCache, subplan_signature
+from repro.executor.subplan_cache import SubplanCache
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.oracle import OracleCardinalityEstimator
 from repro.plan.expressions import ColumnRef, Comparison, JoinPredicate
@@ -515,13 +515,6 @@ class TestSubplanCache:
         for (scans, _preds) in list(cache._entries):
             assert not any(scan[3] for scan in scans), "temp subtree was cached"
 
-    def test_signature_matches_logical_description(self, tiny_db, optimizer):
-        """A plan subtree's signature equals the logical subplan signature."""
-        spj = five_way_query()
-        plan = optimizer.plan(spj)
-        assert plan.root.signature() == subplan_signature(
-            spj.relations, spj.filters, spj.join_predicates)
-
     def test_lru_eviction(self):
         from repro.executor.chunk import Chunk
 
@@ -582,20 +575,6 @@ class TestSubplanCache:
         assert set(result.table.column("t.year").tolist()) == {2015, 2016}
         assert len(cache) == 0  # nothing cached, nothing crashed
 
-    def test_oracle_answers_from_subplan_cache(self, tiny_db, optimizer):
-        from repro.optimizer.oracle import TrueCardinalityOracle
-
-        cache = SubplanCache()
-        executor = Executor(tiny_db, subplan_cache=cache)
-        spj = five_way_query()
-        plan = optimizer.plan(spj)
-        result = executor.execute(plan)
-        oracle = TrueCardinalityOracle(tiny_db, subplan_cache=cache)
-        rows = oracle.true_rows(spj.relations, spj.filters, spj.join_predicates,
-                                query_name=spj.name)
-        assert oracle.subplan_hits == 1
-        assert oracle.executions == 0
-        assert int(rows) == result.join_rows
 
 
 class TestAggregationHelpers:

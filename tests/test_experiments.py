@@ -18,6 +18,9 @@ from repro.experiments import (
     table5_existing_costfn,
     table6_categories,
 )
+from repro.optimizer.oracle import TrueCardinalityOracle
+from repro.reopt.registry import make_algorithm
+from repro.workloads.job_queries import job_queries
 
 SCALE = 0.15
 FAMILIES = [2, 6, 9]
@@ -47,6 +50,37 @@ def test_figure10_robustness_sweep():
         policies=((QSAStrategy.FK_CENTER, CostFunction.PHI4),),
         verbose=False).data
     assert len(results) == 2
+
+
+def test_figure10_with_true_cardinalities_matches_default(imdb_db,
+                                                           monkeypatch):
+    """With ``use_oracle`` the oracle counts sub-joins over QuerySplit's
+    temporaries (one relation covering several aliases); every policy still
+    returns Default's rows."""
+    temp_probes = []
+    true_rows = TrueCardinalityOracle.true_rows
+
+    def recording(oracle, relations, *args, **kwargs):
+        temp_probes.extend(relation for relation in relations
+                           if len(relation.covered_aliases) > 1)
+        return true_rows(oracle, relations, *args, **kwargs)
+
+    monkeypatch.setattr(TrueCardinalityOracle, "true_rows", recording)
+    families = [6, 17]
+    results = figure10_robustness.run(
+        scale=0.25, families=families, sigmas=(1.0,), use_oracle=True,
+        verbose=False).data
+    assert temp_probes
+    expected = {query.name: make_algorithm("Default", imdb_db).run(query)
+                .final_table.to_rows()
+                for query in job_queries(families=families)}
+    assert len(results) == len(figure10_robustness.DEFAULT_POLICIES)
+    for policy, result in results.items():
+        assert len(result.reports) == len(expected)
+        for report in result.reports:
+            assert not report.timed_out, (policy, report.query_name)
+            assert report.final_table.to_rows() == expected[report.query_name], (
+                policy, report.query_name)
 
 
 def test_figure11_job_comparison():

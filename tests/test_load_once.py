@@ -27,17 +27,20 @@ import pytest
 from repro.executor import joins
 from repro.executor.chunk import MaterializationStats
 from repro.executor.operators import ExecContext, Scan
-from repro.executor.subplan_cache import SubplanCache, subplan_signature
+from repro.executor.executor import Executor
+from repro.executor.subplan_cache import SubplanCache
 from repro.optimizer.cardinality import MIN_ROWS
-from repro.optimizer.oracle import TrueCardinalityOracle
+from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.oracle import OracleCardinalityEstimator, TrueCardinalityOracle
 from repro.plan.expressions import ColumnRef, Comparison
-from repro.plan.logical import AggregateNode, RelationRef
+from repro.plan.logical import AggregateNode, RelationRef, SPJQuery
 from repro.plan.physical import ScanNode
 from repro.reopt.registry import ALGORITHM_NAMES, REOPT_ALGORITHMS, make_algorithm
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.driver import run_served
 from repro.serving.schedule import build_arrivals, uniform_users
 from repro.serving.server import ServingConfig
+from repro.workloads.job_queries import job_queries
 from tests.reference_eval import (
     _join_rows,
     assert_results_match,
@@ -183,16 +186,15 @@ class TestSubplanCacheNeedsNoDatabase:
     def test_lookups_and_stores_never_read_the_database(self, fresh_db):
         """``bind`` is the cache's only contact with its database: get, put,
         peek and the invariant check never call into it under the lock."""
-        movie = RelationRef.base("movie", "movie")
-        chunk = Scan(ScanNode(relation=movie, filters=())).execute(
+        scan = ScanNode(relation=RelationRef.base("movie", "movie"), filters=())
+        chunk = Scan(scan).execute(
             ExecContext(database=fresh_db, stats=MaterializationStats()))
-        signature = subplan_signature([movie], (), ())
+        signature = scan.signature()
         cache = SubplanCache()
         cache.bind(_Unreadable())
         assert cache.get(signature) is None
         cache.put(signature, chunk)
         assert cache.peek(signature) is chunk
-        assert cache.lookup_rows(signature) == fresh_db.table("movie").num_rows
         assert cache.get(signature) is chunk
         assert (cache.hits, cache.misses, cache.rejected, len(cache)) == (1, 1, 0, 1)
         assert cache.check_invariants() == []
@@ -244,3 +246,47 @@ class TestOracleAgainstReference:
                         index, sorted(aliases))
                     checked += 1
         assert checked > 50
+
+    @pytest.mark.parametrize("name", ["24c", "30c"])
+    def test_every_subset_the_planner_asks_equals_its_execution(self, imdb_db,
+                                                                name):
+        """Each connected sub-join the enumerator asks the oracle about
+        counts exactly the rows the executor produces for it."""
+        asked = []
+
+        class Recording(OracleCardinalityEstimator):
+            def estimate_rows(self, relations, filters, join_predicates,
+                              query_name=""):
+                rows = super().estimate_rows(relations, filters,
+                                             join_predicates, query_name)
+                asked.append((relations, filters, join_predicates, rows))
+                return rows
+
+        [query] = [q for q in job_queries() if q.name == name]
+        optimizer = Optimizer(imdb_db)
+        optimizer.with_estimator(Recording(imdb_db)).plan(query.spj)
+        executor = Executor(imdb_db)
+        checked = 0
+        for index, (relations, filters, joins_, rows) in enumerate(asked):
+            aliases = {relation.alias for relation in relations}
+            if len(relations) < 2 or rows > 2_000_000 or not _connected(
+                    aliases, joins_):
+                continue
+            sub = SPJQuery(name=f"{name}/{index}", relations=relations,
+                           filters=filters, join_predicates=joins_)
+            expected = executor.execute(optimizer.plan(sub)).join_rows
+            assert rows == max(expected, MIN_ROWS), sorted(aliases)
+            checked += 1
+        assert checked > 35
+
+
+def _connected(aliases: set[str], join_predicates) -> bool:
+    """True if ``join_predicates`` connect every alias of ``aliases``."""
+    reached, frontier = set(), [next(iter(aliases))]
+    while frontier:
+        alias = frontier.pop()
+        if alias not in reached:
+            reached.add(alias)
+            frontier.extend(pred.other(alias).alias for pred in join_predicates
+                            if alias in pred.aliases())
+    return reached == aliases

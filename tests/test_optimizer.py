@@ -92,21 +92,28 @@ class TestOracleEstimator:
         assert rows == tiny_db.table("mk").num_rows
 
     def test_count_is_cached(self, tiny_db):
+        """A repeated probe is answered from the memo, with the same count."""
         oracle = TrueCardinalityOracle(tiny_db)
         est = OracleCardinalityEstimator(tiny_db, oracle=oracle)
         pred = JoinPredicate(ColumnRef("ci", "movie_id"), ColumnRef("t", "id"))
-        est.estimate_rows((_rel("ci"), _rel("t")), (), (pred,), "q")
-        executions = oracle.executions
-        est.estimate_rows((_rel("ci"), _rel("t")), (), (pred,), "q")
-        assert oracle.executions == executions
+        rows = est.estimate_rows((_rel("ci"), _rel("t")), (), (pred,), "q")
+        counted = oracle.counted
+        assert est.estimate_rows((_rel("ci"), _rel("t")), (), (pred,), "q") == rows
+        assert oracle.counted == counted
 
     def test_reset_clears_cache(self, tiny_db):
+        """After a reset the memo is empty and a probe is counted afresh,
+        to the same answer."""
         oracle = TrueCardinalityOracle(tiny_db)
         est = OracleCardinalityEstimator(tiny_db, oracle=oracle)
         pred = JoinPredicate(ColumnRef("ci", "movie_id"), ColumnRef("t", "id"))
-        est.estimate_rows((_rel("ci"), _rel("t")), (), (pred,), "q")
+        rows = est.estimate_rows((_rel("ci"), _rel("t")), (), (pred,), "q")
+        assert oracle.memo_size > 0
         oracle.reset()
-        assert oracle._count_cache == {}
+        assert oracle.memo_size == 0
+        counted = oracle.counted
+        assert est.estimate_rows((_rel("ci"), _rel("t")), (), (pred,), "q") == rows
+        assert oracle.counted > counted
 
     def test_three_way_join_matches_bruteforce(self, tiny_db, oracle_estimator):
         import numpy as np
