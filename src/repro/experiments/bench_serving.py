@@ -15,9 +15,10 @@ arrival-to-completion latency, mean queue wait, and sustained
 throughput.  Every cell replays the *identical* arrival stream and the
 identical queries (both pure functions of the seed), so cells differ
 only in the serving configuration — the latency curve is attributable to
-admission and concurrency, not workload noise.  Per-cell sanity checks
-enforce conservation (offered == completed + shed + errors, with zero
-errors) so a concurrency bug cannot hide behind a throughput number.
+admission and concurrency, not workload noise.  The server itself refuses
+to return a run that lost a request (offered == completed + shed +
+errors), and every cell must have zero errors, so a concurrency bug
+cannot hide behind a throughput number.
 """
 
 from __future__ import annotations
@@ -95,11 +96,6 @@ def run(scale: float = 1.0,
                     timeout_seconds=timeout_seconds,
                     subplan_cache=cache, seed=seed)
                 summary = dict(result.summary)
-                if summary["offered"] != (summary["completed"] + summary["shed"]
-                                          + summary["errors"]):
-                    raise AssertionError(
-                        f"serving cell (workers={workers}, rate={rate}, "
-                        f"policy={policy}) lost requests: {summary}")
                 if summary["errors"]:
                     failed = [o.error for o in result.outcomes if o.error]
                     raise AssertionError(

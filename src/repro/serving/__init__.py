@@ -1,27 +1,20 @@
-"""Concurrent query-serving layer: schedules, admission control, server.
+"""Concurrent query serving: seeded schedules, one server, two clocks.
 
-This package turns the single-threaded bench harness into a *served*
-engine: many simulated users submit queries concurrently according to
-seeded arrival schedules, a bounded admission queue sheds or blocks
-excess load, a pool of worker threads executes queries (each against its
-own :meth:`~repro.storage.database.Database.session_view`, sharing one
-lock-protected :class:`~repro.executor.subplan_cache.SubplanCache`), and
-a reporter aggregates p50/p95/p99 latency and throughput.
+Simulated users submit queries on seeded arrival schedules to one
+:class:`EngineServer`, which owns the serving rules (a bounded FIFO that
+sheds or blocks, workers that take its head, per-query timeouts) on the
+wall clock — worker threads over session views sharing one
+``SubplanCache`` — or on a virtual clock for the exact tests.  See
+ARCHITECTURE.md, "Serving":
 
-Layers (see ARCHITECTURE.md, "Serving"):
-
-* :mod:`repro.serving.schedule`  -- seeded per-user arrival schedules and
-  the pure ``build_arrivals`` event-stream function;
-* :mod:`repro.serving.admission` -- the bounded, thread-safe admission
-  queue with shed-or-block policies;
-* :mod:`repro.serving.server`    -- the worker-pool engine server;
-* :mod:`repro.serving.driver`    -- the wall-clock workload driver
-  (``run_served``) and the deterministic virtual-clock discrete-event
-  simulator (``simulate_served``) used by the property tests;
+* :mod:`repro.serving.schedule`  -- arrival schedules, ``build_arrivals``;
+* :mod:`repro.serving.admission` -- the shed-or-block policies;
+* :mod:`repro.serving.server`    -- the engine server and its two clocks;
+* :mod:`repro.serving.driver`    -- ``run_served`` / ``simulate_served``;
 * :mod:`repro.serving.reporter`  -- latency/throughput aggregation.
 """
 
-from repro.serving.admission import AdmissionPolicy, AdmissionQueue
+from repro.serving.admission import AdmissionPolicy
 from repro.serving.driver import ServingResult, run_served, simulate_served
 from repro.serving.reporter import latency_summary, percentile
 from repro.serving.schedule import (
@@ -35,8 +28,8 @@ from repro.serving.schedule import (
 from repro.serving.server import EngineServer, QueryOutcome, ServingConfig
 
 __all__ = [
-    "AdmissionPolicy", "AdmissionQueue", "Arrival", "EngineServer", "Once",
-    "QueryOutcome", "Repeat", "ServingConfig", "ServingResult", "UserSpec",
-    "build_arrivals", "latency_summary", "percentile", "run_served",
-    "simulate_served", "uniform_users",
+    "AdmissionPolicy", "Arrival", "EngineServer", "Once", "QueryOutcome",
+    "Repeat", "ServingConfig", "ServingResult", "UserSpec", "build_arrivals",
+    "latency_summary", "percentile", "run_served", "simulate_served",
+    "uniform_users",
 ]

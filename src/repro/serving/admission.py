@@ -1,27 +1,12 @@
-"""Admission control: a bounded, thread-safe queue with shed/block policies.
+"""Admission policies: what an arrival meets when the queue is full.
 
-The admission queue sits between the workload driver (producer) and the
-engine worker pool (consumers).  It is deliberately small-surface:
-
-* :meth:`AdmissionQueue.offer` applies the admission policy.  Under
-  :attr:`AdmissionPolicy.SHED` a full queue rejects the request
-  immediately (the driver records a shed outcome — load shedding keeps
-  tail latency of *admitted* queries bounded).  Under
-  :attr:`AdmissionPolicy.BLOCK` the producer waits for a slot
-  (back-pressure: arrival times behind a slow engine slip, modelling a
-  blocking client library).
-* :meth:`AdmissionQueue.take` blocks consumers until an item or shutdown.
-
-Counters (``admitted`` / ``shed`` / ``max_depth``) are maintained under
-the same lock as the queue itself, so reporter reads are consistent.
+The queue itself is the :class:`~repro.serving.server.EngineServer`'s
+FIFO; this module names the two rules its ``submit`` applies.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
-from collections import deque
-from typing import Any
 
 
 class AdmissionPolicy(str, enum.Enum):
@@ -31,75 +16,3 @@ class AdmissionPolicy(str, enum.Enum):
     SHED = "shed"
     #: Apply back-pressure: the submitter blocks until a slot frees.
     BLOCK = "block"
-
-
-class AdmissionQueue:
-    """Bounded FIFO between the workload driver and the worker pool."""
-
-    def __init__(self, capacity: int,
-                 policy: AdmissionPolicy = AdmissionPolicy.SHED):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.policy = AdmissionPolicy(policy)
-        self._items: deque[Any] = deque()
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-        self._closed = False
-        self.admitted = 0
-        self.shed = 0
-        self.max_depth = 0
-
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
-    def offer(self, item: Any) -> bool:
-        """Submit one request; False means it was shed (SHED policy only)."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cannot offer to a closed AdmissionQueue")
-            if len(self._items) >= self.capacity:
-                if self.policy is AdmissionPolicy.SHED:
-                    self.shed += 1
-                    return False
-                while len(self._items) >= self.capacity and not self._closed:
-                    self._not_full.wait()
-                if self._closed:
-                    raise RuntimeError("AdmissionQueue closed while blocking")
-            self._items.append(item)
-            self.admitted += 1
-            self.max_depth = max(self.max_depth, len(self._items))
-            self._not_empty.notify()
-            return True
-
-    def close(self) -> None:
-        """No more offers; wakes every waiting consumer once drained."""
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
-
-    # ------------------------------------------------------------------
-    # Consumer side
-    # ------------------------------------------------------------------
-    def take(self) -> Any | None:
-        """Next admitted request, or ``None`` once closed and drained."""
-        with self._lock:
-            while not self._items and not self._closed:
-                self._not_empty.wait()
-            if not self._items:
-                return None  # closed and drained
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
-
-    def __repr__(self) -> str:
-        with self._lock:
-            return (f"AdmissionQueue(depth={len(self._items)}/{self.capacity}, "
-                    f"policy={self.policy.value}, admitted={self.admitted}, "
-                    f"shed={self.shed})")

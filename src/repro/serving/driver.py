@@ -1,27 +1,17 @@
-"""Workload drivers: the wall-clock runner and the virtual-clock simulator.
+"""The workload driver: one arrival loop over either of the server's clocks.
 
-Two drivers share the schedule/admission vocabulary:
-
-* :func:`run_served` actually executes queries — it starts an
-  :class:`~repro.serving.server.EngineServer`, paces the merged arrival
-  stream against the wall clock (``time_scale`` compresses or stretches
-  the schedule's virtual seconds), and returns outcomes + reporter
-  aggregates.  This is what ``bench_serving`` and ``python -m repro.cli
-  serve`` run.
-* :func:`simulate_served` executes nothing — it replays the same arrival
-  stream through a deterministic discrete-event model of the admission
-  queue, worker pool, and per-query timeout under a **virtual clock** (no
-  threads, no sleeps, no wall time).  Given a pure ``service_time``
-  function it is a pure function of its inputs, which is what the
-  schedule/timeout property tests rely on.
+For each arrival in schedule order the loop advances the
+:class:`~repro.serving.server.EngineServer`'s clock to its scheduled time
+and submits it.  :func:`run_served` does so on the wall clock and executes
+the queries (``bench_serving`` and ``python -m repro.cli serve`` run it);
+:func:`simulate_served` does so on the virtual clock from given service
+times, executing nothing, so the exact admission/shed/timeout tests
+assert the production rules with no threads and no sleeps.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.plan.logical import Query
@@ -81,48 +71,18 @@ def run_served(database: Database, queries: Sequence[Query],
                 f"{len(queries)}-query stream")
     server = EngineServer(database, config)
     server.start()
-    server.mark_epoch()
-    for arrival in sorted(arrivals, key=lambda a: (a.time, a.user_id)):
-        delay = arrival.time * time_scale - server.now()
-        if delay > 0:
-            time.sleep(delay)
-        server.submit(QueryTicket(
-            index=arrival.index, query=queries[arrival.index],
-            user_id=arrival.user_id, arrival_time=arrival.time))
+    _offer(server, arrivals, queries, time_scale)
     outcomes = server.shutdown()
     wall = server.now()
     # Rescale wall-clock timestamps back onto the schedule's time axis so
     # latency percentiles are independent of the compression factor.
     for outcome in outcomes:
-        for attr in ("start_time", "finish_time"):
+        for attr in ("admit_time", "start_time", "finish_time"):
             value = getattr(outcome, attr)
             if value is not None:
                 setattr(outcome, attr, value / time_scale)
     return ServingResult(outcomes=outcomes, summary=latency_summary(outcomes),
                          wall_seconds=wall)
-
-
-# ----------------------------------------------------------------------
-# Deterministic virtual-clock simulation (no threads, no sleeps)
-# ----------------------------------------------------------------------
-
-@dataclass
-class SimOutcome:
-    """What the simulator decided for one arrival."""
-
-    index: int
-    user_id: int
-    arrival_time: float
-    shed: bool = False
-    admit_time: float | None = None
-    start_time: float | None = None
-    finish_time: float | None = None
-    timed_out: bool = False
-    error: str | None = field(default=None, repr=False)
-
-    @property
-    def query_name(self) -> str:
-        return f"sim-{self.index}"
 
 
 def simulate_served(arrivals: Sequence[Arrival], *,
@@ -131,75 +91,36 @@ def simulate_served(arrivals: Sequence[Arrival], *,
                     policy: AdmissionPolicy = AdmissionPolicy.SHED,
                     service_time: Callable[[Arrival], float],
                     timeout_seconds: float | None = None,
-                    ) -> tuple[list[SimOutcome], list[int]]:
-    """Discrete-event replay of admission + pool + timeout semantics.
+                    ) -> tuple[list[QueryOutcome], list[int]]:
+    """Serve ``arrivals`` on the virtual clock; nothing is executed.
 
     Returns ``(outcomes, admission_order)`` where ``admission_order`` lists
-    arrival indices in the order admission control accepted them.  The
-    model mirrors the real server: a bounded FIFO of ``queue_capacity``
-    waiting requests, ``workers`` identical servers that each take the
-    queue head when free, SHED rejecting on a full queue, BLOCK delaying
-    the submitter (and therefore every later arrival) until a slot frees,
-    and a per-query timeout that caps service time at ``timeout_seconds``
-    (the cooperative engine deadline, measured from dequeue).  With a
-    deterministic ``service_time`` the entire trajectory — admission
-    order, sheds, start/finish times, which queries time out — is a pure
-    function of the inputs.
+    arrival indices in the order admission control accepted them.  Each
+    admitted arrival occupies a worker for ``service_time(arrival)``
+    seconds, clipped at ``timeout_seconds`` (the cooperative deadline,
+    measured from the take).  Every other rule is the
+    :class:`~repro.serving.server.EngineServer`'s own.
     """
-    if workers < 1:
-        raise ValueError(f"need >= 1 worker, got {workers}")
-    if queue_capacity < 1:
-        raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
-    policy = AdmissionPolicy(policy)
-
-    free: list[float] = [0.0] * workers  # min-heap of worker-free times
-    heapq.heapify(free)
-    pending: deque[SimOutcome] = deque()
-    outcomes: list[SimOutcome] = []
-    admission_order: list[int] = []
     by_index = {arrival.index: arrival for arrival in arrivals}
+    config = ServingConfig(workers=workers, queue_capacity=queue_capacity,
+                           admission=policy, timeout_seconds=timeout_seconds)
+    server = EngineServer(
+        None, config,
+        service_time=lambda ticket: service_time(by_index[ticket.index]))
+    admitted = _offer(server, arrivals, None, 1.0)
+    return server.shutdown(), admitted
 
-    def start_one() -> float:
-        """Start the queue head on the earliest-free worker.
 
-        Returns the start time, i.e. the moment the queue slot frees.
-        """
-        worker_free = heapq.heappop(free)
-        item = pending.popleft()
-        item.start_time = max(worker_free, item.admit_time)
-        service = service_time(by_index[item.index])
-        if timeout_seconds is not None and service > timeout_seconds:
-            item.timed_out = True
-            service = timeout_seconds
-        item.finish_time = item.start_time + service
-        heapq.heappush(free, item.finish_time)
-        return item.start_time
-
-    def drain(upto: float) -> None:
-        """Run every queue-head start whose worker frees by ``upto``."""
-        while pending and free[0] <= upto:
-            start_one()
-
-    submit_ready = 0.0  # BLOCK back-pressure: when the submitter is free
+def _offer(server: EngineServer, arrivals: Sequence[Arrival],
+           queries: Sequence[Query] | None, time_scale: float) -> list[int]:
+    """Submit every arrival on schedule; the indices admitted, in order."""
+    admitted = []
     for arrival in sorted(arrivals, key=lambda a: (a.time, a.user_id)):
-        now = max(arrival.time, submit_ready)
-        drain(now)
-        if len(pending) >= queue_capacity:
-            if policy is AdmissionPolicy.SHED:
-                outcomes.append(SimOutcome(index=arrival.index,
-                                           user_id=arrival.user_id,
-                                           arrival_time=arrival.time,
-                                           shed=True))
-                continue
-            while len(pending) >= queue_capacity:
-                now = max(now, start_one())
-            submit_ready = now
-        item = SimOutcome(index=arrival.index, user_id=arrival.user_id,
-                          arrival_time=arrival.time, admit_time=now)
-        pending.append(item)
-        outcomes.append(item)
-        admission_order.append(arrival.index)
-        drain(now)
-    drain(float("inf"))
-    outcomes.sort(key=lambda o: o.index)
-    return outcomes, admission_order
+        server.advance(arrival.time * time_scale)
+        ticket = QueryTicket(
+            index=arrival.index,
+            query=None if queries is None else queries[arrival.index],
+            user_id=arrival.user_id, arrival_time=arrival.time)
+        if server.submit(ticket):
+            admitted.append(arrival.index)
+    return admitted

@@ -1,11 +1,8 @@
 """Latency/throughput aggregation for served runs.
 
-Works over any sequence of outcome-like objects exposing
-``arrival_time`` / ``start_time`` / ``finish_time`` / ``shed`` /
-``timed_out`` — both the real server's
-:class:`~repro.serving.server.QueryOutcome` and the virtual-clock
-simulator's :class:`~repro.serving.driver.SimOutcome` qualify, so the
-same reporter summarizes wall-clock benches and deterministic tests.
+Works over the :class:`~repro.serving.server.QueryOutcome` records the
+engine server returns on either clock, so the same reporter summarizes
+wall-clock benches and the deterministic virtual-clock tests.
 
 Latency is **arrival-to-completion** (queue wait included), measured
 against the *scheduled* arrival time: an open-loop driver that falls
@@ -35,12 +32,12 @@ def latency_summary(outcomes: Sequence[Any]) -> dict[str, Any]:
     """Aggregate one served run into the JSON-safe reporter shape."""
     completed = [o for o in outcomes
                  if not o.shed and o.finish_time is not None
-                 and getattr(o, "error", None) is None]
+                 and o.error is None]
     latencies = [o.finish_time - o.arrival_time for o in completed]
     waits = [o.start_time - o.arrival_time for o in completed
              if o.start_time is not None]
     shed = sum(1 for o in outcomes if o.shed)
-    errors = sum(1 for o in outcomes if getattr(o, "error", None))
+    errors = sum(1 for o in outcomes if o.error)
     timeouts = sum(1 for o in completed if o.timed_out)
 
     if completed:

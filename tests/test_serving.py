@@ -1,29 +1,30 @@
 """Deterministic serving-layer tests: schedules, admission, timeouts.
 
-Three property families from the serving PR's acceptance list:
+Three property families:
 
 * **Schedule purity** -- the merged arrival event stream is a pure
   function of ``(users, seed)``: rebuilding it yields the identical
   tuple, and the global ordering/tie-breaks are reproducible.
 * **Virtual-clock semantics** -- :func:`~repro.serving.driver.simulate_served`
-  replays admission control, the worker pool, and per-query timeouts as a
-  discrete-event model with **no threads and no wall-clock sleeps**, so
-  admission order, shed decisions, and timeout firings can be asserted
-  exactly and must be bit-identical across replays.
-* **Real pool smoke** -- one small wall-clock run through
-  :class:`~repro.serving.server.EngineServer` checks conservation
-  (offered == completed + shed + errors), session-view temp isolation,
-  and the reporter's aggregate shape.
+  runs the production :class:`~repro.serving.server.EngineServer` on its
+  virtual clock (**no threads and no wall-clock sleeps**), so admission
+  order, shed decisions, timeout firings, errored runs and the accounting
+  invariant are asserted exactly and are bit-identical across replays.
+* **Wall-clock smoke** -- small threaded runs through the same server
+  check conservation (offered == completed + shed + errors), session-view
+  temp isolation, the reporter's aggregate shape, and that a bad
+  configuration raises to the caller under either admission policy.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.executor.subplan_cache import SubplanCache
-from repro.serving.admission import AdmissionPolicy, AdmissionQueue
+from repro.serving.admission import AdmissionPolicy
 from repro.serving.driver import run_served, simulate_served
 from repro.serving.reporter import latency_summary, percentile
 from repro.serving.schedule import (
@@ -35,7 +36,7 @@ from repro.serving.schedule import (
     build_arrivals,
     uniform_users,
 )
-from repro.serving.server import ServingConfig
+from repro.serving.server import EngineServer, QueryTicket, ServingConfig
 from tests.test_differential import build_differential_database, make_stream
 
 SEED = 20260731
@@ -201,47 +202,60 @@ class TestVirtualClockSimulation:
         assert (summary["p50_latency"] <= summary["p95_latency"]
                 <= summary["p99_latency"] <= summary["max_latency"])
 
+    def test_a_raising_run_gets_an_error_outcome(self):
+        def service(arrival):
+            if arrival.index == 3:
+                raise RuntimeError("boom")
+            return 0.1
+
+        outcomes, order = simulate_served(
+            metronome(6, gap=1.0), workers=1, queue_capacity=2,
+            policy=AdmissionPolicy.SHED, service_time=service)
+        assert [o.index for o in outcomes] == order == list(range(6))
+        (failed,) = [o for o in outcomes if o.error]
+        assert failed.index == 3
+        assert failed.error == "RuntimeError: boom"
+        assert failed.finish_time == failed.start_time  # the worker is freed
+        summary = latency_summary(outcomes)
+        assert summary["errors"] == 1
+        assert summary["completed"] == 5
+        assert summary["offered"] == (summary["completed"] + summary["shed"]
+                                      + summary["errors"])
+
+    def test_shutdown_refuses_a_lost_outcome(self, monkeypatch):
+        server = EngineServer(None, ServingConfig(workers=1, queue_capacity=2),
+                              service_time=lambda ticket: 0.1)
+        monkeypatch.setattr(server, "_finish", lambda outcome: None)
+        server.start()
+        assert server.submit(QueryTicket(index=0, query=None, user_id=0,
+                                         arrival_time=0.0))
+        with pytest.raises(RuntimeError, match="1 tickets offered but 0"):
+            server.shutdown()
+
     def test_percentile_helper(self):
         assert percentile([], 95) == 0.0
         assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
 
 
-class TestAdmissionQueue:
-    def test_shed_on_full_and_counters(self):
-        queue = AdmissionQueue(capacity=2, policy=AdmissionPolicy.SHED)
-        assert queue.offer("a") and queue.offer("b")
-        assert not queue.offer("c")
-        assert queue.admitted == 2
-        assert queue.shed == 1
-        assert queue.max_depth == 2
+def serve_within(seconds: float, *args, **kwargs):
+    """``run_served`` on a daemon thread: its result, or the exception it
+    raised re-raised here; a run still going after ``seconds`` fails."""
+    box = []
 
-    def test_close_drains_then_signals_exhaustion(self):
-        queue = AdmissionQueue(capacity=4, policy=AdmissionPolicy.SHED)
-        queue.offer("a")
-        queue.offer("b")
-        queue.close()
-        assert queue.take() == "a"
-        assert queue.take() == "b"
-        assert queue.take() is None  # closed + drained
-        with pytest.raises(RuntimeError):
-            queue.offer("c")
+    def serve() -> None:
+        try:
+            box.append(run_served(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 — re-raised on the caller
+            box.append(exc)
 
-    def test_block_producer_resumes_when_a_slot_frees(self):
-        queue = AdmissionQueue(capacity=1, policy=AdmissionPolicy.BLOCK)
-        assert queue.offer("a")
-        blocked_result = []
-
-        def producer() -> None:
-            blocked_result.append(queue.offer("b"))
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        assert queue.take() == "a"  # frees the slot the producer waits on
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert blocked_result == [True]
-        assert queue.take() == "b"
-        assert queue.shed == 0
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "the served run hung"
+    (result,) = box
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 class TestRealServerSmoke:
@@ -271,19 +285,28 @@ class TestRealServerSmoke:
         # keep_results defaults off: served runs must not pin result tables.
         assert all(o.report.final_table is None for o in result.outcomes)
 
-    def test_saturated_block_admission_completes_every_arrival(self, db):
-        """A 2-slot BLOCK queue and both serving workers saturated from the
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_saturated_block_admission_completes_every_arrival(self, db,
+                                                               workers):
+        """A 2-slot BLOCK queue and every serving worker saturated from the
         first moment: the producer blocks on the admission fence while the
         workers drain it; every arrival must still complete, and the
-        accounting must conserve each request."""
+        accounting must conserve each request.  Eight workers on a short
+        switch interval make the take/submit interleavings dense."""
         queries = make_stream(db, seed=SEED + 7).generate(24)
         arrivals = build_arrivals(uniform_users(4, 500.0, 6), seed=SEED + 7,
                                   max_events=24)
-        config = ServingConfig(algorithm="Default", workers=2,
+        config = ServingConfig(algorithm="Default", workers=workers,
                                queue_capacity=2,
                                admission=AdmissionPolicy.BLOCK,
                                timeout_seconds=30.0)
-        result = run_served(db, queries, arrivals, config, time_scale=0.01)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = serve_within(60, db, queries, arrivals, config,
+                                  time_scale=0.01)
+        finally:
+            sys.setswitchinterval(interval)
         summary = result.summary
         assert summary["offered"] == 24
         assert summary["completed"] == 24
@@ -291,6 +314,19 @@ class TestRealServerSmoke:
         assert summary["errors"] == 0
         assert summary["timeouts"] == 0
         assert sorted(o.index for o in result.outcomes) == list(range(24))
+
+    @pytest.mark.parametrize("policy", list(AdmissionPolicy))
+    def test_bad_algorithm_raises_to_the_caller(self, db, policy):
+        """The runners are built before any arrival is offered, so an unknown
+        algorithm is the caller's ValueError -- not a dead worker thread
+        that loses arrivals (SHED) or strands a blocked submitter (BLOCK)."""
+        queries = make_stream(db, seed=SEED).generate(8)
+        arrivals = build_arrivals(uniform_users(2, 100.0, 4), seed=SEED,
+                                  max_events=8)
+        config = ServingConfig(algorithm="NoSuch", workers=2,
+                               queue_capacity=2, admission=policy)
+        with pytest.raises(ValueError, match="NoSuch"):
+            serve_within(30, db, queries, arrivals, config, time_scale=0.01)
 
     def test_session_views_isolate_temp_tables(self, db):
         view_a = db.session_view()
