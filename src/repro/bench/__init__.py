@@ -9,9 +9,9 @@ from repro.bench.artifacts import (
     write_artifact,
 )
 from repro.bench.harness import HarnessConfig, run_generated, run_query, run_workload
-from repro.bench.reporting import format_table, summarize_workloads
+from repro.bench.reporting import format_table
 
 __all__ = ["HarnessConfig", "run_query", "run_workload", "run_generated",
-           "format_table", "summarize_workloads", "ExperimentResult",
+           "format_table", "ExperimentResult",
            "SCHEMA_VERSION", "build_artifact", "write_artifact",
            "load_artifact", "validate_artifact"]

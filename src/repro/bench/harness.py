@@ -46,7 +46,6 @@ class HarnessConfig:
     #: when the same instance is passed to several runs, across whole
     #: algorithms/policies).  ``None`` keeps runs fully independent.
     subplan_cache: SubplanCache | None = None
-    verbose: bool = False
 
 
 def run_query(database: Database, query: Query, algorithm: str,
@@ -73,11 +72,7 @@ def run_workload(database: Database, queries: Sequence[Query], algorithm: str,
     config = config or HarnessConfig()
     result = WorkloadResult(algorithm=algorithm)
     for query in queries:
-        report = run_query(database, query, algorithm, config)
-        if config.verbose:
-            from repro.bench.reporting import describe_report
-            print(describe_report(report))
-        result.reports.append(report)
+        result.reports.append(run_query(database, query, algorithm, config))
     return result
 
 

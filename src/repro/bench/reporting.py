@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.report import ExecutionReport, WorkloadResult
-
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],
                  title: str | None = None) -> str:
@@ -39,36 +37,3 @@ def format_seconds(seconds: float) -> str:
     if seconds >= 1:
         return f"{seconds:.2f} s"
     return f"{seconds * 1000:.1f} ms"
-
-
-def describe_report(report: ExecutionReport) -> str:
-    """One status line per executed query (the harness's verbose output)."""
-    status = ("TO" if report.timed_out
-              else f"{report.total_time * 1000:8.1f} ms")
-    return (f"  [{report.algorithm:>10s}] {report.query_name:<12s} {status} "
-            f"({report.num_iterations} iterations, "
-            f"{report.materializations} materializations, "
-            f"{report.stats_columns} columns analyzed)")
-
-
-def summarize_workloads(results: dict[str, WorkloadResult]) -> list[tuple]:
-    """One summary row per algorithm: time, timeouts, materializations."""
-    rows = []
-    for name, result in results.items():
-        total_mats = sum(r.materializations for r in result.reports)
-        rows.append((
-            name,
-            format_seconds(result.total_time),
-            result.timeouts,
-            total_mats,
-        ))
-    return rows
-
-
-def relative_slowdown(results: dict[str, WorkloadResult],
-                      reference: str = "Optimal") -> dict[str, float]:
-    """Per-algorithm slowdown factor relative to ``reference``."""
-    base = results[reference].total_time
-    if base <= 0:
-        return {name: float("inf") for name in results}
-    return {name: result.total_time / base for name, result in results.items()}

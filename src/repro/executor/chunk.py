@@ -84,11 +84,6 @@ class TableSource:
         """True if this source provides the columns of ``alias``."""
         return alias in self.aliases
 
-    def _storage_name(self, ref: ColumnRef) -> str:
-        # Temporary tables store columns under their original qualified
-        # names; base tables use bare column names.
-        return ref.qualified if self.relation.is_temp else ref.column
-
     def gather(self, ref: ColumnRef,
                stats: MaterializationStats | None = None) -> np.ndarray:
         """Materialize one column's *values* for the rows this source selects."""
@@ -96,8 +91,8 @@ class TableSource:
             # Identity selection: hand out the stored column by reference
             # (decoded -- and cached on the table -- when it is
             # dictionary-encoded, so consumers always see real values).
-            return self.table.column_values(self._storage_name(ref))
-        data = self.table.gather(self._storage_name(ref), self.row_ids)
+            return self.table.column_values(self.relation.storage_name(ref))
+        data = self.table.gather(self.relation.storage_name(ref), self.row_ids)
         if stats is not None:
             stats.count(data)
         return data
@@ -108,7 +103,7 @@ class TableSource:
         """Like :meth:`gather`, but a dictionary-encoded column comes back
         as ``(codes, dictionary)`` -- the dictionary shared by reference,
         nothing decoded.  ``(values, None)`` for every other column."""
-        name = self._storage_name(ref)
+        name = self.relation.storage_name(ref)
         if not self.table.is_encoded(name):
             return self.gather(ref, stats), None
         codes = self.table.column(name)

@@ -7,13 +7,16 @@ late-materialized :class:`~repro.executor.chunk.Chunk` inputs:
 * :class:`HashJoin`    -- equi-join on gathered key columns (also evaluates
   predicate-carrying NL nodes: the equi-join kernel in
   :mod:`repro.executor.joins` serves both);
-* :class:`IndexNLJoin` -- index nested-loop join probing a sorted index;
+* :class:`IndexNLJoin` -- index nested-loop join probing a sorted index,
+  then filtering the probed inner rows like a scan;
 * :class:`CrossProduct`-- predicate-less join (guarded Cartesian product);
 * :class:`Aggregate`   -- plan-root aggregation, the point where the
   aggregated columns are finally gathered (encoded strings as codes).
 
-Operators never copy payload columns between them -- they pass chunks whose
-sources are row-id vectors into the stored tables.  The
+Both filter through :func:`filter_rows`, over the stored columns (codes for
+encoded strings): no filter is evaluated on decoded values.  Operators never
+copy payload columns between them -- they pass chunks whose sources are
+row-id vectors into the stored tables.  The
 :class:`~repro.executor.executor.Executor` walks the plan, invokes the
 matching operator per node, and handles caching/timing around them.
 """
@@ -34,7 +37,8 @@ from repro.executor.chunk import (
 )
 from repro.executor.joins import multi_key_equi_join
 from repro.executor.kernels import PredicateCompiler
-from repro.plan.expressions import ColumnRef, JoinPredicate
+from repro.plan.expressions import JoinPredicate
+from repro.plan.logical import RelationRef
 from repro.storage.dictionary import translate_filters
 from repro.plan.physical import JoinNode, PhysicalPlan, PlanNode, ScanNode
 from repro.storage.database import Database
@@ -59,7 +63,7 @@ class ExecContext:
     #: actually evaluated over, and how many predicates ran fused.
     fused_rows_touched: int = 0
     fused_predicates: int = 0
-    #: Predicates rewritten into dictionary code space by scans.
+    #: Predicates rewritten into dictionary code space by filtered reads.
     dict_predicates: int = 0
 
 
@@ -77,19 +81,45 @@ class Operator:
         return f"{self.name}[{'+'.join(sorted(self.node.covered_aliases()))}]"
 
 
-class Scan(Operator):
-    """Sequential scan with pushed-down filters -> row-id selection vector.
+def filter_rows(ctx: ExecContext, relation: RelationRef, table: DataTable,
+                filters, rows: np.ndarray | None = None) -> np.ndarray | None:
+    """Filter a stored relation: the executor's one filter evaluator.
 
-    The compiled conjunction runs once over the full stored columns.  Two
-    hot-path rewrites happen before any data is read.  Predicates over
+    Reads every row of ``table``, or only the row ids in ``rows`` (an
+    index probe's matches).  Returns the ascending positions of the rows
+    that satisfy ``filters`` -- row ids of ``table``, or positions into
+    ``rows`` -- or ``None`` when no conjunct is left to apply (every row
+    survives, nothing materialized).
+
+    Two rewrites happen before any data is read.  Predicates over
     dictionary-encoded string columns are translated into code space
     (:func:`~repro.storage.dictionary.translate_filters`), which can decide
     a conjunct outright: a provably unsatisfiable conjunct returns the
-    empty selection without scanning, a tautological one is dropped.  And
+    empty selection without reading, a tautological one is dropped.  And
     the surviving conjunction is compiled into a single
     selectivity-ordered pass (:class:`PredicateCompiler`) instead of one
-    full-slice pass per predicate.
+    pass per predicate.
     """
+    filters, impossible, translated = translate_filters(
+        filters, table, relation.storage_name)
+    ctx.dict_predicates += translated
+    if impossible:
+        return np.empty(0, dtype=np.int64)
+    if not filters:
+        return None
+    ctx.fused_predicates += len(filters)
+
+    def column(ref):
+        stored = table.column(relation.storage_name(ref))
+        return stored if rows is None else stored[rows]
+
+    return PredicateCompiler(filters).evaluate_range(
+        column, table.num_rows if rows is None else len(rows), ctx)
+
+
+class Scan(Operator):
+    """Sequential scan with pushed-down filters -> row-id selection vector
+    (:func:`filter_rows` over every row of the table)."""
 
     name = "Scan"
 
@@ -97,27 +127,8 @@ class Scan(Operator):
         node: ScanNode = self.node  # type: ignore[assignment]
         relation = node.relation
         table = ctx.database.table(relation.table_name)
-
-        def storage_name(ref: ColumnRef) -> str:
-            return ref.qualified if relation.is_temp else ref.column
-
-        filters, impossible, translated = translate_filters(
-            node.filters, table, storage_name)
-        ctx.dict_predicates += translated
-        if impossible:
-            # The dictionary proved a conjunct unsatisfiable: empty scan.
-            return Chunk((TableSource(relation, table,
-                                      np.empty(0, dtype=np.int64)),))
-        if not filters:
-            # No filters, or every conjunct was tautological: identity
-            # selection, no vector materialized.
-            return Chunk((TableSource(relation, table, None),))
-
-        kernel = PredicateCompiler(filters)
-        ctx.fused_predicates += len(filters)
-        row_ids = kernel.evaluate_range(
-            lambda ref: table.column(storage_name(ref)), table.num_rows, ctx)
-        return Chunk((TableSource(relation, table, row_ids),))
+        return Chunk((TableSource(
+            relation, table, filter_rows(ctx, relation, table, node.filters)),))
 
 
 def join_keys(ctx: ExecContext, left: Chunk, right: Chunk,
@@ -184,15 +195,14 @@ class IndexNLJoin(Operator):
 
         probe_positions, inner_rows = index.lookup_batch(outer_keys)
 
-        def resolve(ref: ColumnRef) -> np.ndarray:
-            return table.gather(ref.column, inner_rows)
-
-        # Apply the inner relation's residual filters after the index probe.
-        mask = None
-        for pred in inner_scan.filters:
-            pred_mask = pred.evaluate(resolve)
-            mask = pred_mask if mask is None else (mask & pred_mask)
+        # The inner relation's filters run over the probed rows only.
+        keep = filter_rows(ctx, relation, table, inner_scan.filters,
+                           inner_rows)
+        if keep is not None:
+            probe_positions = probe_positions[keep]
+            inner_rows = inner_rows[keep]
         # Apply any additional join predicates between the two sides.
+        mask = None
         for pred in node.predicates:
             if pred is probe_pred:
                 continue

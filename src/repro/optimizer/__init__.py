@@ -15,7 +15,7 @@ on:
   :mod:`repro.optimizer.pessimistic`);
 * a **cost model** (:mod:`repro.optimizer.cost`) and a dynamic-programming
   **join enumerator** with a greedy fallback (:mod:`repro.optimizer.join_enum`);
-* robust plan selection (FS) and optimality ranges (OptRange)
+* the robust planner configurations of FS and USE
   (:mod:`repro.optimizer.robust`).
 """
 

@@ -101,11 +101,8 @@ class CardinalityEstimator:
     def column_stats(self, relation: RelationRef, ref: ColumnRef) -> ColumnStats:
         """Statistics of the column ``ref`` as stored in ``relation``."""
         stats = self.database.stats(relation.table_name)
-        if relation.is_temp:
-            column_name = ref.qualified
-        else:
-            column_name = ref.column
-        return stats.column_or_default(column_name, dtype=DataType.INT)
+        return stats.column_or_default(relation.storage_name(ref),
+                                       dtype=DataType.INT)
 
     def relation_rows(self, relation: RelationRef) -> float:
         """Raw row count of a relation."""

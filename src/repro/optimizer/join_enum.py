@@ -212,8 +212,10 @@ class JoinEnumerator:
         """Filters the scan will evaluate in dictionary code space.
 
         A filter qualifies when every column it references is stored
-        dictionary-encoded in the base table (temps are never encoded), so
-        the executor's predicate translation turns it into an int compare.
+        dictionary-encoded in the base table, so the executor's predicate
+        translation turns it into an int compare.  Temporaries are encoded
+        too, but a temp scan has no filters: ``SPJQuery.substitute`` drops
+        every filter the temporary already applied.
         """
         if not filters or relation.is_temp:
             return 0

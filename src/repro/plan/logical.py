@@ -67,6 +67,11 @@ class RelationRef:
         """True if this relation provides the columns of ``alias``."""
         return alias in self.covered_aliases
 
+    def storage_name(self, ref: ColumnRef) -> str:
+        """The name ``ref`` is stored under in this relation's table:
+        temporaries keep qualified names (``t.id``), base tables bare ones."""
+        return ref.qualified if self.is_temp else ref.column
+
     def __str__(self) -> str:
         if self.is_temp:
             return f"{self.alias}[{','.join(sorted(self.covered_aliases))}]"

@@ -9,14 +9,15 @@ column of a base table is re-stored as
   string values.
 
 Columns that are not eligible (indexed, or holding non-string values) stay
-object arrays, and scans evaluate their predicates in value space.
+object arrays, and filters evaluate their predicates in value space.
 
 Because the dictionary is sorted, the mapping is *order-preserving*: value
-comparisons translate to integer comparisons on codes.  That buys the scan
-hot path two things:
+comparisons translate to integer comparisons on codes.  That buys the
+executor's one filter path (:func:`repro.executor.operators.filter_rows`:
+scans and the residual filters of an index probe) two things:
 
 1. predicate evaluation happens on ``int32`` arrays instead of Python-level
-   object comparisons (:func:`translate_filters` rewrites a scan's
+   object comparisons (:func:`translate_filters` rewrites a filter
    conjunction into code space);
 2. predicates with no representable match (an equality literal absent from
    the dictionary, an empty prefix range) are recognized as unsatisfiable
@@ -29,8 +30,8 @@ result tables, temporaries registered from them, QuerySplit's final merge
 and the aggregation kernel (:mod:`repro.executor.aggregates`: group ids
 from ``code + 1``, MIN/MAX on codes) never see a string.  Decoding happens
 in exactly two places: a join key (``DataTable.gather`` -- joins compare
-values, since two tables' codes are unrelated) and when the caller asks for
-values (:meth:`DataTable.column_values
+values, since two tables' codes are unrelated; no filter decodes) and when
+the caller asks for values (:meth:`DataTable.column_values
 <repro.storage.table.DataTable.column_values>` / ``to_rows``: the result
 checkers, the differential-test oracle).
 ANALYZE (:mod:`repro.catalog.analyze`) reads the codes: the dictionary is

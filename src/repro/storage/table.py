@@ -92,7 +92,7 @@ class DataTable:
         """Materialize column ``name`` at the given row ids.
 
         This is where a selection vector becomes real column *values*:
-        join keys and index-probe residuals.  Dictionary-encoded columns
+        join keys.  Dictionary-encoded columns
         are decoded here -- only for the selected rows.  (The plan root
         does not come through here for encoded columns: it takes
         ``codes[row_ids]`` and this table's dictionary, see

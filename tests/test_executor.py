@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.catalog.schema import Column, ForeignKey, Schema, TableSchema
+from repro.catalog.types import DataType
 from repro.executor.executor import ExecutionError, Executor, group_aggregate, union_all
 from repro.executor.joins import (
     JoinOverflowError,
@@ -14,9 +16,20 @@ from repro.executor.joins import (
 from repro.executor.subplan_cache import SubplanCache
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.oracle import OracleCardinalityEstimator
-from repro.plan.expressions import ColumnRef, Comparison, JoinPredicate
+from repro.plan.expressions import (
+    Between,
+    ColumnRef,
+    Comparison,
+    InList,
+    IsNotNull,
+    JoinPredicate,
+    OrPredicate,
+    StringContains,
+    StringPrefix,
+)
 from repro.plan.logical import AggregateSpec, RelationRef, SPJQuery
 from repro.plan.physical import JoinMethod
+from repro.storage.database import Database
 from repro.storage.table import DataTable
 from tests.conftest import five_way_query
 
@@ -392,34 +405,6 @@ class TestExecutor:
         b = executor.execute(optimizer.plan(spj)).table.to_rows()
         assert a == b
 
-    def test_index_nl_residual_filter(self, tiny_db, executor):
-        """INDEX_NL applies the inner scan's filters *after* the index probe."""
-        from repro.plan.physical import JoinNode, PhysicalPlan, ScanNode
-
-        year_filter = Comparison(ColumnRef("t", "year"), ">", 2000)
-        predicate = JoinPredicate(ColumnRef("mk", "movie_id"), ColumnRef("t", "id"))
-        outputs = (ColumnRef("mk", "id"), ColumnRef("t", "year"))
-
-        def build(method):
-            outer = ScanNode(relation=RelationRef.base("mk", "mk"))
-            inner = ScanNode(relation=RelationRef.base("t", "t"),
-                             filters=(year_filter,))
-            join = JoinNode(left=outer, right=inner, predicates=(predicate,),
-                            method=method,
-                            index_column=(ColumnRef("t", "id")
-                                          if method is JoinMethod.INDEX_NL
-                                          else None))
-            return PhysicalPlan(query_name="residual", root=join,
-                                output_columns=outputs)
-
-        via_index = executor.execute(build(JoinMethod.INDEX_NL))
-        via_hash = executor.execute(build(JoinMethod.HASH))
-        assert via_index.join_rows == via_hash.join_rows > 0
-        assert (sorted(via_index.table.to_rows())
-                == sorted(via_hash.table.to_rows()))
-        # The residual filter actually removed probe results.
-        assert all(row[1] > 2000 for row in via_index.table.to_rows())
-
     def test_index_nl_missing_index_rejected(self, tiny_db, executor):
         """An INDEX_NL join on an unindexed column is an execution error."""
         from repro.plan.physical import JoinNode, PhysicalPlan, ScanNode
@@ -450,6 +435,95 @@ class TestExecutor:
             assert matching, f"no operator time recorded for {label_aliases}"
             assert result.operator_times[matching[0]] == join.actual_time
         assert result.materialized_bytes > 0
+
+
+_S, _V = ColumnRef("p", "s"), ColumnRef("p", "v")
+
+#: One inner filter per shape; ``True`` when the inner table's dictionary
+#: translates it into code space (everything but the integer column).
+INL_RESIDUALS = {
+    "eq": (Comparison(_S, "=", "banana"), True),
+    "ne": (Comparison(_S, "!=", "banana"), True),
+    "lt": (Comparison(_S, "<", "cherry"), True),
+    "between": (Between(_S, "banana", "date"), True),
+    "in_list": (InList(_S, ("apple", "date", "kiwi")), True),
+    "is_not_null": (IsNotNull(_S), True),
+    "contains": (StringContains(_S, "an"), True),
+    "prefix": (StringPrefix(_S, "gr"), True),
+    "or": (OrPredicate((Comparison(_S, "=", "apple"),
+                        StringPrefix(_S, "ch"))), True),
+    "absent_literal": (Comparison(_S, "=", "kiwi"), True),
+    "tautology": (Comparison(_S, "!=", "kiwi"), True),
+    "numeric": (Comparison(_V, ">", 20), False),
+}
+
+
+@pytest.fixture(scope="module")
+def nullable_strings_db() -> Database:
+    """An outer table ``o`` probing an inner table ``p`` on its primary key;
+    ``p.s`` is a dictionary-encoded string column with NULLs."""
+    schema = Schema([
+        TableSchema("p", [Column("id", DataType.INT),
+                          Column("s", DataType.STRING),
+                          Column("v", DataType.INT)], primary_key="id"),
+        TableSchema("o", [Column("id", DataType.INT),
+                          Column("p_id", DataType.INT)], primary_key="id",
+                    foreign_keys=[ForeignKey("p_id", "p", "id")]),
+    ])
+    words = ["apple", "banana", "cherry", None, "date", "grape", "banana"]
+    db = Database(schema)
+    db.load_table(DataTable("p", {
+        "id": np.arange(1, 61),
+        "s": np.array([words[i % len(words)] for i in range(60)],
+                      dtype=object),
+        "v": np.arange(60) % 37,
+    }))
+    rng = np.random.default_rng(5)
+    db.load_table(DataTable("o", {"id": np.arange(1, 301),
+                                  # Some keys miss the inner table.
+                                  "p_id": rng.integers(1, 66, 300)}))
+    return db
+
+
+class TestIndexNLResiduals:
+    """An INDEX_NL join filters its probed inner rows exactly as a scan
+    filters its table: same rows as the HASH plan, in code space."""
+
+    @pytest.mark.parametrize("case", list(INL_RESIDUALS))
+    def test_index_nl_residual_matches_hash(self, nullable_strings_db, case):
+        from repro.plan.physical import JoinNode, PhysicalPlan, ScanNode
+
+        residual, translated = INL_RESIDUALS[case]
+        assert nullable_strings_db.table("p").is_encoded("s")
+
+        def build(method):
+            inner = ScanNode(relation=RelationRef.base("p", "p"),
+                             filters=(residual,))
+            join = JoinNode(
+                left=ScanNode(relation=RelationRef.base("o", "o")),
+                right=inner,
+                predicates=(JoinPredicate(ColumnRef("o", "p_id"),
+                                          ColumnRef("p", "id")),),
+                method=method,
+                index_column=(ColumnRef("p", "id")
+                              if method is JoinMethod.INDEX_NL else None))
+            return PhysicalPlan(query_name=f"residual_{case}", root=join,
+                                output_columns=(ColumnRef("o", "id"), _S, _V))
+
+        executor = Executor(nullable_strings_db)
+        via_index = executor.execute(build(JoinMethod.INDEX_NL))
+        via_hash = executor.execute(build(JoinMethod.HASH))
+        # Each outer row matches at most one inner row: o.id orders rows.
+        rows = sorted(via_index.table.to_rows(), key=lambda row: row[0])
+        assert rows == sorted(via_hash.table.to_rows(), key=lambda row: row[0])
+        assert (via_index.dict_predicates > 0) == translated
+        if case == "absent_literal":
+            assert rows == []
+        else:
+            # The residual held on every row, and rows survived it.
+            columns = {_S: np.array([row[1] for row in rows], dtype=object),
+                       _V: np.array([row[2] for row in rows])}
+            assert rows and residual.evaluate(columns.__getitem__).all()
 
 
 class TestSubplanCache:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.bench.harness import HarnessConfig, run_query, run_workload
-from repro.bench.reporting import format_seconds, format_table, relative_slowdown, \
-    summarize_workloads
+from repro.bench.reporting import format_seconds, format_table
 from repro.report import WorkloadResult
 from repro.reopt import make_algorithm
 
@@ -68,12 +67,10 @@ class TestHarness:
             name: run_workload(imdb_db, job_sample[:2], name, config)
             for name in ("Default", "QuerySplit")
         }
-        rows = summarize_workloads(results)
-        assert len(rows) == 2
-        table = format_table(["alg", "time", "to", "mats"], rows, title="x")
+        rows = [(name, format_seconds(result.total_time), result.timeouts)
+                for name, result in results.items()]
+        table = format_table(["alg", "time", "to"], rows, title="x")
         assert "QuerySplit" in table
-        slowdown = relative_slowdown(results, reference="QuerySplit")
-        assert slowdown["QuerySplit"] == pytest.approx(1.0)
         assert format_seconds(0.5).endswith("ms")
         assert format_seconds(12.3).endswith("s")
 

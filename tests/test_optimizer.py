@@ -14,7 +14,7 @@ from repro.optimizer.learned import LearnedCardinalityEstimator
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.oracle import OracleCardinalityEstimator, TrueCardinalityOracle
 from repro.optimizer.pessimistic import PessimisticCardinalityEstimator
-from repro.optimizer.robust import fs_config, optimality_range, use_config
+from repro.optimizer.robust import fs_config, use_config
 from repro.plan.expressions import ColumnRef, Comparison, JoinPredicate, StringPrefix
 from repro.plan.logical import RelationRef, SPJQuery
 from repro.plan.physical import JoinMethod, JoinNode, ScanNode
@@ -541,11 +541,3 @@ class TestRobustHelpers:
         config = fs_config()
         assert config.robustness_weight > 0
         assert config.robustness_blowup > 1
-
-    def test_optimality_range_contains(self):
-        window = optimality_range(100.0)
-        assert window.contains(100)
-        assert window.contains(30)
-        assert not window.contains(1000)
-        assert window.low == pytest.approx(25.0)
-        assert window.high == pytest.approx(400.0)
