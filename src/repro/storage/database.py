@@ -71,10 +71,14 @@ class Database:
         """Register a base table, encode its strings, analyze and index it.
 
         Eligible string columns are re-stored as dictionary codes first;
-        statistics read the codes and hold decoded values.
+        statistics read the codes and hold decoded values.  A name loads
+        once: a second table under a loaded name raises ``ValueError``, since
+        session views and cached subplans share the first one's data.
         """
         if not self.schema.has_table(table.name):
             raise KeyError(f"table {table.name!r} is not declared in the schema")
+        if table.name in self._tables:
+            raise ValueError(f"table {table.name!r} is already loaded")
         table.encode_strings(skip=self._indexed_columns(table.name))
         self._tables[table.name] = table
         if analyze:

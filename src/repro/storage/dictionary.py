@@ -38,10 +38,10 @@ ANALYZE (:mod:`repro.catalog.analyze`) reads the codes: the dictionary is
 sorted, hence code order is value order, and only the few MCV winners are
 looked up, so statistics still hold real strings.
 
-The :func:`null_mask` helper is the single dtype-aware null test shared by
-the encoder and by ANALYZE (``None`` for object columns, ``NaN`` for
-floats), replacing the float-only ``np.isnan(...astype(float))`` path that
-crashed on string columns.
+One null rule serves the encoder and ANALYZE: :func:`is_null` tests one
+object value (``None``, or a stray ``float('nan')``), and :func:`null_mask`
+applies it to an object column, or tests ``NaN`` in a float column.  The
+encoder applies it once per distinct value, not per row.
 """
 
 from __future__ import annotations
@@ -74,19 +74,26 @@ NULL_CODE = -1
 # ----------------------------------------------------------------------
 # Shared null handling
 # ----------------------------------------------------------------------
+def is_null(value) -> bool:
+    """True for the values an object column stores as NULL.
+
+    ``None`` is NULL, and so is a stray ``float('nan')`` (any float NaN,
+    ``np.float64`` included); every other value is not.
+    """
+    return value is None or (isinstance(value, float) and value != value)
+
+
 def null_mask(values: np.ndarray) -> np.ndarray:
     """Boolean mask of NULL entries, per the engine's dtype conventions.
 
-    ``None`` (and a stray ``float('nan')``) are null in object columns,
-    ``NaN`` is null in float columns, and integer/bool columns have no
-    null representation at all.
+    Object columns apply :func:`is_null` to each value, ``NaN`` is null in
+    float columns, and integer/bool columns have no null representation at
+    all.
     """
     values = np.asarray(values)
     if values.dtype == object:
-        return np.fromiter(
-            (v is None or (isinstance(v, float) and np.isnan(v))
-             for v in values),
-            dtype=bool, count=len(values))
+        return np.fromiter(map(is_null, values.tolist()), dtype=bool,
+                           count=len(values))
     if values.dtype.kind == "f":
         return np.isnan(values)
     return np.zeros(len(values), dtype=bool)
@@ -100,20 +107,36 @@ def encode_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     Returns ``None`` when the column is not eligible (any non-null value
     is not a plain string -- a mixed-type object column has no total order
-    the sorted dictionary could preserve).
+    the sorted dictionary could preserve -- or a value is unhashable).
+
+    One hashing pass over the rows finds the distinct values, keeping the
+    first occurrence of each; the NULL and string checks run on those only,
+    only the distinct strings are sorted, and a second pass maps every row
+    to its code.  The cost is linear in rows, plus a sort of the distinct
+    values.
     """
     values = np.asarray(values)
     if values.dtype != object:
         return None
-    nulls = null_mask(values)
-    non_null = values[~nulls]
-    if len(non_null) and not all(isinstance(v, str) for v in non_null):
+    items = values.tolist()
+    try:
+        distinct = dict.fromkeys(items)
+    except TypeError:
         return None
-    dictionary, inverse = np.unique(non_null, return_inverse=True)
-    dictionary = dictionary.astype(object)
-    codes = np.full(len(values), NULL_CODE, dtype=np.int32)
-    codes[~nulls] = inverse.astype(np.int32, copy=False)
-    return codes, dictionary
+    strings = []
+    for value in distinct:
+        if is_null(value):
+            distinct[value] = NULL_CODE
+        elif isinstance(value, str):
+            strings.append(value)
+        else:
+            return None
+    strings.sort()
+    for code, value in enumerate(strings):
+        distinct[value] = code
+    codes = np.fromiter(map(distinct.__getitem__, items), dtype=np.int32,
+                        count=len(items))
+    return codes, np.array(strings, dtype=object)
 
 
 def decode_lookup(dictionary: np.ndarray) -> np.ndarray:

@@ -84,10 +84,7 @@ def categorical(rng: np.random.Generator, values: list, probabilities: list[floa
     probs = np.asarray(probabilities, dtype=float)
     probs = probs / probs.sum()
     idx = rng.choice(len(values), size=size, p=probs)
-    arr = np.empty(size, dtype=object)
-    for i, value in enumerate(values):
-        arr[idx == i] = value
-    return arr
+    return np.array(values, dtype=object)[idx]
 
 
 def sequential_ids(count: int, start: int = 1) -> np.ndarray:

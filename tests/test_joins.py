@@ -43,6 +43,15 @@ def _index_case(name: str) -> tuple[np.ndarray, np.ndarray, bool]:
     if name == "int32-index":
         return (rng.integers(0, 100, 300).astype(np.int32), rng.integers(-5, 110, 200),
                 True)
+    if name == "int32-index-wide":
+        # n * span is about 2.4e9: a composite order built in int32 wraps.
+        return (rng.integers(0, 40000, 60000).astype(np.int32),
+                rng.integers(-5, 40010, 500), True)
+    if name == "dense-duplicates-heavy":
+        return rng.integers(0, 100, 50000), rng.integers(-3, 103, 400), True
+    if name == "dense-unique-shuffled-with-gaps":
+        values = rng.choice(8000, 3000, replace=False) + 100
+        return values, rng.integers(90, 8110, 600), True
     if name == "float-probes-into-dense":
         return np.arange(50), np.array([0.0, 1.5, 3.0, 49.0, 50.0, -1.0]), True
     if name == "float-keys":
@@ -64,7 +73,9 @@ def _index_case(name: str) -> tuple[np.ndarray, np.ndarray, bool]:
 
 INDEX_CASES = ("dense-unique", "dense-duplicates", "dense-with-gaps", "sparse",
                "sparse-probe-hits", "negative-keys", "probes-beyond-both-ends",
-               "int32-probes", "int32-index", "float-probes-into-dense",
+               "int32-probes", "int32-index", "int32-index-wide",
+               "dense-duplicates-heavy", "dense-unique-shuffled-with-gaps",
+               "float-probes-into-dense",
                "float-keys", "string-keys", "empty-probe", "empty-index",
                "single-key", "single-hot-key")
 

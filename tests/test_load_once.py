@@ -11,8 +11,9 @@ that without checking it at run time:
 These tests run every registered algorithm, queries aborted by the
 join-size cap, a shared cache and a served stream over the differential
 database and check that every piece of loaded state is unchanged
-afterwards.  They also check two read paths that take every stored row
-as live: identity scans and the true-cardinality oracle.
+afterwards.  They also check that ``load_table`` refuses a second table
+under a loaded name, and two read paths that take every stored row as
+live: identity scans and the true-cardinality oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.serving.admission import AdmissionPolicy
 from repro.serving.driver import run_served
 from repro.serving.schedule import build_arrivals, uniform_users
 from repro.serving.server import ServingConfig
+from repro.storage.table import DataTable
 from repro.workloads.job_queries import job_queries
 from tests.reference_eval import (
     _join_rows,
@@ -168,6 +170,24 @@ class TestNothingWritesBaseTables:
         assert result.summary["completed"] == 16
         assert result.summary["errors"] == 0
         _assert_unchanged(fresh_db, before)
+
+
+class TestLoadOnce:
+    def test_a_loaded_name_cannot_be_loaded_again(self, fresh_db):
+        """A second table under a loaded name is refused, and a session
+        view taken before still reads the original rows."""
+        view = fresh_db.session_view()
+        before = _snapshot(fresh_db)
+        rows = fresh_db.table("movie").to_rows()
+        table = fresh_db.table("movie")
+        replacement = DataTable("movie", {
+            column: table.column_values(column)[::-1].copy()
+            for column in table.columns})
+        with pytest.raises(ValueError, match="already loaded"):
+            fresh_db.load_table(replacement)
+        _assert_unchanged(fresh_db, before)
+        _assert_unchanged(view, before)
+        assert view.table("movie").to_rows() == rows
 
 
 class _Unreadable:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.statistics import TableStats
 from repro.storage.database import Database, IndexConfig
+from repro.storage.dictionary import encode_column
 from repro.storage.index import SortedIndex
 from repro.storage.table import DataTable
+from tests import reference_encode
 
 
 class TestDataTable:
@@ -237,6 +241,83 @@ class TestOneStorageFormat:
                 table = other.table(name)
                 assert table is tiny_db.table(name)
                 assert table.dictionaries == tiny_db.table(name).dictionaries
+
+
+def _assert_encodes_like_reference(values) -> None:
+    """Equal int32 codes and an equal object dictionary, element types
+    included, or ineligible for both encoders."""
+    got = encode_column(values)
+    expected = reference_encode.encode_column(values)
+    if expected is None:
+        assert got is None
+        return
+    (codes, dictionary), (ref_codes, ref_dictionary) = got, expected
+    assert codes.dtype == ref_codes.dtype == np.int32
+    assert np.array_equal(codes, ref_codes)
+    assert dictionary.dtype == ref_dictionary.dtype == object
+    assert dictionary.shape == ref_dictionary.shape
+    assert [(type(v), v) for v in dictionary] == [
+        (type(v), v) for v in ref_dictionary]
+
+
+def _objects(*values) -> np.ndarray:
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+ENCODE_CASES = {
+    "none": _objects("b", None, "a", None),
+    "two-nan-objects": _objects("a", float("nan"), "b", float("nan")),
+    "numpy-nan": _objects(np.float64("nan"), "a", np.float64("nan")),
+    "str-and-int": _objects("a", 7, None, "b"),
+    "str-and-bool": _objects("a", True, "b"),
+    "unhashable-list": _objects("a", ["a"], "b"),
+    "numpy-str-next-to-equal-str": _objects(np.str_("a"), "a", "b", np.str_("b")),
+    "empty": _objects(),
+    "all-null": _objects(None, float("nan"), None),
+    "trailing-nul": _objects("a\x00", "a", "a\x00\x00", "a"),
+    "non-ascii": _objects("\u00e9t\u00e9", "ete", "\u65e5\u672c", "\U0001f600", "ete"),
+    "single-value": _objects("x"),
+}
+
+
+class TestEncoderAgainstReference:
+    """``encode_column`` stores what the per-row encoder it replaced stored."""
+
+    @pytest.mark.parametrize("case", ENCODE_CASES)
+    def test_same_codes_and_dictionary(self, case):
+        _assert_encodes_like_reference(ENCODE_CASES[case])
+
+    def test_non_object_column_is_not_encoded(self):
+        assert encode_column(np.array(["a", "b"])) is None
+        assert reference_encode.encode_column(np.array(["a", "b"])) is None
+
+    @given(st.lists(st.one_of(
+        st.sampled_from(["", "a", "ab", "b", "a\x00", "\u00e9", None]),
+        st.builds(float, st.just("nan"))), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_property_small_pool(self, values):
+        _assert_encodes_like_reference(_objects(*values))
+
+    @pytest.mark.parametrize("workload", ("tpch", "imdb", "dsb"))
+    def test_loaded_databases_pin_the_reference(self, workload):
+        """Every encoded column of a generated database holds the codes and
+        dictionary the reference encoder makes of its decoded values."""
+        from repro.workloads import dbcache
+
+        db = dbcache.build(workload, scale=0.1, index_config=IndexConfig.PK_FK)
+        encoded = 0
+        for name in db.base_table_names:
+            table = db.table(name)
+            for column in table.dictionaries:
+                values = table.column_values(column, cache=False)
+                codes, dictionary = reference_encode.encode_column(values)
+                assert np.array_equal(table.column(column), codes), (name, column)
+                assert [(type(v), v) for v in table.dictionary(column)] == [
+                    (type(v), v) for v in dictionary], (name, column)
+                encoded += 1
+        assert encoded > 0
 
 
 def test_dbcache_keeps_one_database_per_workload_scale_and_indexes():

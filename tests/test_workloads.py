@@ -49,6 +49,24 @@ class TestDatagen:
         values = categorical(rng, ["a", "b"], [0.9, 0.1], 10_000)
         assert (values == "a").mean() > 0.8
 
+    def test_categorical_equals_the_masked_assignment_loop(self):
+        """One pool indexed by the draws stores what the per-value loop
+        stored, for the same RNG state."""
+        values = ["", "(voice)", None, "b", "a"]
+        probabilities = [0.4, 0.2, 0.2, 0.1, 0.1]
+        rng = np.random.default_rng(11)
+        got = categorical(rng, values, probabilities, 5000)
+        after = rng.random()
+        rng = np.random.default_rng(11)
+        probs = np.asarray(probabilities, dtype=float)
+        idx = rng.choice(len(values), size=5000, p=probs / probs.sum())
+        expected = np.empty(5000, dtype=object)
+        for i, value in enumerate(values):
+            expected[idx == i] = value
+        assert got.dtype == object
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]
+        assert rng.random() == after
+
     def test_string_pool_and_ids(self):
         pool = string_pool("x", 5)
         assert list(pool) == [f"x_{i:05d}" for i in range(5)]
