@@ -124,11 +124,6 @@ class Schema:
         """True if a table called ``name`` is registered."""
         return name in self._tables
 
-    @property
-    def table_names(self) -> list[str]:
-        """Names of all registered tables."""
-        return list(self._tables)
-
     def tables(self) -> list[TableSchema]:
         """All registered table schemas."""
         return list(self._tables.values())

@@ -56,16 +56,6 @@ class JoinGraph:
                 result.append(edge)
         return result
 
-    def incoming(self, vertex: str) -> list[JoinEdge]:
-        """Edges entering ``vertex`` (bidirectional edges enter both endpoints)."""
-        result = []
-        for edge in self.edges:
-            if edge.target == vertex:
-                result.append(edge)
-            elif edge.bidirectional and edge.source == vertex:
-                result.append(edge)
-        return result
-
     def neighbors_out(self, vertex: str) -> list[str]:
         """Vertices reachable over outgoing edges of ``vertex``."""
         targets = []

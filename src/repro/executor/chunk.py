@@ -1,7 +1,7 @@
 """Late-materialization chunks: selection-vector intermediates.
 
 A :class:`Chunk` is the executor's intermediate-result representation.  It
-does *not* store the payload columns of the rows it describes; it stores one
+does *not* store the payload columns of the rows it describes; it stores a
 **row-id vector per input relation** (a selection vector into the underlying
 columnar table) plus enough metadata to resolve any column on demand.  Joins
 therefore only ever copy ``int64`` row ids, and real columns are gathered
@@ -13,10 +13,12 @@ columns as *codes* plus the table's dictionary
 encoded.
 
 This is the standard late-materialization design of vectorized engines
-(DuckDB-style selection vectors): a chunk costs ``8 * num_relations`` bytes
-per row regardless of how many (and how wide) columns the query touches.
-Every relation inside a chunk is a :class:`TableSource` -- rows of a base
-or temporary :class:`DataTable` addressed by a row-id vector.
+(DuckDB-style selection vectors).  A join keeps only the sources that some
+operator above it reads (:func:`merge_chunks`), so it costs 8 bytes per
+output row per relation still read above it, however many (and wide)
+columns the query touches; a ``count(*)`` root keeps none.  Every relation
+inside a chunk is a :class:`TableSource` -- rows of a base or temporary
+:class:`DataTable` addressed by a row-id vector.
 
 All gathers are funneled through a :class:`MaterializationStats` object,
 which reports the bytes an execution materialized.
@@ -24,7 +26,7 @@ which reports the bytes an execution materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +85,10 @@ class TableSource:
     def covers(self, alias: str) -> bool:
         """True if this source provides the columns of ``alias``."""
         return alias in self.aliases
+
+    def read_by(self, reads: frozenset[str]) -> bool:
+        """True if this source provides a column of an alias in ``reads``."""
+        return not self.aliases.isdisjoint(reads)
 
     def gather(self, ref: ColumnRef,
                stats: MaterializationStats | None = None) -> np.ndarray:
@@ -144,28 +150,19 @@ class TableSource:
 
 @dataclass
 class Chunk:
-    """A late-materialized intermediate result (one source per relation)."""
+    """A late-materialized intermediate result: one source per relation
+    still read above it, and the row count (kept sources or none)."""
 
     sources: tuple[TableSource, ...]
-    num_rows: int = field(default=-1)
-
-    def __post_init__(self) -> None:
-        if self.num_rows < 0:
-            self.num_rows = self.sources[0].num_rows if self.sources else 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def aliases(self) -> frozenset[str]:
-        """All original query aliases this chunk's rows cover."""
-        result: set[str] = set()
-        for source in self.sources:
-            result.update(source.aliases)
-        return frozenset(result)
+    num_rows: int
 
     def covers(self, alias: str) -> bool:
         return any(source.covers(alias) for source in self.sources)
+
+    def covers_all(self, aliases: frozenset[str]) -> bool:
+        """True if the chunk kept a source for every alias in ``aliases``:
+        whether it may serve a consumer that reads them."""
+        return all(self.covers(alias) for alias in aliases)
 
     def source_for(self, alias: str) -> TableSource:
         for source in self.sources:
@@ -195,25 +192,20 @@ class Chunk:
                              self.source_for(ref.alias), ref, stats)
         return DataTable(name=name, columns=columns, dictionaries=dictionaries)
 
-    # ------------------------------------------------------------------
-    # Row selection
-    # ------------------------------------------------------------------
-    def take(self, indices: np.ndarray,
-             stats: MaterializationStats | None = None) -> "Chunk":
-        """A new chunk containing this chunk's rows at ``indices``."""
-        return Chunk(tuple(source.take(indices, stats)
-                           for source in self.sources), len(indices))
-
 
 def merge_chunks(left: Chunk, left_idx: np.ndarray,
-                 right: Chunk, right_idx: np.ndarray,
+                 right: Chunk, right_idx: np.ndarray, reads: frozenset[str],
                  stats: MaterializationStats | None = None) -> Chunk:
     """Combine the matched rows of a join into one chunk.
 
-    Only row-id vectors are copied; no base-table column is touched.
+    Only the row-id vectors of sources ``read_by(reads)`` -- the aliases
+    some operator above the join reads -- are copied; the others are
+    dropped, and no base-table column is touched.
     """
-    sources = tuple(source.take(left_idx, stats) for source in left.sources)
-    sources += tuple(source.take(right_idx, stats) for source in right.sources)
+    sources = tuple(source.take(left_idx, stats) for source in left.sources
+                    if source.read_by(reads))
+    sources += tuple(source.take(right_idx, stats) for source in right.sources
+                     if source.read_by(reads))
     return Chunk(sources, len(left_idx))
 
 

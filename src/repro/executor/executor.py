@@ -4,7 +4,9 @@ The executor walks a :class:`repro.plan.physical.PhysicalPlan` bottom-up and
 evaluates every node with the operator pipeline of
 :mod:`repro.executor.operators`.  Intermediate results are
 :class:`~repro.executor.chunk.Chunk` objects -- one base-table row-id vector
-per input relation -- so joins only ever copy ``int64`` selection vectors.
+per input relation that an operator above still reads (each join adds its
+predicates' aliases to what its children keep) -- so joins only ever copy
+``int64`` selection vectors.
 Real columns are gathered from the stored tables exactly once: join keys
 (as values) when a join needs them, and output/aggregate columns at the
 plan root -- where dictionary-encoded strings stay codes, so the result
@@ -12,7 +14,8 @@ table, a temporary registered from it, and the aggregation kernel all work
 on ``int32`` codes and only the caller's ``column_values`` / ``to_rows``
 decodes.
 
-Two caches sit around the pipeline:
+Two caches sit around the pipeline; both serve a chunk only to a consumer
+whose reads it covers:
 
 * the per-plan ``cache`` argument (keyed by ``id(node)``) lets the
   plan-driven re-optimization baselines execute one physical plan
@@ -73,8 +76,8 @@ class ExecutionResult:
     #: Wall-clock time per operator (label -> inclusive subtree seconds),
     #: mirroring the ``actual_time`` recorded on each plan node.
     operator_times: dict[str, float] = field(default_factory=dict)
-    #: Bytes of column data / selection vectors materialized while executing
-    #: (the quantity the late-materialization refactor minimizes).
+    #: Bytes of gathered columns, and of the row-id vectors joins copy for
+    #: relations still read above them.
     materialized_bytes: int = 0
     #: Always 0: base tables have no storage blocks to prune.  Kept only
     #: because the end-to-end benchmark's tracer still reads them.
@@ -142,12 +145,22 @@ class Executor:
         start = time.perf_counter()
         stats = MaterializationStats()
         ctx = ExecContext(database=self.database, stats=stats)
-        chunk = self._execute_node(plan.root, ctx, cache)
+        output_refs = tuple(dict.fromkeys(plan.output_columns + tuple(extra_columns)))
+        # The aliases the root step reads, whose sources the root keeps.
+        aggregate = Aggregate(plan) if plan.aggregates else None
+        if aggregate is not None:
+            reads = frozenset(ref.alias for ref in aggregate.refs)
+        elif output_refs:
+            reads = frozenset(ref.alias for ref in output_refs)
+        else:
+            # materialize_default emits a column for every source: its
+            # needed columns, or the ``__rowid`` multiplicity column.
+            reads = plan.root.covered_aliases()
+        chunk = self._execute_node(plan.root, ctx, cache, reads)
         join_rows = chunk.num_rows
 
-        output_refs = tuple(dict.fromkeys(plan.output_columns + tuple(extra_columns)))
-        if plan.aggregates:
-            table = Aggregate(plan).execute(ctx, chunk)
+        if aggregate is not None:
+            table = aggregate.execute(ctx, chunk)
         elif output_refs:
             # Encoded string columns leave as codes + the source table's
             # dictionary; whoever needs the strings decodes (column_values).
@@ -167,10 +180,15 @@ class Executor:
     # Node evaluation
     # ------------------------------------------------------------------
     def _execute_node(self, node: PlanNode, ctx: ExecContext,
-                      cache: dict[int, Chunk] | None = None) -> Chunk:
-        """Evaluate one plan node (with caching and timing around it)."""
+                      cache: dict[int, Chunk] | None,
+                      reads: frozenset[str]) -> Chunk:
+        """Evaluate one plan node (with caching and timing around it),
+        keeping the sources that cover an alias in ``reads``, the aliases
+        some operator above ``node`` reads."""
         if cache is not None and id(node) in cache:
-            return cache[id(node)]
+            hit = cache[id(node)]
+            if hit.covers_all(reads & node.covered_aliases()):
+                return hit
 
         signature = None
         if self.subplan_cache is not None:
@@ -181,7 +199,8 @@ class Executor:
                 # subtree simply cannot participate in signature caching.
                 signature = None
         if signature is not None:
-            hit = self.subplan_cache.get(signature)
+            hit = self.subplan_cache.get(signature,
+                                         reads & node.covered_aliases())
             if hit is not None:
                 node.actual_rows = hit.num_rows
                 node.actual_time = 0.0
@@ -196,14 +215,15 @@ class Executor:
             operator = Scan(node)
             chunk = operator.execute(ctx)
         elif isinstance(node, JoinNode):
-            left = self._execute_node(node.left, ctx, cache)
+            below = reads.union(*(pred.aliases() for pred in node.predicates))
+            left = self._execute_node(node.left, ctx, cache, below)
             if node.method is JoinMethod.INDEX_NL and isinstance(node.right, ScanNode):
                 operator = IndexNLJoin(node)
-                chunk = operator.execute(ctx, left)
+                chunk = operator.execute(ctx, left, reads)
             else:
-                right = self._execute_node(node.right, ctx, cache)
+                right = self._execute_node(node.right, ctx, cache, below)
                 operator = HashJoin(node) if node.predicates else CrossProduct(node)
-                chunk = operator.execute(ctx, left, right)
+                chunk = operator.execute(ctx, left, right, reads)
         else:
             raise ExecutionError(f"unsupported plan node {type(node).__name__}")
 

@@ -127,8 +127,9 @@ class Scan(Operator):
         node: ScanNode = self.node  # type: ignore[assignment]
         relation = node.relation
         table = ctx.database.table(relation.table_name)
-        return Chunk((TableSource(
-            relation, table, filter_rows(ctx, relation, table, node.filters)),))
+        source = TableSource(
+            relation, table, filter_rows(ctx, relation, table, node.filters))
+        return Chunk((source,), source.num_rows)
 
 
 def join_keys(ctx: ExecContext, left: Chunk, right: Chunk,
@@ -148,12 +149,14 @@ def join_keys(ctx: ExecContext, left: Chunk, right: Chunk,
 
 
 def hash_join(ctx: ExecContext, left: Chunk, right: Chunk,
-              predicates: tuple[JoinPredicate, ...]) -> Chunk:
-    """Equi-join two chunks on ``predicates`` (the body of :class:`HashJoin`,
-    which the true-cardinality oracle calls without a plan node)."""
+              predicates: tuple[JoinPredicate, ...],
+              reads: frozenset[str]) -> Chunk:
+    """Equi-join two chunks on ``predicates``, keeping the sources that
+    cover an alias in ``reads`` (the body of :class:`HashJoin`, which the
+    true-cardinality oracle calls without a plan node)."""
     left_idx, right_idx = multi_key_equi_join(*join_keys(ctx, left, right,
                                                          predicates))
-    return merge_chunks(left, left_idx, right, right_idx, ctx.stats)
+    return merge_chunks(left, left_idx, right, right_idx, reads, ctx.stats)
 
 
 class HashJoin(Operator):
@@ -161,8 +164,9 @@ class HashJoin(Operator):
 
     name = "HashJoin"
 
-    def execute(self, ctx: ExecContext, left: Chunk, right: Chunk) -> Chunk:
-        return hash_join(ctx, left, right, self.node.predicates)
+    def execute(self, ctx: ExecContext, left: Chunk, right: Chunk,
+                reads: frozenset[str]) -> Chunk:
+        return hash_join(ctx, left, right, self.node.predicates, reads)
 
 
 class IndexNLJoin(Operator):
@@ -170,7 +174,8 @@ class IndexNLJoin(Operator):
 
     name = "IndexNLJoin"
 
-    def execute(self, ctx: ExecContext, left: Chunk) -> Chunk:
+    def execute(self, ctx: ExecContext, left: Chunk,
+                reads: frozenset[str]) -> Chunk:
         node: JoinNode = self.node  # type: ignore[assignment]
         inner_scan: ScanNode = node.right  # type: ignore[assignment]
         relation = inner_scan.relation
@@ -216,8 +221,10 @@ class IndexNLJoin(Operator):
             inner_rows = inner_rows[mask]
 
         sources = tuple(source.take(probe_positions, ctx.stats)
-                        for source in left.sources)
-        sources += (TableSource(relation, table, inner_rows),)
+                        for source in left.sources if source.read_by(reads))
+        inner = TableSource(relation, table, inner_rows)
+        if inner.read_by(reads):
+            sources += (inner,)
         return Chunk(sources, len(probe_positions))
 
 
@@ -226,7 +233,8 @@ class CrossProduct(Operator):
 
     name = "CrossProduct"
 
-    def execute(self, ctx: ExecContext, left: Chunk, right: Chunk) -> Chunk:
+    def execute(self, ctx: ExecContext, left: Chunk, right: Chunk,
+                reads: frozenset[str]) -> Chunk:
         total = left.num_rows * right.num_rows
         if total > MAX_CROSS_PRODUCT_ROWS:
             raise ExecutionError(
@@ -236,7 +244,7 @@ class CrossProduct(Operator):
                              right.num_rows)
         right_idx = np.tile(np.arange(right.num_rows, dtype=np.int64),
                             left.num_rows)
-        return merge_chunks(left, left_idx, right, right_idx, ctx.stats)
+        return merge_chunks(left, left_idx, right, right_idx, reads, ctx.stats)
 
 
 class Aggregate:
@@ -248,15 +256,17 @@ class Aggregate:
 
     def __init__(self, plan: PhysicalPlan):
         self.plan = plan
-
-    def execute(self, ctx: ExecContext, chunk: Chunk) -> DataTable:
-        plan = self.plan
-        refs = tuple(dict.fromkeys(
+        #: The columns aggregation reads: group-by keys, then aggregated
+        #: columns (``count(*)`` reads none).
+        self.refs = tuple(dict.fromkeys(
             tuple(plan.group_by)
             + tuple(spec.column for spec in plan.aggregates
                     if spec.column is not None)))
+
+    def execute(self, ctx: ExecContext, chunk: Chunk) -> DataTable:
+        plan = self.plan
         start = time.perf_counter()
-        table = group_aggregate(chunk.table(plan.query_name, refs, ctx.stats),
+        table = group_aggregate(chunk.table(plan.query_name, self.refs, ctx.stats),
                                 plan.group_by, plan.aggregates,
                                 num_rows=chunk.num_rows)
         ctx.operator_times[self.label] = time.perf_counter() - start

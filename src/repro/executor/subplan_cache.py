@@ -4,8 +4,9 @@ Every physical subtree that joins the same set of filtered relations with
 the same join predicates produces the same multiset of rows, *regardless of
 join order or physical operator choice*.  Because the late-materialization
 executor represents intermediate results as row-id chunks (no payload
-columns), a cached subtree result is also column-agnostic: any consumer can
-gather whatever columns it needs from the cached row ids.
+columns), a cached subtree result is also column-agnostic: a consumer can
+gather whatever columns it needs from the relations the chunk kept (joins
+drop those nothing above reads), so a lookup names the aliases it reads.
 
 The :class:`SubplanCache` exploits both properties.  It is keyed by the
 canonical subtree signature (see :meth:`repro.plan.physical.PlanNode.signature`):
@@ -115,14 +116,16 @@ class SubplanCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    def get(self, signature: Signature) -> Chunk | None:
-        """Cached chunk for ``signature``, or None."""
+    def get(self, signature: Signature,
+            reads: frozenset[str] = frozenset()) -> Chunk | None:
+        """Cached chunk for ``signature`` that covers every alias in
+        ``reads``, or None."""
         with self._lock:
             try:
                 chunk = self._entries.get(signature)
             except TypeError:  # unhashable literal somewhere in a predicate
                 return None
-            if chunk is None:
+            if chunk is None or not chunk.covers_all(reads):
                 self.misses += 1
                 return None
             self._entries.move_to_end(signature)
@@ -130,7 +133,8 @@ class SubplanCache:
             return chunk
 
     def put(self, signature: Signature, chunk: Chunk) -> None:
-        """Store a subtree result unless the keying rules forbid it."""
+        """Store a subtree result unless the keying rules forbid it,
+        replacing any entry under ``signature``."""
         cost = self._chunk_bytes(chunk)
         with self._lock:
             if (chunk.num_rows > self.max_rows or cost > self.max_bytes

@@ -134,9 +134,13 @@ class TrueCardinalityOracle:
                 chunk = Scan(self._scans[next(iter(subset))]).execute(self._ctx)
             else:
                 larger, smaller = self._split(subset)
+                # Keep every source: a later count may join on any of them.
                 chunk = hash_join(self._ctx, self._chunk(larger),
                                   self._chunk(smaller),
-                                  self._between(larger, smaller))
+                                  self._between(larger, smaller),
+                                  frozenset().union(*(
+                                      self._scans[key].relation.covered_aliases
+                                      for key in subset)))
             self._chunks[subset] = chunk
         return chunk
 

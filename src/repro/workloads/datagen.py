@@ -71,13 +71,6 @@ def string_pool(prefix: str, count: int) -> np.ndarray:
     return np.array([f"{prefix}_{i:05d}" for i in range(count)], dtype=object)
 
 
-def skewed_strings(rng: np.random.Generator, pool: np.ndarray, size: int,
-                   skew: float = 1.2) -> np.ndarray:
-    """Draw strings from ``pool`` with Zipf-like popularity."""
-    idx = zipf_choice(rng, len(pool), size, skew=skew)
-    return pool[idx]
-
-
 def categorical(rng: np.random.Generator, values: list, probabilities: list[float],
                 size: int) -> np.ndarray:
     """Draw from an explicit categorical distribution (values may be strings)."""
@@ -90,8 +83,3 @@ def categorical(rng: np.random.Generator, values: list, probabilities: list[floa
 def sequential_ids(count: int, start: int = 1) -> np.ndarray:
     """Primary-key column ``start .. start + count - 1``."""
     return np.arange(start, start + count, dtype=np.int64)
-
-
-def popularity_ranking(rng: np.random.Generator, count: int) -> np.ndarray:
-    """A random permutation assigning each id a popularity rank (0 = most popular)."""
-    return rng.permutation(count)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.plan.logical import Query
 from repro.workloads.spec import (
-    any_of,
     between,
     build_spj,
     eq,

@@ -23,9 +23,7 @@ from repro.plan.expressions import (
     ColumnRef,
     Comparison,
     InList,
-    IsNotNull,
     JoinPredicate,
-    OrPredicate,
     Predicate,
     StringContains,
     StringPrefix,
@@ -102,16 +100,6 @@ def prefix(column: str, value: str) -> StringPrefix:
     return StringPrefix(col(column), value)
 
 
-def notnull(column: str) -> IsNotNull:
-    """``column IS NOT NULL``."""
-    return IsNotNull(col(column))
-
-
-def any_of(*predicates: Predicate) -> OrPredicate:
-    """Disjunction of predicates over the same relation."""
-    return OrPredicate(tuple(predicates))
-
-
 # ----------------------------------------------------------------------
 # Query builders
 # ----------------------------------------------------------------------
@@ -145,11 +133,6 @@ def build_spj(name: str, relations: dict[str, str],
         projections=tuple(col(p) for p in (projections or [])),
         aggregates=tuple(aggregates),
     )
-
-
-def spj_query(name: str, **kwargs) -> Query:
-    """Build a top-level :class:`Query` wrapping a single SPJ block."""
-    return Query.from_spj(build_spj(name, **kwargs))
 
 
 def grouped_query(name: str, spj: SPJQuery, group_by: list[str],
