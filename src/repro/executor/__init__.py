@@ -2,9 +2,9 @@
 
 The executor evaluates physical plans over the in-memory columnar tables
 with a small operator pipeline (:mod:`repro.executor.operators`): filters
-become boolean masks, equi-joins match gathered key columns by direct
-addressing (dense integer keys) or sort/searchsorted, and index nested-loop
-joins probe the pre-built sorted indexes.  Intermediate results are
+become boolean masks, hash joins probe a transient sorted index built over
+their build side's gathered key column, and index nested-loop joins probe
+the pre-built sorted indexes of the base tables.  Intermediate results are
 :class:`~repro.executor.chunk.Chunk` selection vectors (one base-table
 row-id vector per relation); real columns are materialized exactly once at
 the plan root.

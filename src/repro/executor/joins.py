@@ -1,23 +1,32 @@
 """Low-level vectorized equi-join primitives.
 
 These helpers compute the matching row-index pairs of an equi-join between
-two key arrays without materializing a hash table in Python, which keeps the
-whole join in numpy.  They are shared by the executor's hash and index
-nested-loop join operators and the sorted indexes; the true-cardinality
-oracle counts a join's matches with :func:`join_result_size` (multi-key via
-:func:`combine_key_pair`) instead of materializing it.
+two key arrays, keeping the whole join in numpy.  A hash join
+(:func:`equi_join_indices`) builds a transient
+:class:`~repro.storage.index.SortedIndex` over its build side and probes it,
+exactly as an index nested-loop join probes a base table's index, so one
+structure finds every join's matches.  The true-cardinality oracle counts a
+join's matches with :func:`join_result_size` (multi-key via
+:func:`combine_key_pair`) instead of materializing it; a count needs no row
+order, so it matches distinct values directly.
 
 Every join finds, for each probe key, the run of matching build rows as a
 start ``lo`` and a length ``count``, and :func:`expand_matches` flattens the
-runs into index pairs.  Integer build keys whose value span is small
-against their number (:func:`dense_span`) are located by direct addressing
-on ``key - min``; everything else is sorted once and located with
-``searchsorted``.
+runs into index pairs, checking :data:`MAX_JOIN_RESULT_ROWS` before it
+allocates them.
+
+A NULL key matches nothing, by the engine's one NULL rule
+(:func:`repro.storage.dictionary.null_mask`): the index leaves NULL keys
+out, a multi-key join drops the rows with a NULL in any key column
+(:func:`~repro.storage.index.drop_null_rows`) before it encodes them, and a
+count skips them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.storage.index import SortedIndex, drop_null_rows
 
 #: Hard cap on the number of matches a single equi-join may materialize.
 #: Joins beyond this are the Python-engine analogue of the paper's 1000 s
@@ -35,24 +44,6 @@ def check_match_count(total: int) -> None:
         raise JoinOverflowError(
             f"join would produce {total} rows "
             f"(cap {MAX_JOIN_RESULT_ROWS}); aborting the query")
-
-
-def dense_span(low: int, high: int, rows: int) -> int:
-    """``high - low + 1`` when ``rows`` integer keys between ``low`` and
-    ``high`` are dense enough to address directly, else 0."""
-    span = high - low + 1
-    return span if span <= 4 * rows + 64 else 0
-
-
-def key_slots(keys: np.ndarray, low: int, span: int) -> np.ndarray:
-    """Each key's slot ``key - low``, or ``span`` for a key outside
-    ``[low, low + span)``.
-
-    The subtraction wraps for keys far from ``low``; viewed unsigned, those
-    and the keys below ``low`` all land at or beyond ``span``.
-    """
-    slots = (keys.astype(np.int64, copy=False) - low).view(np.uint64)
-    return np.minimum(slots, span, out=slots).view(np.int64)
 
 
 def expand_matches(lo: np.ndarray, counts: np.ndarray
@@ -98,28 +89,7 @@ def equi_join_indices(left_keys: np.ndarray,
     if len(left_keys) == 0 or len(right_keys) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-
-    if left_keys.dtype.kind == "i" and right_keys.dtype.kind == "i":
-        low = int(right_keys.min())
-        span = dense_span(low, int(right_keys.max()), len(right_keys))
-        if span:
-            # Direct-address table: slot[key - low] is the right row holding
-            # that key, -1 for none, and slot[span] catches out-of-range keys.
-            slot = np.full(span + 1, -1, dtype=np.int64)
-            slot[right_keys - low] = np.arange(len(right_keys), dtype=np.int64)
-            if np.count_nonzero(slot >= 0) == len(right_keys):  # unique keys
-                rows = slot.take(key_slots(left_keys, low, span))
-                left_idx = np.flatnonzero(rows >= 0)
-                check_match_count(len(left_idx))
-                return left_idx, rows[left_idx]
-
-    # Sort the right side once, then locate the matching run of every left key.
-    order = np.argsort(right_keys, kind="stable")
-    sorted_keys = right_keys[order]
-    lo = np.searchsorted(sorted_keys, left_keys, side="left")
-    counts = np.searchsorted(sorted_keys, left_keys, side="right") - lo
-    left_idx, sorted_positions = expand_matches(lo, counts)
-    return left_idx, order[sorted_positions]
+    return SortedIndex("build", "key", right_keys).lookup_batch(left_keys)
 
 
 def multi_key_equi_join(left_keys: list[np.ndarray],
@@ -129,8 +99,14 @@ def multi_key_equi_join(left_keys: list[np.ndarray],
         raise ValueError("both sides must provide the same, non-zero number of keys")
     if len(left_keys) == 1:
         return equi_join_indices(left_keys[0], right_keys[0])
-    left_combined, right_combined = combine_key_pair(left_keys, right_keys)
-    return equi_join_indices(left_combined, right_combined)
+    left_keys, left_rows = drop_null_rows(left_keys)
+    right_keys, right_rows = drop_null_rows(right_keys)
+    left_idx, right_idx = equi_join_indices(*combine_key_pair(left_keys, right_keys))
+    if left_rows is not None:
+        left_idx = left_rows[left_idx]
+    if right_rows is not None:
+        right_idx = right_rows[right_idx]
+    return left_idx, right_idx
 
 
 #: Largest composite code value combine_key_pair lets the running encoding
@@ -177,7 +153,10 @@ def combine_key_pair(left_keys: list[np.ndarray],
 
 
 def join_result_size(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
-    """Exact number of matches of an equi-join without materializing them."""
+    """Exact number of matches of an equi-join without materializing them;
+    NULL keys match nothing."""
+    (left_keys,), _ = drop_null_rows([left_keys])
+    (right_keys,), _ = drop_null_rows([right_keys])
     if len(left_keys) == 0 or len(right_keys) == 0:
         return 0
     left_vals, left_counts = np.unique(left_keys, return_counts=True)
@@ -187,3 +166,12 @@ def join_result_size(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
     pos_clipped = np.clip(pos, 0, len(right_vals) - 1)
     matches = right_vals[pos_clipped] == left_vals
     return int(np.sum(left_counts[matches] * right_counts[pos_clipped[matches]]))
+
+
+def multi_key_result_size(left_keys: list[np.ndarray],
+                          right_keys: list[np.ndarray]) -> int:
+    """Exact number of matches of :func:`multi_key_equi_join`."""
+    if len(left_keys) == 1:
+        return join_result_size(left_keys[0], right_keys[0])
+    return join_result_size(*combine_key_pair(drop_null_rows(left_keys)[0],
+                                              drop_null_rows(right_keys)[0]))

@@ -39,7 +39,7 @@ from repro.executor.joins import multi_key_equi_join
 from repro.executor.kernels import PredicateCompiler
 from repro.plan.expressions import JoinPredicate
 from repro.plan.logical import RelationRef
-from repro.storage.dictionary import translate_filters
+from repro.storage.dictionary import null_mask, translate_filters
 from repro.plan.physical import JoinNode, PhysicalPlan, PlanNode, ScanNode
 from repro.storage.database import Database
 from repro.storage.table import DataTable
@@ -213,8 +213,11 @@ class IndexNLJoin(Operator):
                 continue
             inner_ref = (pred.left if relation.covers(pred.left.alias) else pred.right)
             outer_side = pred.other(inner_ref.alias)
-            pred_mask = (table.gather(inner_ref.column, inner_rows)
+            inner_values = table.gather(inner_ref.column, inner_rows)
+            pred_mask = (inner_values
                          == left.column(outer_side, ctx.stats)[probe_positions])
+            if inner_values.dtype == object:  # NULL equals nothing, not even NULL
+                pred_mask &= ~null_mask(inner_values)
             mask = pred_mask if mask is None else (mask & pred_mask)
         if mask is not None:
             probe_positions = probe_positions[mask]

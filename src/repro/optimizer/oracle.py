@@ -5,9 +5,10 @@ of every possible intermediate result"; Figure 10's ``use_oracle`` sweep and
 the simulated learned estimators start from the same counts.  The oracle
 splits a connected sub-join into two counted, connected halves, materializes
 them with the executor's :class:`Scan` and :func:`hash_join`, and counts
-their matches with :func:`join_result_size`: the join being counted is never
-materialized, and nothing is sampled (an intermediate beyond the executor's
-join-size cap raises its ``JoinOverflowError``, a timeout to the drivers).
+their matches with :func:`multi_key_result_size`: the join being counted is
+never materialized, and nothing is sampled (an intermediate beyond the
+executor's join-size cap raises its ``JoinOverflowError``, a timeout to the
+drivers).
 Counts and halves are memoized per query until ``reset``.  ARCHITECTURE.md,
 "The oracle", gives the rule and its reasons.  The oracle's own cost is not
 charged to the measured execution time, exactly as in the paper.
@@ -16,7 +17,7 @@ charged to the measured execution time, exactly as in the paper.
 from __future__ import annotations
 
 from repro.executor.chunk import Chunk, MaterializationStats
-from repro.executor.joins import combine_key_pair, join_result_size
+from repro.executor.joins import multi_key_result_size
 from repro.executor.operators import ExecContext, Scan, hash_join, join_keys
 from repro.optimizer.cardinality import CardinalityEstimator, MIN_ROWS
 from repro.plan.expressions import JoinPredicate, Predicate
@@ -98,9 +99,7 @@ class TrueCardinalityOracle:
                 left_keys, right_keys = join_keys(
                     self._ctx, self._chunk(larger), self._chunk(smaller),
                     self._between(larger, smaller))
-                keys = (combine_key_pair(left_keys, right_keys) if len(left_keys) > 1
-                        else (left_keys[0], right_keys[0]))
-                rows = join_result_size(*keys)
+                rows = multi_key_result_size(left_keys, right_keys)
             self._counts[subset] = rows
             self.counted += 1
         return rows

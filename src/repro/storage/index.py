@@ -1,70 +1,118 @@
-"""Sorted indexes supporting vectorized equality probes.
+"""Sorted indexes: the engine's one structure for finding equi-join matches.
 
 This is the stand-in for the B+tree indexes the paper builds on every primary
 key (and optionally every foreign key) column of the JOB / TPC-H / DSB
-schemas.  An index is the permutation that sorts the key column, mapping
-sorted positions back to row ids, plus one of two ways to find the run of
-sorted positions holding a probe key:
+schemas.  The database keeps one per indexed base column for index
+nested-loop joins, and a hash join builds a transient one over its build
+side (:func:`repro.executor.joins.equi_join_indices`).  An index finds each
+probe key's run of matching rows in one of three layouts, chosen from the
+data:
 
-* **dense** -- integer keys whose span ``max - min + 1`` is at most about
-  four times their number (every generated primary and foreign key).  A CSR
-  ``starts`` array over ``key - min`` gives each key's run with two gathers;
-  on a unique index a run has length 0 or 1 and needs no expansion.  The
-  permutation comes from the same per-key counts, in linear time for
-  unique keys and one integer sort otherwise (:func:`_dense_order`).
+* **dense unique** -- signed integer keys whose span ``max - min + 1`` is at
+  most about four times their number (:func:`dense_span`; every generated
+  primary key), none repeated.  A slot table holds the row id of each
+  ``key - min`` (``-1`` where no row has it) plus one empty slot that takes
+  every out-of-range probe, so one gather answers a probe.
+* **dense duplicate** -- dense keys that repeat (every generated foreign
+  key).  A CSR ``starts`` array over ``key - min`` gives each key's run with
+  two gathers; the row order comes from the same slots with one integer sort
+  (:func:`_dense_order`).
 * **sorted** -- every other key column keeps the sorted keys, and a batch of
   probe keys is answered with two ``searchsorted`` calls, the vectorized
   analogue of repeated B+tree descents.  A probe batch of another dtype kind
-  than a dense index's keys takes this path over the keys rebuilt from
-  ``starts``.
+  than a dense index's keys takes this path over the keys rebuilt from the
+  dense layout.
 
-Both paths return the same matches in the same order.
+All three return the same matches in the same order: probe-major, and the
+rows of one probe key in the stable sort order of the indexed column.
+
+A NULL key never matches, by the engine's one NULL rule
+(:func:`repro.storage.dictionary.null_mask`: ``NaN``, or ``None`` in an
+object column).  The index leaves the rows with a NULL key out
+(:func:`drop_null_rows`), and a NULL probe key matches nothing.  Integer
+keys cannot be NULL and are never checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.storage.dictionary import null_mask
+
+
+def dense_span(low: int, high: int, rows: int) -> int:
+    """``high - low + 1`` when ``rows`` integer keys between ``low`` and
+    ``high`` are dense enough to address directly, else 0."""
+    span = high - low + 1
+    return span if span <= 4 * rows + 64 else 0
+
+
+def key_slots(keys: np.ndarray, low: int, span: int) -> np.ndarray:
+    """Each key's slot ``key - low``, or ``span`` for a key outside
+    ``[low, low + span)``.
+
+    The subtraction wraps for keys far from ``low``; viewed unsigned, those
+    and the keys below ``low`` all land at or beyond ``span``.
+    """
+    slots = (keys.astype(np.int64, copy=False) - low).view(np.uint64)
+    return np.minimum(slots, span, out=slots).view(np.int64)
+
+
+def drop_null_rows(keys: list[np.ndarray]
+                   ) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """``keys`` without the rows that hold a NULL in any key column, and the
+    positions of the rows kept (``None`` when every row is kept).  Only
+    float and object columns can hold a NULL; integer ones are not read."""
+    nullable = [key for key in keys if key.dtype.kind in "fO"]
+    if not nullable:
+        return keys, None
+    kept = ~np.logical_or.reduce([null_mask(key) for key in nullable])
+    if kept.all():
+        return keys, None
+    rows = np.flatnonzero(kept)
+    return [key[rows] for key in keys], rows
+
 
 class SortedIndex:
     """A sorted secondary index over one column of a table.
 
-    ``_row_ids`` lists the row ids in the stable sort order of the keys.  A
-    dense index derives it from its key counts; every other index takes a
-    stable ``argsort``.
+    A dense unique index keeps only its slot table ``_slots``.  Every other
+    index lists its row ids in the stable sort order of the keys
+    (``_row_ids``): a dense duplicate one derives them from its slots, a
+    sorted one takes a stable ``argsort``.
     """
 
     def __init__(self, table_name: str, column: str, values: np.ndarray):
-        from repro.executor.joins import dense_span
-
         self.table_name = table_name
         self.column = column
+        (values,), kept = drop_null_rows([values])
+        self.num_keys = len(values)
         self._dtype = values.dtype
-        self._starts = self._sorted_values = None
-        span = 0
+        self._slots = self._starts = self._sorted_values = None
+        span = self._span = 0
         if values.dtype.kind == "i" and len(values):
             self._low = int(values.min())
-            span = dense_span(self._low, int(values.max()), len(values))
+            span = self._span = dense_span(self._low, int(values.max()), len(values))
         if span:
+            slots = values.astype(np.int64, copy=False) - self._low
+            table = np.full(span + 1, -1, dtype=np.int64)
+            table[slots] = np.arange(len(values))
+            if np.count_nonzero(table >= 0) == len(values):
+                self._slots = table
+                return
             # starts[s]..starts[s + 1] is the run of key low + s; the extra
             # slot ``span`` is empty and takes every out-of-range probe.
-            slots = values.astype(np.int64) - self._low
-            counts = np.bincount(slots, minlength=span)
             self._starts = np.zeros(
                 span + 2, dtype=np.int32 if len(values) < 2 ** 31 else np.int64)
-            np.cumsum(counts, dtype=self._starts.dtype, out=self._starts[1:span + 1])
+            np.cumsum(np.bincount(slots, minlength=span),
+                      dtype=self._starts.dtype, out=self._starts[1:span + 1])
             self._starts[-1] = len(values)
-            self._unique = bool(counts.max() <= 1)
-            self._row_ids = _dense_order(slots, counts, self._unique)
+            self._row_ids = _dense_order(slots, span)
         else:
             order = np.argsort(values, kind="stable")
             self._sorted_values = values[order]
-            self._row_ids = order.astype(np.int64, copy=False)
-
-    @property
-    def num_keys(self) -> int:
-        """Number of indexed rows."""
-        return len(self._row_ids)
+            self._row_ids = (order if kept is None else kept[order]).astype(
+                np.int64, copy=False)
 
     def lookup(self, key) -> np.ndarray:
         """Row ids of all rows whose key equals ``key``."""
@@ -79,49 +127,54 @@ class SortedIndex:
         contributes *k* entries, in the indexed column's stable sort order;
         the entries are probe-major.
         """
-        from repro.executor.joins import check_match_count, expand_matches, key_slots
+        from repro.executor.joins import check_match_count, expand_matches
 
-        if self._starts is not None and keys.dtype.kind == "i":
-            slots = key_slots(keys, self._low, len(self._starts) - 2)
+        if keys.dtype == object:  # a NaN probe finds no run; None cannot compare
+            (valid_keys,), valid = drop_null_rows([keys])
+            if valid is not None:
+                probe_positions, row_ids = self.lookup_batch(valid_keys)
+                return valid[probe_positions], row_ids
+        if self._sorted_values is None and keys.dtype.kind == "i":
+            slots = key_slots(keys, self._low, self._span)
+            if self._slots is not None:
+                rows = self._slots.take(slots)
+                hit = np.flatnonzero(rows >= 0)
+                check_match_count(len(hit))
+                return hit, rows[hit]
             lo = self._starts.take(slots)
             counts = self._starts.take(slots + 1) - lo
-            if self._unique:
-                hit = np.flatnonzero(counts)
-                check_match_count(len(hit))
-                return hit, self._row_ids.take(lo[hit])
+            row_ids = self._row_ids
         else:
-            sorted_values = self._sorted_keys()
+            sorted_values, row_ids = self._sorted()
             lo = np.searchsorted(sorted_values, keys, side="left")
             counts = np.searchsorted(sorted_values, keys, side="right") - lo
         probe_positions, sorted_positions = expand_matches(lo, counts)
-        return probe_positions, self._row_ids.take(sorted_positions)
+        return probe_positions, row_ids.take(sorted_positions)
 
-    def _sorted_keys(self) -> np.ndarray:
-        """The indexed keys in sorted order, rebuilt from a dense index."""
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The indexed keys in sorted order and their row ids, rebuilt from
+        the slots of a dense index."""
         if self._sorted_values is not None:
-            return self._sorted_values
-        span = len(self._starts) - 2
-        return np.repeat(np.arange(self._low, self._low + span, dtype=self._dtype),
-                         np.diff(self._starts[:span + 1]))
+            return self._sorted_values, self._row_ids
+        if self._slots is not None:
+            occupied = np.flatnonzero(self._slots[:-1] >= 0)
+            return (occupied + self._low).astype(self._dtype), self._slots[occupied]
+        keys = np.arange(self._low, self._low + self._span, dtype=self._dtype)
+        return np.repeat(keys, np.diff(self._starts[:-1])), self._row_ids
 
     def __repr__(self) -> str:
         return f"SortedIndex({self.table_name}.{self.column}, keys={self.num_keys})"
 
 
-def _dense_order(slots: np.ndarray, counts: np.ndarray, unique: bool) -> np.ndarray:
-    """Row ids in stable ``slots`` order, from the slots' ``counts``.
+def _dense_order(slots: np.ndarray, span: int) -> np.ndarray:
+    """Row ids in stable ``slots`` order, for slots in ``[0, span)``.
 
-    Unique slots scatter each row into its slot and keep the occupied
-    ones.  Duplicate slots sort the composite ``slot * n + row``, whose
-    order is the stable order of the slots, and keep its row part; when the
-    composite could overflow ``int64`` they fall back to a stable argsort.
+    Sorts the composite ``slot * n + row``, whose order is the stable order
+    of the slots, and keeps its row part; when the composite could overflow
+    ``int64`` it falls back to a stable argsort.
     """
     rows = len(slots)
-    if unique:
-        table = np.empty(len(counts), dtype=np.int64)
-        table[slots] = np.arange(rows)
-        return table[counts.astype(bool)]
-    if len(counts) * rows >= 2 ** 63:
+    if span * rows >= 2 ** 63:
         return np.argsort(slots, kind="stable")
     composite = slots * rows
     composite += np.arange(rows)

@@ -3,7 +3,9 @@
 ``tests/reference_join.py`` holds ``SortedIndex.lookup_batch`` and
 ``equi_join_indices`` as they were before dense integer keys were located by
 direct addressing.  Every case here asks for the same arrays -- values,
-order and dtype -- from the dense, dense-unique and sorted paths alike.
+order and dtype -- from the dense-unique, dense-duplicate and sorted
+layouts alike, whether a base table's index or a hash join's transient one
+is probed.
 """
 
 import tracemalloc
@@ -54,6 +56,9 @@ def _index_case(name: str) -> tuple[np.ndarray, np.ndarray, bool]:
         return values, rng.integers(90, 8110, 600), True
     if name == "float-probes-into-dense":
         return np.arange(50), np.array([0.0, 1.5, 3.0, 49.0, 50.0, -1.0]), True
+    if name == "float-probes-into-dense-duplicates":
+        return (rng.integers(0, 30, 100), np.array([0.0, 1.5, 3.0, 29.0, 30.0, -1.0]),
+                True)
     if name == "float-keys":
         pool = np.array([-1.5, 0.0, 0.25, 3.0, 1e9])
         return pool[rng.integers(0, 5, 60)], pool[rng.integers(0, 5, 40)], False
@@ -75,7 +80,7 @@ INDEX_CASES = ("dense-unique", "dense-duplicates", "dense-with-gaps", "sparse",
                "sparse-probe-hits", "negative-keys", "probes-beyond-both-ends",
                "int32-probes", "int32-index", "int32-index-wide",
                "dense-duplicates-heavy", "dense-unique-shuffled-with-gaps",
-               "float-probes-into-dense",
+               "float-probes-into-dense", "float-probes-into-dense-duplicates",
                "float-keys", "string-keys", "empty-probe", "empty-index",
                "single-key", "single-hot-key")
 
@@ -141,6 +146,20 @@ def _join_case(name: str) -> tuple[np.ndarray, np.ndarray]:
         return pool[rng.integers(0, 5, 40)], pool[rng.integers(0, 5, 30)]
     if name == "single-key-build":
         return np.array([4, 5, 5, 6]), np.array([5])
+    if name == "int32-dense-unique-build":
+        return (rng.integers(-3, 130, 300),
+                rng.permutation(np.arange(120)).astype(np.int32))
+    if name == "int32-dense-duplicate-wide-build":
+        # span * n is about 2.4e9: a composite order built in int32 wraps.
+        return (rng.integers(-5, 40010, 500),
+                rng.integers(0, 40000, 60000).astype(np.int32))
+    if name == "dense-duplicate-heavy-build":
+        return rng.integers(-3, 103, 400), rng.integers(0, 100, 50000)
+    if name == "sparse-duplicate-build":
+        pool = rng.integers(0, 10 ** 12, 50)
+        return (np.concatenate((pool[rng.integers(0, 50, 80)],
+                                rng.integers(0, 10 ** 12, 20))),
+                pool[rng.integers(0, 50, 300)])
     if name == "empty-build":
         return rng.integers(0, 10, 20), np.empty(0, dtype=np.int64)
     if name == "empty-probe":
@@ -151,7 +170,9 @@ def _join_case(name: str) -> tuple[np.ndarray, np.ndarray]:
 JOIN_CASES = ("dense-unique-build", "dense-duplicate-build", "sparse-unique-build",
               "negative-dense-build", "extreme-probes", "int32-probe-int64-build",
               "float-keys", "float-probe-int-build", "string-keys",
-              "single-key-build", "empty-build", "empty-probe")
+              "single-key-build", "int32-dense-unique-build",
+              "int32-dense-duplicate-wide-build", "dense-duplicate-heavy-build",
+              "sparse-duplicate-build", "empty-build", "empty-probe")
 
 
 class TestEquiJoinAgainstReference:
@@ -192,6 +213,19 @@ class TestOverflow:
         index = SortedIndex("t", "c", np.full(50, 0.5))
         with pytest.raises(JoinOverflowError):
             index.lookup_batch(np.full(21, 0.5))
+
+    def test_equi_join_dense_duplicates_raise_before_allocating(self, low_cap):
+        build = np.zeros(2000, dtype=np.int64)
+        assert SortedIndex("t", "c", build)._starts is not None
+        probes = np.zeros(1000, dtype=np.int64)  # 2M matches, 16 MB per array
+        tracemalloc.start()
+        try:
+            with pytest.raises(JoinOverflowError):
+                equi_join_indices(probes, build)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_equi_join_slot_table_raises(self, low_cap):
         with pytest.raises(JoinOverflowError):
