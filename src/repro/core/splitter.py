@@ -203,7 +203,7 @@ class QuerySplitExecutor(AlgorithmBase):
             dictionaries.update(table.dictionaries)
             rows = rows * other_rows
         merged = DataTable(name=spj.name, columns=columns,
-                           dictionaries=dictionaries)
+                           dictionaries=dictionaries, num_rows=rows)
         if spj.aggregates:
             return (_scalar_aggregate(merged, spj.aggregates)
                     if not spj.projections

@@ -21,6 +21,9 @@ group:
   MIN/MAX of an encoded column is the min/max of its non-NULL codes,
   decoded once per group.
 
+The row count is the table's own ``num_rows``: a ``count(*)`` input reads
+no column and arrives as a zero-column table that still carries it.
+
 **Output contract.**  Key columns are the input's own arrays at each
 group's first row (codes stay codes, dictionary shared by reference).
 Aggregate outputs are ``dtype=object`` columns whose elements are: Python
@@ -169,15 +172,13 @@ def _aggregate(spec: AggregateSpec, table: DataTable, groups: _Groups) -> list:
 
 
 def group_aggregate(table: DataTable, group_by: tuple[ColumnRef, ...],
-                    aggregates: tuple[AggregateSpec, ...],
-                    num_rows: int | None = None) -> DataTable:
+                    aggregates: tuple[AggregateSpec, ...]) -> DataTable:
     """GROUP BY aggregation; an empty ``group_by`` is the scalar aggregate.
 
     Output rows ascend in key order (see the module docstring for the
-    element types).  ``num_rows`` overrides the row count of ``table`` --
-    needed for pure ``COUNT(*)`` inputs, which carry no columns.
+    element types).
     """
-    rows = table.num_rows if num_rows is None else num_rows
+    rows = table.num_rows
     columns: dict[str, np.ndarray] = {}
     dictionaries = {ref.qualified: table.dictionaries[ref.qualified]
                     for ref in group_by if ref.qualified in table.dictionaries}
@@ -201,10 +202,10 @@ def group_aggregate(table: DataTable, group_by: tuple[ColumnRef, ...],
                      dictionaries=dictionaries)
 
 
-def _scalar_aggregate(table: DataTable, aggregates: tuple[AggregateSpec, ...],
-                      num_rows: int | None = None) -> DataTable:
+def _scalar_aggregate(table: DataTable, aggregates: tuple[AggregateSpec, ...]
+                      ) -> DataTable:
     """Ungrouped aggregates: :func:`group_aggregate` with no keys."""
-    return group_aggregate(table, (), aggregates, num_rows)
+    return group_aggregate(table, (), aggregates)
 
 
 def union_all(tables: list[DataTable]) -> DataTable:
@@ -212,7 +213,8 @@ def union_all(tables: list[DataTable]) -> DataTable:
 
     A column stays encoded only when every input holds codes into the
     *same* dictionary object; codes of different dictionaries are not
-    comparable, so such a column is decoded.
+    comparable, so such a column is decoded.  The row count is the sum of
+    the inputs' (the only record of it when they have no columns).
     """
     if not tables:
         return DataTable(name="union", columns={})
@@ -227,4 +229,5 @@ def union_all(tables: list[DataTable]) -> DataTable:
         else:
             columns[name] = np.concatenate(
                 [t.column_values(name, cache=False) for t in tables])
-    return DataTable(name="union", columns=columns, dictionaries=dictionaries)
+    return DataTable(name="union", columns=columns, dictionaries=dictionaries,
+                     num_rows=sum(t.num_rows for t in tables))

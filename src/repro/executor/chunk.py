@@ -16,7 +16,9 @@ This is the standard late-materialization design of vectorized engines
 (DuckDB-style selection vectors).  A join keeps only the sources that some
 operator above it reads (:func:`merge_chunks`), so it costs 8 bytes per
 output row per relation still read above it, however many (and wide)
-columns the query touches; a ``count(*)`` root keeps none.  Every relation
+columns the query touches; a root that reads no column (``count(*)``, or a
+query that outputs nothing) keeps none, and its result is a zero-column
+:class:`DataTable` that still carries the chunk's row count.  Every relation
 inside a chunk is a :class:`TableSource` -- rows of a base or temporary
 :class:`DataTable` addressed by a row-id vector.
 
@@ -130,15 +132,6 @@ class TableSource:
             stats.count(row_ids)
         return TableSource(self.relation, self.table, row_ids)
 
-    def rowid_columns(self) -> dict[str, np.ndarray]:
-        """A synthetic ``alias.__rowid`` column representing this source's
-        rows, for when nothing above the plan needs any real column of the
-        source but the row multiplicity must still be represented."""
-        if self.row_ids is None:
-            return {f"{self.relation.alias}.__rowid":
-                    np.arange(self.table.num_rows, dtype=np.int64)}
-        return {f"{self.relation.alias}.__rowid": self.row_ids}
-
     @property
     def retained_bytes(self) -> int:
         """Bytes this source keeps alive beyond the stored tables."""
@@ -188,9 +181,12 @@ class Chunk:
         dictionaries: dict[str, np.ndarray] = {}
         for ref in refs:
             if self.covers(ref.alias):
-                _gather_into(columns, dictionaries,
-                             self.source_for(ref.alias), ref, stats)
-        return DataTable(name=name, columns=columns, dictionaries=dictionaries)
+                columns[ref.qualified], dictionary = self.source_for(
+                    ref.alias).gather_encoded(ref, stats)
+                if dictionary is not None:
+                    dictionaries[ref.qualified] = dictionary
+        return DataTable(name=name, columns=columns, dictionaries=dictionaries,
+                         num_rows=self.num_rows)
 
 
 def merge_chunks(left: Chunk, left_idx: np.ndarray,
@@ -208,38 +204,3 @@ def merge_chunks(left: Chunk, left_idx: np.ndarray,
                      if source.read_by(reads))
     return Chunk(sources, len(left_idx))
 
-
-def _gather_into(columns: dict[str, np.ndarray],
-                 dictionaries: dict[str, np.ndarray],
-                 source: TableSource, ref: ColumnRef,
-                 stats: MaterializationStats | None) -> None:
-    """Gather ``ref`` into ``columns`` still encoded, recording the
-    dictionary of an encoded column in ``dictionaries``."""
-    columns[ref.qualified], dictionary = source.gather_encoded(ref, stats)
-    if dictionary is not None:
-        dictionaries[ref.qualified] = dictionary
-
-
-def materialize_default(chunk: Chunk, name: str,
-                        needed: frozenset[ColumnRef],
-                        stats: MaterializationStats | None = None
-                        ) -> DataTable:
-    """Materialize every needed column the chunk covers into a table.
-
-    The executor's output path for plans without a projection.  A
-    relation none of whose columns are needed contributes a synthetic
-    ``alias.__rowid`` column so its row multiplicity is still represented
-    (pure existence joins).  Encoded columns stay codes under their
-    source table's dictionary.
-    """
-    columns: dict[str, np.ndarray] = {}
-    dictionaries: dict[str, np.ndarray] = {}
-    for source in chunk.sources:
-        covered = sorted((ref for ref in needed if source.covers(ref.alias)),
-                         key=lambda ref: ref.qualified)
-        if covered:
-            for ref in covered:
-                _gather_into(columns, dictionaries, source, ref, stats)
-        else:
-            columns.update(source.rowid_columns())
-    return DataTable(name=name, columns=columns, dictionaries=dictionaries)

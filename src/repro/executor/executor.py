@@ -12,7 +12,9 @@ Real columns are gathered from the stored tables exactly once: join keys
 plan root -- where dictionary-encoded strings stay codes, so the result
 table, a temporary registered from it, and the aggregation kernel all work
 on ``int32`` codes and only the caller's ``column_values`` / ``to_rows``
-decodes.
+decodes.  The root either aggregates or gathers exactly the columns the
+plan declares; a plan that declares none returns a zero-column table whose
+``num_rows`` is the join's row count.
 
 Two caches sit around the pipeline; both serve a chunk only to a consumer
 whose reads it covers:
@@ -43,7 +45,7 @@ from repro.executor.aggregates import (  # noqa: F401  (re-exported)
     group_aggregate,
     union_all,
 )
-from repro.executor.chunk import Chunk, MaterializationStats, materialize_default
+from repro.executor.chunk import Chunk, MaterializationStats
 from repro.executor.operators import (  # noqa: F401  (re-exported)
     MAX_CROSS_PRODUCT_ROWS,
     Aggregate,
@@ -146,28 +148,20 @@ class Executor:
         stats = MaterializationStats()
         ctx = ExecContext(database=self.database, stats=stats)
         output_refs = tuple(dict.fromkeys(plan.output_columns + tuple(extra_columns)))
-        # The aliases the root step reads, whose sources the root keeps.
+        # The root aggregates or gathers exactly these columns (possibly
+        # none), so it keeps the sources of their aliases only.
         aggregate = Aggregate(plan) if plan.aggregates else None
-        if aggregate is not None:
-            reads = frozenset(ref.alias for ref in aggregate.refs)
-        elif output_refs:
-            reads = frozenset(ref.alias for ref in output_refs)
-        else:
-            # materialize_default emits a column for every source: its
-            # needed columns, or the ``__rowid`` multiplicity column.
-            reads = plan.root.covered_aliases()
+        root_refs = aggregate.refs if aggregate is not None else output_refs
+        reads = frozenset(ref.alias for ref in root_refs)
         chunk = self._execute_node(plan.root, ctx, cache, reads)
         join_rows = chunk.num_rows
 
         if aggregate is not None:
             table = aggregate.execute(ctx, chunk)
-        elif output_refs:
+        else:
             # Encoded string columns leave as codes + the source table's
             # dictionary; whoever needs the strings decodes (column_values).
             table = chunk.table(plan.query_name, output_refs, stats)
-        else:
-            needed = frozenset(self._needed_columns(plan, extra_columns))
-            table = materialize_default(chunk, plan.query_name, needed, stats)
         wall = time.perf_counter() - start
         return ExecutionResult(table=table, join_rows=join_rows, wall_time=wall,
                                operator_times=dict(ctx.operator_times),
@@ -235,27 +229,3 @@ class Executor:
         if signature is not None:
             self.subplan_cache.put(signature, chunk)
         return chunk
-
-    # ------------------------------------------------------------------
-    # Projection push-down support
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _needed_columns(plan: PhysicalPlan,
-                        extra_columns: tuple[ColumnRef, ...]) -> set[ColumnRef]:
-        needed: set[ColumnRef] = set(plan.output_columns)
-        needed.update(extra_columns)
-        needed.update(plan.group_by)
-        for spec in plan.aggregates:
-            if spec.column is not None:
-                needed.add(spec.column)
-
-        def visit(node: PlanNode) -> None:
-            if isinstance(node, JoinNode):
-                for pred in node.predicates:
-                    needed.add(pred.left)
-                    needed.add(pred.right)
-            for child in node.children():
-                visit(child)
-
-        visit(plan.root)
-        return needed

@@ -270,7 +270,6 @@ class Aggregate:
         plan = self.plan
         start = time.perf_counter()
         table = group_aggregate(chunk.table(plan.query_name, self.refs, ctx.stats),
-                                plan.group_by, plan.aggregates,
-                                num_rows=chunk.num_rows)
+                                plan.group_by, plan.aggregates)
         ctx.operator_times[self.label] = time.perf_counter() - start
         return table

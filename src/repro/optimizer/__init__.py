@@ -21,7 +21,7 @@ on:
 
 from repro.optimizer.cardinality import CardinalityEstimator, DefaultCardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters
-from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.oracle import TrueCardinalityOracle, OracleCardinalityEstimator
 from repro.optimizer.injection import NoisyCardinalityEstimator
 from repro.optimizer.learned import LearnedCardinalityEstimator
@@ -33,7 +33,6 @@ __all__ = [
     "CostModel",
     "CostParameters",
     "Optimizer",
-    "OptimizerConfig",
     "TrueCardinalityOracle",
     "OracleCardinalityEstimator",
     "NoisyCardinalityEstimator",

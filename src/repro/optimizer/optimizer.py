@@ -15,8 +15,6 @@ re-optimization overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.optimizer.cardinality import CardinalityEstimator, DefaultCardinalityEstimator
 from repro.optimizer.cost import CostModel
 from repro.optimizer.join_enum import EnumeratorConfig, JoinEnumerator
@@ -25,31 +23,24 @@ from repro.plan.physical import PhysicalPlan
 from repro.storage.database import Database
 
 
-@dataclass
-class OptimizerConfig:
-    """Configuration of the optimizer."""
-
-    enumerator: EnumeratorConfig = field(default_factory=EnumeratorConfig)
-
-
 class Optimizer:
     """Cost-based optimizer over the in-memory database."""
 
     def __init__(self, database: Database,
                  estimator: CardinalityEstimator | None = None,
                  cost_model: CostModel | None = None,
-                 config: OptimizerConfig | None = None):
+                 config: EnumeratorConfig | None = None):
         self.database = database
         self.estimator = estimator or DefaultCardinalityEstimator(database)
         self.cost_model = cost_model or CostModel()
-        self.config = config or OptimizerConfig()
+        self.config = config or EnumeratorConfig()
         self.invocations = 0
 
     def plan(self, query: SPJQuery) -> PhysicalPlan:
         """Produce a physical plan for an SPJ query."""
         self.invocations += 1
         enumerator = JoinEnumerator(self.database, self.estimator, self.cost_model,
-                                    self.config.enumerator)
+                                    self.config)
         root = enumerator.plan(query)
         return PhysicalPlan(
             query_name=query.name,

@@ -21,7 +21,7 @@ Stands in for the two sketch-based robust baselines of the paper:
 
 from __future__ import annotations
 
-from repro.optimizer.cardinality import DefaultCardinalityEstimator, MIN_ROWS
+from repro.optimizer.cardinality import DefaultCardinalityEstimator
 
 
 class PessimisticCardinalityEstimator(DefaultCardinalityEstimator):
@@ -44,7 +44,3 @@ class PessimisticCardinalityEstimator(DefaultCardinalityEstimator):
             return min(max_freq, 1.0)
         ndv = max(min(left_stats.effective_ndv(), right_stats.effective_ndv()), 1)
         return 1.0 / ndv
-
-    def estimate_rows(self, relations, filters, join_predicates, query_name="") -> float:
-        rows = super().estimate_rows(relations, filters, join_predicates, query_name)
-        return max(rows, MIN_ROWS)

@@ -30,13 +30,12 @@ signature (a re-planned remaining query usually re-joins the same filtered
 base relations, just in a different order).
 
 The executor serves a cached chunk only to a consumer whose reads it
-covers.  A subtree plan outputs every column the query references within
-its aliases (:meth:`_retained_columns`), so it and every node below it keep
-every referenced relation, and an inner node is never consumed twice (its
-parent is cached once it has run).  So only a final plan with neither
-output nor aggregate, whose root reads every relation, can meet a cached
-chunk without one (a cross-joined relation nothing references); the
-executor then recomputes that subtree.
+covers, and with the per-plan cache that always holds.  A subtree plan
+outputs every column the query references within its aliases
+(:meth:`_retained_columns`), so it and every node below it keep every
+relation with a referenced column; every later consumer -- a join above the
+checkpoint, or the final plan's root, which aggregates or gathers only the
+query's own columns -- reads a subset of those.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.executor.executor import Executor
 from repro.optimizer.learned import LearnedCardinalityEstimator
-from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.oracle import TrueCardinalityOracle
 from repro.optimizer.pessimistic import PessimisticCardinalityEstimator
 from repro.optimizer.robust import fs_config, use_config
@@ -49,8 +49,7 @@ class USEBaseline(NonAdaptiveBaseline):
                  executor: Executor | None = None,
                  config: BaselineConfig | None = None):
         estimator = PessimisticCardinalityEstimator(database)
-        opt_config = OptimizerConfig(enumerator=use_config())
-        use_optimizer = Optimizer(database, estimator=estimator, config=opt_config)
+        use_optimizer = Optimizer(database, estimator=estimator, config=use_config())
         super().__init__(database, use_optimizer, executor=executor, config=config)
 
 
@@ -62,8 +61,7 @@ class FSBaseline(NonAdaptiveBaseline):
     def __init__(self, database: Database, optimizer: Optimizer | None = None,
                  executor: Executor | None = None,
                  config: BaselineConfig | None = None):
-        opt_config = OptimizerConfig(enumerator=fs_config())
-        fs_optimizer = Optimizer(database, config=opt_config)
+        fs_optimizer = Optimizer(database, config=fs_config())
         super().__init__(database, fs_optimizer, executor=executor, config=config)
 
 

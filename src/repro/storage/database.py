@@ -155,7 +155,8 @@ class Database:
         self._temp_counter += 1
         name = f"__temp_{self._temp_counter}"
         table = DataTable(name=name, columns=table.columns,
-                          dictionaries=table.dictionaries)
+                          dictionaries=table.dictionaries,
+                          num_rows=table.num_rows)
         self._temp_tables[name] = TempTableEntry(
             table=table, stats=stats, covered_aliases=covered_aliases)
         return name

@@ -39,6 +39,11 @@ class DataTable:
         length.  Dictionary-encoded string columns (see
         :meth:`encode_strings`) store ``int32`` code arrays here, with the
         sorted value dictionary in :attr:`dictionaries`.
+    num_rows:
+        The row count.  Taken from the column lengths when there are
+        columns (a given count must agree); a table with no columns -- the
+        result of a query that outputs nothing, whose rows are still its
+        answer -- has no other record of it.
     """
 
     name: str
@@ -50,12 +55,16 @@ class DataTable:
     #: base table the codes came from (passed in here, never copied).
     dictionaries: dict[str, np.ndarray] = field(default_factory=dict,
                                                 compare=False, repr=False)
+    num_rows: int | None = None
 
     def __post_init__(self) -> None:
         lengths = {len(arr) for arr in self.columns.values()}
+        if self.num_rows is not None:
+            lengths.add(self.num_rows)
         if len(lengths) > 1:
             raise ValueError(
                 f"columns of table {self.name!r} have differing lengths: {lengths}")
+        self.num_rows = lengths.pop() if lengths else 0
         #: Lazily cached decoded columns (query-time identity gathers).
         self._decoded: dict[str, np.ndarray] = {}
         #: Columns whose dictionary this table built (:meth:`encode_strings`)
@@ -65,13 +74,6 @@ class DataTable:
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
-    @property
-    def num_rows(self) -> int:
-        """Number of rows in the table."""
-        if not self.columns:
-            return 0
-        return len(next(iter(self.columns.values())))
-
     @property
     def column_names(self) -> list[str]:
         """Names of all columns."""
@@ -158,30 +160,25 @@ class DataTable:
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray, name: str | None = None) -> "DataTable":
         """Return a new table containing the rows selected by ``indices``."""
-        if not self.columns and len(indices):
-            # A zero-column table has no rows (num_rows is necessarily 0), so
-            # any non-empty selection refers to rows that do not exist.
-            # Failing loudly here beats silently producing a 0-row result
-            # downstream of a Scan/Aggregate that believed rows were selected.
+        if len(indices) and (np.min(indices) < 0
+                             or np.max(indices) >= self.num_rows):
             raise ValueError(
-                f"cannot select {len(indices)} row(s) from zero-column table "
-                f"{self.name!r}")
+                f"selection addresses rows table {self.name!r} does not have "
+                f"({self.num_rows} rows)")
         return DataTable(
             name=name or self.name,
             columns={col: arr[indices] for col, arr in self.columns.items()},
             dictionaries=dict(self.dictionaries),
+            num_rows=len(indices),
         )
 
     def filter(self, mask: np.ndarray, name: str | None = None) -> "DataTable":
         """Return a new table containing only rows where ``mask`` is True."""
-        if not self.columns and np.any(mask):
+        if len(mask) != self.num_rows:
             raise ValueError(
-                f"cannot select rows from zero-column table {self.name!r}")
-        return DataTable(
-            name=name or self.name,
-            columns={col: arr[mask] for col, arr in self.columns.items()},
-            dictionaries=dict(self.dictionaries),
-        )
+                f"mask of {len(mask)} rows for table {self.name!r} of "
+                f"{self.num_rows} rows")
+        return self.take(np.flatnonzero(mask), name)
 
     def project(self, names: list[str], name: str | None = None) -> "DataTable":
         """Return a new table containing only the listed columns."""
@@ -190,6 +187,7 @@ class DataTable:
             columns={col: self.columns[col] for col in names},
             dictionaries={col: d for col, d in self.dictionaries.items()
                           if col in names},
+            num_rows=self.num_rows,
         )
 
     def rename_columns(self, mapping: dict[str, str], name: str | None = None) -> "DataTable":
@@ -199,6 +197,7 @@ class DataTable:
             columns={mapping.get(col, col): arr for col, arr in self.columns.items()},
             dictionaries={mapping.get(col, col): d
                           for col, d in self.dictionaries.items()},
+            num_rows=self.num_rows,
         )
 
     # ------------------------------------------------------------------

@@ -396,11 +396,10 @@ class TestExecutor:
     def test_index_nl_and_hash_agree(self, tiny_db, optimizer, executor):
         """Forcing hash joins produces the same result as index NL plans."""
         from repro.optimizer.join_enum import EnumeratorConfig
-        from repro.optimizer.optimizer import OptimizerConfig
 
         spj = five_way_query()
-        hash_only = Optimizer(tiny_db, config=OptimizerConfig(
-            enumerator=EnumeratorConfig(enable_index_nl=False)))
+        hash_only = Optimizer(tiny_db, config=EnumeratorConfig(
+            enable_index_nl=False))
         a = executor.execute(hash_only.plan(spj)).table.to_rows()
         b = executor.execute(optimizer.plan(spj)).table.to_rows()
         assert a == b
@@ -530,14 +529,13 @@ class TestSubplanCache:
     def test_subtree_shared_across_join_orders(self, tiny_db):
         """Two optimizers picking different physical plans share subtrees."""
         from repro.optimizer.join_enum import EnumeratorConfig
-        from repro.optimizer.optimizer import OptimizerConfig
 
         cache = SubplanCache()
         executor = Executor(tiny_db, subplan_cache=cache)
         spj = five_way_query()
         default_plan = Optimizer(tiny_db).plan(spj)
-        hash_plan = Optimizer(tiny_db, config=OptimizerConfig(
-            enumerator=EnumeratorConfig(enable_index_nl=False))).plan(spj)
+        hash_plan = Optimizer(tiny_db, config=EnumeratorConfig(
+            enable_index_nl=False)).plan(spj)
         a = executor.execute(default_plan).table.to_rows()
         assert cache.hits == 0 and len(cache) > 0
         b = executor.execute(hash_plan).table.to_rows()

@@ -15,11 +15,19 @@ from repro.executor.executor import Executor
 from repro.executor.operators import Aggregate
 from repro.executor.subplan_cache import SubplanCache
 from repro.optimizer.optimizer import Optimizer
-from repro.plan.expressions import ColumnRef, JoinPredicate
-from repro.plan.logical import AggregateSpec, Query, RelationRef, SPJQuery
+from repro.plan.expressions import ColumnRef, Comparison, JoinPredicate, StringPrefix
+from repro.plan.logical import (
+    AggregateNode,
+    AggregateSpec,
+    Query,
+    RelationRef,
+    SPJNode,
+    SPJQuery,
+)
 from repro.plan.physical import JoinMethod, JoinNode, PhysicalPlan, ScanNode
 from repro.reopt.default import DefaultBaseline
 from repro.reopt.pop import PopBaseline
+from repro.reopt.registry import make_algorithm
 from repro.workloads.job_queries import job_queries
 from tests.conftest import five_way_query
 from tests.reference_eval import (
@@ -140,21 +148,83 @@ class TestSourcelessCounts:
         assert cache[id(plan.root)].sources == ()
         assert result.table.to_rows()[0][0] == cache[id(plan.root)].num_rows > 0
 
+    def test_plan_without_outputs_keeps_no_source(self, tiny_db):
+        """Neither outputs nor aggregates: the root reads nothing, and the
+        zero-column result carries the join's row count."""
+        spj = five_way_query("no-output")
+        plan = Optimizer(tiny_db).plan(spj)
+        plan = PhysicalPlan(query_name=plan.query_name, root=plan.root)
+        cache: dict = {}
+        result = Executor(tiny_db).execute(plan, cache=cache)
+        assert cache[id(plan.root)].sources == ()
+        assert result.table.column_names == []
+        assert result.table.num_rows == result.join_rows > 0
+
+
+ALGORITHMS = ("QuerySplit", "Default", "Reopt", "Pop")
+
+
+class TestRowsWithoutColumns:
+    """Results whose rows carry no column still count, under every algorithm."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_count_star_over_a_block_without_projections(self, tiny_db,
+                                                         algorithm):
+        spj = five_way_query("count-block")
+        spj = SPJQuery(name=spj.name, relations=spj.relations,
+                       filters=spj.filters,
+                       join_predicates=spj.join_predicates)
+        query = Query(name=spj.name, root=AggregateNode(
+            SPJNode(spj), (), (AggregateSpec("count", None, "row_count"),)))
+        report = make_algorithm(algorithm, tiny_db).run(query)
+        assert not report.timed_out
+        expected = reference_execute(tiny_db, query)
+        assert expected[()]["row_count"] > 0
+        assert_results_match(expected, canonicalize_table(report.final_table),
+                             algorithm)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_disconnected_component_contributes_only_rows(self, tiny_db,
+                                                           algorithm):
+        """``t JOIN mk JOIN k`` feeds ``min(t.year)``; ``ci JOIN n``, joined
+        to nothing, reads no column and only multiplies the row count."""
+        spj = five_way_query("disconnected")
+        # ``n`` first keeps the reference's cross product small.
+        spj = SPJQuery(name=spj.name,
+                       relations=tuple(RelationRef.base(a, a)
+                                       for a in ("n", "ci", "t", "mk", "k")),
+                       filters=(Comparison(ColumnRef("t", "year"), ">", 2015),
+                                StringPrefix(ColumnRef("k", "kw"), "kw_0"),
+                                StringPrefix(ColumnRef("n", "name"), "person_000")),
+                       join_predicates=(_pred("mk.movie_id", "t.id"),
+                                        _pred("mk.keyword_id", "k.id"),
+                                        _pred("ci.person_id", "n.id")),
+                       aggregates=spj.aggregates)
+        assert not spj.is_connected()
+        query = Query.from_spj(spj)
+        report = make_algorithm(algorithm, tiny_db).run(query)
+        assert not report.timed_out
+        expected = reference_execute(tiny_db, query)
+        assert expected[()]["row_count"] > 0
+        assert_results_match(expected, canonicalize_table(report.final_table),
+                             algorithm)
+
 
 class TestPerPlanCacheServesOnlyCoveringChunks:
     @pytest.mark.parametrize("algorithm", [PopBaseline, DefaultBaseline])
-    def test_unreferenced_cross_joined_relation_keeps_its_rowid(
+    def test_unreferenced_cross_joined_relation_counts_its_rows(
             self, tiny_db, algorithm):
         """``k JOIN mk`` cross-joined with ``t``, no output, no aggregate:
-        the root emits ``t.__rowid`` for ``t``, which nothing references.
-        Pop checkpoints ``k x t`` first and keeps only ``k`` there, so the
-        final plan must recompute that node rather than serve it."""
+        the root reads no column, so the result is a zero-column table
+        that still counts every joined row.  Pop checkpoints ``k x t``
+        first and keeps only ``k`` there, and the final plan may serve
+        that chunk: its root reads nothing."""
         spj = SPJQuery(name="unreferenced",
                        relations=tuple(RelationRef.base(a, a)
                                        for a in ("k", "mk", "t")),
                        join_predicates=(_pred("mk.keyword_id", "k.id"),))
         report = algorithm(tiny_db, Optimizer(tiny_db)).run(Query.from_spj(spj))
         table = report.final_table
-        assert sorted(table.column_names) == ["k.id", "mk.keyword_id", "t.__rowid"]
+        assert table.column_names == []
         assert table.num_rows == (tiny_db.table("t").num_rows
                                   * tiny_db.table("mk").num_rows)

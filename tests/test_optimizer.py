@@ -11,7 +11,7 @@ from repro.optimizer.injection import NoisyCardinalityEstimator
 from repro.optimizer import join_enum
 from repro.optimizer.join_enum import EnumeratorConfig, JoinEnumerator
 from repro.optimizer.learned import LearnedCardinalityEstimator
-from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.oracle import OracleCardinalityEstimator, TrueCardinalityOracle
 from repro.optimizer.pessimistic import PessimisticCardinalityEstimator
 from repro.optimizer.robust import fs_config, use_config
@@ -243,8 +243,7 @@ class TestJoinEnumeration:
         assert isinstance(plan.root, ScanNode)
 
     def test_greedy_used_beyond_dp_limit(self, tiny_db):
-        config = OptimizerConfig(enumerator=EnumeratorConfig(dp_relation_limit=3))
-        plan = Optimizer(tiny_db, config=config).plan(five_way_query())
+        plan = Optimizer(tiny_db, config=EnumeratorConfig(dp_relation_limit=3)).plan(five_way_query())
         assert {r.alias for r in plan.leaf_relations()} == {"t", "mk", "k", "ci", "n"}
 
     def test_cross_product_handled(self, tiny_db):
@@ -263,8 +262,7 @@ class TestJoinEnumeration:
         assert all(j.method is not JoinMethod.INDEX_NL for j in plan.join_nodes())
 
     def test_use_config_bans_nested_loops(self, tiny_db):
-        config = OptimizerConfig(enumerator=use_config())
-        plan = Optimizer(tiny_db, config=config).plan(five_way_query())
+        plan = Optimizer(tiny_db, config=use_config()).plan(five_way_query())
         assert all(j.method is JoinMethod.HASH for j in plan.join_nodes())
 
     def test_estimate_returns_cost_and_rows(self, tiny_db):
@@ -423,9 +421,28 @@ class TestEnumeratorMatchesReference:
     def test_pessimistic_subclass_keeps_its_estimates(self, imdb_db, queries):
         """A DefaultCardinalityEstimator subclass that redefines
         ``estimate_rows`` must not be served the cached-factor fast path."""
-        estimator = PessimisticCardinalityEstimator(imdb_db)
+
+        class SquaredPessimistic(PessimisticCardinalityEstimator):
+            """Squares every sub-join estimate: not a product of factors."""
+
+            def estimate_rows(self, relations, filters, join_predicates,
+                              query_name=""):
+                return super().estimate_rows(
+                    relations, filters, join_predicates, query_name) ** 2
+
+        def shape(root):
+            return [(j.method, j.covered_aliases()) for j in root.join_nodes()]
+
+        estimator = SquaredPessimistic(imdb_db)
+        parent = PessimisticCardinalityEstimator(imdb_db)
+        differs = False
         for spj in queries["slice"]:
-            assert_matches_reference(imdb_db, estimator, EnumeratorConfig(), spj)
+            plan = assert_matches_reference(imdb_db, estimator,
+                                            EnumeratorConfig(), spj)
+            differs |= shape(plan) != shape(JoinEnumerator(
+                imdb_db, parent, CostModel(), EnumeratorConfig()).plan(spj))
+        # Only worth something if the redefinition changes some plan.
+        assert differs
 
     @pytest.mark.parametrize("config_name", ["default", "fs"])
     def test_exact_tie_goes_to_the_earlier_split(self, imdb_db, config_name):
@@ -495,8 +512,8 @@ class TestPlannerCallStructure:
                 built.append(self)
 
         monkeypatch.setattr(join_enum, "JoinNode", CountingJoinNode)
-        optimizer = Optimizer(imdb_db, config=OptimizerConfig(
-            enumerator=EnumeratorConfig(dp_relation_limit=dp_relation_limit)))
+        optimizer = Optimizer(imdb_db, config=EnumeratorConfig(
+            dp_relation_limit=dp_relation_limit))
         by_name = {q.name: q for q in job_queries()}
         for name in JOB_SLICE:
             spj = _spj(by_name[name])
@@ -513,14 +530,33 @@ class TestPlannerCallStructure:
                 yield from nodes(child)
 
         optimizer = Optimizer(imdb_db)
-        greedy = Optimizer(imdb_db, config=OptimizerConfig(
-            enumerator=EnumeratorConfig(dp_relation_limit=3)))
+        greedy = Optimizer(imdb_db, config=EnumeratorConfig(
+            dp_relation_limit=3))
         for query in job_queries(families=[1, 6, 17]):
             spj = _spj(query)
             for opt in (optimizer, greedy):
                 first, second = opt.plan(spj), opt.plan(spj)  # both alive
                 assert {id(n) for n in nodes(first.root)}.isdisjoint(
                     id(n) for n in nodes(second.root))
+
+    @pytest.mark.parametrize("algorithm", ["USE", "Pessi."])
+    def test_upper_bound_estimator_keeps_the_fast_path(
+            self, imdb_db, monkeypatch, algorithm):
+        """The pessimistic estimator changes only ``join_selectivity``, so
+        planning estimates each join predicate once, not once per sub-join."""
+        optimizer = make_algorithm(algorithm, imdb_db).optimizer
+        estimator = optimizer.estimator
+        calls = []
+        selectivity = estimator.join_selectivity
+
+        def counted(pred, relations):
+            calls.append(pred)
+            return selectivity(pred, relations)
+
+        monkeypatch.setattr(estimator, "join_selectivity", counted)
+        spj = _spj(next(q for q in job_queries() if q.name == "17b"))
+        optimizer.plan(spj)
+        assert len(calls) == len(spj.join_predicates) > 1
 
     def test_plan_and_estimate_signatures(self):
         assert list(inspect.signature(Optimizer.plan).parameters) == ["self", "query"]

@@ -41,6 +41,29 @@ class TestDataTable:
         assert table.take(np.array([], dtype=np.int64)).num_rows == 0
         assert table.filter(np.array([], dtype=bool)).num_rows == 0
 
+    def test_zero_column_table_keeps_its_count(self, tiny_schema):
+        """A table with rows but no columns (a query that outputs nothing)
+        carries its row count through every derivation."""
+        from repro.executor.aggregates import union_all
+
+        table = DataTable("x", {}, num_rows=4)
+        assert table.num_rows == 4
+        assert table.take(np.array([0, 3, 3])).num_rows == 3
+        assert table.filter(np.array([True, False, True, True])).num_rows == 3
+        assert table.project([]).num_rows == 4
+        assert table.rename_columns({}).num_rows == 4
+        assert union_all([table, table.take(np.array([1]))]).num_rows == 5
+        db = Database(tiny_schema)
+        name = db.register_temp(table, TableStats.row_count_only(4),
+                                frozenset({"t"}))
+        assert db.table(name).num_rows == 4
+        with pytest.raises(ValueError):
+            table.take(np.array([4]))
+        with pytest.raises(ValueError):
+            table.filter(np.array([True]))
+        with pytest.raises(ValueError):
+            DataTable("y", {"a": np.arange(3)}, num_rows=4)
+
     def test_take_and_filter(self):
         table = DataTable("x", {"a": np.arange(10)})
         taken = table.take(np.array([1, 3, 5]))
