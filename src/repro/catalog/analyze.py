@@ -13,6 +13,12 @@ temporary.  Dictionary-encoded string columns are analyzed on their
 ``int32`` codes -- the dictionary is sorted, so code order is value order
 and every statistic equals the one computed over the strings; only the MCV
 winners are decoded.
+
+Each column's sample is sorted once, by ``np.unique(..., return_counts=True)``,
+and every statistic is read off that one sort, as PostgreSQL's
+``compute_scalar_stats`` does: the NDV, the MCV list, the min and max (the
+first and last unique) and the histogram bounds
+(:meth:`Histogram.from_counts <repro.catalog.statistics.Histogram.from_counts>`).
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ def analyze_columns(columns: dict[str, np.ndarray],
     Columns longer than ``sample_rows`` are sampled with one ``rng.choice``
     draw per column from a single generator, in the order given -- so which
     sample a column gets depends on its position among the *analyzed*
-    columns.
+    columns.  The default generator is built at the first such column, so
+    a call that samples nothing never builds one.
 
     Parameters
     ----------
@@ -75,10 +82,11 @@ def analyze_columns(columns: dict[str, np.ndarray],
             stats.columns[name] = ColumnStats(dtype=dtype, num_rows=0, ndv=0)
         return stats
 
-    rng = rng or np.random.default_rng(0)
     for name, values in columns.items():
         values = np.asarray(values)
         if len(values) > sample_rows:
+            if rng is None:
+                rng = np.random.default_rng(0)
             idx = rng.choice(len(values), size=sample_rows, replace=False)
             sample = values[idx]
         else:
@@ -123,7 +131,7 @@ def _analyze_column(sample: np.ndarray, total_rows: int,
     # the FLOAT branch via object arrays of mixed numerics.
     nulls = sample < 0 if encoded else null_mask(sample)
     non_null = sample[~nulls]
-    null_fraction = float(nulls.mean()) if sample_size else 0.0
+    null_fraction = int(np.count_nonzero(nulls)) / sample_size
 
     if len(non_null) == 0:
         return ColumnStats(dtype=dtype, num_rows=total_rows, ndv=0,
@@ -143,10 +151,10 @@ def _analyze_column(sample: np.ndarray, total_rows: int,
     min_value = max_value = None
     histogram = None
     if dtype.is_numeric:
-        numeric = non_null.astype(float)
-        min_value = float(numeric.min())
-        max_value = float(numeric.max())
-        histogram = Histogram.from_values(numeric, num_buckets=histogram_buckets)
+        min_value = float(uniques[0])
+        max_value = float(uniques[-1])
+        histogram = Histogram.from_counts(uniques, counts,
+                                          num_buckets=histogram_buckets)
 
     return ColumnStats(
         dtype=dtype,
@@ -162,11 +170,11 @@ def _analyze_column(sample: np.ndarray, total_rows: int,
 
 
 def _scale_ndv(sample_ndv: int, sample_rows: int, total_rows: int) -> int:
-    """Scale a sample NDV to the full table (Haas & Stokes style estimator).
+    """Scale a sample NDV ``d`` from ``n`` sampled rows to ``N`` total rows.
 
     When every sampled value is distinct we assume the column is (nearly)
-    unique; when there are repeats we scale the distinct count by the ratio
-    of unseen rows, capped at the total row count.
+    unique; when there are repeats we scale ``d`` halfway between no growth
+    and linear growth with the table, capped at the total row count.
     """
     if sample_rows == 0 or total_rows == 0:
         return 0
@@ -174,8 +182,8 @@ def _scale_ndv(sample_ndv: int, sample_rows: int, total_rows: int) -> int:
         return sample_ndv
     if sample_ndv == sample_rows:
         return total_rows
-    # Duj1 estimator: n*d / (n - f1 + f1*n/N) simplified with f1 approximated
-    # by the number of values seen exactly once.
+    # d * (1 + (N/n - 1) / 2), rounded, in [d, N].  The ``min`` always
+    # takes its second term here, since N/n > 1.
     ratio = total_rows / sample_rows
     estimate = int(min(total_rows, round(sample_ndv * min(ratio, 1 + (ratio - 1) * 0.5))))
     return max(estimate, sample_ndv)

@@ -16,6 +16,7 @@ study (Figure 15):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,15 @@ DEFAULT_EQ_SELECTIVITY = 0.005
 
 #: Default selectivity for range predicates on unanalyzed columns.
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
+
+
+@functools.lru_cache(maxsize=None)
+def _quantile_grid(num_buckets: int) -> np.ndarray:
+    """The quantile fractions of ``num_buckets`` equal-depth buckets, built
+    once per bucket count (read-only: every histogram shares it)."""
+    grid = np.linspace(0.0, 1.0, num_buckets + 1)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass
@@ -52,19 +62,55 @@ class Histogram:
     def from_values(cls, values: np.ndarray, num_buckets: int = 32) -> "Histogram | None":
         """Build an equi-depth histogram from a numeric column sample.
 
-        Returns ``None`` when the column is empty or has a single value (a
+        ``NaN`` is dropped; the rest goes through :meth:`from_counts`.
+        Returns ``None`` when no value, or a single value, is left.
+        """
+        clean = values[~np.isnan(values)] if values.dtype.kind == "f" else values
+        return cls.from_counts(*np.unique(clean, return_counts=True),
+                               num_buckets=num_buckets)
+
+    @classmethod
+    def from_counts(cls, uniques: np.ndarray, counts: np.ndarray,
+                    num_buckets: int = 32) -> "Histogram | None":
+        """Build an equi-depth histogram from ``np.unique``'s sorted output.
+
+        The bounds are ``numpy.quantile(sample.astype(float), linspace,
+        method="linear")`` read off the cumulative counts instead of a
+        second sort, so they are the same floats: numpy's virtual index
+        ``(n - 1) * q``, its clamp of positions at or above ``n - 1`` to
+        the last value (with ``gamma`` taken against index -1), and its
+        ``_lerp`` (``a + d*t``, or ``b - d*(1 - t)`` where ``t >= 0.5``).
+        One exception: when the sample holds both ``0.0`` and ``-0.0``, a
+        zero bound carries the sign of the zero ``np.unique`` kept, where
+        ``numpy.quantile`` takes whichever its partition put in place.
+
+        Returns ``None`` when there is no value or a single one (a
         histogram adds no information in that case).
         """
-        if len(values) == 0:
+        if len(uniques) == 0:
             return None
-        clean = values[~np.isnan(values)] if values.dtype.kind == "f" else values
-        if len(clean) == 0:
-            return None
-        quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
-        bounds = np.quantile(clean, quantiles)
+        quantiles = _quantile_grid(num_buckets)
+        cumulative = np.cumsum(counts)
+        n = int(cumulative[-1])
+        virtual = (n - 1) * quantiles
+        previous = np.floor(virtual)
+        above = virtual >= n - 1
+        previous[above] = -1
+        gamma = virtual - previous
+        low_rank = previous.astype(np.intp)
+        high_rank = low_rank + 1
+        low_rank[above] = n - 1
+        high_rank[above] = n - 1
+        # The k-th order statistic is the first unique whose cumulative
+        # count exceeds k.
+        low = uniques[np.searchsorted(cumulative, low_rank, side="right")].astype(float)
+        high = uniques[np.searchsorted(cumulative, high_rank, side="right")].astype(float)
+        step = high - low
+        bounds = np.add(low, step * gamma)
+        np.subtract(high, step * (1 - gamma), out=bounds, where=gamma >= 0.5)
         if bounds[0] == bounds[-1]:
             return None
-        return cls(bounds=np.asarray(bounds, dtype=float))
+        return cls(bounds=bounds)
 
     def selectivity_le(self, value: float) -> float:
         """Estimated fraction of rows with column value <= ``value``."""

@@ -13,6 +13,7 @@ from repro.catalog.statistics import (
 )
 from repro.catalog.types import DataType, coerce_array, type_of_value
 from repro.storage.table import DataTable
+from tests import reference_analyze
 
 
 class TestDataType:
@@ -202,6 +203,92 @@ class TestAnalyze:
         assert stats.column("anything") is None
         fallback = stats.column_or_default("anything")
         assert fallback.num_rows == 42
+
+
+def assert_identical_stats(actual: TableStats, expected: TableStats,
+                           context: str = "") -> None:
+    """:func:`assert_column_stats_equal` per column, plus the same Python
+    type in every field and byte-equal histogram bounds."""
+    assert type(actual.num_rows) is type(expected.num_rows), context
+    assert actual.num_rows == expected.num_rows, context
+    assert list(actual.columns) == list(expected.columns), context
+    for column, want in expected.columns.items():
+        got = actual.columns[column]
+        assert_column_stats_equal(got, want, f"{context}.{column}")
+        for name in ("num_rows", "null_fraction", "ndv", "min_value", "max_value"):
+            assert type(getattr(got, name)) is type(getattr(want, name)), (context, column, name)
+        assert ([type(v) for v in got.mcv_fractions]
+                == [type(v) for v in want.mcv_fractions]), (context, column)
+        if want.histogram is not None:
+            assert got.histogram.bounds.dtype == want.histogram.bounds.dtype
+            assert (got.histogram.bounds.tobytes()
+                    == want.histogram.bounds.tobytes()), (context, column)
+
+
+def _with_nulls(values: np.ndarray, every: int) -> np.ndarray:
+    values = values.astype(float)
+    values[::every] = np.nan
+    return values
+
+
+_REF_RNG = np.random.default_rng(11)
+_CODES = _REF_RNG.integers(-1, 40, 3000).astype(np.int32)
+_DICTIONARY = np.array([f"w{i:03d}" for i in range(40)], dtype=object)
+_FLOATS = {"f": _with_nulls(_REF_RNG.normal(size=3000) * 37.5, 7),
+           "g": _with_nulls(np.round(_REF_RNG.gamma(2.0, 3.0, 3000), 1), 3)}
+
+#: name -> (columns of one length, analyze_columns keyword arguments)
+REFERENCE_CASES = {
+    "int64": ({"a": _REF_RNG.integers(-500, 500, 3000),
+               "b": _REF_RNG.zipf(1.4, 3000).astype(np.int64),
+               "c": np.arange(3000, dtype=np.int64) * 3 - 1000}, {}),
+    "int32-codes": ({"c": _CODES, "n": _CODES.astype(np.int64)},
+                    {"dictionaries": {"c": _DICTIONARY}}),
+    "float-nan": (_FLOATS, {}),
+    "float-nan-4-buckets": (_FLOATS, {"histogram_buckets": 4}),
+    "float-nan-32-buckets": (_FLOATS, {"histogram_buckets": 32}),
+    # Bounds where numpy's lerp takes its ``t >= 0.5`` branch, whose float
+    # differs from ``a + d*t``.
+    "float-lerp": ({"h": np.array([14.49, 63.4, 23.33, -57.34, 76.0, np.nan,
+                                   -14.81, -32.98, 55.31, -1.87, -13.78,
+                                   8.2, 31.68])}, {}),
+    "object-none": ({"s": np.array(["x", None, "y", "x", None, "z", "x"] * 90,
+                                   dtype=object)}, {}),
+    "single-value": ({"i": np.full(40, 7, dtype=np.int64),
+                      "f": np.full(40, -2.5)}, {}),
+    "one-row": ({"i": np.array([3], dtype=np.int64),
+                 "f": np.array([0.5])}, {}),
+    "all-null": ({"f": np.full(30, np.nan),
+                  "s": np.array([None] * 30, dtype=object),
+                  "c": np.full(30, -1, dtype=np.int32)},
+                 {"dictionaries": {"c": _DICTIONARY}}),
+    "zero-rows": ({"i": np.array([], dtype=np.int64),
+                   "f": np.array([], dtype=float),
+                   "c": np.array([], dtype=np.int32)},
+                  {"dictionaries": {"c": _DICTIONARY}}),
+    # Two columns over the sample size: the second gets the second draw of
+    # the call's one generator, not a fresh generator's first.
+    "sampled": ({"x": _REF_RNG.integers(0, 3000, 12_000),
+                 "y": _with_nulls(_REF_RNG.normal(size=12_000), 11)},
+                {"sample_rows": 1000}),
+}
+
+
+class TestAnalyzeMatchesReference:
+    """The one-sort ANALYZE equals the previous one, Python types included."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_equals_reference(self, case):
+        columns, kwargs = REFERENCE_CASES[case]
+        assert_identical_stats(analyze_columns(columns, **kwargs),
+                               reference_analyze.analyze_columns(columns, **kwargs),
+                               case)
+
+    def test_from_values_equals_reference(self):
+        values = _FLOATS["f"]
+        got = Histogram.from_values(values, num_buckets=16)
+        want = reference_analyze.histogram_from_values(values, num_buckets=16)
+        assert got.bounds.tobytes() == want.bounds.tobytes()
 
 
 def assert_column_stats_equal(actual: ColumnStats, expected: ColumnStats,

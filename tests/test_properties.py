@@ -7,7 +7,9 @@
   join queries over the tiny schema (Definition 1);
 * QuerySplit produces the same result as direct plan execution for randomly
   generated SPJ queries (Theorem 1);
-* histogram selectivities are valid probabilities and monotone;
+* histogram selectivities are valid probabilities and monotone, and
+  histogram bounds read off ``np.unique``'s counts are ``np.quantile``'s
+  floats, byte for byte;
 * the plan-similarity score is symmetric and bounded by the relation count.
 """
 
@@ -76,6 +78,52 @@ def test_histogram_selectivity_is_probability(values, probe):
     sel = hist.selectivity_le(probe)
     assert 0.0 <= sel <= 1.0
     assert hist.selectivity_range(None, None) == 1.0
+
+
+#: Per dtype, values with many duplicates, negatives, extremes (int64s
+#: that round on the way to float) and both zeros.
+_SAMPLE_VALUES = {
+    np.int64: st.one_of(st.integers(-40, 40), st.integers(-2 ** 62, 2 ** 62)),
+    np.int32: st.one_of(st.integers(-40, 40), st.integers(-2 ** 31, 2 ** 31 - 1)),
+    np.float64: st.one_of(
+        st.sampled_from((0.0, -0.0, 1.5, -1.5, 2.0, -7.25, 1e-300, 0.1)),
+        st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)),
+}
+
+
+@st.composite
+def quantile_samples(draw):
+    """A sample of 1-3 or up to 200 values, as int64, int32 or float64."""
+    dtype = draw(st.sampled_from(tuple(_SAMPLE_VALUES)))
+    elements = _SAMPLE_VALUES[dtype]
+    size = draw(st.one_of(st.integers(1, 3), st.integers(4, 200)))
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=dtype)
+
+
+@given(values=quantile_samples(), buckets=st.sampled_from((4, 16, 32)))
+@settings(max_examples=300, deadline=None)
+def test_histogram_from_counts_matches_quantile(values, buckets):
+    """``from_counts`` returns ``np.quantile``'s bounds under this numpy.
+
+    The one exception is the sign of a zero bound in a sample that holds
+    both ``0.0`` and ``-0.0``: ``np.unique`` keeps one of the two equal
+    zeros, ``np.quantile`` reads whichever its partition put in place.
+    """
+    hist = Histogram.from_counts(*np.unique(values, return_counts=True),
+                                 num_buckets=buckets)
+    expected = np.quantile(values.astype(float),
+                           np.linspace(0.0, 1.0, buckets + 1), method="linear")
+    assert (hist is None) == (expected[0] == expected[-1])
+    if hist is None:
+        return
+    zero = values == 0
+    if np.signbit(values[zero]).any() and not np.signbit(values[zero]).all():
+        assert np.array_equal(hist.bounds, expected)
+        nonzero = expected != 0
+        assert hist.bounds[nonzero].tobytes() == expected[nonzero].tobytes()
+    else:
+        assert hist.bounds.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------
