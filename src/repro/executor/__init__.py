@@ -20,7 +20,7 @@ re-optimization algorithms consume.
 
 from repro.executor.chunk import Chunk, MaterializationStats
 from repro.executor.executor import ExecutionError, ExecutionResult, Executor
-from repro.executor.joins import equi_join_indices, multi_key_equi_join
+from repro.executor.joins import equi_join_indices
 from repro.executor.subplan_cache import SubplanCache
 
 __all__ = [
@@ -31,5 +31,4 @@ __all__ = [
     "MaterializationStats",
     "SubplanCache",
     "equi_join_indices",
-    "multi_key_equi_join",
 ]

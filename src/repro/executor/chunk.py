@@ -14,13 +14,15 @@ encoded.
 
 This is the standard late-materialization design of vectorized engines
 (DuckDB-style selection vectors).  A join keeps only the sources that some
-operator above it reads (:func:`merge_chunks`), so it costs 8 bytes per
-output row per relation still read above it, however many (and wide)
-columns the query touches; a root that reads no column (``count(*)``, or a
-query that outputs nothing) keeps none, and its result is a zero-column
-:class:`DataTable` that still carries the chunk's row count.  Every relation
-inside a chunk is a :class:`TableSource` -- rows of a base or temporary
-:class:`DataTable` addressed by a row-id vector.
+operator above it reads (:func:`merge_chunks`), and expands only the sides
+of its :class:`~repro.storage.index.Matches` those sources need, so it
+costs 8 bytes per output row per relation still read above it, however
+many (and wide) columns the query touches; a root that reads no column
+(``count(*)``, or a query that outputs nothing) keeps none -- its joins
+expand no pair -- and its result is a zero-column :class:`DataTable` that
+still carries the chunk's row count.  Every relation inside a chunk is a
+:class:`TableSource` -- rows of a base or temporary :class:`DataTable`
+addressed by a row-id vector.
 
 All gathers are funneled through a :class:`MaterializationStats` object,
 which reports the bytes an execution materialized.
@@ -34,6 +36,7 @@ import numpy as np
 
 from repro.plan.expressions import ColumnRef
 from repro.plan.logical import RelationRef
+from repro.storage.index import Matches
 from repro.storage.table import DataTable
 
 
@@ -189,18 +192,21 @@ class Chunk:
                          num_rows=self.num_rows)
 
 
-def merge_chunks(left: Chunk, left_idx: np.ndarray,
-                 right: Chunk, right_idx: np.ndarray, reads: frozenset[str],
+def merge_chunks(left: Chunk, right: Chunk, matches: Matches,
+                 reads: frozenset[str],
                  stats: MaterializationStats | None = None) -> Chunk:
-    """Combine the matched rows of a join into one chunk.
+    """Combine the matched rows of a join into one chunk of
+    ``matches.total`` rows.
 
-    Only the row-id vectors of sources ``read_by(reads)`` -- the aliases
-    some operator above the join reads -- are copied; the others are
-    dropped, and no base-table column is touched.
+    Only the sources ``read_by(reads)`` -- the aliases some operator above
+    the join reads -- are kept.  The probe positions are expanded only if a
+    left source is kept, and the build row ids only if a right one is; no
+    base-table column is touched.
     """
-    sources = tuple(source.take(left_idx, stats) for source in left.sources
-                    if source.read_by(reads))
-    sources += tuple(source.take(right_idx, stats) for source in right.sources
-                     if source.read_by(reads))
-    return Chunk(sources, len(left_idx))
-
+    # The build side first: its expansion's temporary positions are freed
+    # before the probe side and the left sources' copies are allocated.
+    right_sources = tuple(source.take(matches.row_ids(), stats)
+                          for source in right.sources if source.read_by(reads))
+    left_sources = tuple(source.take(matches.probe_positions(), stats)
+                         for source in left.sources if source.read_by(reads))
+    return Chunk(left_sources + right_sources, matches.total)

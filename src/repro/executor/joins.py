@@ -1,32 +1,34 @@
 """Low-level vectorized equi-join primitives.
 
-These helpers compute the matching row-index pairs of an equi-join between
-two key arrays, keeping the whole join in numpy.  A hash join
-(:func:`equi_join_indices`) builds a transient
-:class:`~repro.storage.index.SortedIndex` over its build side and probes it,
-exactly as an index nested-loop join probes a base table's index, so one
-structure finds every join's matches.  The true-cardinality oracle counts a
-join's matches with :func:`join_result_size` (multi-key via
-:func:`combine_key_pair`) instead of materializing it; a count needs no row
-order, so it matches distinct values directly.
+These helpers find the matches of an equi-join between two key arrays,
+keeping the whole join in numpy.  A hash join (:func:`equi_join_matches`)
+builds a transient :class:`~repro.storage.index.SortedIndex` over its build
+side and probes it, exactly as an index nested-loop join probes a base
+table's index, so one structure finds every join's matches.  The
+true-cardinality oracle counts a join's matches with
+:func:`join_result_size` (multi-key via :func:`combine_key_pair`) instead of
+materializing it; a count needs no row order, so it matches distinct values
+directly.
 
 Every join finds, for each probe key, the run of matching build rows as a
-start ``lo`` and a length ``count``, and :func:`expand_matches` flattens the
-runs into index pairs, checking :data:`MAX_JOIN_RESULT_ROWS` before it
-allocates them.
+start ``lo`` and a length ``count``, and returns them as a
+:class:`~repro.storage.index.Matches`: the runs and their ``total``, checked
+against :data:`MAX_JOIN_RESULT_ROWS` before anything is allocated.  The
+operators expand only the index vectors their output keeps;
+:func:`equi_join_indices` expands both, as probe-major index pairs.
 
 A NULL key matches nothing, by the engine's one NULL rule
 (:func:`repro.storage.dictionary.null_mask`): the index leaves NULL keys
 out, a multi-key join drops the rows with a NULL in any key column
-(:func:`~repro.storage.index.drop_null_rows`) before it encodes them, and a
-count skips them.
+(:func:`~repro.storage.index.drop_null_rows`) before it encodes them and
+maps the positions back when a side is expanded, and a count skips them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.storage.index import SortedIndex, drop_null_rows
+from repro.storage.index import Matches, SortedIndex, drop_null_rows
 
 #: Hard cap on the number of matches a single equi-join may materialize.
 #: Joins beyond this are the Python-engine analogue of the paper's 1000 s
@@ -46,33 +48,13 @@ def check_match_count(total: int) -> None:
             f"(cap {MAX_JOIN_RESULT_ROWS}); aborting the query")
 
 
-def expand_matches(lo: np.ndarray, counts: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten match runs into ``(probe_positions, build_positions)``.
-
-    Probe ``i`` matches the ``counts[i]`` consecutive build positions from
-    ``lo[i]``; the pairs come out probe-major.  More than
-    :data:`MAX_JOIN_RESULT_ROWS` matches raise :class:`JoinOverflowError`
-    before any of them is allocated.
-    """
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    check_match_count(total)
-    probe_positions = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    # Build positions are the running sum of steps: +1 inside a run, and at
-    # each run's first output the jump from the previous run's last
-    # position.  Summing in place keeps only two full-length arrays alive.
-    runs = np.flatnonzero(counts)
-    run_lo = lo[runs].astype(np.int64)
-    run_counts = counts[runs]
-    jumps = run_lo.copy()
-    jumps[1:] -= run_lo[:-1] + run_counts[:-1] - 1
-    build_positions = np.ones(total, dtype=np.int64)
-    build_positions[np.cumsum(run_counts) - run_counts] = jumps
-    np.cumsum(build_positions, out=build_positions)
-    return probe_positions, build_positions
+def equi_join_matches(left_keys: np.ndarray, right_keys: np.ndarray) -> Matches:
+    """The :class:`Matches` of ``left_keys`` (probe) against
+    ``right_keys`` (build), found through a transient
+    :class:`~repro.storage.index.SortedIndex` over the build side."""
+    if len(left_keys) == 0 or len(right_keys) == 0:
+        return Matches.empty()
+    return SortedIndex("build", "key", right_keys).matches(left_keys)
 
 
 def equi_join_indices(left_keys: np.ndarray,
@@ -86,27 +68,21 @@ def equi_join_indices(left_keys: np.ndarray,
     :data:`MAX_JOIN_RESULT_ROWS` matches raises
     :class:`JoinOverflowError` before materializing them.
     """
-    if len(left_keys) == 0 or len(right_keys) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return SortedIndex("build", "key", right_keys).lookup_batch(left_keys)
+    return equi_join_matches(left_keys, right_keys).pairs()
 
 
-def multi_key_equi_join(left_keys: list[np.ndarray],
-                        right_keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Equi-join on one or more key columns (conjunction of equalities)."""
+def multi_key_matches(left_keys: list[np.ndarray],
+                      right_keys: list[np.ndarray]) -> Matches:
+    """The :class:`Matches` of an equi-join on one or more key columns
+    (a conjunction of equalities)."""
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ValueError("both sides must provide the same, non-zero number of keys")
     if len(left_keys) == 1:
-        return equi_join_indices(left_keys[0], right_keys[0])
+        return equi_join_matches(left_keys[0], right_keys[0])
     left_keys, left_rows = drop_null_rows(left_keys)
     right_keys, right_rows = drop_null_rows(right_keys)
-    left_idx, right_idx = equi_join_indices(*combine_key_pair(left_keys, right_keys))
-    if left_rows is not None:
-        left_idx = left_rows[left_idx]
-    if right_rows is not None:
-        right_idx = right_rows[right_idx]
-    return left_idx, right_idx
+    return equi_join_matches(*combine_key_pair(left_keys, right_keys)).remap(
+        left_rows, right_rows)
 
 
 #: Largest composite code value combine_key_pair lets the running encoding
@@ -170,7 +146,7 @@ def join_result_size(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
 
 def multi_key_result_size(left_keys: list[np.ndarray],
                           right_keys: list[np.ndarray]) -> int:
-    """Exact number of matches of :func:`multi_key_equi_join`."""
+    """Exact number of matches of :func:`multi_key_matches`."""
     if len(left_keys) == 1:
         return join_result_size(left_keys[0], right_keys[0])
     return join_result_size(*combine_key_pair(drop_null_rows(left_keys)[0],

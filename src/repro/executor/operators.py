@@ -35,13 +35,14 @@ from repro.executor.chunk import (
     TableSource,
     merge_chunks,
 )
-from repro.executor.joins import multi_key_equi_join
+from repro.executor.joins import multi_key_matches
 from repro.executor.kernels import PredicateCompiler
 from repro.plan.expressions import JoinPredicate
 from repro.plan.logical import RelationRef
 from repro.storage.dictionary import null_mask, translate_filters
 from repro.plan.physical import JoinNode, PhysicalPlan, PlanNode, ScanNode
 from repro.storage.database import Database
+from repro.storage.index import Matches
 from repro.storage.table import DataTable
 
 #: Guard against accidental cross-product explosions in the executor.
@@ -154,9 +155,8 @@ def hash_join(ctx: ExecContext, left: Chunk, right: Chunk,
     """Equi-join two chunks on ``predicates``, keeping the sources that
     cover an alias in ``reads`` (the body of :class:`HashJoin`, which the
     true-cardinality oracle calls without a plan node)."""
-    left_idx, right_idx = multi_key_equi_join(*join_keys(ctx, left, right,
-                                                         predicates))
-    return merge_chunks(left, left_idx, right, right_idx, reads, ctx.stats)
+    matches = multi_key_matches(*join_keys(ctx, left, right, predicates))
+    return merge_chunks(left, right, matches, reads, ctx.stats)
 
 
 class HashJoin(Operator):
@@ -198,37 +198,42 @@ class IndexNLJoin(Operator):
         outer_ref = probe_pred.other(index_column.alias)
         outer_keys = left.column(outer_ref, ctx.stats)
 
-        probe_positions, inner_rows = index.lookup_batch(outer_keys)
+        matches = index.matches(outer_keys)
+        residuals = [pred for pred in node.predicates if pred is not probe_pred]
+        if inner_scan.filters or residuals:
+            matches = _residual(ctx, left, inner_scan, table, matches,
+                                residuals)
+        inner = Chunk((TableSource(relation, table),), table.num_rows)
+        return merge_chunks(left, inner, matches, reads, ctx.stats)
 
-        # The inner relation's filters run over the probed rows only.
-        keep = filter_rows(ctx, relation, table, inner_scan.filters,
-                           inner_rows)
-        if keep is not None:
-            probe_positions = probe_positions[keep]
-            inner_rows = inner_rows[keep]
-        # Apply any additional join predicates between the two sides.
-        mask = None
-        for pred in node.predicates:
-            if pred is probe_pred:
-                continue
-            inner_ref = (pred.left if relation.covers(pred.left.alias) else pred.right)
-            outer_side = pred.other(inner_ref.alias)
-            inner_values = table.gather(inner_ref.column, inner_rows)
-            pred_mask = (inner_values
-                         == left.column(outer_side, ctx.stats)[probe_positions])
-            if inner_values.dtype == object:  # NULL equals nothing, not even NULL
-                pred_mask &= ~null_mask(inner_values)
-            mask = pred_mask if mask is None else (mask & pred_mask)
-        if mask is not None:
-            probe_positions = probe_positions[mask]
-            inner_rows = inner_rows[mask]
 
-        sources = tuple(source.take(probe_positions, ctx.stats)
-                        for source in left.sources if source.read_by(reads))
-        inner = TableSource(relation, table, inner_rows)
-        if inner.read_by(reads):
-            sources += (inner,)
-        return Chunk(sources, len(probe_positions))
+def _residual(ctx: ExecContext, left: Chunk, inner_scan: ScanNode,
+              table: DataTable, matches: Matches,
+              residuals: list[JoinPredicate]) -> Matches:
+    """The index matches that pass the inner scan's filters and the join
+    predicates besides the probed one, with both sides expanded."""
+    relation = inner_scan.relation
+    probe_positions, inner_rows = matches.pairs()
+    # The inner relation's filters run over the probed rows only.
+    keep = filter_rows(ctx, relation, table, inner_scan.filters, inner_rows)
+    if keep is not None:
+        probe_positions = probe_positions[keep]
+        inner_rows = inner_rows[keep]
+    # Apply any additional join predicates between the two sides.
+    mask = None
+    for pred in residuals:
+        inner_ref = (pred.left if relation.covers(pred.left.alias) else pred.right)
+        outer_side = pred.other(inner_ref.alias)
+        inner_values = table.gather(inner_ref.column, inner_rows)
+        pred_mask = (inner_values
+                     == left.column(outer_side, ctx.stats)[probe_positions])
+        if inner_values.dtype == object:  # NULL equals nothing, not even NULL
+            pred_mask &= ~null_mask(inner_values)
+        mask = pred_mask if mask is None else (mask & pred_mask)
+    if mask is not None:
+        probe_positions = probe_positions[mask]
+        inner_rows = inner_rows[mask]
+    return Matches(len(probe_positions), probe_positions, inner_rows)
 
 
 class CrossProduct(Operator):
@@ -243,11 +248,13 @@ class CrossProduct(Operator):
             raise ExecutionError(
                 f"cross product of {left.num_rows} x {right.num_rows} rows "
                 f"exceeds the executor's safety limit")
-        left_idx = np.repeat(np.arange(left.num_rows, dtype=np.int64),
-                             right.num_rows)
-        right_idx = np.tile(np.arange(right.num_rows, dtype=np.int64),
-                            left.num_rows)
-        return merge_chunks(left, left_idx, right, right_idx, reads, ctx.stats)
+        matches = Matches(
+            total,
+            lambda: np.repeat(np.arange(left.num_rows, dtype=np.int64),
+                              right.num_rows),
+            lambda: np.tile(np.arange(right.num_rows, dtype=np.int64),
+                            left.num_rows))
+        return merge_chunks(left, right, matches, reads, ctx.stats)
 
 
 class Aggregate:

@@ -4,7 +4,7 @@ This is the stand-in for the B+tree indexes the paper builds on every primary
 key (and optionally every foreign key) column of the JOB / TPC-H / DSB
 schemas.  The database keeps one per indexed base column for index
 nested-loop joins, and a hash join builds a transient one over its build
-side (:func:`repro.executor.joins.equi_join_indices`).  An index finds each
+side (:func:`repro.executor.joins.equi_join_matches`).  An index finds each
 probe key's run of matching rows in one of three layouts, chosen from the
 data:
 
@@ -24,7 +24,11 @@ data:
   dense layout.
 
 All three return the same matches in the same order: probe-major, and the
-rows of one probe key in the stable sort order of the indexed column.
+rows of one probe key in the stable sort order of the indexed column.  A
+probe returns them as :class:`Matches`: the runs and their total, checked
+against the join cap at once, with each side -- the probe positions and the
+matching row ids -- expanded only when a consumer asks for it
+(:meth:`SortedIndex.matches`); :meth:`SortedIndex.lookup_batch` expands both.
 
 A NULL key never matches, by the engine's one NULL rule
 (:func:`repro.storage.dictionary.null_mask`: ``NaN``, or ``None`` in an
@@ -73,6 +77,61 @@ def drop_null_rows(keys: list[np.ndarray]
     return [key[rows] for key in keys], rows
 
 
+class Matches:
+    """The matches of one equi-join or index probe: their number at once,
+    and each side's index vector only when a consumer asks for it.
+
+    ``probe_positions()`` holds, per match, the position of the probe (left)
+    row and ``row_ids()`` the matching build (right) row; the pairs are
+    probe-major.  Each side is given as an array, or as a zero-argument
+    callable that computes it on first request, once.  So a join whose
+    output keeps neither side (``count(*)``) never allocates a pair, and
+    one that keeps one side expands one vector.  The producer checks
+    ``total`` against :data:`~repro.executor.joins.MAX_JOIN_RESULT_ROWS`
+    before anything is expanded, whatever is asked for later.
+    """
+
+    __slots__ = ("total", "_probe_positions", "_row_ids")
+
+    def __init__(self, total: int, probe_positions, row_ids):
+        self.total = total
+        self._probe_positions = probe_positions
+        self._row_ids = row_ids
+
+    @classmethod
+    def empty(cls) -> "Matches":
+        """No matches."""
+        return cls(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    def probe_positions(self) -> np.ndarray:
+        """Per match, the position of its probe key (``int64``)."""
+        if callable(self._probe_positions):
+            self._probe_positions = self._probe_positions()
+        return self._probe_positions
+
+    def row_ids(self) -> np.ndarray:
+        """Per match, the row id it found on the build side (``int64``)."""
+        if callable(self._row_ids):
+            self._row_ids = self._row_ids()
+        return self._row_ids
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(probe_positions(), row_ids())``."""
+        return self.probe_positions(), self.row_ids()
+
+    def remap(self, probe_rows: np.ndarray | None,
+              build_rows: np.ndarray | None) -> "Matches":
+        """These matches with each side's positions looked up in
+        ``probe_rows`` / ``build_rows`` (``None``: left as they are) when
+        that side is asked for: the rows a NULL filter kept."""
+        return Matches(
+            self.total,
+            self._probe_positions if probe_rows is None
+            else lambda: probe_rows[self.probe_positions()],
+            self._row_ids if build_rows is None
+            else lambda: build_rows[self.row_ids()])
+
+
 class SortedIndex:
     """A sorted secondary index over one column of a table.
 
@@ -116,7 +175,7 @@ class SortedIndex:
 
     def lookup(self, key) -> np.ndarray:
         """Row ids of all rows whose key equals ``key``."""
-        return self.lookup_batch(np.array([key]))[1]
+        return self.matches(np.array([key])).row_ids()
 
     def lookup_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Probe the index with a batch of keys.
@@ -127,20 +186,32 @@ class SortedIndex:
         contributes *k* entries, in the indexed column's stable sort order;
         the entries are probe-major.
         """
-        from repro.executor.joins import check_match_count, expand_matches
+        return self.matches(keys).pairs()
+
+    def matches(self, keys: np.ndarray) -> Matches:
+        """The matches of a batch of probe keys, as runs: each key's run
+        of rows, expanded into :meth:`lookup_batch`'s vectors only for the
+        side a consumer asks for.
+
+        Raises :class:`~repro.executor.joins.JoinOverflowError` when there
+        are more matches than the cap, before any is allocated.
+        """
+        from repro.executor.joins import check_match_count
 
         if keys.dtype == object:  # a NaN probe finds no run; None cannot compare
             (valid_keys,), valid = drop_null_rows([keys])
             if valid is not None:
-                probe_positions, row_ids = self.lookup_batch(valid_keys)
-                return valid[probe_positions], row_ids
+                return self.matches(valid_keys).remap(valid, None)
         if self._sorted_values is None and keys.dtype.kind == "i":
             slots = key_slots(keys, self._low, self._span)
             if self._slots is not None:
+                # Runs of length 0 or 1: the slot holds the row id itself.
                 rows = self._slots.take(slots)
-                hit = np.flatnonzero(rows >= 0)
-                check_match_count(len(hit))
-                return hit, rows[hit]
+                hit = rows >= 0
+                total = int(np.count_nonzero(hit))
+                check_match_count(total)
+                return Matches(total, lambda: np.flatnonzero(hit),
+                               lambda: rows[hit])
             lo = self._starts.take(slots)
             counts = self._starts.take(slots + 1) - lo
             row_ids = self._row_ids
@@ -148,8 +219,14 @@ class SortedIndex:
             sorted_values, row_ids = self._sorted()
             lo = np.searchsorted(sorted_values, keys, side="left")
             counts = np.searchsorted(sorted_values, keys, side="right") - lo
-        probe_positions, sorted_positions = expand_matches(lo, counts)
-        return probe_positions, row_ids.take(sorted_positions)
+        total = int(counts.sum())
+        if total == 0:
+            return Matches.empty()
+        check_match_count(total)
+        return Matches(
+            total,
+            lambda: np.repeat(np.arange(len(counts), dtype=np.int64), counts),
+            lambda: row_ids.take(_run_positions(lo, counts, total)))
 
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """The indexed keys in sorted order and their row ids, rebuilt from
@@ -180,3 +257,19 @@ def _dense_order(slots: np.ndarray, span: int) -> np.ndarray:
     composite += np.arange(rows)
     composite.sort()
     return np.remainder(composite, rows, out=composite)
+
+
+def _run_positions(lo: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """The positions ``total`` runs cover, run after run: ``lo[i]``,
+    ``lo[i] + 1``, ... for ``counts[i]`` entries each."""
+    # Positions are the running sum of steps: +1 inside a run, and at each
+    # run's first output the jump from the previous run's last position.
+    # Summing in place keeps one full-length array alive.
+    runs = np.flatnonzero(counts)
+    run_lo = lo[runs].astype(np.int64)
+    run_counts = counts[runs]
+    jumps = run_lo.copy()
+    jumps[1:] -= run_lo[:-1] + run_counts[:-1] - 1
+    positions = np.ones(total, dtype=np.int64)
+    positions[np.cumsum(run_counts) - run_counts] = jumps
+    return np.cumsum(positions, out=positions)

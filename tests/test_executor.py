@@ -11,7 +11,7 @@ from repro.executor.joins import (
     combine_key_pair,
     equi_join_indices,
     join_result_size,
-    multi_key_equi_join,
+    multi_key_matches,
 )
 from repro.executor.subplan_cache import SubplanCache
 from repro.optimizer.optimizer import Optimizer
@@ -62,13 +62,13 @@ class TestJoinPrimitives:
     def test_multi_key_join(self):
         left = [np.array([1, 1, 2]), np.array([10, 20, 10])]
         right = [np.array([1, 2, 1]), np.array([10, 10, 20])]
-        li, ri = multi_key_equi_join(left, right)
+        li, ri = multi_key_matches(left, right).pairs()
         pairs = {(int(l), int(r)) for l, r in zip(li, ri)}
         assert pairs == {(0, 0), (1, 2), (2, 1)}
 
     def test_multi_key_requires_matching_key_counts(self):
         with pytest.raises(ValueError):
-            multi_key_equi_join([np.array([1])], [])
+            multi_key_matches([np.array([1])], [])
 
     def test_join_result_size_exact(self):
         rng = np.random.default_rng(1)
@@ -96,7 +96,7 @@ class TestJoinPrimitives:
         left_keys = [rng.integers(0, 100, 50) for _ in range(n_cols)]
         right_keys = [np.concatenate(([left_keys[i][0]], rng.integers(100, 200, 30)))
                       for i in range(n_cols)]
-        li, ri = multi_key_equi_join(left_keys, right_keys)
+        li, ri = multi_key_matches(left_keys, right_keys).pairs()
         pairs = set(zip(li.tolist(), ri.tolist()))
         expected = {
             (i, j)
@@ -154,9 +154,10 @@ KEY_SHAPES = ("int-duplicates-both-sides", "negative-ints", "float-keys",
 
 
 class TestEquiJoinOrder:
-    """``equi_join_indices`` is the only match expansion in the engine: the
-    hash, merge and predicate-carrying NL joins all go through it, so its
-    documented output order is what fixes the row order of every join."""
+    """``equi_join_indices`` pins the order of the engine's one match
+    kernel: the hash and predicate-carrying NL joins expand their matches
+    from the same runs, so its documented output order is what fixes the
+    row order of every join."""
 
     @pytest.mark.parametrize("shape", KEY_SHAPES)
     def test_pairs_in_documented_order(self, shape):
@@ -434,6 +435,82 @@ class TestExecutor:
             assert matching, f"no operator time recorded for {label_aliases}"
             assert result.operator_times[matching[0]] == join.actual_time
         assert result.materialized_bytes > 0
+
+
+def _ci_mk_join(name: str):
+    """One join shape over the tiny database: ``ci`` (the left input)
+    joins ``mk`` (the right one)."""
+    from repro.plan.physical import JoinNode, ScanNode
+
+    voice = Comparison(ColumnRef("ci", "note"), "=", "(voice)")
+    inner_filters = {"index-nl-inner-filter":
+                     (Comparison(ColumnRef("mk", "keyword_id"), "<=", 5),),
+                     "cross-product": (Comparison(ColumnRef("mk", "id"), "<=", 30),)}
+    predicates = () if name == "cross-product" else (
+        JoinPredicate(ColumnRef("ci", "movie_id"), ColumnRef("mk", "movie_id")),)
+    if name == "index-nl-extra-predicate":
+        predicates += (JoinPredicate(ColumnRef("mk", "keyword_id"),
+                                     ColumnRef("ci", "person_id")),)
+    index_nl = name.startswith("index-nl")
+    return JoinNode(
+        left=ScanNode(relation=RelationRef.base("ci", "ci"), filters=(voice,)),
+        right=ScanNode(relation=RelationRef.base("mk", "mk"),
+                       filters=inner_filters.get(name, ())),
+        predicates=predicates,
+        method=JoinMethod.INDEX_NL if index_nl else JoinMethod.HASH,
+        index_column=ColumnRef("mk", "movie_id") if index_nl else None)
+
+
+JOIN_OPERATOR_CASES = ("hash", "index-nl", "index-nl-inner-filter",
+                       "index-nl-extra-predicate", "cross-product")
+
+#: What the join's consumers read: neither side, one, or both.
+JOIN_READS = {"neither": frozenset(), "left": frozenset({"ci"}),
+              "right": frozenset({"mk"}), "both": frozenset({"ci", "mk"})}
+
+
+class TestJoinsKeepOnlyReadSides:
+    """A join expands only the sides its consumers read, and still has the
+    row count and row ids of the join that keeps both."""
+
+    @staticmethod
+    def _run(tiny_db, case: str, reads: frozenset[str]):
+        """The join's chunk, from the operator the executor would pick."""
+        from repro.executor.chunk import MaterializationStats
+        from repro.executor.operators import (CrossProduct, ExecContext,
+                                              HashJoin, IndexNLJoin, Scan)
+
+        node = _ci_mk_join(case)
+        ctx = ExecContext(database=tiny_db, stats=MaterializationStats())
+        left = Scan(node.left).execute(ctx)
+        if node.method is JoinMethod.INDEX_NL:
+            return IndexNLJoin(node).execute(ctx, left, reads)
+        operator = HashJoin(node) if node.predicates else CrossProduct(node)
+        return operator.execute(ctx, left, Scan(node.right).execute(ctx), reads)
+
+    @pytest.mark.parametrize("reads", sorted(JOIN_READS))
+    @pytest.mark.parametrize("case", JOIN_OPERATOR_CASES)
+    def test_rows_and_row_ids_of_the_join_keeping_both(self, tiny_db, case,
+                                                        reads):
+        both = self._run(tiny_db, case, JOIN_READS["both"])
+        chunk = self._run(tiny_db, case, JOIN_READS[reads])
+        assert both.num_rows > 0
+        assert chunk.num_rows == both.num_rows
+        assert sorted(alias for source in chunk.sources
+                      for alias in source.aliases) == sorted(JOIN_READS[reads])
+        for source in chunk.sources:
+            (alias,) = source.aliases
+            expected = both.source_for(alias).row_ids
+            assert source.row_ids.dtype == expected.dtype
+            assert np.array_equal(source.row_ids, expected)
+
+    @pytest.mark.parametrize("case", ("index-nl-inner-filter",
+                                      "index-nl-extra-predicate"))
+    def test_index_nl_residual_runs_whatever_is_read(self, tiny_db, case):
+        """The residual filters a join that keeps neither side too."""
+        unfiltered = self._run(tiny_db, "index-nl", JOIN_READS["neither"])
+        assert self._run(tiny_db, case, JOIN_READS["neither"]).num_rows \
+            < unfiltered.num_rows
 
 
 _S, _V = ColumnRef("p", "s"), ColumnRef("p", "v")

@@ -125,6 +125,28 @@ def test_figure15_statistics_toggle():
     assert ("QuerySplit", True) in results and ("QuerySplit", False) in results
 
 
+def test_figure15_warms_up_and_alternates_the_first_setting(monkeypatch):
+    """Each policy runs once untimed, under the setting timed second, and
+    "with statistics" and "row count only" take turns going first."""
+    from repro.report import WorkloadResult
+
+    calls = []
+
+    def run_workload(database, queries, algorithm, config):
+        calls.append((algorithm, config.collect_statistics))
+        return WorkloadResult(algorithm)
+
+    monkeypatch.setattr(figure15_statistics, "run_workload", run_workload)
+    algorithms = ("QuerySplit", "Reopt", "Pop")
+    results = figure15_statistics.run(scale=SCALE, families=[6],
+                                      algorithms=algorithms, verbose=False).data
+    assert calls == [("QuerySplit", False), ("QuerySplit", True),
+                     ("QuerySplit", False),
+                     ("Reopt", True), ("Reopt", False), ("Reopt", True),
+                     ("Pop", False), ("Pop", True), ("Pop", False)]
+    assert list(results) == [(a, c) for a in algorithms for c in (True, False)]
+
+
 def test_table5_existing_costfn():
     results = table5_existing_costfn.run(
         scale=SCALE, families=[6], algorithms=("Pop",),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.executor import joins
-from repro.executor.joins import JoinOverflowError, equi_join_indices, expand_matches
+from repro.executor.joins import JoinOverflowError, equi_join_indices, equi_join_matches
 from repro.storage.index import SortedIndex
 from tests import reference_join
 
@@ -231,8 +231,104 @@ class TestOverflow:
         with pytest.raises(JoinOverflowError):
             equi_join_indices(np.arange(1001) % 10, np.arange(10))
 
-    def test_expand_matches_at_the_cap(self, low_cap):
-        probe, build = expand_matches(np.array([0, 5]), np.array([600, 400]))
-        assert len(probe) == 1000
+    @pytest.mark.parametrize("layout", ("dense-unique", "dense-duplicates",
+                                        "sorted"))
+    def test_matches_asked_for_nothing_check_the_cap(self, low_cap, layout):
+        """The cap holds on ``total`` alone: matches no consumer expands
+        raise one past the cap, and pass at it."""
+        values = {"dense-unique": np.arange(2000),
+                  "dense-duplicates": np.repeat(np.arange(40), 25),
+                  "sorted": np.repeat(np.arange(40) * 10.0 ** 9, 25)}[layout]
+        index = SortedIndex("t", "c", values)
+        probes = {"dense-unique": np.arange(1000),
+                  "dense-duplicates": np.arange(40),
+                  "sorted": np.arange(40) * 10.0 ** 9}[layout]
+        assert index.matches(probes).total == 1000
+        over = np.append(probes, probes[:1])
         with pytest.raises(JoinOverflowError):
-            expand_matches(np.array([0, 5]), np.array([600, 401]))
+            index.matches(over)
+        with pytest.raises(JoinOverflowError):
+            equi_join_matches(over, values)
+
+    @staticmethod
+    def _one_key_db(tiny_schema):
+        """``ci`` (1,000 rows) and ``mk`` (2,000 rows) that all share one
+        movie: joining them on ``movie_id`` makes 2M pairs."""
+        from repro.storage.database import Database
+        from repro.storage.table import DataTable
+
+        db = Database(tiny_schema)
+        db.load_table(DataTable("t", {"id": np.arange(1, 2),
+                                      "year": np.zeros(1, dtype=np.int64),
+                                      "kind": np.array(["x"], dtype=object)}))
+        db.load_table(DataTable("mk", {"id": np.arange(2000),
+                                       "movie_id": np.ones(2000, dtype=np.int64),
+                                       "keyword_id": np.ones(2000, dtype=np.int64)}))
+        db.load_table(DataTable("ci", {"id": np.arange(1000),
+                                       "movie_id": np.ones(1000, dtype=np.int64),
+                                       "person_id": np.ones(1000, dtype=np.int64),
+                                       "note": np.full(1000, "", dtype=object)}))
+        return db
+
+    @staticmethod
+    def _ci_mk(method, left_filters=()):
+        from repro.plan.expressions import ColumnRef, JoinPredicate
+        from repro.plan.logical import RelationRef
+        from repro.plan.physical import JoinMethod, JoinNode, ScanNode
+
+        predicate = JoinPredicate(ColumnRef("ci", "movie_id"),
+                                  ColumnRef("mk", "movie_id"))
+        return JoinNode(
+            left=ScanNode(relation=RelationRef.base("ci", "ci"),
+                          filters=left_filters),
+            right=ScanNode(relation=RelationRef.base("mk", "mk")),
+            predicates=(predicate,), method=method,
+            index_column=(predicate.right if method is JoinMethod.INDEX_NL
+                          else None))
+
+    def test_count_star_join_allocates_no_pairs(self, tiny_schema):
+        """A ``count(*)`` plan over a 2M-pair dense-duplicate join expands
+        neither side: its peak stays far below one 16 MB index vector."""
+        from repro.executor.executor import Executor
+        from repro.plan.logical import AggregateSpec
+        from repro.plan.physical import JoinMethod, PhysicalPlan
+
+        executor = Executor(self._one_key_db(tiny_schema))
+        for method in (JoinMethod.INDEX_NL, JoinMethod.HASH):
+            plan = PhysicalPlan(query_name="count_pairs",
+                                root=self._ci_mk(method),
+                                aggregates=(AggregateSpec("count", None, "n"),))
+            tracemalloc.start()
+            try:
+                result = executor.execute(plan)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.table.to_rows() == [(2_000_000,)]
+            assert peak < 1_000_000, method
+
+    def test_index_nl_keeping_both_sides_peaks_at_three_vectors(self, tiny_schema):
+        """Kept on both sides, the 2M matches expand the build side first:
+        its temporary positions are gone before the left rows are copied,
+        so at most three 8-byte vectors per match are alive at once."""
+        from repro.executor.chunk import MaterializationStats
+        from repro.executor.operators import ExecContext, IndexNLJoin, Scan
+        from repro.plan.expressions import ColumnRef, Comparison
+        from repro.plan.physical import JoinMethod
+
+        db = self._one_key_db(tiny_schema)
+        # A filter that keeps every row still selects through a row-id
+        # vector, so the left side's rows are copied, not passed through.
+        node = self._ci_mk(JoinMethod.INDEX_NL,
+                           (Comparison(ColumnRef("ci", "id"), ">=", 0),))
+        ctx = ExecContext(database=db, stats=MaterializationStats())
+        left = Scan(node.left).execute(ctx)
+        assert left.sources[0].row_ids is not None
+        tracemalloc.start()
+        try:
+            chunk = IndexNLJoin(node).execute(ctx, left, frozenset({"ci", "mk"}))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chunk.num_rows == 2_000_000
+        assert peak < 24 * chunk.num_rows + 1_000_000

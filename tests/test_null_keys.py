@@ -15,7 +15,7 @@ from repro.executor.executor import Executor
 from repro.executor.joins import (
     equi_join_indices,
     join_result_size,
-    multi_key_equi_join,
+    multi_key_matches,
     multi_key_result_size,
 )
 from repro.plan.expressions import ColumnRef, JoinPredicate
@@ -62,13 +62,13 @@ class TestKernels:
         right = [np.array([1, 1, 2, 2, 1]),
                  np.array([None, "x", "y", None, None], dtype=object)]
         # (1, None) matches nothing on either side, not even (1, None).
-        assert _pairs(multi_key_equi_join(left, right)) == [(0, 1), (2, 2), (3, 2)]
+        assert _pairs(multi_key_matches(left, right).pairs()) == [(0, 1), (2, 2), (3, 2)]
         assert multi_key_result_size(left, right) == 3
 
     def test_two_float_columns_with_nan(self):
         left = [np.array([1.0, 1.0, NAN]), np.array([0.5, NAN, 0.5])]
         right = [np.array([1.0, 1.0, NAN]), np.array([NAN, 0.5, 0.5])]
-        assert _pairs(multi_key_equi_join(left, right)) == [(0, 1)]
+        assert _pairs(multi_key_matches(left, right).pairs()) == [(0, 1)]
         assert multi_key_result_size(left, right) == 1
 
 

@@ -3,6 +3,9 @@
 * equi-join primitives agree with a brute-force reference on arbitrary key
   arrays, and index probes with the previous kernel
   (``tests/reference_join.py``) on dense and sparse key spans;
+* a match object's lazily expanded sides are the pairs ``lookup_batch`` and
+  the equi-joins return, on every index layout and with NULL keys, and
+  asking for one side never expands the other;
 * every QSA strategy produces a covering subquery set for randomly generated
   join queries over the tiny schema (Definition 1);
 * QuerySplit produces the same result as direct plan execution for randomly
@@ -24,7 +27,12 @@ from repro.core.splitter import QuerySplitConfig, QuerySplitExecutor
 from repro.core.ssa import CostFunction
 from repro.core.subquery import covers
 from repro.executor.executor import Executor
-from repro.executor.joins import equi_join_indices, join_result_size
+from repro.executor.joins import (
+    equi_join_indices,
+    equi_join_matches,
+    join_result_size,
+    multi_key_matches,
+)
 from repro.optimizer.optimizer import Optimizer
 from repro.plan.expressions import ColumnRef, Comparison, JoinPredicate
 from repro.plan.logical import AggregateSpec, Query, RelationRef, SPJQuery
@@ -65,6 +73,84 @@ def test_index_lookup_matches_reference(data, bound):
     expected = reference_join.SortedIndex("t", "c", values).lookup_batch(probes)
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+#: Per index layout, the key values both sides draw from: small integer
+#: ranges give the dense layouts, far-apart integers the sorted one, and
+#: object columns hold NULLs (``None``, and ``NaN`` among floats).
+_MATCH_KEYS = {
+    "dense-unique": st.integers(-5, 60),
+    "dense-duplicate": st.integers(-3, 12),
+    "sorted": st.sampled_from((-10 ** 12, 7, 3 * 10 ** 11, 10 ** 12)),
+    "object-strings": st.sampled_from(("a", "b", "zz", None)),
+    "object-floats": st.sampled_from((0.5, -1.0, 2.0, None, float("nan"))),
+}
+
+
+def _key_array(values: list, layout: str) -> np.ndarray:
+    return np.array(values, dtype=object if layout.startswith("object")
+                    else np.int64)
+
+
+def _is_null(value) -> bool:
+    return value is None or value != value
+
+
+def _check_matches(make, expected_pairs):
+    """``make()`` builds fresh :class:`Matches`: both sides are those pairs,
+    byte for byte, and asking for one side never computes the other."""
+    probe, rows = make().pairs()
+    assert probe.dtype == rows.dtype == np.int64
+    assert set(zip(probe.tolist(), rows.tolist())) == expected_pairs
+    assert len(probe) == len(expected_pairs)
+    for side, expected in enumerate((probe, rows)):
+        matches = make()
+        assert matches.total == len(expected)
+        got = (matches.probe_positions, matches.row_ids)[side]()
+        assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
+        other = (matches._row_ids, matches._probe_positions)[side]
+        assert matches.total == 0 or callable(other)
+
+
+@given(data=st.data(), layout=st.sampled_from(sorted(_MATCH_KEYS)))
+@settings(max_examples=150, deadline=None)
+def test_index_matches_are_lookup_batch_pairs(data, layout):
+    """Single key: an index's matches, and a hash join's, against
+    ``lookup_batch`` / ``equi_join_indices`` and the nested loop."""
+    keys = _MATCH_KEYS[layout]
+    values = data.draw(st.lists(keys, max_size=60,
+                                unique=layout == "dense-unique"))
+    probes = data.draw(st.lists(keys, max_size=40))
+    expected = {(i, j) for i, p in enumerate(probes) for j, v in enumerate(values)
+                if not _is_null(p) and not _is_null(v) and p == v}
+    values, probes = _key_array(values, layout), _key_array(probes, layout)
+    index = SortedIndex("t", "c", values)
+    if layout == "dense-unique" and len(values):
+        assert index._slots is not None
+    lookup = index.lookup_batch(probes)
+    _check_matches(lambda: index.matches(probes), expected)
+    for got, pinned in zip(index.matches(probes).pairs(), lookup):
+        assert got.tobytes() == pinned.tobytes()
+    _check_matches(lambda: equi_join_matches(probes, values), expected)
+
+
+@given(data=st.data(), layout=st.sampled_from(sorted(_MATCH_KEYS)))
+@settings(max_examples=100, deadline=None)
+def test_multi_key_matches_are_nested_loop_pairs(data, layout):
+    """Two key columns, NULLs dropped from both sides before encoding and
+    mapped back lazily."""
+    keys = st.tuples(_MATCH_KEYS[layout], _MATCH_KEYS["object-strings"])
+    left = data.draw(st.lists(keys, max_size=40))
+    right = data.draw(st.lists(keys, max_size=40))
+    expected = {(i, j) for i, lk in enumerate(left) for j, rk in enumerate(right)
+                if not any(map(_is_null, lk + rk)) and lk == rk}
+
+    def columns(rows):
+        return [_key_array([row[0] for row in rows], layout),
+                _key_array([row[1] for row in rows], "object-strings")]
+
+    left_keys, right_keys = columns(left), columns(right)
+    _check_matches(lambda: multi_key_matches(left_keys, right_keys), expected)
 
 
 @given(values=st.lists(st.floats(min_value=-1e6, max_value=1e6,
