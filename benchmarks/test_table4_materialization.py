@@ -8,10 +8,13 @@ def test_table4_materialization(benchmark, scale, families):
         lambda: table4_materialization.run(scale=scale, families=families,
                                            verbose=True).data,
         rounds=1, iterations=1)
-    # Paper shape: QuerySplit has the smallest per-subquery memory footprint
-    # among the algorithms that do materialize, and Reopt materializes least.
-    mats = {name: m["avg_materializations_per_query"] for name, m in metrics.items()}
-    assert mats["Reopt"] <= mats["QuerySplit"] + 1e-9 or mats["Reopt"] <= min(mats.values()) + 0.5
+    # Paper shape, on counts that repeat exactly: QuerySplit has the smallest
+    # per-subquery memory footprint among the algorithms that materialize,
+    # and Reopt materializes least often.  The paper's claim that QuerySplit
+    # materializes second-least does not reproduce (IEF does; see
+    # EXPERIMENTS.md), so it is not asserted.
     per_subquery = {name: m["avg_mem_per_subquery_mb"] for name, m in metrics.items()
                     if m["avg_materializations_per_query"] > 0}
-    assert metrics["QuerySplit"]["avg_mem_per_subquery_mb"] <= max(per_subquery.values())
+    assert min(per_subquery, key=per_subquery.get) == "QuerySplit", per_subquery
+    mats = {name: m["avg_materializations_per_query"] for name, m in metrics.items()}
+    assert min(mats, key=mats.get) == "Reopt", mats

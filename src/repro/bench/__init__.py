@@ -3,7 +3,6 @@
 from repro.bench.artifacts import (
     SCHEMA_VERSION,
     ExperimentResult,
-    build_artifact,
     load_artifact,
     validate_artifact,
     write_artifact,
@@ -13,5 +12,5 @@ from repro.bench.reporting import format_table
 
 __all__ = ["HarnessConfig", "run_query", "run_workload", "run_generated",
            "format_table", "ExperimentResult",
-           "SCHEMA_VERSION", "build_artifact", "write_artifact",
-           "load_artifact", "validate_artifact"]
+           "SCHEMA_VERSION", "write_artifact", "load_artifact",
+           "validate_artifact"]

@@ -58,16 +58,18 @@ class ExperimentResult:
     :class:`~repro.report.WorkloadResult` under a stable string key so the
     per-query timings can be serialized uniformly; ``summary`` holds the
     JSON-safe headline numbers and ``tables`` the pre-rendered ASCII
-    reproduction of the paper artifact.
+    reproduction of the paper artifact.  ``name``, ``artifact`` and
+    ``params`` are the envelope the ``@experiment`` decorator
+    (:mod:`repro.experiments.registry`) fills in from the call.
     """
 
-    name: str
-    artifact: str
-    params: dict[str, Any]
     data: Any
     workloads: dict[str, WorkloadResult] = field(default_factory=dict)
     summary: dict[str, Any] = field(default_factory=dict)
     tables: list[str] = field(default_factory=list)
+    name: str = ""
+    artifact: str = ""
+    params: dict[str, Any] = field(default_factory=dict)
 
     def render(self) -> str:
         """The human-readable reproduction (what ``verbose=True`` prints)."""
@@ -118,29 +120,6 @@ def base_summary(workloads: Mapping[str, WorkloadResult]) -> dict[str, Any]:
     return {"per_key": per_key_summary(query_records(workloads))}
 
 
-def grid_result(*, name: str, artifact: str, params: dict[str, Any],
-                results: Mapping[str, Mapping[str, WorkloadResult]],
-                time_header: str, title_format: str) -> ExperimentResult:
-    """Assemble the :class:`ExperimentResult` of an index-config × algorithm
-    grid (the shape Figures 11–14 share): one ASCII table per index config
-    (``title_format`` receives ``{index}``), workloads flattened under
-    ``"{index}/{algorithm}"`` keys, and the generic per-key summary."""
-    from repro.bench.reporting import format_seconds, format_table
-    tables = []
-    for index_name, per_algorithm in results.items():
-        rows = [[algorithm, format_seconds(res.total_time), res.timeouts or ""]
-                for algorithm, res in per_algorithm.items()]
-        tables.append(format_table(
-            ["Algorithm", time_header, "Timeouts"], rows,
-            title=title_format.format(index=index_name)))
-    workloads = {f"{index_name}/{algorithm}": res
-                 for index_name, per_algorithm in results.items()
-                 for algorithm, res in per_algorithm.items()}
-    return ExperimentResult(
-        name=name, artifact=artifact, params=params, data=dict(results),
-        workloads=workloads, summary=base_summary(workloads), tables=tables)
-
-
 def jsonify(value: Any) -> Any:
     """Coerce experiment params/summaries to JSON-serializable values."""
     if isinstance(value, enum.Enum):
@@ -154,7 +133,10 @@ def jsonify(value: Any) -> Any:
         return str(value)
     if hasattr(value, "item") and callable(value.item):  # numpy scalars
         return value.item()
-    return value
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    # Any other object, such as a SubplanCache passed to run(): its type.
+    return type(value).__name__
 
 
 def _json_key(key: Any) -> str:
@@ -184,28 +166,8 @@ def utc_now() -> str:
 
 
 # ----------------------------------------------------------------------
-# Artifact build / merge / IO / validation
+# Artifact merge / IO / validation
 # ----------------------------------------------------------------------
-
-def build_artifact(result: ExperimentResult, *,
-                   started_at: str, finished_at: str,
-                   wall_clock_seconds: float,
-                   rev: str | None = None) -> dict[str, Any]:
-    """Serialize an :class:`ExperimentResult` into an artifact dict."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": result.name,
-        "artifact": result.artifact,
-        "params": jsonify(result.params),
-        "git_rev": rev if rev is not None else git_rev(),
-        "started_at": started_at,
-        "finished_at": finished_at,
-        "wall_clock_seconds": wall_clock_seconds,
-        "queries": result.query_records(),
-        "summary": jsonify(result.summary),
-        "tables": list(result.tables),
-    }
-
 
 def partial_artifact(result: ExperimentResult,
                      wall_clock_seconds: float) -> dict[str, Any]:
@@ -260,7 +222,7 @@ def merge_partials(partials: Sequence[Mapping[str, Any]], *,
         for partial in partials:
             values = partial["params"].get(shard_param) or []
             union.extend(v for v in values if v not in union)
-        params[shard_param] = sorted(union, key=str)
+        params[shard_param] = sorted(union)
     records = [record for partial in partials for record in partial["queries"]]
     per_key = per_key_summary(records)
     merged.update(
@@ -339,30 +301,6 @@ def validate_artifact(artifact: Any) -> list[str]:
             if missing:
                 errors.append(f"queries[{index}] missing {', '.join(missing)}")
     return errors
-
-
-def matches_params(artifact: Mapping[str, Any],
-                   requested: Mapping[str, Any]) -> bool:
-    """True when every explicitly requested knob equals the artifact's.
-
-    Used by the resume-skip check: a completed artifact is only reused when
-    the knobs the caller pinned on the command line (scale, families, ...)
-    match what the artifact was produced with.  List-valued knobs compare
-    order-insensitively because sharded runs persist the sorted union.
-    """
-    params = artifact.get("params", {})
-    for key, value in requested.items():
-        have = params.get(key, _MISSING)
-        want = jsonify(value)
-        if isinstance(want, list) and isinstance(have, list):
-            if sorted(have, key=str) != sorted(want, key=str):
-                return False
-        elif have != want:
-            return False
-    return True
-
-
-_MISSING = object()
 
 
 # ----------------------------------------------------------------------

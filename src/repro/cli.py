@@ -14,8 +14,9 @@ The runner is the orchestration layer on top of the experiment registry
   the same (workload, scale) pay the build cost once per worker.  Every
   completed experiment is persisted as a schema-versioned JSON artifact
   under ``--results-dir`` and **skipped on re-run** (unless ``--force`` or
-  the pinned knobs changed), which makes large sweeps resumable;
-* ``report`` — merge the persisted artifacts into ``BENCH_summary.json``;
+  the run's effective params changed), which makes large sweeps resumable;
+* ``report`` — merge the persisted artifacts into ``BENCH_summary.json``,
+  replacing only the experiments that have an artifact;
 * ``serve``  — one served run through the concurrent engine server
   (:mod:`repro.serving`): simulated users on seeded arrival schedules,
   bounded-queue admission control, a worker-thread pool, and a printed
@@ -101,14 +102,12 @@ def _accepted_kwargs(spec: registry.ExperimentSpec,
 def plan_tasks(spec: registry.ExperimentSpec, kwargs: Mapping[str, Any],
                jobs: int) -> list[Task]:
     """Split one experiment into pool tasks (per-family shards when possible)."""
-    kwargs = dict(kwargs)
-    if jobs > 1 and spec.shard_param is not None and spec.shard_param in \
-            signature(spec.runner).parameters:
+    if jobs > 1 and spec.shard_param is not None:
         values = spec.shard_values(kwargs.get(spec.shard_param))
-        if values and len(values) > 1:
+        if len(values) > 1:
             return [Task(spec.name, {**kwargs, spec.shard_param: [value]}, index)
                     for index, value in enumerate(values)]
-    return [Task(spec.name, kwargs)]
+    return [Task(spec.name, dict(kwargs))]
 
 
 def run_experiments(names: Sequence[str], *,
@@ -122,9 +121,9 @@ def run_experiments(names: Sequence[str], *,
 
     ``overrides`` maps knob names (``scale``, ``families``,
     ``timeout_seconds``, ...) to values; each experiment receives only the
-    knobs its ``run()`` accepts, layered over the registry's per-experiment
-    CLI defaults.  Completed artifacts whose pinned knobs match are skipped
-    unless ``force``.
+    knobs its ``run()`` accepts, and ``run()``'s own defaults fill in the
+    rest.  A completed artifact whose ``params`` equal the params this call
+    binds to is skipped unless ``force``.
     """
     registry.load_all()
     results_dir = Path(results_dir)
@@ -135,12 +134,10 @@ def run_experiments(names: Sequence[str], *,
     pending: list[tuple[registry.ExperimentSpec, dict[str, Any], list[Task]]] = []
     for name in names:
         spec = registry.get(name)
-        requested = _accepted_kwargs(spec, {**spec.defaults, **overrides})
+        requested = _accepted_kwargs(spec, overrides)
         path = results_dir / f"{name}.json"
-        # Resume-skip compares every knob this invocation would pass —
-        # registry defaults included — so an artifact produced with
-        # different pinned knobs is never mistaken for up to date.
-        if not force and _completed(path, name, requested):
+        params = spec.params(spec.bind(**requested))
+        if not force and _completed(path, name, params):
             statuses[name] = RunStatus(name=name, status="skipped", path=path,
                                        message="artifact up to date")
             continue
@@ -159,19 +156,20 @@ def run_experiments(names: Sequence[str], *,
     return [statuses[name] for name in names if name in statuses]
 
 
-def _completed(path: Path, name: str, explicit: Mapping[str, Any]) -> bool:
-    """True when a valid artifact for ``name`` with matching knobs exists."""
-    if not path.is_file():
-        return False
+def _completed(path: Path, name: str, params: Mapping[str, Any]) -> bool:
+    """True when a valid artifact of ``name`` run with ``params`` exists."""
+    artifact = _load_valid(path)
+    return (artifact is not None and artifact["experiment"] == name
+            and artifact["params"] == params)
+
+
+def _load_valid(path: Path) -> dict[str, Any] | None:
+    """The artifact at ``path``, or ``None`` when it is missing or invalid."""
     try:
         artifact = artifacts.load_artifact(path)
     except (OSError, json.JSONDecodeError):
-        return False
-    if artifacts.validate_artifact(artifact):
-        return False
-    if artifact.get("experiment") != name:
-        return False
-    return artifacts.matches_params(artifact, explicit)
+        return None
+    return None if artifacts.validate_artifact(artifact) else artifact
 
 
 def _execute(pending, statuses: dict[str, RunStatus], *, jobs: int,
@@ -262,22 +260,28 @@ def _execute(pending, statuses: dict[str, RunStatus], *, jobs: int,
 def write_summary(results_dir: str | Path,
                   summary_path: str | Path = DEFAULT_SUMMARY,
                   rev: str | None = None) -> dict[str, Any]:
-    """Merge every valid artifact under ``results_dir`` into the summary file."""
-    results_dir = Path(results_dir)
+    """Merge every valid artifact under ``results_dir`` into the summary file.
+
+    Entries of the existing summary are kept; only experiments with a valid
+    artifact under ``results_dir`` are replaced.
+    """
+    summary_path = Path(summary_path)
     collected: dict[str, dict[str, Any]] = {}
-    if results_dir.is_dir():
-        for path in sorted(results_dir.glob("*.json")):
-            if path.name == Path(summary_path).name:
-                continue
-            try:
-                artifact = artifacts.load_artifact(path)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if artifacts.validate_artifact(artifact):
-                continue
+    # A summary file in the directory fails validation and is passed over.
+    for path in sorted(Path(results_dir).glob("*.json")):
+        artifact = _load_valid(path)
+        if artifact is not None:
             collected[artifact["experiment"]] = artifact
     summary = artifacts.build_bench_summary(collected, rev=rev)
-    artifacts.write_artifact(Path(summary_path), summary)
+    try:
+        previous = artifacts.load_artifact(summary_path)
+    except (OSError, json.JSONDecodeError):
+        previous = None
+    if isinstance(previous, dict) and \
+            previous.get("schema_version") == artifacts.SCHEMA_VERSION:
+        experiments = {**previous.get("experiments", {}), **summary["experiments"]}
+        summary["experiments"] = dict(sorted(experiments.items()))
+    artifacts.write_artifact(summary_path, summary)
     return summary
 
 
@@ -400,7 +404,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     if args.json:
         payload = {name: {"artifact": spec.artifact, "module": spec.module,
                           "shard_param": spec.shard_param,
-                          "defaults": artifacts.jsonify(dict(spec.defaults))}
+                          "params": spec.params(spec.bind())}
                    for name, spec in sorted(specs.items())}
         print(json.dumps(payload, indent=2))
         return 0

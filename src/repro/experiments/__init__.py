@@ -10,25 +10,12 @@ reproduction of the paper artifact (printed when ``verbose=True``).  Every
 so the full study can be executed in minutes on a laptop or expanded for
 higher fidelity.
 
-Every module registers itself with :mod:`repro.experiments.registry`;
-``python -m repro.cli list`` enumerates the registry and
-``python -m repro.cli run`` executes experiments in parallel and persists
-their results as JSON artifacts (see EXPERIMENTS.md).
-
-| Module                      | Paper artifact                              |
-|-----------------------------|---------------------------------------------|
-| ``table1_similarity``       | Table 1 (initial vs. optimal plan overlap)   |
-| ``table3_policies``         | Table 3 (QSA x SSA policy grid)              |
-| ``figure10_robustness``     | Figure 10 (CE-noise robustness)              |
-| ``figure11_job``            | Figure 11 (JOB end-to-end comparison)        |
-| ``table4_materialization``  | Table 4 (materialization frequency / memory) |
-| ``figure12_tpch``           | Figure 12 (TPC-H end-to-end)                 |
-| ``figure13_dsb_spj``        | Figure 13 (DSB SPJ queries)                  |
-| ``figure14_dsb_nonspj``     | Figure 14 (DSB non-SPJ queries)              |
-| ``figure15_statistics``     | Figure 15 (collect statistics or not)        |
-| ``table5_existing_costfn``  | Table 5 (existing re-opts with Phi functions)|
-| ``table6_categories``       | Table 6 + Figures 16-19 (categories, timelines)|
-| ``figure_sqlgen_scaling``   | (no paper artifact) generated-stream scaling |
+Every module registers itself with :mod:`repro.experiments.registry`,
+whose decorator fills in each result's name, artifact and ``params`` from
+the call; ``python -m repro.cli run`` executes experiments in parallel and
+persists their results as JSON artifacts (see EXPERIMENTS.md).
+``python -m repro.cli list`` prints every registered module with the
+paper artifact it reproduces.
 
 See EXPERIMENTS.md for the timing-accounting rules shared by every module,
 the CLI runner, and the persisted artifact schema.

@@ -23,7 +23,7 @@ cannot hide behind a throughput number.
 
 from __future__ import annotations
 
-from repro.bench.artifacts import ExperimentResult, base_summary
+from repro.bench.artifacts import ExperimentResult
 from repro.bench.harness import serve_generated
 from repro.bench.reporting import format_table
 from repro.executor.subplan_cache import SubplanCache
@@ -53,10 +53,9 @@ def _make_generator(database, seed: int) -> RandomQueryGenerator:
         name_prefix="serve")
 
 
-@experiment(artifact=PAPER_ARTIFACT,
-            defaults={"scale": 0.25, "queries": 48})
-def run(scale: float = 1.0,
-        queries: int = 96,
+@experiment(artifact=PAPER_ARTIFACT)
+def run(scale: float = 0.25,
+        queries: int = 48,
         workers_sweep: tuple[int, ...] = (1, 2, 4),
         rates: tuple[float, ...] = (16.0, 64.0),
         policies: tuple[str, ...] = ("shed", "block"),
@@ -132,24 +131,12 @@ def run(scale: float = 1.0,
                                  f"{users} users, {algorithm}, "
                                  f"queue={queue_capacity})")]
 
-    summary = dict(base_summary(workloads))
-    summary["cells"] = {f"w{w}/r{r:g}/{p}": cell
-                        for (w, r, p), cell in cells.items()}
-    summary.update(headline)
-    outcome = ExperimentResult(
-        name="bench_serving",
-        artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "queries": queries,
-                "workers_sweep": workers_sweep, "rates": rates,
-                "policies": policies, "algorithm": algorithm, "users": users,
-                "queue_capacity": queue_capacity,
-                "timeout_seconds": timeout_seconds,
-                "use_subplan_cache": use_subplan_cache, "seed": seed},
+    summary = {"cells": {f"w{w}/r{r:g}/{p}": cell
+                         for (w, r, p), cell in cells.items()},
+               **headline}
+    return ExperimentResult(
         data={"cells": cells, "headline": headline},
         workloads=workloads,
         summary=summary,
         tables=tables,
     )
-    if verbose:
-        print(outcome.render())
-    return outcome

@@ -21,7 +21,7 @@ cap.
 
 from __future__ import annotations
 
-from repro.bench.artifacts import ExperimentResult, base_summary
+from repro.bench.artifacts import ExperimentResult
 from repro.bench.harness import HarnessConfig, run_workload
 from repro.bench.reporting import format_seconds, format_table
 from repro.core.qsa import QSAStrategy
@@ -94,19 +94,9 @@ def run(scale: float = 1.0, families: list[int] | None = None,
 
     workloads = {f"{qsa}+{ssa}/sigma={sigma}": res
                  for (qsa, ssa, sigma), res in results.items()}
-    outcome = ExperimentResult(
-        name="figure10_robustness",
-        artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "families": families, "sigmas": list(sigmas),
-                "mu": mu, "use_oracle": use_oracle, "seed": seed,
-                "timeout_seconds": timeout_seconds,
-                "policies": [f"{s.value}+{c.value}" for s, c in policies]},
+    return ExperimentResult(
         data=results,
         workloads=workloads,
-        summary=base_summary(workloads),
         tables=[format_table(headers, rows,
                              title=f"Figure 10: JOB time under CE noise (mu={mu})")],
     )
-    if verbose:
-        print(outcome.render())
-    return outcome

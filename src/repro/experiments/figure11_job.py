@@ -9,12 +9,10 @@ configurations (PK-only, PK+FK) are evaluated.
 
 from __future__ import annotations
 
-from repro.bench.artifacts import ExperimentResult, grid_result
-from repro.bench.harness import HarnessConfig, run_workload
+from repro.bench.artifacts import ExperimentResult
+from repro.experiments._grid import run_grid
 from repro.experiments.registry import experiment
-from repro.report import WorkloadResult
 from repro.storage.database import IndexConfig
-from repro.workloads import dbcache
 from repro.workloads.job_queries import JOB_FAMILY_NUMBERS, job_queries
 
 PAPER_ARTIFACT = "Figure 11 (JOB end-to-end comparison)"
@@ -43,26 +41,8 @@ def run(scale: float = 1.0, families: list[int] | None = None,
 
     ``result.data`` maps ``{index_config_name: {algorithm: WorkloadResult}}``.
     """
-    queries = job_queries(families=families)
-    results: dict[str, dict[str, WorkloadResult]] = {}
-    for index_config in index_configs:
-        database = dbcache.build("imdb", scale=scale, index_config=index_config)
-        config = HarnessConfig(timeout_seconds=timeout_seconds)
-        per_algorithm: dict[str, WorkloadResult] = {}
-        for algorithm in algorithms:
-            per_algorithm[algorithm] = run_workload(database, queries, algorithm,
-                                                    config)
-        results[index_config.value] = per_algorithm
-
-    outcome = grid_result(
-        name="figure11_job", artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "families": families,
-                "algorithms": list(algorithms),
-                "index_configs": [c.value for c in index_configs],
-                "timeout_seconds": timeout_seconds},
-        results=results,
-        time_header="JOB execution time",
+    return run_grid(
+        "imdb", job_queries(families=families), scale=scale,
+        algorithms=algorithms, index_configs=index_configs,
+        timeout_seconds=timeout_seconds, time_header="JOB execution time",
         title_format="Figure 11: JOB end-to-end time ({index} indexes)")
-    if verbose:
-        print(outcome.render())
-    return outcome

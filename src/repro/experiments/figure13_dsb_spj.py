@@ -8,12 +8,10 @@ because DSB filters are mostly numeric.
 
 from __future__ import annotations
 
-from repro.bench.artifacts import ExperimentResult, grid_result
-from repro.bench.harness import HarnessConfig, run_workload
+from repro.bench.artifacts import ExperimentResult
+from repro.experiments._grid import numbered, run_grid
 from repro.experiments.registry import experiment
-from repro.report import WorkloadResult
 from repro.storage.database import IndexConfig
-from repro.workloads import dbcache
 from repro.workloads.dsb import DSB_SPJ_NUMBERS, dsb_spj_queries
 
 PAPER_ARTIFACT = "Figure 13 (DSB SPJ queries)"
@@ -35,28 +33,9 @@ def run(scale: float = 1.0, families: list[int] | None = None,
     ``families`` restricts to the given DSB SPJ query numbers (1..15);
     ``result.data`` maps ``{index_config: {algorithm: WorkloadResult}}``.
     """
-    queries = dsb_spj_queries()
-    if families is not None:
-        wanted = {f"dsb-spj-{n}" for n in families}
-        queries = [q for q in queries if q.name in wanted]
-    results: dict[str, dict[str, WorkloadResult]] = {}
-    for index_config in index_configs:
-        database = dbcache.build("dsb", scale=scale, index_config=index_config)
-        config = HarnessConfig(timeout_seconds=timeout_seconds)
-        results[index_config.value] = {
-            algorithm: run_workload(database, queries, algorithm, config)
-            for algorithm in algorithms
-        }
-
-    outcome = grid_result(
-        name="figure13_dsb_spj", artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "families": families,
-                "algorithms": list(algorithms),
-                "index_configs": [c.value for c in index_configs],
-                "timeout_seconds": timeout_seconds},
-        results=results,
+    return run_grid(
+        "dsb", numbered(dsb_spj_queries(), "dsb-spj-{}", families), scale=scale,
+        algorithms=algorithms, index_configs=index_configs,
+        timeout_seconds=timeout_seconds,
         time_header="DSB SPJ execution time",
         title_format="Figure 13: DSB SPJ queries ({index} indexes)")
-    if verbose:
-        print(outcome.render())
-    return outcome

@@ -12,7 +12,7 @@ estimation only needs row counts).
 
 from __future__ import annotations
 
-from repro.bench.artifacts import ExperimentResult, base_summary
+from repro.bench.artifacts import ExperimentResult
 from repro.bench.harness import HarnessConfig, run_workload
 from repro.bench.reporting import format_seconds, format_table
 from repro.experiments.registry import experiment
@@ -70,19 +70,10 @@ def run(scale: float = 1.0, families: list[int] | None = None,
 
     workloads = {f"{alg}/{'stats' if collect else 'rowcount'}": res
                  for (alg, collect), res in results.items()}
-    outcome = ExperimentResult(
-        name="figure15_statistics",
-        artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "families": families,
-                "algorithms": list(algorithms),
-                "timeout_seconds": timeout_seconds},
+    return ExperimentResult(
         data=results,
         workloads=workloads,
-        summary=base_summary(workloads),
         tables=[format_table(
             ["Algorithm", "With statistics", "Row count only"], rows,
             title="Figure 15: JOB time with and without runtime statistics")],
     )
-    if verbose:
-        print(outcome.render())
-    return outcome

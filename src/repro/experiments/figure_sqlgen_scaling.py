@@ -23,7 +23,7 @@ module fits the figure/table mapping.
 
 from __future__ import annotations
 
-from repro.bench.artifacts import ExperimentResult, base_summary
+from repro.bench.artifacts import ExperimentResult
 from repro.bench.harness import HarnessConfig, run_generated
 from repro.bench.reporting import format_seconds, format_table
 from repro.executor.subplan_cache import SubplanCache
@@ -45,11 +45,10 @@ PAPER_ARTIFACT = "Generated-stream scaling (beyond the paper)"
 DEFAULT_ALGORITHMS = ("QuerySplit", "Default", "Reopt", "Pop", "IEF", "Perron19")
 
 
-@experiment(artifact=PAPER_ARTIFACT,
-            defaults={"stream_lengths": (10, 25), "join_depths": (2, 4)})
+@experiment(artifact=PAPER_ARTIFACT)
 def run(scale: float = 1.0,
-        stream_lengths: tuple[int, ...] = (10, 25, 50),
-        join_depths: tuple[int, ...] = (2, 4, 6),
+        stream_lengths: tuple[int, ...] = (10, 25),
+        join_depths: tuple[int, ...] = (2, 4),
         algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS,
         seed: int = 7,
         fk_only: bool = False,
@@ -123,28 +122,14 @@ def run(scale: float = 1.0,
     workloads = {f"d{max_joins}/n{n}/{algorithm}": res
                  for (max_joins, n), cell in cells.items()
                  for algorithm, res in cell["results"].items()}
-    summary = base_summary(workloads)
-    summary["robustness"] = robustness
-    summary["cache_hit_rates"] = {f"d{d}/n{n}": cell["cache_hit_rate"]
-                                  for (d, n), cell in cells.items()}
-    outcome = ExperimentResult(
-        name="figure_sqlgen_scaling",
-        artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "stream_lengths": list(stream_lengths),
-                "join_depths": list(join_depths),
-                "algorithms": list(algorithms), "seed": seed,
-                "fk_only": fk_only,
-                "group_by_probability": group_by_probability,
-                "timeout_seconds": timeout_seconds,
-                "measure_cache_overlap": measure_cache_overlap},
+    return ExperimentResult(
         data={"cells": cells, "robustness": robustness},
         workloads=workloads,
-        summary=summary,
+        summary={"robustness": robustness,
+                 "cache_hit_rates": {f"d{d}/n{n}": cell["cache_hit_rate"]
+                                     for (d, n), cell in cells.items()}},
         tables=tables,
     )
-    if verbose:
-        print(outcome.render())
-    return outcome
 
 
 def _worst_case_slowdowns(cells: dict, algorithms: tuple[str, ...]) -> dict[str, float]:

@@ -1,10 +1,16 @@
 """Decorator-based experiment registry.
 
 Every experiment module registers its ``run()`` function with the
-:func:`experiment` decorator, declaring the paper artifact it reproduces,
-optional CLI default knobs, and — when the experiment is embarrassingly
-parallel over a query-family knob — which parameter the CLI runner may
-shard across worker processes.
+:func:`experiment` decorator, declaring the paper artifact it reproduces
+and — when the experiment is embarrassingly parallel over a query-family
+knob — which parameter the CLI runner may shard across worker processes.
+
+The decorator also builds each result's envelope, so a ``run()`` body
+returns only its ``data``, ``workloads``, summary extras and ``tables``:
+the call is bound to ``run()``'s signature (its defaults are the only
+defaults), the bound arguments become the result's ``params``, the
+summary gains the per-key aggregates of the workloads, and
+``verbose=True`` prints the rendered tables.
 
 The registry is what makes ``python -m repro.cli list / run / report``
 (:mod:`repro.cli`) possible without hand-maintained experiment lists:
@@ -15,10 +21,14 @@ the decorators populate :data:`REGISTRY` as a side effect, and
 
 from __future__ import annotations
 
+import functools
 import importlib
+import inspect
 import pkgutil
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Sequence
+
+from repro.bench.artifacts import base_summary, jsonify
 
 #: Registered experiments, keyed by name (== the module's basename).
 REGISTRY: dict[str, "ExperimentSpec"] = {}
@@ -36,46 +46,64 @@ class ExperimentSpec:
     module: str
     #: The experiment's ``run()`` function (returns an ``ExperimentResult``).
     runner: Callable[..., Any]
-    #: Knob overrides the CLI applies by default (on top of ``run()``'s own
-    #: defaults); explicit CLI flags override these in turn.
-    defaults: Mapping[str, Any] = field(default_factory=dict)
     #: Name of the list-valued parameter the CLI may shard across worker
     #: processes (``"families"``), or ``None`` when the experiment must run
     #: as a single unit (its summary is not reconstructible from merged
     #: per-query records).
     shard_param: str | None = None
-    #: Full universe of shard values used when the caller does not restrict
-    #: the parameter explicitly.
+    #: Full universe of shard values, which ``None`` for the shard
+    #: parameter stands for.
     shard_universe: tuple[Any, ...] | None = None
 
-    def shard_values(self, requested: Sequence[Any] | None) -> list[Any] | None:
-        """The shard values a parallel run fans out over (None = unshardable)."""
-        if self.shard_param is None:
-            return None
-        if requested is not None:
-            return list(requested)
-        return list(self.shard_universe) if self.shard_universe else None
+    def shard_values(self, requested: Sequence[Any] | None) -> list[Any]:
+        """The shard values a run covers, sorted (``None`` = the universe)."""
+        return sorted(self.shard_universe if requested is None else requested)
+
+    def bind(self, *args: Any, **kwargs: Any) -> inspect.BoundArguments:
+        """Bind a call to ``run()``'s signature, its defaults applied."""
+        call = inspect.signature(self.runner).bind(*args, **kwargs)
+        call.apply_defaults()
+        return call
+
+    def params(self, call: inspect.BoundArguments) -> dict[str, Any]:
+        """The JSON ``params`` of a bound call: every argument but
+        ``verbose``, with the shard parameter holding the values run."""
+        params = {key: value for key, value in call.arguments.items()
+                  if key != "verbose"}
+        if self.shard_param is not None:
+            params[self.shard_param] = self.shard_values(params[self.shard_param])
+        return jsonify(params)
 
 
-def experiment(*, artifact: str, defaults: Mapping[str, Any] | None = None,
-               shard_param: str | None = None,
+def experiment(*, artifact: str, shard_param: str | None = None,
                shard_universe: Sequence[Any] | None = None,
                name: str | None = None) -> Callable:
     """Register the decorated ``run()`` function as an experiment."""
-    def decorate(runner: Callable) -> Callable:
-        experiment_name = name or runner.__module__.rsplit(".", 1)[-1]
+    def decorate(body: Callable) -> Callable:
+        @functools.wraps(body)
+        def run(*args: Any, **kwargs: Any):
+            call = spec.bind(*args, **kwargs)
+            result = body(*call.args, **call.kwargs)
+            summary = result.summary
+            if result.workloads:
+                summary = {**base_summary(result.workloads), **summary}
+            result = replace(result, name=spec.name, artifact=spec.artifact,
+                             params=spec.params(call), summary=summary)
+            if call.arguments.get("verbose"):
+                print(result.render())
+            return result
+
+        experiment_name = name or body.__module__.rsplit(".", 1)[-1]
         spec = ExperimentSpec(
             name=experiment_name,
             artifact=artifact,
-            module=runner.__module__,
-            runner=runner,
-            defaults=dict(defaults or {}),
+            module=body.__module__,
+            runner=run,
             shard_param=shard_param,
             shard_universe=tuple(shard_universe) if shard_universe else None,
         )
         REGISTRY[experiment_name] = spec
-        runner.experiment_spec = spec
-        return runner
+        return run
     return decorate
 
 

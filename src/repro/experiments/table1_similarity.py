@@ -52,15 +52,9 @@ def run(scale: float = 1.0, families: list[int] | None = None,
     ratios = {key: buckets.get(key, 0) / total for key in ("0", "1", "2", ">2")}
     rows = [[key, buckets.get(key, 0), f"{ratios[key] * 100:.0f}%"]
             for key in ("0", "1", "2", ">2")]
-    result = ExperimentResult(
-        name="table1_similarity",
-        artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "families": families},
+    return ExperimentResult(
         data=ratios,
         summary={"ratios": ratios, "queries": total},
         tables=[format_table(["Similarity", "Queries", "Ratio"], rows,
                              title="Table 1: initial vs. optimal plan similarity")],
     )
-    if verbose:
-        print(result.render())
-    return result

@@ -8,7 +8,7 @@ to be the best and most robust combination.
 
 from __future__ import annotations
 
-from repro.bench.artifacts import ExperimentResult, base_summary
+from repro.bench.artifacts import ExperimentResult
 from repro.bench.harness import HarnessConfig, run_workload
 from repro.bench.reporting import format_seconds, format_table
 from repro.executor.subplan_cache import SubplanCache
@@ -86,23 +86,12 @@ def run(scale: float = 1.0, families: list[int] | None = None,
 
     workloads = {f"{ssa}/{qsa}": res for (ssa, qsa), res in results.items()}
     best = best_combination(results)
-    summary = base_summary(workloads)
-    summary["best_combination"] = {"ssa": best[0], "qsa": best[1]}
-    outcome = ExperimentResult(
-        name="table3_policies",
-        artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "families": families,
-                "qsa_strategies": [s.value for s in qsa_strategies],
-                "cost_functions": [c.value for c in cost_functions],
-                "timeout_seconds": timeout_seconds},
+    return ExperimentResult(
         data=results,
         workloads=workloads,
-        summary=summary,
+        summary={"best_combination": {"ssa": best[0], "qsa": best[1]}},
         tables=tables,
     )
-    if verbose:
-        print(outcome.render())
-    return outcome
 
 
 def best_combination(results: dict[tuple[str, str], WorkloadResult]) -> tuple[str, str]:

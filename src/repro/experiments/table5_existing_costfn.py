@@ -13,7 +13,7 @@ sub-plan (estimated cost times estimated cardinality, etc.).
 
 from __future__ import annotations
 
-from repro.bench.artifacts import ExperimentResult, base_summary
+from repro.bench.artifacts import ExperimentResult
 from repro.bench.reporting import format_seconds, format_table
 from repro.core.ssa import SSA_FUNCTIONS, CostFunction
 from repro.experiments.registry import experiment
@@ -97,19 +97,9 @@ def run(scale: float = 1.0, families: list[int] | None = None,
         rows.append(row)
 
     workloads = {f"{alg}/{variant}": res for (alg, variant), res in results.items()}
-    outcome = ExperimentResult(
-        name="table5_existing_costfn",
-        artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "families": families,
-                "algorithms": list(algorithms),
-                "cost_functions": [c.value for c in cost_functions],
-                "timeout_seconds": timeout_seconds},
+    return ExperimentResult(
         data=results,
         workloads=workloads,
-        summary=base_summary(workloads),
         tables=[format_table(headers, rows,
                              title="Table 5: existing re-optimizers with Phi orderings")],
     )
-    if verbose:
-        print(outcome.render())
-    return outcome

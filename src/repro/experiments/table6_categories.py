@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.artifacts import ExperimentResult, base_summary
+from repro.bench.artifacts import ExperimentResult
 from repro.bench.harness import HarnessConfig, run_workload
 from repro.bench.reporting import format_table
 from repro.experiments.registry import experiment
@@ -141,22 +141,12 @@ def run(scale: float = 1.0, families: list[int] | None = None,
     rows = [[category, f"{freq[category]} / {total}",
              f"{effects[category] * 100:.1f}%"] for category in CATEGORIES]
 
-    summary = base_summary(runs)
-    summary.update(frequency=freq, average_effect=effects,
-                   categories=result.categories)
-    outcome = ExperimentResult(
-        name="table6_categories",
-        artifact=PAPER_ARTIFACT,
-        params={"scale": scale, "families": families,
-                "alternatives": list(alternatives),
-                "timeout_seconds": timeout_seconds},
+    return ExperimentResult(
         data=result,
         workloads=runs,
-        summary=summary,
+        summary={"frequency": freq, "average_effect": effects,
+                 "categories": result.categories},
         tables=[format_table(
             ["Category", "Frequency", "Avg perf. effect"], rows,
             title="Table 6: per-query categories (QuerySplit vs best alternative)")],
     )
-    if verbose:
-        print(outcome.render())
-    return outcome

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from repro import cli
 from repro.bench import artifacts
 from repro.experiments import registry
 from repro.report import ExecutionReport, WorkloadResult
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED_EXPERIMENTS = {
     "table1_similarity", "table3_policies", "figure10_robustness",
@@ -53,6 +57,21 @@ def test_registered_shard_params_exist_in_signatures():
             assert spec.shard_universe, f"{name} shards without a universe"
 
 
+def test_params_bind_the_call():
+    """``params`` holds every bound argument but ``verbose``, JSON-safe: the
+    unpinned shard parameter reads as its universe, sorted, and an object
+    argument as its type."""
+    from repro.executor.subplan_cache import SubplanCache
+    spec = registry.get("table3_policies")
+    params = spec.params(spec.bind(scale=0.1, subplan_cache=SubplanCache()))
+    assert "verbose" not in params
+    assert params["families"] == sorted(spec.shard_universe)
+    assert params["subplan_cache"] == "SubplanCache"
+    assert params["qsa_strategies"] == ["fk_center", "pk_center", "min_subquery"]
+    json.dumps(params)
+    assert spec.params(spec.bind(families=[6, 2]))["families"] == [2, 6]
+
+
 def _fake_result() -> artifacts.ExperimentResult:
     workload = WorkloadResult(algorithm="QuerySplit", reports=[
         ExecutionReport(query_name="q1", algorithm="QuerySplit",
@@ -71,8 +90,9 @@ def _fake_result() -> artifacts.ExperimentResult:
 
 def test_artifact_schema_roundtrip(tmp_path):
     result = _fake_result()
-    artifact = artifacts.build_artifact(
-        result, started_at=artifacts.utc_now(), finished_at=artifacts.utc_now(),
+    artifact = artifacts.merge_partials(
+        [artifacts.partial_artifact(result, 1.5)], shard_param=None,
+        started_at=artifacts.utc_now(), finished_at=artifacts.utc_now(),
         wall_clock_seconds=1.5, rev="deadbeef")
     assert artifacts.validate_artifact(artifact) == []
 
@@ -96,9 +116,9 @@ def test_artifact_schema_roundtrip(tmp_path):
 
 def test_validate_artifact_flags_violations():
     assert artifacts.validate_artifact([]) != []
-    artifact = artifacts.build_artifact(
-        _fake_result(), started_at="t0", finished_at="t1",
-        wall_clock_seconds=0.0, rev="r")
+    artifact = artifacts.merge_partials(
+        [artifacts.partial_artifact(_fake_result(), 0.0)], shard_param=None,
+        started_at="t0", finished_at="t1", wall_clock_seconds=0.0, rev="r")
     broken = dict(artifact)
     del broken["queries"]
     assert any("queries" in e for e in artifacts.validate_artifact(broken))
@@ -187,3 +207,57 @@ def test_report_merges_existing_artifacts(tmp_path, capsys):
     entry = summary["experiments"]["table1_similarity"]
     assert entry["artifact"].startswith("Table 1")
     assert "per_key" in entry
+
+
+def test_plain_run_reruns_an_artifact_made_with_other_params(tmp_path,
+                                                             monkeypatch):
+    """An artifact is up to date only for the params it was run with, so a
+    plain run (``run()``'s defaults) does not reuse a reduced one."""
+    assert cli.main(["run", "figure11_job", "--scale", "0.1", "--families", "2",
+                     "--results-dir", str(tmp_path),
+                     "--summary", str(tmp_path / "s.json")]) == 0
+    same = cli.run_experiments(["figure11_job"], results_dir=tmp_path,
+                               summary_path=None,
+                               overrides={"scale": 0.1, "families": [2]})
+    assert [s.status for s in same] == ["skipped"]
+
+    planned = []
+
+    def execute(pending, statuses, **kwargs):
+        planned.extend(spec.name for spec, _, _ in pending)
+
+    monkeypatch.setattr(cli, "_execute", execute)
+    plain = cli.run_experiments(["figure11_job"], results_dir=tmp_path,
+                                summary_path=None)
+    assert planned == ["figure11_job"]
+    assert [s.status for s in plain] != ["skipped"]
+
+
+def test_sharded_and_serial_runs_write_equal_params(tmp_path):
+    overrides = {"scale": 0.1, "families": [6, 2], "algorithms": ["QuerySplit"]}
+    params = []
+    for jobs in (1, 2):
+        results_dir = tmp_path / f"jobs{jobs}"
+        statuses = cli.run_experiments(["figure11_job"], jobs=jobs,
+                                       results_dir=results_dir,
+                                       summary_path=None, overrides=overrides)
+        assert [s.status for s in statuses] == ["written"]
+        params.append(artifacts.load_artifact(
+            results_dir / "figure11_job.json")["params"])
+    assert params[0] == params[1]
+    assert params[0]["families"] == [2, 6]
+
+
+def test_summary_keeps_entries_without_an_artifact(tmp_path):
+    """Writing the summary from a results directory replaces only the
+    experiments it holds artifacts for; the rest of the file stays."""
+    summary_path = tmp_path / "BENCH_summary.json"
+    shutil.copy(REPO_ROOT / "BENCH_summary.json", summary_path)
+    committed = artifacts.load_artifact(summary_path)["experiments"]
+    assert len(committed) == 12
+
+    empty = tmp_path / "results"
+    empty.mkdir()
+    summary = cli.write_summary(empty, summary_path)
+    assert summary["experiments"] == committed
+    assert artifacts.load_artifact(summary_path)["experiments"] == committed
