@@ -10,10 +10,11 @@ Measured time is the executor wall-clock time plus materialization and
 statistics-collection time; planner time is excluded for *all* algorithms
 because the pure-Python DP planner is slow next to PostgreSQL's C planner:
 on the ``job_baselines`` stream of ``benchmarks/e2e`` (Default, Reopt and
-Pop over JOB) planning is about a fifth of the wall time (traced
-``optimizer.share`` 0.21 on a 2-vCPU VM), enough to blur the execution
-differences the paper compares (see EXPERIMENTS.md for the full accounting
-discussion).
+Pop over JOB) planning is about a quarter of the wall time (traced
+``optimizer.share`` 0.25, down from 0.31 before the DP planner read its
+splits from a per-width table; three traced passes each on a 2-vCPU VM),
+enough to blur the execution differences the paper compares (see
+EXPERIMENTS.md for the full accounting discussion).
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from inspect import signature
 from pathlib import Path
@@ -178,12 +178,15 @@ def _execute(pending, statuses: dict[str, RunStatus], *, jobs: int,
 
     Each experiment's artifact is persisted as soon as its last shard
     finishes — never at the end of the whole invocation — so interrupting
-    a sweep only loses the experiments still in flight.
+    a sweep only loses the experiments still in flight.  An experiment's
+    ``started_at`` and wall clock start when its first task starts, so
+    time spent waiting for earlier experiments is not counted.  The pool
+    is handed a task only when a worker is free, so that is when it starts.
     """
     if not pending:
         return
-    started = {spec.name: artifacts.utc_now() for spec, _, _ in pending}
-    clocks = {spec.name: time.perf_counter() for spec, _, _ in pending}
+    started: dict[str, str] = {}
+    clocks: dict[str, float] = {}
     partials: dict[str, list[dict[str, Any] | None]] = {
         spec.name: [None] * len(tasks) for spec, _, tasks in pending}
     errors: dict[str, list[str]] = {spec.name: [] for spec, _, _ in pending}
@@ -219,6 +222,11 @@ def _execute(pending, statuses: dict[str, RunStatus], *, jobs: int,
             name=name, status="written", path=path, elapsed=elapsed,
             queries=len(merged["queries"]), shards=total)
 
+    def begin(task: Task) -> None:
+        if task.experiment not in clocks:
+            started[task.experiment] = artifacts.utc_now()
+            clocks[task.experiment] = time.perf_counter()
+
     def record(task: Task, payload: dict[str, Any] | None, error: str | None) -> None:
         if error is not None:
             errors[task.experiment].append(f"shard {task.shard_index}: {error}")
@@ -233,6 +241,7 @@ def _execute(pending, statuses: dict[str, RunStatus], *, jobs: int,
         try:
             for spec, _, tasks in pending:
                 for task in tasks:
+                    begin(task)
                     try:
                         payload, error = _run_task(task), None
                     except Exception as exc:  # noqa: BLE001 — fail per experiment
@@ -241,20 +250,29 @@ def _execute(pending, statuses: dict[str, RunStatus], *, jobs: int,
         finally:
             dbcache.disable()
     else:
-        all_tasks = [task for _, _, tasks in pending for task in tasks]
+        queued = (task for _, _, tasks in pending for task in tasks)
         with ProcessPoolExecutor(max_workers=jobs,
                                  initializer=_worker_init) as pool:
-            futures = {pool.submit(_run_task, task): task for task in all_tasks}
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+            running: dict[Future, Task] = {}
+
+            def submit_next() -> None:
+                task = next(queued, None)
+                if task is not None:
+                    begin(task)
+                    running[pool.submit(_run_task, task)] = task
+
+            for _ in range(jobs):
+                submit_next()
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
-                    task = futures[future]
+                    task = running.pop(future)
                     try:
                         payload, error = future.result(), None
                     except Exception as exc:  # noqa: BLE001
                         payload, error = None, str(exc)
                     record(task, payload, error)
+                    submit_next()
 
 
 def write_summary(results_dir: str | Path,

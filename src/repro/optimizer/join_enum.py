@@ -17,10 +17,15 @@ study of Figure 10.
 The optimizer is re-invoked at every re-optimization point, so one ``plan()``
 call is kept cheap: relation subsets are int bitmasks (bit ``i`` is
 ``query.relations[i]``), everything that depends only on the query is
-derived once per call (:class:`_JoinSearch`), every solved subset carries
-only numbers (its rows, cost, neighbours and hash-join terms), a split is
-scored with a few float operations on those numbers -- or skipped when its
-inputs alone already cost as much as the best join found -- and
+derived once per call (:class:`_JoinSearch`), and everything that depends
+only on the relation count -- the DP's masks and their ordered splits -- once
+per process (:func:`_split_table`).  The DP keeps its solved subsets in a
+flat list indexed by mask, an unsolved mask holding an infinitely expensive
+sentinel, so a split costs two list reads and one float comparison before it
+is skipped -- it is skipped when its inputs alone already cost as much as
+the best join found.  Every solved subset carries only numbers (its rows,
+cost, neighbours and hash-join terms), a surviving split is scored with a
+few float operations on those numbers, and
 :class:`~repro.plan.physical.JoinNode` objects are built once, for the
 winning tree.  ``tests/reference_enum.py`` keeps the straightforward
 formulation; the two must agree on every node and every float (see
@@ -29,6 +34,8 @@ ARCHITECTURE.md, "The optimizer").
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -67,25 +74,54 @@ class EnumeratorConfig:
 #: (A plain tuple: the scoring loop unpacks two of these per split.)
 _Solved = tuple[float, float, int, float, float]
 
+_INF = float("inf")
+
+#: What a mask the DP has not solved reads as: infinitely expensive and
+#: connected to nothing.  A split with such a side has an infinite
+#: ``child_cost``, so the skip rule drops it, and where nothing is skipped
+#: (the robust objective) its candidates score infinite or NaN, which is
+#: never strictly lower than the incumbent.
+_UNSOLVED: _Solved = (_INF, _INF, 0, _INF, _INF)
+
+#: Ordered splits ``((left mask, right mask), ...)`` of the same mask.
+_Splits = tuple[tuple[int, int], ...]
+
+#: An indexed inner relation: ``(cost of one probe, [(partner bit, indexed
+#: column), ...])``.
+_Indexed = tuple[float, list[tuple[int, ColumnRef]]]
+
 
 class _JoinSearch:
     """Working state of one ``plan()`` call: what is derived once from the
     query, and the solution of every subset solved so far."""
 
     def __init__(self, masks: RelationMasks, estimate: Callable[[int], float],
-                 predicate_table: tuple[tuple[int, tuple[JoinPredicate, ...]], ...]):
+                 predicate_table: tuple[tuple[int, tuple[JoinPredicate, ...]], ...],
+                 flat: bool):
         self.masks = masks
         self._estimate = estimate
         self._estimates: dict[int, float] = {}
         #: ``(pair mask, predicates)`` rows; a join's predicates are the
         #: rows whose pair has one relation on each side, in table order.
         self.predicate_table = predicate_table
+        # Both tables below are indexed by mask: lists of 2**n entries when
+        # ``flat`` (the DP), dicts for the greedy search, whose width has no
+        # bound.
+        #: mask -> solution; ``_UNSOLVED`` (list) or absent (dict) until
+        #: the mask is solved.
+        self.solved: list[_Solved] | dict[int, _Solved]
         #: Relations an INDEX_NL join may probe: relation bit -> ``(cost of
         #: one probe into the stored table, [(partner bit, indexed column of
-        #: the relation), ...] in predicate-table order)``.
-        self.indexed_inner: dict[int, tuple[float, list[tuple[int, ColumnRef]]]] = {}
-        #: mask -> solution, in the order the masks were solved.
-        self.solved: dict[int, _Solved] = {}
+        #: the relation), ...] in predicate-table order)``; ``None`` for every
+        #: other mask.
+        self.indexed_inner: list[_Indexed | None] | dict[int, _Indexed | None]
+        if flat:
+            size = 1 << len(masks.relations)
+            self.solved = [_UNSOLVED] * size
+            self.indexed_inner = [None] * size
+        else:
+            self.solved = {}
+            self.indexed_inner = defaultdict(lambda: None)
         #: relation bit -> its scan, and mask of two or more relations -> the
         #: join that solved it; :meth:`node` turns these into the plan.
         self.scans: dict[int, ScanNode] = {}
@@ -160,7 +196,7 @@ class JoinEnumerator:
         else:
             predicate_table = tuple((pair, (pred,)) for pair, pred in masks.joins)
         search = _JoinSearch(masks, self.estimator.subset_estimator(masks),
-                             predicate_table)
+                             predicate_table, flat=group_by_pair)
 
         neighbours = dict.fromkeys((1 << i for i in range(len(masks.relations))), 0)
         for pair, _ in predicate_table:
@@ -233,20 +269,24 @@ class JoinEnumerator:
     # Dynamic programming over subsets
     # ------------------------------------------------------------------
     def _dynamic_programming(self, search: _JoinSearch) -> PlanNode:
-        full_mask = (1 << len(search.masks.relations)) - 1
-        for mask in sorted(range(1, full_mask + 1), key=int.bit_count):
-            if not mask & (mask - 1):
-                continue
-            join = self._cheapest_join(
-                search, _ordered_splits(mask, search.estimate(mask)))
+        num_relations = len(search.masks.relations)
+        full_mask = (1 << num_relations) - 1
+        estimate = search.estimate
+        for mask, splits in _split_table(num_relations):
+            join = self._cheapest_join(search, ((estimate(mask), splits),))
             if join is not None:
                 self._add_join(search, join)
-        if full_mask not in search.solved:
+        solved = search.solved
+        if solved[full_mask] is _UNSOLVED:
             # The join graph is disconnected and cross products were not
             # allowed inside the DP (``enable_nl`` off): cross-join the
-            # largest solved masks until everything is covered.
+            # largest solved masks until everything is covered, larger
+            # masks first and, among equally large ones, lower first.
+            largest_first = [mask for mask in sorted(
+                range(1, full_mask), key=int.bit_count, reverse=True)
+                if solved[mask] is not _UNSOLVED]
             covered = 0
-            for mask in sorted(search.solved, key=int.bit_count, reverse=True):
+            for mask in largest_first:
                 if covered & mask:
                     continue
                 if covered:
@@ -260,7 +300,7 @@ class JoinEnumerator:
     # Greedy operator ordering for wide queries
     # ------------------------------------------------------------------
     def _greedy(self, search: _JoinSearch) -> PlanNode:
-        components = list(search.solved)
+        components = [1 << i for i in range(len(search.masks.relations))]
         while len(components) > 1:
             join = self._cheapest_join(
                 search, _connected_pairs(search, components))
@@ -278,19 +318,25 @@ class JoinEnumerator:
     # Join scoring (shared by both searches)
     # ------------------------------------------------------------------
     def _cheapest_join(self, search: _JoinSearch,
-                       splits: Iterable[tuple[int, int, float]]) -> _Join | None:
-        """Best-scoring join over ``(left mask, right mask, output rows)`` splits.
+                       groups: Iterable[tuple[float, _Splits]]) -> _Join | None:
+        """Best-scoring join over groups of ``(left mask, right mask)``
+        splits, each group ``(output rows, splits)``.
 
-        Candidates are compared in split order and, within a split, in the
-        order HASH, INDEX_NL, NL; a later candidate replaces the incumbent
-        only when its score is strictly lower.  Splits with an unsolved side
-        are skipped.  This loop runs once per split of every subset, so it
-        works on floats only, with :meth:`CostModel.join_cost`'s operations
-        in the same order.  With ``robustness_weight`` 0 a split is also
-        skipped when none of its candidates can score strictly lower than
+        The DP passes one group, the splits of one mask; the greedy search
+        one group per connected pair of components.  Candidates are
+        compared in split order and, within a split, in the order HASH,
+        INDEX_NL, NL; a later candidate replaces the incumbent only when its
+        score is strictly lower.  This loop runs once per split of every
+        subset, so it works on floats only, with
+        :meth:`CostModel.join_cost`'s operations in the same order.  With
+        ``robustness_weight`` 0 a split is skipped, before its solutions are
+        unpacked, when none of its candidates can score strictly lower than
         the incumbent: each costs ``child_cost`` (INDEX_NL: ``child_cost``
         minus the replaced inner scan) plus non-negative terms, and adding a
-        non-negative float never rounds below the other operand.
+        non-negative float never rounds below the other operand.  A side the
+        DP left unsolved (``_UNSOLVED``) makes ``child_cost`` infinite, so
+        the split is skipped too, or under the robust objective, which skips
+        nothing, scores infinite or NaN and never wins.
         """
         config = self.config
         p = self.cost_model.params
@@ -299,61 +345,61 @@ class JoinEnumerator:
         solved, indexed_inner = search.solved, search.indexed_inner
         robust = config.robustness_weight > 0.0
         best: _Join | None = None
-        best_score = float("inf")
-        for left, right, out_rows in splits:
-            left_solved = solved.get(left)
-            right_solved = solved.get(right)
-            if left_solved is None or right_solved is None:
-                continue
-            left_rows, left_cost, neighbours, _, left_probe = left_solved
-            right_rows, right_cost, _, right_build, _ = right_solved
-            child_cost = left_cost + right_cost
-            indexed = indexed_inner.get(right)
-            if (child_cost >= best_score and not robust
-                    and (indexed is None or child_cost - right_cost >= best_score)):
-                continue
+        best_score = _INF
+        for out_rows, splits in groups:
             emit = out_rows * tuple_cost
-            found = False
-            if neighbours & right:
-                if enable_hash:
-                    found = True
-                    est_cost = child_cost + ((right_build + left_probe) + emit)
-                    score = est_cost if not robust else self._plan_score(
-                        JoinMethod.HASH, est_cost, left_rows, right_rows,
-                        out_rows, left_cost, right_cost)
-                    if score < best_score:
-                        best_score = score
-                        best = (est_cost, left, right, out_rows,
-                                JoinMethod.HASH, None)
-                if indexed is not None:
-                    per_probe, probes = indexed
-                    for partner, index_column in probes:
-                        if not partner & left:
-                            continue
+            for left, right in splits:
+                left_solved = solved[left]
+                right_solved = solved[right]
+                right_cost = right_solved[1]
+                child_cost = left_solved[1] + right_cost
+                indexed = indexed_inner[right]
+                if (child_cost >= best_score and not robust
+                        and (indexed is None or child_cost - right_cost >= best_score)):
+                    continue
+                left_rows, left_cost, neighbours, _, left_probe = left_solved
+                right_rows, _, _, right_build, _ = right_solved
+                found = False
+                if neighbours & right:
+                    if enable_hash:
                         found = True
-                        # The inner scan is replaced by index probes into
-                        # the whole stored table.
-                        est_cost = (child_cost - right_cost) + (
-                            left_rows * per_probe + emit)
+                        est_cost = child_cost + ((right_build + left_probe) + emit)
                         score = est_cost if not robust else self._plan_score(
-                            JoinMethod.INDEX_NL, est_cost, left_rows, right_rows,
+                            JoinMethod.HASH, est_cost, left_rows, right_rows,
                             out_rows, left_cost, right_cost)
                         if score < best_score:
                             best_score = score
                             best = (est_cost, left, right, out_rows,
-                                    JoinMethod.INDEX_NL, index_column)
-                        break
-            if enable_nl and not found:
-                # Last resort for connected splits, and the cross product
-                # the DP is allowed for unconnected ones.
-                est_cost = child_cost + (
-                    left_rows * right_rows * operator_cost + emit)
-                score = est_cost if not robust else self._plan_score(
-                    JoinMethod.NL, est_cost, left_rows, right_rows,
-                    out_rows, left_cost, right_cost)
-                if score < best_score:
-                    best_score = score
-                    best = (est_cost, left, right, out_rows, JoinMethod.NL, None)
+                                    JoinMethod.HASH, None)
+                    if indexed is not None:
+                        per_probe, probes = indexed
+                        for partner, index_column in probes:
+                            if not partner & left:
+                                continue
+                            found = True
+                            # The inner scan is replaced by index probes into
+                            # the whole stored table.
+                            est_cost = (child_cost - right_cost) + (
+                                left_rows * per_probe + emit)
+                            score = est_cost if not robust else self._plan_score(
+                                JoinMethod.INDEX_NL, est_cost, left_rows, right_rows,
+                                out_rows, left_cost, right_cost)
+                            if score < best_score:
+                                best_score = score
+                                best = (est_cost, left, right, out_rows,
+                                        JoinMethod.INDEX_NL, index_column)
+                            break
+                if enable_nl and not found:
+                    # Last resort for connected splits, and the cross product
+                    # the DP is allowed for unconnected ones.
+                    est_cost = child_cost + (
+                        left_rows * right_rows * operator_cost + emit)
+                    score = est_cost if not robust else self._plan_score(
+                        JoinMethod.NL, est_cost, left_rows, right_rows,
+                        out_rows, left_cost, right_cost)
+                    if score < best_score:
+                        best_score = score
+                        best = (est_cost, left, right, out_rows, JoinMethod.NL, None)
         return best
 
     def _plan_score(self, method: JoinMethod, est_cost: float,
@@ -396,23 +442,37 @@ class JoinEnumerator:
             out_rows, est_cost, search.solved[left][2] | search.solved[right][2])
 
 
-def _ordered_splits(mask: int, out_rows: float) -> Iterator[tuple[int, int, float]]:
-    """Every ordered split of ``mask`` into two non-empty halves.
+@functools.lru_cache(maxsize=None)
+def _split_table(num_relations: int) -> tuple[tuple[int, _Splits], ...]:
+    """The DP's steps over ``num_relations`` relations, built once per width.
 
-    Both orientations are produced because the sides are not symmetric
-    (which one builds the hash table / is probed through its index).
+    Every mask of two or more relations, in order of population count and
+    then value, with every *ordered* split ``(sub, mask ^ sub)`` of it into
+    two non-empty halves in descending ``sub`` order.  Both orientations
+    are listed because the sides are not symmetric (the right one builds
+    the hash table or is probed through its index).  A mask is solved only
+    after every smaller one, so both halves of a split are final when it
+    is scored.
     """
-    sub = (mask - 1) & mask
-    while sub:
-        yield sub, mask ^ sub, out_rows
-        sub = (sub - 1) & mask
+    table = []
+    for mask in sorted(range(1, 1 << num_relations), key=int.bit_count):
+        if not mask & (mask - 1):
+            continue
+        splits = []
+        sub = (mask - 1) & mask
+        while sub:
+            splits.append((sub, mask ^ sub))
+            sub = (sub - 1) & mask
+        table.append((mask, tuple(splits)))
+    return tuple(table)
 
 
-def _connected_pairs(search: _JoinSearch,
-                     components: list[int]) -> Iterator[tuple[int, int, float]]:
-    """Every ordered pair of components joined by at least one predicate."""
+def _connected_pairs(search: _JoinSearch, components: list[int],
+                     ) -> Iterator[tuple[float, _Splits]]:
+    """Every ordered pair of components joined by at least one predicate, as
+    a one-split group with its output rows."""
     for left in components:
         neighbours = search.solved[left][2]
         for right in components:
             if right != left and neighbours & right:
-                yield left, right, search.estimate(left | right)
+                yield search.estimate(left | right), ((left, right),)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -261,3 +263,25 @@ def test_summary_keeps_entries_without_an_artifact(tmp_path):
     summary = cli.write_summary(empty, summary_path)
     assert summary["experiments"] == committed
     assert artifacts.load_artifact(summary_path)["experiments"] == committed
+
+
+def test_each_experiment_clock_starts_with_its_first_task(tmp_path,
+                                                          monkeypatch):
+    """Under ``--jobs 1`` an experiment's ``wall_clock_seconds`` is its own,
+    not the time since the invocation began."""
+    def stub(name: str, seconds: float) -> registry.ExperimentSpec:
+        def run(verbose: bool = False) -> artifacts.ExperimentResult:
+            time.sleep(seconds)
+            return dataclasses.replace(_fake_result(), name=name)
+        return registry.ExperimentSpec(name=name, artifact="Table 0 (made up)",
+                                       module=__name__, runner=run)
+
+    for spec in (stub("stub_slow", 0.2), stub("stub_fast", 0.0)):
+        monkeypatch.setitem(registry.REGISTRY, spec.name, spec)
+    statuses = cli.run_experiments(["stub_slow", "stub_fast"],
+                                   results_dir=tmp_path, summary_path=None)
+    assert [s.status for s in statuses] == ["written", "written"]
+    seconds = {name: artifacts.load_artifact(tmp_path / f"{name}.json")[
+        "wall_clock_seconds"] for name in ("stub_slow", "stub_fast")}
+    assert seconds["stub_slow"] >= 0.2
+    assert seconds["stub_fast"] < 0.1

@@ -292,6 +292,26 @@ class TestJoinEnumeration:
         assert optimal_rows <= default_rows * 1.5
 
 
+@pytest.mark.parametrize("num_relations", range(1, 9))
+def test_split_table_lists_every_ordered_split_once_in_dp_order(num_relations):
+    """Masks in order of population count, then value; a mask's splits
+    ``(sub, mask ^ sub)`` in descending ``sub`` order, every non-empty proper
+    ``sub`` exactly once."""
+    full = 1 << num_relations
+    expected = []
+    for count in range(2, num_relations + 1):
+        for mask in range(full):
+            if bin(mask).count("1") != count:
+                continue
+            subs = [sub for sub in range(mask - 1, 0, -1) if sub & mask == sub]
+            expected.append((mask, tuple((sub, mask - sub) for sub in subs)))
+    table = join_enum._split_table(num_relations)
+    assert table == tuple(expected)
+    assert sum(len(splits) for _, splits in table) == (
+        3 ** num_relations - 2 ** (num_relations + 1) + 1)
+    assert join_enum._split_table(num_relations) is table
+
+
 # ----------------------------------------------------------------------
 # Differential: production enumerator vs. tests/reference_enum.py
 # ----------------------------------------------------------------------
@@ -344,6 +364,9 @@ ENUMERATOR_CONFIGS = {
     "nl-last-resort": EnumeratorConfig(enable_hash=False, enable_index_nl=False),
     "use": use_config(),
     "fs": fs_config(),
+    # The robust objective skips no split, so this is where its loop meets
+    # the masks a disconnected query leaves unsolved.
+    "fs-no-nl": fs_config(EnumeratorConfig(enable_nl=False)),
     "greedy": EnumeratorConfig(dp_relation_limit=3),
     "greedy-fs": fs_config(EnumeratorConfig(dp_relation_limit=2)),
     "greedy-no-nl": EnumeratorConfig(dp_relation_limit=2, enable_nl=False),
