@@ -131,18 +131,6 @@ class Schema:
     # ------------------------------------------------------------------
     # PK / FK introspection used by the join-graph construction
     # ------------------------------------------------------------------
-    def referenced_tables(self) -> set[str]:
-        """Tables whose primary key is referenced by at least one foreign key."""
-        referenced = set()
-        for table in self._tables.values():
-            for fk in table.foreign_keys:
-                referenced.add(fk.ref_table)
-        return referenced
-
-    def referencing_tables(self) -> set[str]:
-        """Tables that declare at least one foreign key."""
-        return {t.name for t in self._tables.values() if t.foreign_keys}
-
     def is_fk_reference(self, from_table: str, from_col: str,
                         to_table: str, to_col: str) -> bool:
         """True if ``from_table.from_col`` is a foreign key to ``to_table.to_col``."""

@@ -43,37 +43,3 @@ class DataType(enum.Enum):
             return cls.FLOAT
         return cls.STRING
 
-
-def coerce_array(values, dtype: DataType) -> np.ndarray:
-    """Coerce a Python sequence or numpy array to the storage dtype.
-
-    Parameters
-    ----------
-    values:
-        Any sequence of values (list, tuple, numpy array).
-    dtype:
-        Target logical type.
-
-    Returns
-    -------
-    numpy.ndarray with the storage dtype for ``dtype``.
-    """
-    arr = np.asarray(values)
-    if dtype is DataType.STRING:
-        if arr.dtype == object:
-            return arr
-        return arr.astype(object)
-    return arr.astype(dtype.numpy_dtype)
-
-
-def type_of_value(value) -> DataType:
-    """Infer the logical type of a single Python literal."""
-    if isinstance(value, bool):
-        raise TypeError("boolean literals are not supported")
-    if isinstance(value, (int, np.integer)):
-        return DataType.INT
-    if isinstance(value, (float, np.floating)):
-        return DataType.FLOAT
-    if isinstance(value, str):
-        return DataType.STRING
-    raise TypeError(f"unsupported literal type: {type(value)!r}")

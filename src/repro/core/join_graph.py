@@ -69,14 +69,6 @@ class JoinGraph:
         """Vertices with at least one outgoing edge (subquery centers)."""
         return [v for v in self.vertices if self.outgoing(v)]
 
-    def isolated(self) -> list[str]:
-        """Vertices with no edge at all (cross-product relations)."""
-        connected = set()
-        for edge in self.edges:
-            connected.add(edge.source)
-            connected.add(edge.target)
-        return [v for v in self.vertices if v not in connected]
-
     def reversed(self) -> "JoinGraph":
         """The graph with all directed edges reversed (PK-Center strategy)."""
         return JoinGraph(

@@ -67,7 +67,3 @@ def _with_aggregation_columns(spj: SPJQuery, node: AggregateNode) -> SPJQuery:
         return spj
     return spj.with_projections(combined)
 
-
-def count_spj_blocks(root: QueryPlanNode) -> int:
-    """Number of SPJ blocks in a query tree."""
-    return len(root.spj_leaves())

@@ -56,12 +56,10 @@ class QuerySplitConfig(BaselineConfig):
 class QuerySplitExecutor(AlgorithmBase):
     """Runs queries with the QuerySplit re-optimization algorithm."""
 
-    name = "QuerySplit"
-
     def __init__(self, database: Database, optimizer: Optimizer,
                  executor: Executor | None = None,
                  config: QuerySplitConfig | None = None):
-        super().__init__(database, optimizer, executor,
+        super().__init__("QuerySplit", database, optimizer, executor,
                          config or QuerySplitConfig())
 
     # A name of this class's own, so benchmarks/e2e/tracing.py can time

@@ -6,61 +6,51 @@ points by Phi instead of its native policy.  The answer is no -- a better
 ordering cannot compensate for a subquery division inherited from the global
 plan.
 
-We reproduce the study by wrapping each baseline with an ordering shim that
-re-sorts its materialization points by the Phi score of the corresponding
-sub-plan (estimated cost times estimated cardinality, etc.).
+We reproduce the study by replacing each baseline's checkpoint rule with one
+that re-sorts its checkpoints by the Phi score of the corresponding sub-plan
+(estimated cost times estimated cardinality, etc.).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from repro.bench.artifacts import ExperimentResult
 from repro.bench.reporting import format_seconds, format_table
 from repro.core.ssa import SSA_FUNCTIONS, CostFunction
 from repro.experiments.registry import experiment
 from repro.optimizer.optimizer import Optimizer
-from repro.plan.physical import JoinNode, PhysicalPlan
 from repro.report import WorkloadResult
-from repro.reopt.base import BaselineConfig
-from repro.reopt.ief import IEFBaseline
-from repro.reopt.kabra import ReoptBaseline
-from repro.reopt.perron import Perron19Baseline
-from repro.reopt.pop import PopBaseline
+from repro.reopt.base import BaselineConfig, ReoptimizerBase
+from repro.reopt.registry import ALGORITHMS, Algorithm
 from repro.storage.database import IndexConfig
 from repro.workloads import dbcache
 from repro.workloads.job_queries import JOB_FAMILY_NUMBERS, job_queries
 
 PAPER_ARTIFACT = "Table 5 (existing re-optimizers with Phi cost functions)"
 
-_BASELINES = {
-    "Reopt": ReoptBaseline,
-    "Pop": PopBaseline,
-    "IEF": IEFBaseline,
-    "Perron19": Perron19Baseline,
-}
+_BASELINES = ("Reopt", "Pop", "IEF", "Perron19")
 
 COST_FUNCTIONS = (CostFunction.PHI1, CostFunction.PHI2, CostFunction.PHI3,
                   CostFunction.PHI4, CostFunction.PHI5)
 
 
-def _with_phi_ordering(baseline_cls, cost_function: CostFunction):
-    """Subclass a baseline so its materialization points are ordered by Phi."""
+def _with_phi_ordering(row: Algorithm, cost_function: CostFunction) -> Algorithm:
+    """``row`` with its checkpoints ordered by Phi."""
     scorer = SSA_FUNCTIONS[cost_function]
+    checkpoints = row.checkpoints
 
-    class PhiOrderedBaseline(baseline_cls):
-        name = f"{baseline_cls.name}+{cost_function.value}"
+    def ordered(plan, schema):
+        return sorted(checkpoints(plan, schema),
+                      key=lambda node: scorer(node.est_cost, node.est_rows))
 
-        def materialization_points(self, plan: PhysicalPlan) -> list[JoinNode]:
-            points = super().materialization_points(plan)
-            return sorted(points,
-                          key=lambda node: scorer(node.est_cost, node.est_rows))
-
-    return PhiOrderedBaseline
+    return dataclasses.replace(row, checkpoints=ordered)
 
 
 @experiment(artifact=PAPER_ARTIFACT, shard_param="families",
             shard_universe=JOB_FAMILY_NUMBERS)
 def run(scale: float = 1.0, families: list[int] | None = None,
-        algorithms: tuple[str, ...] = tuple(_BASELINES),
+        algorithms: tuple[str, ...] = _BASELINES,
         cost_functions: tuple[CostFunction, ...] = COST_FUNCTIONS,
         timeout_seconds: float = 30.0,
         verbose: bool = True) -> ExperimentResult:
@@ -76,14 +66,19 @@ def run(scale: float = 1.0, families: list[int] | None = None,
 
     results: dict[tuple[str, str], WorkloadResult] = {}
     for algorithm in algorithms:
-        baseline_cls = _BASELINES[algorithm]
-        variants = {"original": baseline_cls}
+        row = ALGORITHMS[algorithm]
+        variants = {"original": (algorithm, row)}
         for cost_function in cost_functions:
-            variants[cost_function.value] = _with_phi_ordering(baseline_cls,
-                                                               cost_function)
-        for variant_name, cls in variants.items():
+            variants[cost_function.value] = (
+                f"{algorithm}+{cost_function.value}",
+                _with_phi_ordering(row, cost_function))
+        for variant_name, (name, variant) in variants.items():
             result = WorkloadResult(algorithm=f"{algorithm}/{variant_name}")
-            runner = cls(database, Optimizer(database), config=config)
+            runner = ReoptimizerBase(
+                name, database, Optimizer(database), config=config,
+                checkpoints=variant.checkpoints,
+                always_materialize=variant.always_materialize,
+                trigger_threshold=variant.trigger_threshold)
             for query in queries:
                 result.reports.append(runner.run(query))
             results[(algorithm, variant_name)] = result

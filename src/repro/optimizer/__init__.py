@@ -14,9 +14,10 @@ on:
   MSCN, USE, and Pessimistic CE (:mod:`repro.optimizer.learned`,
   :mod:`repro.optimizer.pessimistic`);
 * a **cost model** (:mod:`repro.optimizer.cost`) and a dynamic-programming
-  **join enumerator** with a greedy fallback (:mod:`repro.optimizer.join_enum`);
-* the robust planner configurations of FS and USE
-  (:mod:`repro.optimizer.robust`).
+  **join enumerator** with a greedy fallback (:mod:`repro.optimizer.join_enum`),
+  whose :class:`~repro.optimizer.join_enum.EnumeratorConfig` also carries
+  the robust planner settings of FS and USE (their rows in
+  :data:`repro.reopt.registry.ALGORITHMS`).
 """
 
 from repro.optimizer.cardinality import CardinalityEstimator, DefaultCardinalityEstimator

@@ -332,8 +332,9 @@ class JoinEnumerator:
         ``robustness_weight`` 0 a split is skipped, before its solutions are
         unpacked, when none of its candidates can score strictly lower than
         the incumbent: each costs ``child_cost`` (INDEX_NL: ``child_cost``
-        minus the replaced inner scan) plus non-negative terms, and adding a
-        non-negative float never rounds below the other operand.  A side the
+        minus the replaced inner scan) plus ``emit`` with non-negative terms
+        added to it, and float addition is monotone in each operand, so no
+        candidate costs less than ``child_cost + emit``.  A side the
         DP left unsolved (``_UNSOLVED``) makes ``child_cost`` infinite, so
         the split is skipped too, or under the robust objective, which skips
         nothing, scores infinite or NaN and never wins.
@@ -354,8 +355,9 @@ class JoinEnumerator:
                 right_cost = right_solved[1]
                 child_cost = left_solved[1] + right_cost
                 indexed = indexed_inner[right]
-                if (child_cost >= best_score and not robust
-                        and (indexed is None or child_cost - right_cost >= best_score)):
+                if (child_cost + emit >= best_score and not robust
+                        and (indexed is None
+                             or (child_cost - right_cost) + emit >= best_score)):
                     continue
                 left_rows, left_cost, neighbours, _, left_probe = left_solved
                 right_rows, _, _, right_build, _ = right_solved

@@ -14,9 +14,9 @@ Stands in for the two sketch-based robust baselines of the paper:
 
 * **USE** ("Simplicity Done Right for Join Ordering") uses the same
   upper-bound sketches, additionally disables nested-loop joins, and is
-  non-adaptive; that variant is assembled in :mod:`repro.reopt.robust_baselines`
-  by combining this estimator with an enumerator configuration that bans
-  nested-loop joins.
+  non-adaptive; its row of :data:`repro.reopt.registry.ALGORITHMS` pairs
+  this estimator with an enumerator configuration that bans nested-loop
+  joins.
 """
 
 from __future__ import annotations

@@ -238,14 +238,6 @@ class JoinPredicate:
         """The pair of aliases this predicate connects."""
         return frozenset((self.left.alias, self.right.alias))
 
-    def column_for(self, alias: str) -> ColumnRef:
-        """The side of the predicate belonging to ``alias``."""
-        if self.left.alias == alias:
-            return self.left
-        if self.right.alias == alias:
-            return self.right
-        raise KeyError(f"join predicate does not reference alias {alias!r}")
-
     def other(self, alias: str) -> ColumnRef:
         """The side of the predicate *not* belonging to ``alias``."""
         if self.left.alias == alias:

@@ -180,17 +180,6 @@ class SPJQuery:
             pred for pred in self.filters
             if all(alias in relation.covered_aliases for alias in pred.aliases()))
 
-    def join_predicates_between(self, left: RelationRef,
-                                right: RelationRef) -> tuple[JoinPredicate, ...]:
-        """Join predicates connecting ``left`` and ``right``."""
-        preds = []
-        for pred in self.join_predicates:
-            left_alias, right_alias = pred.left.alias, pred.right.alias
-            if ((left.covers(left_alias) and right.covers(right_alias))
-                    or (left.covers(right_alias) and right.covers(left_alias))):
-                preds.append(pred)
-        return tuple(preds)
-
     def output_columns(self) -> tuple[ColumnRef, ...]:
         """All column references appearing in the output (projection/aggregates)."""
         refs = list(self.projections)

@@ -1,56 +1,32 @@
 """Re-optimization algorithms and baselines.
 
 * :mod:`repro.reopt.base` -- the driver base of every algorithm, QuerySplit
-  included (``run``, timeout, materialize step), and the plan-driven loop;
-* :mod:`repro.reopt.default` -- the non-adaptive ``Default`` and ``Optimal``
-  baselines;
-* :mod:`repro.reopt.kabra` -- ``Reopt`` (Kabra & DeWitt): re-optimize at
-  pipeline breakers when estimates deviate;
-* :mod:`repro.reopt.pop` -- ``Pop`` (progressive optimization): aggressive
-  materialization, including at nested-loop joins;
-* :mod:`repro.reopt.ief` -- ``IEF`` (incremental execution framework):
-  materialize at the most uncertain plan node;
-* :mod:`repro.reopt.perron` -- ``Perron19``: materialize every join, re-plan
-  when the q-error exceeds 32;
-* :mod:`repro.reopt.robust_baselines` -- the non-adaptive robust baselines
-  (USE, Pessimistic CE, FS) plus OptRange and the learned-CE baselines;
-* :mod:`repro.reopt.registry` -- name -> factory registry used by the bench
-  harness and experiments.
+  included (``run``, timeout, materialize step), the plan-once driver and
+  the plan-driven re-optimization loop;
+* :mod:`repro.reopt.registry` -- :data:`ALGORITHMS`, one row per evaluated
+  algorithm (its estimator, enumerator configuration, checkpoint rule and
+  re-planning threshold), and :func:`make_algorithm`, which builds a runner
+  from a row for the bench harness and experiments.
 """
 
 from repro.report import ExecutionReport, IterationRecord, WorkloadResult
-from repro.reopt.base import BaselineConfig, ReoptimizerBase
-from repro.reopt.default import DefaultBaseline, OptimalBaseline
-from repro.reopt.kabra import ReoptBaseline
-from repro.reopt.pop import PopBaseline
-from repro.reopt.ief import IEFBaseline
-from repro.reopt.perron import Perron19Baseline
-from repro.reopt.robust_baselines import (
-    FSBaseline,
-    LearnedCEBaseline,
-    OptRangeBaseline,
-    PessimisticBaseline,
-    USEBaseline,
+from repro.reopt.base import BaselineConfig, NonAdaptiveBaseline, ReoptimizerBase
+from repro.reopt.registry import (
+    ALGORITHM_NAMES,
+    ALGORITHMS,
+    Algorithm,
+    make_algorithm,
 )
-from repro.reopt.registry import ALGORITHM_NAMES, make_algorithm
 
 __all__ = [
     "ExecutionReport",
     "IterationRecord",
     "WorkloadResult",
     "BaselineConfig",
+    "NonAdaptiveBaseline",
     "ReoptimizerBase",
-    "DefaultBaseline",
-    "OptimalBaseline",
-    "ReoptBaseline",
-    "PopBaseline",
-    "IEFBaseline",
-    "Perron19Baseline",
-    "USEBaseline",
-    "PessimisticBaseline",
-    "FSBaseline",
-    "OptRangeBaseline",
-    "LearnedCEBaseline",
+    "Algorithm",
+    "ALGORITHMS",
     "ALGORITHM_NAMES",
     "make_algorithm",
 ]

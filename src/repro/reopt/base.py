@@ -16,8 +16,10 @@ triggers a re-plan:
 5. when no materialization point remains, execute the rest of the plan and
    finish.
 
-Subclasses provide the policy through :meth:`materialization_points`,
-:attr:`always_materialize` and :attr:`trigger_threshold`.
+The policy is three constructor arguments: ``checkpoints`` (the rule that
+lists the plan nodes to stop at), ``always_materialize`` and
+``trigger_threshold``.  What each algorithm passes is one row of
+:data:`repro.reopt.registry.ALGORITHMS`.
 
 Incremental execution relies on two layers of caching in the executor: the
 per-plan ``cache`` dict below (``id(node)`` -> executed
@@ -42,20 +44,28 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.catalog.analyze import analyze_columns
+from repro.catalog.schema import Schema
 from repro.catalog.statistics import TableStats
 from repro.core.nonspj import execute_query_tree
 from repro.executor.chunk import Chunk
 from repro.executor.executor import ExecutionError, Executor
 from repro.executor.joins import JoinOverflowError
 from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.oracle import TrueCardinalityOracle
 from repro.plan.expressions import ColumnRef
 from repro.plan.logical import Query, RelationRef, SPJQuery
 from repro.plan.physical import JoinNode, PhysicalPlan
 from repro.report import ExecutionReport, IterationRecord
 from repro.storage.database import Database
 from repro.storage.table import DataTable
+
+
+#: A checkpoint rule: the plan nodes, in execution order, where a
+#: re-optimizer stops to compare its estimate with the observed rows.
+Checkpoints = Callable[[PhysicalPlan, Schema], list[JoinNode]]
 
 
 class QueryTimeout(Exception):
@@ -72,16 +82,18 @@ class BaselineConfig:
 
 class AlgorithmBase:
     """Driver base of every algorithm, QuerySplit included: run() (non-SPJ
-    segmentation, deadline, temp cleanup) and the materialize step."""
+    segmentation, deadline, temp cleanup) and the materialize step.
 
-    name = "algorithm"
-    #: The true-cardinality oracle driving the optimizer, if any; reset
-    #: after every run to bound its memory.
-    oracle = None
+    ``name`` is what every report of the driver calls its algorithm;
+    ``oracle`` is the true-cardinality oracle driving the optimizer, if any,
+    reset after every run to bound its memory."""
 
-    def __init__(self, database: Database, optimizer: Optimizer,
+    def __init__(self, name: str, database: Database, optimizer: Optimizer,
                  executor: Executor | None = None,
-                 config: BaselineConfig | None = None):
+                 config: BaselineConfig | None = None,
+                 oracle: TrueCardinalityOracle | None = None):
+        self.name = name
+        self.oracle = oracle
         self.database = database
         self.optimizer = optimizer
         self.executor = executor or Executor(database)
@@ -161,8 +173,6 @@ class AlgorithmBase:
 class NonAdaptiveBaseline(AlgorithmBase):
     """Plan once, execute once (Default, Optimal, and the robust baselines)."""
 
-    name = "non-adaptive"
-
     def _run_spj(self, spj: SPJQuery, report: ExecutionReport) -> DataTable:
         self._check_timeout()
         plan = self.optimizer.plan(spj)
@@ -182,20 +192,24 @@ class NonAdaptiveBaseline(AlgorithmBase):
 
 
 class ReoptimizerBase(AlgorithmBase):
-    """Skeleton of the plan-driven re-optimization baselines."""
+    """The plan-driven re-optimization loop.
 
-    name = "reoptimizer"
-    #: Materialize at every materialization point, even without a trigger.
-    always_materialize = False
-    #: q-error threshold above which the remaining query is re-planned.
-    trigger_threshold = 2.0
+    ``checkpoints(plan, schema)`` lists the plan nodes, in execution order,
+    where the loop stops; ``always_materialize`` materializes at every one
+    of them, even without a trigger; a q-error above ``trigger_threshold``
+    re-plans the remaining query."""
 
-    # ------------------------------------------------------------------
-    # Policy hooks
-    # ------------------------------------------------------------------
-    def materialization_points(self, plan: PhysicalPlan) -> list[JoinNode]:
-        """Plan nodes (in execution order) where the policy checkpoints."""
-        raise NotImplementedError
+    def __init__(self, name: str, database: Database, optimizer: Optimizer,
+                 executor: Executor | None = None,
+                 config: BaselineConfig | None = None,
+                 oracle: TrueCardinalityOracle | None = None, *,
+                 checkpoints: Checkpoints,
+                 always_materialize: bool = False,
+                 trigger_threshold: float = 2.0):
+        super().__init__(name, database, optimizer, executor, config, oracle)
+        self.checkpoints = checkpoints
+        self.always_materialize = always_materialize
+        self.trigger_threshold = trigger_threshold
 
     # ------------------------------------------------------------------
     # The shared loop
@@ -214,7 +228,8 @@ class ReoptimizerBase(AlgorithmBase):
                 consumed_points = set()
 
             points = [
-                node for node in self.materialization_points(current_plan)
+                node for node in self.checkpoints(current_plan,
+                                                  self.database.schema)
                 if node is not current_plan.root and id(node) not in consumed_points
             ]
             if not points or len(remaining.relations) <= 2:

@@ -73,14 +73,6 @@ class ExecutionReport:
         return sum(it.memory_bytes for it in self.iterations if it.materialized)
 
     @property
-    def avg_memory_per_materialization(self) -> float:
-        """Average temporary-table size in bytes (0 if nothing materialized)."""
-        count = self.materializations
-        if count == 0:
-            return 0.0
-        return self.materialized_bytes / count
-
-    @property
     def max_intermediate_rows(self) -> int:
         """Largest intermediate result produced across all iterations."""
         if not self.iterations:

@@ -161,10 +161,6 @@ class Database:
             table=table, stats=stats, covered_aliases=covered_aliases)
         return name
 
-    def temp_entry(self, name: str) -> TempTableEntry:
-        """Return the bookkeeping entry of a temporary table."""
-        return self._temp_tables[name]
-
     def drop_temp_tables(self) -> None:
         """Drop every temporary table (called between queries)."""
         self._temp_tables.clear()

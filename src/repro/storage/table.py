@@ -190,35 +190,6 @@ class DataTable:
             num_rows=self.num_rows,
         )
 
-    def rename_columns(self, mapping: dict[str, str], name: str | None = None) -> "DataTable":
-        """Return a new table with columns renamed according to ``mapping``."""
-        return DataTable(
-            name=name or self.name,
-            columns={mapping.get(col, col): arr for col, arr in self.columns.items()},
-            dictionaries={mapping.get(col, col): d
-                          for col, d in self.dictionaries.items()},
-            num_rows=self.num_rows,
-        )
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_rows(cls, name: str, column_names: list[str], rows: list[tuple]) -> "DataTable":
-        """Build a table from a list of row tuples (convenience for tests)."""
-        if not rows:
-            return cls(name=name, columns={c: np.array([]) for c in column_names})
-        columns = {}
-        for i, col in enumerate(column_names):
-            values = [row[i] for row in rows]
-            if all(isinstance(v, (int, np.integer)) for v in values):
-                columns[col] = np.array(values, dtype=np.int64)
-            elif all(isinstance(v, (int, float, np.integer, np.floating)) for v in values):
-                columns[col] = np.array(values, dtype=np.float64)
-            else:
-                columns[col] = np.array(values, dtype=object)
-        return cls(name=name, columns=columns)
-
     def to_rows(self) -> list[tuple]:
         """Return the table contents as a list of row tuples (tests only)."""
         names = self.column_names

@@ -573,10 +573,3 @@ def job_queries(families: list[int] | None = None) -> list[Query]:
             queries.append(Query.from_spj(spj, family=number))
     return queries
 
-
-def query_by_name(name: str) -> Query:
-    """Look up a single JOB-style query by its name (e.g. ``"6a"``)."""
-    for query in job_queries():
-        if query.name == name:
-            return query
-    raise KeyError(f"no JOB query named {name!r}")

@@ -11,7 +11,7 @@ from repro.catalog.statistics import (
     Histogram,
     TableStats,
 )
-from repro.catalog.types import DataType, coerce_array, type_of_value
+from repro.catalog.types import DataType
 from repro.storage.table import DataTable
 from tests import reference_analyze
 
@@ -31,23 +31,6 @@ class TestDataType:
         assert DataType.from_numpy(np.dtype(np.int32)) is DataType.INT
         assert DataType.from_numpy(np.dtype(np.float32)) is DataType.FLOAT
         assert DataType.from_numpy(np.dtype(object)) is DataType.STRING
-
-    def test_coerce_array_int(self):
-        arr = coerce_array([1, 2, 3], DataType.INT)
-        assert arr.dtype == np.int64
-
-    def test_coerce_array_string(self):
-        arr = coerce_array(["a", "b"], DataType.STRING)
-        assert arr.dtype == object
-
-    def test_type_of_value(self):
-        assert type_of_value(3) is DataType.INT
-        assert type_of_value(3.5) is DataType.FLOAT
-        assert type_of_value("x") is DataType.STRING
-
-    def test_type_of_value_rejects_bool(self):
-        with pytest.raises(TypeError):
-            type_of_value(True)
 
 
 class TestSchema:
@@ -76,11 +59,6 @@ class TestSchema:
     def test_duplicate_table_rejected(self, tiny_schema):
         with pytest.raises(ValueError):
             tiny_schema.add_table(TableSchema("t", [Column("id", DataType.INT)]))
-
-    def test_referenced_and_referencing(self, tiny_schema):
-        assert "t" in tiny_schema.referenced_tables()
-        assert "mk" in tiny_schema.referencing_tables()
-        assert "mk" not in tiny_schema.referenced_tables()
 
     def test_is_fk_reference(self, tiny_schema):
         assert tiny_schema.is_fk_reference("mk", "movie_id", "t", "id")

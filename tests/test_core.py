@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.join_graph import build_join_graph
-from repro.core.nonspj import count_spj_blocks, execute_query_tree
+from repro.core.nonspj import execute_query_tree
 from repro.core.qsa import QSAStrategy, generate_subqueries
 from repro.core.splitter import QuerySplitConfig, QuerySplitExecutor
 from repro.core.ssa import (
@@ -113,12 +113,6 @@ class TestJoinGraph:
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert done.stdout.strip() == "False"
-
-    def test_isolated_vertices(self, tiny_schema):
-        spj = SPJQuery(name="cross",
-                       relations=(RelationRef.base("t", "t"), RelationRef.base("k", "k")))
-        graph = build_join_graph(spj, tiny_schema)
-        assert set(graph.isolated()) == {"t", "k"}
 
 
 class TestCovering:
@@ -513,9 +507,6 @@ class TestNonSPJ:
         query = Query(name="union", root=UnionNode((SPJNode(spj), SPJNode(spj))))
         report = QuerySplitExecutor(tiny_db, Optimizer(tiny_db)).run(query)
         assert report.final_rows == 2
-
-    def test_count_spj_blocks(self, tiny_query):
-        assert count_spj_blocks(tiny_query.root) == 1
 
     def test_execute_query_tree_rejects_unknown_nodes(self):
         class Bogus:

@@ -195,6 +195,32 @@ def test_command_line_check_fails_on_an_unlisted_import(tmp_path, capsys):
     assert ".github/workflows/ci.yml: networkx" in capsys.readouterr().out
 
 
+def test_readme_algorithm_table_names_the_registry():
+    check_docs = _load_check_docs()
+    assert check_docs.find_algorithm_table_mismatch(REPO_ROOT) == []
+
+
+def test_algorithm_table_mismatch_is_reported(tmp_path, capsys):
+    """Only the first column of the "Algorithms" section's table counts:
+    a missing, an extra and a reordered name each fail the check."""
+    check_docs = _load_check_docs()
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "## Algorithms\n\n| Name | What |\n|---|---|\n"
+        "| `Default` | plan once |\n| `Gone` | `Pop` |\n\n"
+        "## Workloads\n\n| `Pop` | not this table |\n")
+    known = ("Default", "Pop")
+    assert check_docs.find_algorithm_table_mismatch(tmp_path, known) == [
+        "missing 'Pop'", "not in the registry: 'Gone'"]
+    readme.write_text("## Algorithms\n\n| `Pop` | |\n| `Default` | |\n")
+    assert len(check_docs.find_algorithm_table_mismatch(tmp_path, known)) == 1
+    readme.write_text("## Algorithms\n\n| `Default` | |\n| `Pop` | |\n")
+    assert check_docs.find_algorithm_table_mismatch(tmp_path, known) == []
+    readme.write_text("## Algorithms\n\n| `Default` | |\n")
+    assert check_docs.main(["check_docs.py", str(tmp_path)]) == 1
+    assert "algorithm table does not match" in capsys.readouterr().out
+
+
 def test_core_documents_exist():
     for name in ("README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "ROADMAP.md"):
         assert (REPO_ROOT / name).is_file(), f"{name} is missing"

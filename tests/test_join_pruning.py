@@ -25,8 +25,6 @@ from repro.plan.logical import (
     SPJQuery,
 )
 from repro.plan.physical import JoinMethod, JoinNode, PhysicalPlan, ScanNode
-from repro.reopt.default import DefaultBaseline
-from repro.reopt.pop import PopBaseline
 from repro.reopt.registry import make_algorithm
 from repro.workloads.job_queries import job_queries
 from tests.conftest import five_way_query
@@ -123,7 +121,7 @@ class TestSharedCacheServesOnlyCoveringChunks:
 
 
 class TestSourcelessCounts:
-    @pytest.mark.parametrize("algorithm", [DefaultBaseline, PopBaseline])
+    @pytest.mark.parametrize("algorithm", ["Default", "Pop"])
     def test_count_star_over_a_multi_join(self, tiny_db, algorithm):
         """``count(*)`` reads no column, so the root join keeps no source;
         the count still equals the reference."""
@@ -132,11 +130,11 @@ class TestSourcelessCounts:
                        filters=spj.filters, join_predicates=spj.join_predicates,
                        aggregates=(AggregateSpec("count", None, "row_count"),))
         query = Query.from_spj(spj)
-        report = algorithm(tiny_db, Optimizer(tiny_db)).run(query)
+        report = make_algorithm(algorithm, tiny_db).run(query)
         assert not report.timed_out
         assert_results_match(reference_execute(tiny_db, query),
                              canonicalize_table(report.final_table),
-                             algorithm.name)
+                             algorithm)
 
     def test_root_chunk_has_no_source(self, tiny_db):
         spj = five_way_query("count-only")
@@ -211,7 +209,7 @@ class TestRowsWithoutColumns:
 
 
 class TestPerPlanCacheServesOnlyCoveringChunks:
-    @pytest.mark.parametrize("algorithm", [PopBaseline, DefaultBaseline])
+    @pytest.mark.parametrize("algorithm", ["Pop", "Default"])
     def test_unreferenced_cross_joined_relation_counts_its_rows(
             self, tiny_db, algorithm):
         """``k JOIN mk`` cross-joined with ``t``, no output, no aggregate:
@@ -223,7 +221,7 @@ class TestPerPlanCacheServesOnlyCoveringChunks:
                        relations=tuple(RelationRef.base(a, a)
                                        for a in ("k", "mk", "t")),
                        join_predicates=(_pred("mk.keyword_id", "k.id"),))
-        report = algorithm(tiny_db, Optimizer(tiny_db)).run(Query.from_spj(spj))
+        report = make_algorithm(algorithm, tiny_db).run(Query.from_spj(spj))
         table = report.final_table
         assert table.column_names == []
         assert table.num_rows == (tiny_db.table("t").num_rows

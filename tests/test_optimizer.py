@@ -14,11 +14,10 @@ from repro.optimizer.learned import LearnedCardinalityEstimator
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.oracle import OracleCardinalityEstimator, TrueCardinalityOracle
 from repro.optimizer.pessimistic import PessimisticCardinalityEstimator
-from repro.optimizer.robust import fs_config, use_config
 from repro.plan.expressions import ColumnRef, Comparison, JoinPredicate, StringPrefix
 from repro.plan.logical import RelationRef, SPJQuery
 from repro.plan.physical import JoinMethod, JoinNode, ScanNode
-from repro.reopt.registry import make_algorithm
+from repro.reopt.registry import ALGORITHMS, make_algorithm
 from repro.workloads.job_queries import job_queries
 from repro.workloads.sqlgen import JoinSamplerConfig, RandomQueryGenerator
 from tests.conftest import five_way_query, with_implied_edges
@@ -262,7 +261,8 @@ class TestJoinEnumeration:
         assert all(j.method is not JoinMethod.INDEX_NL for j in plan.join_nodes())
 
     def test_use_config_bans_nested_loops(self, tiny_db):
-        plan = Optimizer(tiny_db, config=use_config()).plan(five_way_query())
+        plan = Optimizer(tiny_db, config=ALGORITHMS["USE"].config).plan(
+            five_way_query())
         assert all(j.method is JoinMethod.HASH for j in plan.join_nodes())
 
     def test_estimate_returns_cost_and_rows(self, tiny_db):
@@ -362,13 +362,14 @@ ENUMERATOR_CONFIGS = {
     "no-index-nl": EnumeratorConfig(enable_index_nl=False),
     "no-nl": EnumeratorConfig(enable_nl=False),
     "nl-last-resort": EnumeratorConfig(enable_hash=False, enable_index_nl=False),
-    "use": use_config(),
-    "fs": fs_config(),
+    "use": ALGORITHMS["USE"].config,
+    "fs": ALGORITHMS["FS"].config,
     # The robust objective skips no split, so this is where its loop meets
     # the masks a disconnected query leaves unsolved.
-    "fs-no-nl": fs_config(EnumeratorConfig(enable_nl=False)),
+    "fs-no-nl": dataclasses.replace(ALGORITHMS["FS"].config, enable_nl=False),
     "greedy": EnumeratorConfig(dp_relation_limit=3),
-    "greedy-fs": fs_config(EnumeratorConfig(dp_relation_limit=2)),
+    "greedy-fs": dataclasses.replace(ALGORITHMS["FS"].config,
+                                     dp_relation_limit=2),
     "greedy-no-nl": EnumeratorConfig(dp_relation_limit=2, enable_nl=False),
 }
 
@@ -597,6 +598,6 @@ class TestPlannerCallStructure:
 
 class TestRobustHelpers:
     def test_fs_config_sets_robustness(self):
-        config = fs_config()
+        config = ALGORITHMS["FS"].config
         assert config.robustness_weight > 0
         assert config.robustness_blowup > 1

@@ -93,10 +93,9 @@ class TestPredicates:
     def test_join_predicate_helpers(self):
         pred = JoinPredicate(ColumnRef("a", "x"), ColumnRef("b", "y"))
         assert pred.aliases() == frozenset({"a", "b"})
-        assert pred.column_for("a") == ColumnRef("a", "x")
         assert pred.other("a") == ColumnRef("b", "y")
         with pytest.raises(KeyError):
-            pred.column_for("c")
+            pred.other("c")
 
     def test_join_predicate_rejects_self_join_alias(self):
         with pytest.raises(ValueError):
@@ -128,11 +127,6 @@ class TestSPJQuery:
         t_filters = spj.filters_for(spj.relation("t"))
         assert len(t_filters) == 1
         assert t_filters[0].column == ColumnRef("t", "year")
-
-    def test_join_predicates_between(self):
-        spj = five_way_query()
-        preds = spj.join_predicates_between(spj.relation("mk"), spj.relation("t"))
-        assert len(preds) == 1
 
     def test_is_connected(self):
         spj = five_way_query()

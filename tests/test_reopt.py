@@ -9,19 +9,16 @@ from pathlib import Path
 import pytest
 
 from repro.executor.executor import Executor
+from repro.optimizer.cardinality import DefaultCardinalityEstimator
 from repro.optimizer.optimizer import Optimizer
-from repro.plan.physical import JoinMethod
 from repro.reopt import (
     ALGORITHM_NAMES,
-    BaselineConfig,
-    DefaultBaseline,
-    IEFBaseline,
-    OptimalBaseline,
-    Perron19Baseline,
-    PopBaseline,
-    ReoptBaseline,
+    ALGORITHMS,
+    NonAdaptiveBaseline,
+    ReoptimizerBase,
     make_algorithm,
 )
+from repro.reopt.registry import every_join, most_uncertain_join, pipeline_breakers
 from repro.report import ExecutionReport, IterationRecord, WorkloadResult
 from tests.conftest import five_way_query
 
@@ -44,6 +41,62 @@ class TestRegistry:
             make_algorithm("MagicSort", tiny_db)
 
 
+class TestAlgorithmTable:
+    """The rows of ``ALGORITHMS`` are what each algorithm is."""
+
+    @pytest.mark.parametrize("name, checkpoints, always_materialize, threshold", [
+        ("Reopt", pipeline_breakers, False, 2.0),
+        ("Pop", every_join, True, 2.0),
+        ("IEF", most_uncertain_join, True, 1.0),
+        ("Perron19", every_join, True, 32.0),
+        ("OptRange", pipeline_breakers, False, 4.0),
+    ])
+    def test_reoptimizer_rows(self, tiny_db, name, checkpoints,
+                              always_materialize, threshold):
+        assert ALGORITHM_NAMES == (
+            "QuerySplit", "Optimal", "Default", "Reopt", "Pop", "IEF",
+            "Perron19", "USE", "Pessi.", "FS", "OptRange", "NeuroCard",
+            "DeepDB", "MSCN")
+        row = ALGORITHMS[name]
+        assert (row.checkpoints, row.always_materialize,
+                row.trigger_threshold) == (checkpoints, always_materialize,
+                                           threshold)
+        runner = make_algorithm(name, tiny_db)
+        assert isinstance(runner, ReoptimizerBase)
+        assert (runner.checkpoints, runner.always_materialize,
+                runner.trigger_threshold) == (checkpoints, always_materialize,
+                                              threshold)
+
+    @pytest.mark.parametrize("name", [
+        "Optimal", "Default", "USE", "Pessi.", "FS", "NeuroCard", "DeepDB",
+        "MSCN"])
+    def test_non_adaptive_rows_plan_once(self, tiny_db, name):
+        assert ALGORITHMS[name].checkpoints is None
+        runner = make_algorithm(name, tiny_db)
+        assert type(runner) is NonAdaptiveBaseline
+        assert (runner.oracle is not None) == ALGORITHMS[name].oracle
+
+
+class TestEstimatorOverride:
+    @pytest.mark.parametrize("name", [
+        "Optimal", "USE", "Pessi.", "NeuroCard", "DeepDB", "MSCN"])
+    def test_row_with_its_own_estimator_rejects_one(self, tiny_db, name):
+        with pytest.raises(ValueError, match="own estimator"):
+            make_algorithm(name, tiny_db,
+                           estimator=DefaultCardinalityEstimator(tiny_db))
+
+    @pytest.mark.parametrize("name", [
+        "QuerySplit", "Default", "Reopt", "Pop", "IEF", "Perron19", "FS",
+        "OptRange"])
+    def test_row_without_one_takes_the_override(self, tiny_db, tiny_query,
+                                                expected_rows, name):
+        estimator = DefaultCardinalityEstimator(tiny_db)
+        runner = make_algorithm(name, tiny_db, estimator=estimator)
+        assert runner.optimizer.estimator is estimator
+        assert runner.optimizer.config == ALGORITHMS[name].config
+        assert runner.run(tiny_query).final_table.to_rows() == expected_rows
+
+
 class TestBaselineCorrectness:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_every_algorithm_same_answer(self, name, tiny_db, tiny_query,
@@ -61,12 +114,12 @@ class TestBaselineCorrectness:
 
 class TestBaselineBehaviour:
     def test_default_never_materializes(self, tiny_db, tiny_query):
-        report = DefaultBaseline(tiny_db, Optimizer(tiny_db)).run(tiny_query)
+        report = make_algorithm("Default", tiny_db).run(tiny_query)
         assert report.materializations == 0
         assert report.num_iterations == 1
 
     def test_optimal_uses_oracle(self, tiny_db, tiny_query):
-        baseline = OptimalBaseline(tiny_db)
+        baseline = make_algorithm("Optimal", tiny_db)
         report = baseline.run(tiny_query)
         assert report.materializations == 0
         # The plan was made from oracle counts, and the run dropped the memo.
@@ -75,36 +128,33 @@ class TestBaselineBehaviour:
         assert report.final_rows == 1
 
     def test_pop_materializes_every_join(self, tiny_db, tiny_query):
-        report = PopBaseline(tiny_db, Optimizer(tiny_db)).run(tiny_query)
+        report = make_algorithm("Pop", tiny_db).run(tiny_query)
         # A 5-way join has 4 joins; the final one is never materialized.
         assert report.materializations == 3
 
-    def test_perron_materializes_and_uses_high_threshold(self, tiny_db, tiny_query):
-        report = Perron19Baseline(tiny_db, Optimizer(tiny_db)).run(tiny_query)
+    def test_perron_materializes(self, tiny_db, tiny_query):
+        report = make_algorithm("Perron19", tiny_db).run(tiny_query)
         assert report.materializations >= 1
-        assert Perron19Baseline.trigger_threshold == 32.0
 
     def test_reopt_materializes_only_on_trigger(self, tiny_db, tiny_query):
-        report = ReoptBaseline(tiny_db, Optimizer(tiny_db)).run(tiny_query)
+        report = make_algorithm("Reopt", tiny_db).run(tiny_query)
         assert report.materializations <= 3
         assert all(it.materialized == it.replanned or not it.materialized
                    for it in report.iterations)
 
     def test_reopt_points_are_pipeline_breakers(self, tiny_db):
-        baseline = ReoptBaseline(tiny_db, Optimizer(tiny_db))
         plan = Optimizer(tiny_db).plan(five_way_query())
-        for node in baseline.materialization_points(plan):
+        for node in pipeline_breakers(plan, tiny_db.schema):
             assert node.is_pipeline_breaker
 
     def test_ief_selects_single_uncertain_point(self, tiny_db):
-        baseline = IEFBaseline(tiny_db, Optimizer(tiny_db))
         plan = Optimizer(tiny_db).plan(five_way_query())
-        points = baseline.materialization_points(plan)
+        points = most_uncertain_join(plan, tiny_db.schema)
         assert len(points) <= 1
 
     def test_statistics_toggle_respected(self, tiny_db, tiny_query):
-        config = BaselineConfig(collect_statistics=False)
-        report = Perron19Baseline(tiny_db, Optimizer(tiny_db), config=config).run(tiny_query)
+        report = make_algorithm("Perron19", tiny_db,
+                                collect_statistics=False).run(tiny_query)
         assert report.stats_collections == 0
 
     def test_join_overflow_reported_as_timeout(self):
@@ -138,16 +188,13 @@ class TestBaselineBehaviour:
             join_predicates=(JoinPredicate(ColumnRef("a", "key"),
                                            ColumnRef("b", "key")),),
         ))
-        baseline = DefaultBaseline(db, Optimizer(db),
-                                   config=BaselineConfig(timeout_seconds=5.0))
-        report = baseline.run(query)
+        report = make_algorithm("Default", db, timeout_seconds=5.0).run(query)
         assert report.timed_out
         assert report.total_time >= 5.0
         assert db.temp_table_names == []
 
     def test_timeout_flag(self, tiny_db, tiny_query):
-        config = BaselineConfig(timeout_seconds=0.0)
-        report = PopBaseline(tiny_db, Optimizer(tiny_db), config=config).run(tiny_query)
+        report = make_algorithm("Pop", tiny_db, timeout_seconds=0.0).run(tiny_query)
         assert report.timed_out
         assert report.total_time >= 0.0
 
@@ -225,12 +272,10 @@ class TestReports:
         assert report.num_iterations == 2
         assert report.materializations == 1
         assert report.materialized_bytes == 100
-        assert report.avg_memory_per_materialization == 100
         assert report.max_intermediate_rows == 10
 
     def test_empty_report_metrics(self):
         report = ExecutionReport(query_name="q", algorithm="A", total_time=0.0)
-        assert report.avg_memory_per_materialization == 0.0
         assert report.max_intermediate_rows == 0
         assert report.timeline() == []
 

@@ -51,7 +51,6 @@ class TestDataTable:
         assert table.take(np.array([0, 3, 3])).num_rows == 3
         assert table.filter(np.array([True, False, True, True])).num_rows == 3
         assert table.project([]).num_rows == 4
-        assert table.rename_columns({}).num_rows == 4
         assert union_all([table, table.take(np.array([1]))]).num_rows == 5
         db = Database(tiny_schema)
         name = db.register_temp(table, TableStats.row_count_only(4),
@@ -71,21 +70,9 @@ class TestDataTable:
         filtered = table.filter(table.column("a") % 2 == 0)
         assert list(filtered.column("a")) == [0, 2, 4, 6, 8]
 
-    def test_project_and_rename(self):
+    def test_project(self):
         table = DataTable("x", {"a": np.arange(3), "b": np.arange(3)})
         assert table.project(["b"]).column_names == ["b"]
-        renamed = table.rename_columns({"a": "z"})
-        assert set(renamed.column_names) == {"z", "b"}
-
-    def test_from_rows_round_trip(self):
-        table = DataTable.from_rows("x", ["a", "s"], [(1, "p"), (2, "q")])
-        assert table.column("a").dtype == np.int64
-        assert table.column("s").dtype == object
-        assert table.to_rows() == [(1, "p"), (2, "q")]
-
-    def test_from_rows_empty(self):
-        table = DataTable.from_rows("x", ["a"], [])
-        assert table.num_rows == 0
 
     def test_missing_column_raises(self):
         table = DataTable("x", {"a": np.arange(3)})
@@ -177,7 +164,6 @@ class TestDatabase:
         assert db.has_table(name)
         assert db.is_temp(name)
         assert db.stats(name).num_rows == 10
-        assert db.temp_entry(name).covered_aliases == frozenset({"t"})
         assert db.temp_memory_bytes() > 0
         db.drop_temp_tables()
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency check: references resolve, experiments are documented.
 
-Six checks:
+Seven checks:
 
 1. Scans the repository's Python sources (docstrings and comments included
    -- the whole file text is searched) and Markdown documents for
@@ -27,14 +27,17 @@ Six checks:
    from the ``pip install`` line of README.md's "Install" section or of
    the CI step "Install dependencies", so a fresh checkout that follows
    either line can import the package.
+7. Fails if the table of README.md's "Algorithms" section does not name
+   exactly ``repro.reopt.registry.ALGORITHM_NAMES``, in that order, one
+   row each, so the table cannot drift from the registry.
 
 Usage::
 
     python tools/check_docs.py [repo_root]
 
 Exits non-zero listing every dangling reference, undocumented experiment,
-stale run command, broken code-sample import, unknown CLI flag and
-unlisted dependency.
+stale run command, broken code-sample import, unknown CLI flag,
+unlisted dependency and algorithm-table mismatch.
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ INSTALL_LINES = {
 
 #: A ``pip install`` line and its arguments.
 PIP_INSTALL = re.compile(r"pip install[ \t]+([^\n`]*)")
+
+#: The backticked name in the first cell of a Markdown table row.
+TABLE_ROW_NAME = re.compile(r"^\|[ \t]*`([^`]+)`[ \t]*\|", re.M)
 
 
 def referencing_files(root: Path) -> list[Path]:
@@ -285,6 +291,35 @@ def find_unlisted_dependencies(root: Path) -> list[tuple[str, str]]:
     return unlisted
 
 
+def algorithm_table_names(root: Path) -> list[str]:
+    """The names in the first column of README.md's "Algorithms" table."""
+    path = root / "README.md"
+    text = path.read_text(encoding="utf-8") if path.is_file() else ""
+    section = re.search(r"^## Algorithms\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    return TABLE_ROW_NAME.findall(section.group(1)) if section else []
+
+
+def find_algorithm_table_mismatch(root: Path,
+                                  known: tuple[str, ...] | None = None
+                                  ) -> list[str]:
+    """Problems with README.md's algorithm table against the registry's
+    ``ALGORITHM_NAMES`` (``known`` overrides them, for tests): names it
+    lacks or adds, or, with the same names, a different order."""
+    if known is None:
+        _use_sources(root)
+        try:
+            from repro.reopt.registry import ALGORITHM_NAMES as known
+        except ImportError as exc:
+            return [f"<algorithm table check could not run: {exc}>"]
+    names = algorithm_table_names(root)
+    problems = [f"missing {name!r}" for name in known if name not in names]
+    problems += [f"not in the registry: {name!r}" for name in names
+                 if name not in known]
+    if not problems and tuple(names) != tuple(known):
+        problems.append(f"rows {names} are not one each in the order {list(known)}")
+    return problems
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parents[1]
     failures = 0
@@ -329,6 +364,13 @@ def main(argv: list[str]) -> int:
               "under src/repro missing from an install line:")
         for document, module in unlisted:
             print(f"  {document}: {module}")
+    mismatch = find_algorithm_table_mismatch(root)
+    if mismatch:
+        failures += 1
+        print("docs check FAILED: README.md's algorithm table does not match "
+              "ALGORITHM_NAMES:")
+        for problem in mismatch:
+            print(f"  {problem}")
     if failures:
         return 1
     print(f"docs check OK: all Markdown references under {root} resolve, "
@@ -336,7 +378,8 @@ def main(argv: list[str]) -> int:
           "every documented 'repro.cli run' names a registered experiment, "
           "every 'from repro... import' in a Markdown code sample imports, "
           "every documented 'repro.cli' flag exists, "
-          "and every third-party import is on both install lines")
+          "every third-party import is on both install lines, "
+          "and README's algorithm table names exactly ALGORITHM_NAMES")
     return 0
 
 

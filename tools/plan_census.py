@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Planner-only ruler: plan every JOB query under ``Default``, execute none.
+"""Planner-only ruler: plan every JOB query under one algorithm, execute none.
 
 Builds the synthetic IMDB database at ``--scale``, then plans each SPJ block
-of the 91 JOB queries with the ``Default`` algorithm's optimizer,
-``--repeat`` times.  Prints one row per relation count -- how many blocks
+of the 91 JOB queries with the optimizer of the ``--algorithm`` row of
+``repro.reopt.registry.ALGORITHMS`` (default ``Default``), ``--repeat``
+times.  Prints one row per relation count -- how many blocks
 have that many relations and the median microseconds per plan over all of
 their timed plans -- then a total row and one CRC32 over the EXPLAIN text of
 every plan, in query order.  The checksum says whether a planner change kept
@@ -12,7 +13,7 @@ rather than an end-to-end run's minutes.
 
 Usage::
 
-    python tools/plan_census.py [--scale 0.2] [--repeat 5]
+    python tools/plan_census.py [--scale 0.2] [--repeat 5] [--algorithm USE]
 """
 
 from __future__ import annotations
@@ -27,14 +28,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.reopt.registry import make_algorithm  # noqa: E402
+from repro.reopt.registry import ALGORITHM_NAMES, make_algorithm  # noqa: E402
 from repro.workloads.imdb import build_imdb_database  # noqa: E402
 from repro.workloads.job_queries import job_queries  # noqa: E402
 
 
-def census(scale: float, repeat: int) -> tuple[dict[int, list[float]], int]:
+def census(scale: float, repeat: int, algorithm: str = "Default"
+           ) -> tuple[dict[int, list[float]], int]:
     """``{relation count: [seconds per plan, ...]}`` and the EXPLAIN CRC32."""
-    optimizer = make_algorithm("Default", build_imdb_database(scale=scale)).optimizer
+    optimizer = make_algorithm(algorithm,
+                               build_imdb_database(scale=scale)).optimizer
     seconds: dict[int, list[float]] = defaultdict(list)
     crc = 0
     for query in job_queries():
@@ -54,10 +57,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="IMDB scale factor (default 0.2, the e2e ruler's)")
     parser.add_argument("--repeat", type=int, default=5,
                         help="plans per query block (default 5)")
+    parser.add_argument("--algorithm", default="Default", choices=ALGORITHM_NAMES,
+                        help="the registry row whose optimizer plans "
+                             "(default Default)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    seconds, crc = census(args.scale, args.repeat)
+    seconds, crc = census(args.scale, args.repeat, args.algorithm)
     print(f"{'relations':>9}  {'plans':>5}  {'median_us':>10}")
     for count in sorted(seconds):
         print(f"{count:>9}  {len(seconds[count]) // args.repeat:>5}  "
