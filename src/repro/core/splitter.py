@@ -81,6 +81,7 @@ class QuerySplitExecutor(AlgorithmBase):
             (sq, None) for sq in subqueries]
         result_tables: list[DataTable] = []
         consumed: set[str] = set()
+        aggregated = False
 
         while remaining:
             self._check_timeout()
@@ -99,7 +100,14 @@ class QuerySplitExecutor(AlgorithmBase):
 
             extra = self._columns_to_retain(
                 subquery, [q for q, _ in remaining], spj)
-            result = self.executor.execute(plan, extra_columns=extra)
+            # The last subquery's result is the only one when the query
+            # has no other: its scalar aggregates are the query's result.
+            aggregated = (not remaining and not result_tables
+                          and spj.covered_aliases() <= covered
+                          and bool(spj.aggregates) and not spj.projections)
+            result = self.executor.execute(
+                plan, extra_columns=extra,
+                aggregates=spj.aggregates if aggregated else ())
             report.total_time += result.wall_time
 
             overlapping = [q for q, _ in remaining if q.covered_aliases() & covered]
@@ -125,7 +133,7 @@ class QuerySplitExecutor(AlgorithmBase):
                 index=len(report.iterations),
                 description=subquery.name,
                 aliases=covered,
-                result_rows=result.table.num_rows,
+                result_rows=result.join_rows,
                 wall_time=result.wall_time + analyze_time,
                 memory_bytes=result.table.memory_bytes,
                 materialized=materialized,
@@ -134,6 +142,8 @@ class QuerySplitExecutor(AlgorithmBase):
                 stats_columns=stats_columns,
             ))
 
+        if aggregated:
+            return result.table
         finalize_start = time.perf_counter()
         final = self._finalize(result_tables, spj)
         report.total_time += time.perf_counter() - finalize_start

@@ -24,6 +24,12 @@ group:
 The row count is the table's own ``num_rows``: a ``count(*)`` input reads
 no column and arrives as a zero-column table that still carries it.
 
+:func:`weighted_aggregate` is the scalar kernel over a join that was never
+expanded: each aggregated column at the rows of one join side plus how
+many join rows each of those rows is in.  It serves the functions
+:func:`weighted_exact` admits, whose answer and element type cannot differ
+from the kernel's over the expanded rows.
+
 **Output contract.**  Key columns are the input's own arrays at each
 group's first row (codes stay codes, dictionary shared by reference).
 Aggregate outputs are ``dtype=object`` columns whose elements are: Python
@@ -200,6 +206,68 @@ def group_aggregate(table: DataTable, group_by: tuple[ColumnRef, ...],
         columns[spec.output_name] = out
     return DataTable(name="aggregate", columns=columns,
                      dictionaries=dictionaries)
+
+
+def weighted_exact(func: str, dtype: np.dtype, encoded: bool) -> bool:
+    """True when aggregate ``func`` over a column stored as ``dtype``
+    (dictionary codes when ``encoded``) folds from per-row match counts
+    (:func:`weighted_aggregate`) to exactly the value and element type it
+    takes over the expanded rows: ``count`` always, and ``min`` / ``max`` /
+    ``sum`` / ``avg`` of integers, ``min`` / ``max`` of codes too.  Floats
+    are left out: a float sum depends on the order of its additions, and a
+    float MIN or MAX over ``0.0`` and ``-0.0`` returns whichever zero the
+    reduction meets last, and the expanded rows meet them in another
+    order than the rows of one side."""
+    if func == "count":
+        return True
+    if encoded:
+        return func in ("min", "max")
+    return func in ("min", "max", "sum", "avg") and dtype.kind in "iu"
+
+
+def weighted_aggregate(total: int,
+                       inputs: dict[str, tuple[np.ndarray, np.ndarray,
+                                               np.ndarray | None]],
+                       aggregates: tuple[AggregateSpec, ...]) -> DataTable:
+    """The scalar :func:`group_aggregate` over ``total`` rows given in
+    factorized form.
+
+    ``inputs`` maps each aggregated column's qualified name to ``(values,
+    weights, dictionary)``: the column at the rows of one join side, how
+    many of the ``total`` rows each of those rows is in, and the column's
+    dictionary when it holds codes.  Every function is
+    :func:`weighted_exact` over its column.  ``count`` is ``total``,
+    ``min`` / ``max`` are the kernel's own fold over the rows of positive
+    weight, and an integer ``sum`` is ``sum(values * weights)`` in the
+    kernel's own accumulator type, wrapping as it does; so the result
+    equals the kernel's over the expanded rows, element type included.
+    """
+    columns: dict[str, np.ndarray] = {}
+    for spec in aggregates:
+        out = np.empty(1, dtype=object)
+        if spec.func == "count":
+            out[0] = total
+        elif total == 0:
+            out[0] = None
+        else:
+            name = spec.column.qualified
+            values, weights, dictionary = inputs[name]
+            if spec.func in ("min", "max"):
+                # The kernel's own fold, over the rows of positive weight
+                # as one group.
+                matched = DataTable(
+                    "matched", {name: values[weights > 0]},
+                    dictionaries={} if dictionary is None else {name: dictionary})
+                [out[0]] = _aggregate(spec, matched, _find_groups(
+                    matched, (), matched.num_rows))
+            else:
+                dtype = np.add.reduce(values[:0]).dtype
+                sums = np.dot(values.astype(dtype, copy=False),
+                              weights.astype(dtype, copy=False))
+                out[0] = sums if spec.func == "sum" else float(
+                    np.float64(sums) / total)
+        columns[spec.output_name] = out
+    return DataTable(name="aggregate", columns=columns, dictionaries={})
 
 
 def _scalar_aggregate(table: DataTable, aggregates: tuple[AggregateSpec, ...]

@@ -6,9 +6,12 @@ does *not* store the payload columns of the rows it describes; it stores a
 columnar table) plus enough metadata to resolve any column on demand.  Joins
 therefore only ever copy ``int64`` row ids, and real columns are gathered
 from the base tables exactly once -- at the plan root, or when a join needs
-its key columns.  Join keys are gathered as *values*
-(:meth:`Chunk.column`); the plan root gathers dictionary-encoded string
-columns as *codes* plus the table's dictionary
+its key columns.  A scalar aggregate over the root join builds no root
+chunk at all: it reads the join's :class:`~repro.storage.index.Matches`
+and gathers each aggregated column at its own side's rows
+(:meth:`repro.executor.operators.Aggregate.execute_matches`).  Join keys
+are gathered as *values* (:meth:`Chunk.column`); the plan root gathers
+dictionary-encoded string columns as *codes* plus the table's dictionary
 (:meth:`TableSource.gather_encoded`), so results and temporaries stay
 encoded.
 
@@ -17,12 +20,12 @@ This is the standard late-materialization design of vectorized engines
 operator above it reads (:func:`merge_chunks`), and expands only the sides
 of its :class:`~repro.storage.index.Matches` those sources need, so it
 costs 8 bytes per output row per relation still read above it, however
-many (and wide) columns the query touches; a root that reads no column
-(``count(*)``, or a query that outputs nothing) keeps none -- its joins
-expand no pair -- and its result is a zero-column :class:`DataTable` that
-still carries the chunk's row count.  Every relation inside a chunk is a
-:class:`TableSource` -- rows of a base or temporary :class:`DataTable`
-addressed by a row-id vector.
+many (and wide) columns the query touches; a root chunk that reads no
+column (a ``count(*)`` that keeps the merged chunk, or a query that
+outputs nothing) keeps none -- its joins expand no pair -- and its result
+is a zero-column :class:`DataTable` that still carries the chunk's row
+count.  Every relation inside a chunk is a :class:`TableSource` -- rows of
+a base or temporary :class:`DataTable` addressed by a row-id vector.
 
 All gathers are funneled through a :class:`MaterializationStats` object,
 which reports the bytes an execution materialized.

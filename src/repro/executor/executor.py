@@ -14,7 +14,13 @@ table, a temporary registered from it, and the aggregation kernel all work
 on ``int32`` codes and only the caller's ``column_values`` / ``to_rows``
 decodes.  The root either aggregates or gathers exactly the columns the
 plan declares; a plan that declares none returns a zero-column table whose
-``num_rows`` is the join's row count.
+``num_rows`` is the join's row count.  A scalar aggregate over a root join
+with predicates (:meth:`~repro.executor.operators.Aggregate.reads_matches`
+decides, from the plan's shape and column types) never merges the root's
+matches: it folds each aggregated column at its own side's rows with that
+side's match counts (:meth:`~repro.storage.index.Matches.weights`), so the
+root builds no chunk and neither cache keeps one for it.  QuerySplit passes
+the query's scalar aggregates for its last subquery (``aggregates=``).
 
 Two caches sit around the pipeline; both serve a chunk only to a consumer
 whose reads it covers:
@@ -45,7 +51,7 @@ from repro.executor.aggregates import (  # noqa: F401  (re-exported)
     group_aggregate,
     union_all,
 )
-from repro.executor.chunk import Chunk, MaterializationStats
+from repro.executor.chunk import Chunk, MaterializationStats, merge_chunks
 from repro.executor.operators import (  # noqa: F401  (re-exported)
     MAX_CROSS_PRODUCT_ROWS,
     Aggregate,
@@ -54,12 +60,15 @@ from repro.executor.operators import (  # noqa: F401  (re-exported)
     ExecutionError,
     HashJoin,
     IndexNLJoin,
+    Operator,
     Scan,
 )
 from repro.executor.subplan_cache import SubplanCache
 from repro.plan.expressions import ColumnRef
+from repro.plan.logical import AggregateSpec
 from repro.plan.physical import JoinMethod, JoinNode, PhysicalPlan, PlanNode, ScanNode
 from repro.storage.database import Database
+from repro.storage.index import Matches
 from repro.storage.table import DataTable
 
 __all__ = [
@@ -132,7 +141,8 @@ class Executor:
     # ------------------------------------------------------------------
     def execute(self, plan: PhysicalPlan,
                 extra_columns: tuple[ColumnRef, ...] = (),
-                cache: dict[int, Chunk] | None = None) -> ExecutionResult:
+                cache: dict[int, Chunk] | None = None,
+                aggregates: tuple[AggregateSpec, ...] = ()) -> ExecutionResult:
         """Execute ``plan`` and return its result.
 
         ``extra_columns`` lists columns that must survive into the output even
@@ -143,25 +153,38 @@ class Executor:
         chunks; the plan-driven re-optimization baselines use it to execute a
         physical plan incrementally (subtree by subtree) without recomputing
         already-executed subtrees.
+
+        ``aggregates`` are scalar aggregates to return instead of the
+        output columns, for a plan that carries none of its own (QuerySplit's
+        last subquery, whose result is the query's only one).
         """
         start = time.perf_counter()
         stats = MaterializationStats()
         ctx = ExecContext(database=self.database, stats=stats)
         output_refs = tuple(dict.fromkeys(plan.output_columns + tuple(extra_columns)))
+        aggregate = None
+        if plan.aggregates:
+            aggregate = Aggregate(plan.query_name, plan.group_by, plan.aggregates)
+        elif aggregates:
+            aggregate = Aggregate(plan.query_name, (), tuple(aggregates))
         # The root aggregates or gathers exactly these columns (possibly
         # none), so it keeps the sources of their aliases only.
-        aggregate = Aggregate(plan) if plan.aggregates else None
         root_refs = aggregate.refs if aggregate is not None else output_refs
         reads = frozenset(ref.alias for ref in root_refs)
-        chunk = self._execute_node(plan.root, ctx, cache, reads)
-        join_rows = chunk.num_rows
 
-        if aggregate is not None:
-            table = aggregate.execute(ctx, chunk)
+        if aggregate is not None and aggregate.reads_matches(plan.root,
+                                                             self.database):
+            table, join_rows = self._aggregate_root(plan.root, ctx, cache,
+                                                    reads, aggregate)
         else:
-            # Encoded string columns leave as codes + the source table's
-            # dictionary; whoever needs the strings decodes (column_values).
-            table = chunk.table(plan.query_name, output_refs, stats)
+            chunk = self._execute_node(plan.root, ctx, cache, reads)
+            join_rows = chunk.num_rows
+            if aggregate is not None:
+                table = aggregate.execute(ctx, chunk)
+            else:
+                # Encoded string columns leave as codes + the source table's
+                # dictionary; whoever needs the strings decodes (column_values).
+                table = chunk.table(plan.query_name, output_refs, stats)
         wall = time.perf_counter() - start
         return ExecutionResult(table=table, join_rows=join_rows, wall_time=wall,
                                operator_times=dict(ctx.operator_times),
@@ -173,16 +196,31 @@ class Executor:
     # ------------------------------------------------------------------
     # Node evaluation
     # ------------------------------------------------------------------
-    def _execute_node(self, node: PlanNode, ctx: ExecContext,
-                      cache: dict[int, Chunk] | None,
-                      reads: frozenset[str]) -> Chunk:
-        """Evaluate one plan node (with caching and timing around it),
-        keeping the sources that cover an alias in ``reads``, the aliases
-        some operator above ``node`` reads."""
+    def _aggregate_root(self, root: JoinNode, ctx: ExecContext,
+                        cache: dict[int, Chunk] | None, reads: frozenset[str],
+                        aggregate: Aggregate) -> tuple[DataTable, int]:
+        """The scalar ``aggregate`` over the root join and the join's row
+        count, read from its matches without merging them -- unless either
+        cache holds the root's chunk, which is aggregated instead.  The
+        matches are not a chunk, so neither cache keeps them."""
+        hit, _ = self._lookup(root, ctx, cache, reads)
+        if hit is not None:
+            return aggregate.execute(ctx, hit), hit.num_rows
+        start = time.perf_counter()
+        operator, left, right, matches = self._join(root, ctx, cache, reads)
+        self._record(root, operator, start, matches.total, ctx)
+        return aggregate.execute_matches(ctx, left, right, matches), matches.total
+
+    def _lookup(self, node: PlanNode, ctx: ExecContext,
+                cache: dict[int, Chunk] | None, reads: frozenset[str]
+                ) -> tuple[Chunk | None, tuple | None]:
+        """``node``'s chunk from either cache when it covers ``reads``, and
+        the node's subplan-cache signature (``None`` when there is no such
+        cache or the node cannot be keyed)."""
         if cache is not None and id(node) in cache:
             hit = cache[id(node)]
             if hit.covers_all(reads & node.covered_aliases()):
-                return hit
+                return hit, None
 
         signature = None
         if self.subplan_cache is not None:
@@ -202,30 +240,56 @@ class Executor:
                 ctx.operator_times[label] = 0.0
                 if cache is not None:
                     cache[id(node)] = hit
-                return hit
+                return hit, signature
+        return None, signature
+
+    def _execute_node(self, node: PlanNode, ctx: ExecContext,
+                      cache: dict[int, Chunk] | None,
+                      reads: frozenset[str]) -> Chunk:
+        """Evaluate one plan node (with caching and timing around it),
+        keeping the sources that cover an alias in ``reads``, the aliases
+        some operator above ``node`` reads."""
+        hit, signature = self._lookup(node, ctx, cache, reads)
+        if hit is not None:
+            return hit
 
         start = time.perf_counter()
         if isinstance(node, ScanNode):
             operator = Scan(node)
             chunk = operator.execute(ctx)
         elif isinstance(node, JoinNode):
-            below = reads.union(*(pred.aliases() for pred in node.predicates))
-            left = self._execute_node(node.left, ctx, cache, below)
-            if node.method is JoinMethod.INDEX_NL and isinstance(node.right, ScanNode):
-                operator = IndexNLJoin(node)
-                chunk = operator.execute(ctx, left, reads)
-            else:
-                right = self._execute_node(node.right, ctx, cache, below)
-                operator = HashJoin(node) if node.predicates else CrossProduct(node)
-                chunk = operator.execute(ctx, left, right, reads)
+            operator, left, right, matches = self._join(node, ctx, cache, reads)
+            chunk = merge_chunks(left, right, matches, reads, ctx.stats)
         else:
             raise ExecutionError(f"unsupported plan node {type(node).__name__}")
 
-        node.actual_rows = chunk.num_rows
-        node.actual_time = time.perf_counter() - start
-        ctx.operator_times[operator.label] = node.actual_time
+        self._record(node, operator, start, chunk.num_rows, ctx)
         if cache is not None:
             cache[id(node)] = chunk
         if signature is not None:
             self.subplan_cache.put(signature, chunk)
         return chunk
+
+    def _join(self, node: JoinNode, ctx: ExecContext,
+              cache: dict[int, Chunk] | None, reads: frozenset[str]
+              ) -> tuple[Operator, Chunk, Chunk, Matches]:
+        """Evaluate a join's inputs and find its matches: the operator, the
+        left and right chunks, and the matches between them."""
+        below = reads.union(*(pred.aliases() for pred in node.predicates))
+        left = self._execute_node(node.left, ctx, cache, below)
+        if node.method is JoinMethod.INDEX_NL and isinstance(node.right, ScanNode):
+            operator = IndexNLJoin(node)
+            matches, right = operator.matches(ctx, left)
+        else:
+            right = self._execute_node(node.right, ctx, cache, below)
+            operator = HashJoin(node) if node.predicates else CrossProduct(node)
+            matches = operator.matches(ctx, left, right)
+        return operator, left, right, matches
+
+    @staticmethod
+    def _record(node: PlanNode, operator: Operator, start: float, rows: int,
+                ctx: ExecContext) -> None:
+        """Record ``node``'s actual rows and inclusive seconds since ``start``."""
+        node.actual_rows = rows
+        node.actual_time = time.perf_counter() - start
+        ctx.operator_times[operator.label] = node.actual_time

@@ -13,10 +13,14 @@ late-materialized :class:`~repro.executor.chunk.Chunk` inputs:
 * :class:`Aggregate`   -- plan-root aggregation, the point where the
   aggregated columns are finally gathered (encoded strings as codes).
 
-Both filter through :func:`filter_rows`, over the stored columns (codes for
-encoded strings): no filter is evaluated on decoded values.  Operators never
-copy payload columns between them -- they pass chunks whose sources are
-row-id vectors into the stored tables.  The
+Scans and index joins filter through :func:`filter_rows`, over the stored
+columns (codes for encoded strings): no filter is evaluated on decoded
+values.  A join operator only finds its
+:class:`~repro.storage.index.Matches` (``matches``); the executor merges
+the inputs' row-id vectors with them (:func:`merge_chunks`), or a root
+:class:`Aggregate` reads them unmerged.  Operators never copy payload
+columns between them -- they pass chunks whose sources are row-id vectors
+into the stored tables.  The
 :class:`~repro.executor.executor.Executor` walks the plan, invokes the
 matching operator per node, and handles caching/timing around them.
 """
@@ -28,7 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.executor.aggregates import group_aggregate
+from repro.executor.aggregates import (
+    group_aggregate,
+    weighted_aggregate,
+    weighted_exact,
+)
 from repro.executor.chunk import (
     Chunk,
     MaterializationStats,
@@ -37,10 +45,10 @@ from repro.executor.chunk import (
 )
 from repro.executor.joins import multi_key_matches
 from repro.executor.kernels import PredicateCompiler
-from repro.plan.expressions import JoinPredicate
-from repro.plan.logical import RelationRef
+from repro.plan.expressions import ColumnRef, JoinPredicate
+from repro.plan.logical import AggregateSpec, RelationRef
+from repro.plan.physical import JoinMethod, JoinNode, PlanNode, ScanNode
 from repro.storage.dictionary import null_mask, translate_filters
-from repro.plan.physical import JoinNode, PhysicalPlan, PlanNode, ScanNode
 from repro.storage.database import Database
 from repro.storage.index import Matches
 from repro.storage.table import DataTable
@@ -160,13 +168,13 @@ def hash_join(ctx: ExecContext, left: Chunk, right: Chunk,
 
 
 class HashJoin(Operator):
-    """Equi-join: gather the key columns, match, merge the row-id vectors."""
+    """Equi-join: gather the key columns and match them."""
 
     name = "HashJoin"
 
-    def execute(self, ctx: ExecContext, left: Chunk, right: Chunk,
-                reads: frozenset[str]) -> Chunk:
-        return hash_join(ctx, left, right, self.node.predicates, reads)
+    def matches(self, ctx: ExecContext, left: Chunk, right: Chunk) -> Matches:
+        return multi_key_matches(*join_keys(ctx, left, right,
+                                            self.node.predicates))
 
 
 class IndexNLJoin(Operator):
@@ -174,8 +182,19 @@ class IndexNLJoin(Operator):
 
     name = "IndexNLJoin"
 
-    def execute(self, ctx: ExecContext, left: Chunk,
-                reads: frozenset[str]) -> Chunk:
+    def __init__(self, node: JoinNode):
+        super().__init__(node)
+        #: The predicate on the index column (the first one), whose other
+        #: side is the probe key, and the predicates besides it.
+        self.probe = next((pred for pred in node.predicates
+                           if node.index_column in (pred.left, pred.right)),
+                          None)
+        self.residuals = tuple(pred for pred in node.predicates
+                               if pred is not self.probe)
+
+    def matches(self, ctx: ExecContext, left: Chunk) -> tuple[Matches, Chunk]:
+        """The join's matches and its inner input: every row of the inner
+        table, which the matches' build side indexes."""
         node: JoinNode = self.node  # type: ignore[assignment]
         inner_scan: ScanNode = node.right  # type: ignore[assignment]
         relation = inner_scan.relation
@@ -187,29 +206,28 @@ class IndexNLJoin(Operator):
                 f"no index on {relation.table_name}.{index_column.column} "
                 f"for INDEX_NL join")
 
-        # The outer key is the other side of the predicate on the index column.
-        probe_pred = None
-        for pred in node.predicates:
-            if index_column in (pred.left, pred.right):
-                probe_pred = pred
-                break
-        if probe_pred is None:
+        if self.probe is None:
             raise ExecutionError("INDEX_NL join has no predicate on its index column")
-        outer_ref = probe_pred.other(index_column.alias)
-        outer_keys = left.column(outer_ref, ctx.stats)
-
-        matches = index.matches(outer_keys)
-        residuals = [pred for pred in node.predicates if pred is not probe_pred]
-        if inner_scan.filters or residuals:
-            matches = _residual(ctx, left, inner_scan, table, matches,
-                                residuals)
+        # The outer key is the other side of the predicate on the index column.
+        outer_ref = self.probe.other(index_column.alias)
         inner = Chunk((TableSource(relation, table),), table.num_rows)
-        return merge_chunks(left, inner, matches, reads, ctx.stats)
+        matches = index.matches(left.column(outer_ref, ctx.stats))
+        if self.residuals:
+            matches = _residual(ctx, left, inner_scan, table, matches,
+                                self.residuals)
+        elif inner_scan.filters:
+            # The inner rows are expanded to filter them; the probe side
+            # stays unexpanded until a consumer asks for it.
+            keep = filter_rows(ctx, relation, table, inner_scan.filters,
+                               matches.row_ids())
+            if keep is not None:
+                matches = matches.select(keep)
+        return matches, inner
 
 
 def _residual(ctx: ExecContext, left: Chunk, inner_scan: ScanNode,
               table: DataTable, matches: Matches,
-              residuals: list[JoinPredicate]) -> Matches:
+              residuals: tuple[JoinPredicate, ...]) -> Matches:
     """The index matches that pass the inner scan's filters and the join
     predicates besides the probed one, with both sides expanded."""
     relation = inner_scan.relation
@@ -241,42 +259,94 @@ class CrossProduct(Operator):
 
     name = "CrossProduct"
 
-    def execute(self, ctx: ExecContext, left: Chunk, right: Chunk,
-                reads: frozenset[str]) -> Chunk:
+    def matches(self, ctx: ExecContext, left: Chunk, right: Chunk) -> Matches:
         total = left.num_rows * right.num_rows
         if total > MAX_CROSS_PRODUCT_ROWS:
             raise ExecutionError(
                 f"cross product of {left.num_rows} x {right.num_rows} rows "
                 f"exceeds the executor's safety limit")
-        matches = Matches(
+        return Matches(
             total,
             lambda: np.repeat(np.arange(left.num_rows, dtype=np.int64),
                               right.num_rows),
             lambda: np.tile(np.arange(right.num_rows, dtype=np.int64),
                             left.num_rows))
-        return merge_chunks(left, right, matches, reads, ctx.stats)
 
 
 class Aggregate:
     """Plan-root aggregation: gathers its inputs once (strings as codes)
-    and hands them to the shared kernel in :mod:`repro.executor.aggregates`."""
+    and hands them to the shared kernel in :mod:`repro.executor.aggregates`.
+
+    A scalar aggregate whose every function :func:`weighted_exact` admits
+    can instead read the root join's :class:`Matches` without merging them
+    (:meth:`execute_matches`): each aggregated column is gathered at its own
+    side's rows and folded with that side's weights.
+    """
 
     name = "Aggregate"
     label = "Aggregate"
 
-    def __init__(self, plan: PhysicalPlan):
-        self.plan = plan
+    def __init__(self, query_name: str, group_by: tuple[ColumnRef, ...],
+                 aggregates: tuple[AggregateSpec, ...]):
+        self.query_name = query_name
+        self.group_by = group_by
+        self.aggregates = aggregates
         #: The columns aggregation reads: group-by keys, then aggregated
         #: columns (``count(*)`` reads none).
         self.refs = tuple(dict.fromkeys(
-            tuple(plan.group_by)
-            + tuple(spec.column for spec in plan.aggregates
-                    if spec.column is not None)))
+            tuple(group_by) + tuple(spec.column for spec in aggregates
+                                    if spec.column is not None)))
+
+    def reads_matches(self, root: PlanNode, database: Database) -> bool:
+        """True when this aggregate over ``root`` may take
+        :meth:`execute_matches`: no GROUP BY, a join with predicates at the
+        root (an index nested-loop one probing its one predicate), and an
+        exact weighted form for every function over its column's stored
+        type.  Decided from the plan and the column types, never a size."""
+        if self.group_by or not isinstance(root, JoinNode) or not root.predicates:
+            return False
+        if (root.method is JoinMethod.INDEX_NL and isinstance(root.right, ScanNode)
+                and IndexNLJoin(root).residuals):
+            return False
+        relations = root.leaf_relations()
+        for spec in self.aggregates:
+            if spec.column is None:
+                continue
+            relation = next(relation for relation in relations
+                            if relation.covers(spec.column.alias))
+            table = database.table(relation.table_name)
+            name = relation.storage_name(spec.column)
+            if not weighted_exact(spec.func, table.column(name).dtype,
+                                  table.is_encoded(name)):
+                return False
+        return True
 
     def execute(self, ctx: ExecContext, chunk: Chunk) -> DataTable:
-        plan = self.plan
         start = time.perf_counter()
-        table = group_aggregate(chunk.table(plan.query_name, self.refs, ctx.stats),
-                                plan.group_by, plan.aggregates)
+        table = group_aggregate(
+            chunk.table(self.query_name, self.refs, ctx.stats),
+            self.group_by, self.aggregates)
+        ctx.operator_times[self.label] = time.perf_counter() - start
+        return table
+
+    def execute_matches(self, ctx: ExecContext, left: Chunk, right: Chunk,
+                        matches: Matches) -> DataTable:
+        """The scalar aggregates over the join of ``left`` and ``right``
+        whose matches are ``matches``, read from the weights of each
+        aggregated column's own side; the matches are never merged."""
+        start = time.perf_counter()
+        weights: dict[bool, np.ndarray] = {}  # per side: is it the left one
+        inputs = {}
+        for ref in self.refs:
+            on_left = left.covers(ref.alias)
+            if on_left not in weights:
+                weights[on_left] = (matches.probe_weights(left.num_rows)
+                                    if on_left else
+                                    matches.build_weights(right.num_rows))
+            side = left if on_left else right
+            values, dictionary = side.source_for(ref.alias).gather_encoded(
+                ref, ctx.stats)
+            inputs[ref.qualified] = (values, weights[on_left], dictionary)
+        table = weighted_aggregate(matches.total, inputs, self.aggregates)
         ctx.operator_times[self.label] = time.perf_counter() - start
         return table

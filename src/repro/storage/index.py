@@ -29,6 +29,8 @@ probe returns them as :class:`Matches`: the runs and their total, checked
 against the join cap at once, with each side -- the probe positions and the
 matching row ids -- expanded only when a consumer asks for it
 (:meth:`SortedIndex.matches`); :meth:`SortedIndex.lookup_batch` expands both.
+A scalar aggregate asks for neither: :meth:`Matches.weights` reads each
+row's number of matches off the runs.
 
 A NULL key never matches, by the engine's one NULL rule
 (:func:`repro.storage.dictionary.null_mask`: ``NaN``, or ``None`` in an
@@ -89,14 +91,24 @@ class Matches:
     one that keeps one side expands one vector.  The producer checks
     ``total`` against :data:`~repro.executor.joins.MAX_JOIN_RESULT_ROWS`
     before anything is expanded, whatever is asked for later.
+
+    :meth:`weights` is the factorized form a scalar aggregate reads
+    instead of the pairs: per row of each side, how many matches it is in.
+    A producer that knows its runs passes one callable per side (taking
+    that side's row count) that reads them without expanding a pair; the
+    default counts the expanded pairs.
     """
 
-    __slots__ = ("total", "_probe_positions", "_row_ids")
+    __slots__ = ("total", "_probe_positions", "_row_ids",
+                 "_probe_weights", "_build_weights")
 
-    def __init__(self, total: int, probe_positions, row_ids):
+    def __init__(self, total: int, probe_positions, row_ids,
+                 probe_weights=None, build_weights=None):
         self.total = total
         self._probe_positions = probe_positions
         self._row_ids = row_ids
+        self._probe_weights = probe_weights
+        self._build_weights = build_weights
 
     @classmethod
     def empty(cls) -> "Matches":
@@ -119,6 +131,39 @@ class Matches:
         """``(probe_positions(), row_ids())``."""
         return self.probe_positions(), self.row_ids()
 
+    def probe_weights(self, n_left: int) -> np.ndarray:
+        """Per probe row (``n_left`` of them), its number of matches:
+        ``np.bincount(probe_positions(), minlength=n_left)``, as a new
+        ``int64`` array."""
+        if self._probe_weights is None:
+            return np.bincount(self.probe_positions(), minlength=n_left)
+        return self._probe_weights(n_left)
+
+    def build_weights(self, n_right: int) -> np.ndarray:
+        """Per build row (``n_right`` of them), its number of matches:
+        ``np.bincount(row_ids(), minlength=n_right)``, as a new ``int64``
+        array."""
+        if self._build_weights is None:
+            return np.bincount(self.row_ids(), minlength=n_right)
+        return self._build_weights(n_right)
+
+    def weights(self, n_left: int, n_right: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """``(probe_weights(n_left), build_weights(n_right))``."""
+        return self.probe_weights(n_left), self.build_weights(n_right)
+
+    def select(self, keep: np.ndarray) -> "Matches":
+        """The matches at the ascending pair positions ``keep``: the build
+        side selected now (it was expanded to choose them), the probe side
+        expanded and selected only when asked for.  The weights count the
+        selected pairs."""
+        probe_positions = self._probe_positions
+        return Matches(
+            len(keep),
+            lambda: (probe_positions() if callable(probe_positions)
+                     else probe_positions)[keep],
+            self.row_ids()[keep])
+
     def remap(self, probe_rows: np.ndarray | None,
               build_rows: np.ndarray | None) -> "Matches":
         """These matches with each side's positions looked up in
@@ -129,7 +174,21 @@ class Matches:
             self._probe_positions if probe_rows is None
             else lambda: probe_rows[self.probe_positions()],
             self._row_ids if build_rows is None
-            else lambda: build_rows[self.row_ids()])
+            else lambda: build_rows[self.row_ids()],
+            self._probe_weights if probe_rows is None
+            else lambda rows: _scatter(self.probe_weights(len(probe_rows)),
+                                       probe_rows, rows),
+            self._build_weights if build_rows is None
+            else lambda rows: _scatter(self.build_weights(len(build_rows)),
+                                       build_rows, rows))
+
+
+def _scatter(values: np.ndarray, positions: np.ndarray, rows: int
+             ) -> np.ndarray:
+    """``rows`` zeros with ``values`` placed at ``positions``."""
+    out = np.zeros(rows, dtype=np.int64)
+    out[positions] = values
+    return out
 
 
 class SortedIndex:
@@ -210,8 +269,10 @@ class SortedIndex:
                 hit = rows >= 0
                 total = int(np.count_nonzero(hit))
                 check_match_count(total)
-                return Matches(total, lambda: np.flatnonzero(hit),
-                               lambda: rows[hit])
+                return Matches(
+                    total, lambda: np.flatnonzero(hit), lambda: rows[hit],
+                    lambda _: hit.astype(np.int64),
+                    lambda n: np.bincount(rows[hit], minlength=n))
             lo = self._starts.take(slots)
             counts = self._starts.take(slots + 1) - lo
             row_ids = self._row_ids
@@ -226,7 +287,10 @@ class SortedIndex:
         return Matches(
             total,
             lambda: np.repeat(np.arange(len(counts), dtype=np.int64), counts),
-            lambda: row_ids.take(_run_positions(lo, counts, total)))
+            lambda: row_ids.take(_run_positions(lo, counts, total)),
+            lambda _: counts.astype(np.int64),
+            lambda n: _scatter(_run_coverage(lo, counts, len(row_ids)),
+                               row_ids, n))
 
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """The indexed keys in sorted order and their row ids, rebuilt from
@@ -273,3 +337,15 @@ def _run_positions(lo: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray
     positions = np.ones(total, dtype=np.int64)
     positions[np.cumsum(run_counts) - run_counts] = jumps
     return np.cumsum(positions, out=positions)
+
+
+def _run_coverage(lo: np.ndarray, counts: np.ndarray, positions: int
+                  ) -> np.ndarray:
+    """How many of the runs ``lo[i]``, ..., ``lo[i] + counts[i] - 1`` cover
+    each of ``positions`` positions (``int64``): a difference array, +1 at
+    each run's start and -1 past its end, summed."""
+    runs = np.flatnonzero(counts)
+    starts = lo[runs].astype(np.int64)
+    edges = np.bincount(starts, minlength=positions + 1)
+    edges -= np.bincount(starts + counts[runs], minlength=positions + 1)
+    return np.cumsum(edges[:positions])

@@ -292,14 +292,19 @@ class TestExecutor:
         from repro.plan.physical import PhysicalPlan
 
         plan = optimizer.plan(five_way_query())
+        columns = tuple(five_way_query().referenced_columns())
         cache = {}
         first_join = plan.join_nodes()[0]
-        sub_plan = PhysicalPlan("sub", first_join,
-                                output_columns=tuple(five_way_query().referenced_columns()))
-        executor.execute(sub_plan, cache=cache)
+        executor.execute(PhysicalPlan("sub", first_join, output_columns=columns),
+                         cache=cache)
         assert id(first_join) in cache
-        # Executing the full plan afterwards must not clear or bypass the cache.
+        # Executing the full plan afterwards must not clear or bypass the
+        # cache.  Its scalar aggregates read the root join's matches, which
+        # are not a chunk: the root is cached only by a plan that outputs it.
         executor.execute(plan, cache=cache)
+        assert id(first_join) in cache and id(plan.root) not in cache
+        executor.execute(PhysicalPlan("full", plan.root, output_columns=columns),
+                         cache=cache)
         assert id(plan.root) in cache
 
     def test_scalar_aggregates(self, executor, optimizer, tiny_db):
@@ -476,7 +481,7 @@ class TestJoinsKeepOnlyReadSides:
     @staticmethod
     def _run(tiny_db, case: str, reads: frozenset[str]):
         """The join's chunk, from the operator the executor would pick."""
-        from repro.executor.chunk import MaterializationStats
+        from repro.executor.chunk import MaterializationStats, merge_chunks
         from repro.executor.operators import (CrossProduct, ExecContext,
                                               HashJoin, IndexNLJoin, Scan)
 
@@ -484,9 +489,12 @@ class TestJoinsKeepOnlyReadSides:
         ctx = ExecContext(database=tiny_db, stats=MaterializationStats())
         left = Scan(node.left).execute(ctx)
         if node.method is JoinMethod.INDEX_NL:
-            return IndexNLJoin(node).execute(ctx, left, reads)
-        operator = HashJoin(node) if node.predicates else CrossProduct(node)
-        return operator.execute(ctx, left, Scan(node.right).execute(ctx), reads)
+            matches, right = IndexNLJoin(node).matches(ctx, left)
+        else:
+            right = Scan(node.right).execute(ctx)
+            operator = HashJoin(node) if node.predicates else CrossProduct(node)
+            matches = operator.matches(ctx, left, right)
+        return merge_chunks(left, right, matches, reads, ctx.stats)
 
     @pytest.mark.parametrize("reads", sorted(JOIN_READS))
     @pytest.mark.parametrize("case", JOIN_OPERATOR_CASES)
@@ -621,18 +629,32 @@ class TestSubplanCache:
         assert cache.hits > 0
 
     def test_full_plan_rerun_is_one_hit(self, tiny_db, optimizer):
+        from repro.plan.physical import PhysicalPlan
+
         cache = SubplanCache()
         executor = Executor(tiny_db, subplan_cache=cache)
         spj = five_way_query()
-        first = executor.execute(optimizer.plan(spj)).table.to_rows()
+        columns = tuple(spj.referenced_columns())
+
+        def output_rows(plan):
+            """The plan's join rows: a scalar aggregate's root would read
+            the matches and never cache a chunk."""
+            return executor.execute(PhysicalPlan(
+                spj.name, plan.root, output_columns=columns)).table.to_rows()
+
+        first = output_rows(optimizer.plan(spj))
         hits_before = cache.hits
         replan = optimizer.plan(spj)
-        second = executor.execute(replan).table.to_rows()
+        second = output_rows(replan)
         assert first == second
         # The re-planned root has the same signature: served entirely from
         # the cache (the root hit short-circuits the whole subtree).
         assert cache.hits == hits_before + 1
         assert replan.root.actual_rows is not None
+        # A scalar aggregate looks its root up first and aggregates the hit.
+        fresh = Executor(tiny_db).execute(optimizer.plan(spj)).table.to_rows()
+        assert executor.execute(replan).table.to_rows() == fresh
+        assert cache.hits == hits_before + 2
 
     def test_temp_subtrees_not_cached(self, tiny_db, optimizer):
         from repro.catalog.analyze import analyze_table

@@ -40,7 +40,7 @@ def expected_sources(plan: PhysicalPlan) -> dict[int, frozenset[str]]:
     """``id(join node) -> aliases of the sources it must keep``, derived
     from the rule alone (an aggregate plan's root reads its aggregate and
     group-by columns)."""
-    root_reads = frozenset(ref.alias for ref in Aggregate(plan).refs)
+    root_reads = frozenset(ref.alias for ref in _root_refs(plan))
     expected: dict[int, frozenset[str]] = {}
 
     def visit(node, reads: frozenset[str]) -> None:
@@ -57,13 +57,20 @@ def expected_sources(plan: PhysicalPlan) -> dict[int, frozenset[str]]:
     return expected
 
 
+def _root_refs(plan: PhysicalPlan):
+    """The columns ``plan``'s root aggregates or outputs."""
+    if not plan.aggregates:
+        return plan.output_columns
+    return Aggregate(plan.query_name, plan.group_by, plan.aggregates).refs
+
+
 class TestPrunedShape:
     def test_every_join_keeps_exactly_the_sources_read_above(self, imdb_db):
         """Default plans of the JOB slice: each executed join's chunk
         carries the sources covering the aliases read above it, no more
         and no fewer."""
         optimizer = Optimizer(imdb_db)
-        dropped = 0
+        dropped = factorized = 0
         for query in job_queries():
             if query.name not in JOB_SLICE:
                 continue
@@ -72,6 +79,17 @@ class TestPrunedShape:
             Executor(imdb_db).execute(plan, cache=cache)
             expected = expected_sources(plan)
             assert expected, query.name
+            # A scalar aggregate that reads the root join's matches leaves
+            # no root chunk ...
+            reads_matches = Aggregate(
+                plan.query_name, plan.group_by, plan.aggregates,
+            ).reads_matches(plan.root, imdb_db)
+            assert (id(plan.root) in cache) != reads_matches, query.name
+            factorized += reads_matches
+            # ... until a plan outputs the columns it aggregates.
+            Executor(imdb_db).execute(PhysicalPlan(
+                query.name, plan.root, output_columns=_root_refs(plan)),
+                cache=cache)
             for node_id, aliases in expected.items():
                 kept = frozenset(source.relation.alias
                                  for source in cache[node_id].sources)
@@ -79,6 +97,7 @@ class TestPrunedShape:
             dropped += sum(len(node.leaf_relations()) - len(expected[id(node)])
                            for node in plan.join_nodes())
         assert dropped > 0  # the slice exercises pruning at all
+        assert factorized > 0  # and roots read as matches
 
 
 def _scan(alias: str) -> ScanNode:
@@ -143,8 +162,17 @@ class TestSourcelessCounts:
                             aggregates=(AggregateSpec("count", None, "row_count"),))
         cache: dict = {}
         result = Executor(tiny_db).execute(plan, cache=cache)
-        assert cache[id(plan.root)].sources == ()
-        assert result.table.to_rows()[0][0] == cache[id(plan.root)].num_rows > 0
+        # ``count(*)`` is the root join's match total: the root builds no
+        # chunk, and its inputs keep only what its predicates read.
+        assert id(plan.root) not in cache
+        assert (result.table.to_rows()[0][0] == result.join_rows
+                == plan.root.actual_rows > 0)
+        joined = frozenset().union(
+            *(pred.aliases() for pred in plan.root.predicates))
+        for child in plan.root.children():
+            if id(child) in cache:
+                assert {source.relation.alias
+                        for source in cache[id(child)].sources} <= joined
 
     def test_plan_without_outputs_keeps_no_source(self, tiny_db):
         """Neither outputs nor aggregates: the root reads nothing, and the

@@ -311,7 +311,7 @@ class TestOverflow:
         """Kept on both sides, the 2M matches expand the build side first:
         its temporary positions are gone before the left rows are copied,
         so at most three 8-byte vectors per match are alive at once."""
-        from repro.executor.chunk import MaterializationStats
+        from repro.executor.chunk import MaterializationStats, merge_chunks
         from repro.executor.operators import ExecContext, IndexNLJoin, Scan
         from repro.plan.expressions import ColumnRef, Comparison
         from repro.plan.physical import JoinMethod
@@ -326,7 +326,9 @@ class TestOverflow:
         assert left.sources[0].row_ids is not None
         tracemalloc.start()
         try:
-            chunk = IndexNLJoin(node).execute(ctx, left, frozenset({"ci", "mk"}))
+            matches, inner = IndexNLJoin(node).matches(ctx, left)
+            chunk = merge_chunks(left, inner, matches, frozenset({"ci", "mk"}),
+                                 ctx.stats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

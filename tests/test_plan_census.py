@@ -25,6 +25,18 @@ def test_rows_with_their_own_enumerator_plan_differently(capsys):
     assert len(set(crcs.values())) == 3, crcs
 
 
+def test_learned_estimators_plan_differently(capsys):
+    """Each simulated learned model draws its own noise: three rows, three
+    plan sets."""
+    census = _load()
+    crcs = {}
+    for algorithm in ("NeuroCard", "DeepDB", "MSCN"):
+        assert census.main(["--scale", "0.05", "--repeat", "1",
+                            "--algorithm", algorithm]) == 0
+        crcs[algorithm] = capsys.readouterr().out.split()[-1]
+    assert len(set(crcs.values())) == 3, crcs
+
+
 def test_unknown_algorithm_rejected(capsys):
     with pytest.raises(SystemExit):
         _load().main(["--algorithm", "MagicSort"])
