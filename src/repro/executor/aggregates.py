@@ -7,14 +7,15 @@ string columns are still ``int32`` codes (see
 :mod:`repro.storage.dictionary`) and never looks at a string to find a
 group:
 
-* every key column becomes a non-negative integer below a known *span*,
-  in the column's value order (:func:`_dense_key`, chosen from dtype and
-  value range);
-* the keys are combined mixed-radix, first key most significant, so group
-  ids ascend in the lexicographic key order the output rows are emitted in;
-* when the combined span is small against the row count the groups are
-  found by ``np.bincount`` without sorting, otherwise by one stable integer
-  argsort (:func:`_find_groups`);
+* the key columns become one order-preserving id per row by the engine's
+  one key encoder (:func:`~repro.executor.joins.dense_ids`: codes and
+  integers addressed directly where an index would, first key most
+  significant), so group ids ascend in the lexicographic key order the
+  output rows are emitted in;
+* when the ids' span is one an index would address directly
+  (:func:`~repro.storage.index.dense_span`) the groups are found by
+  ``np.bincount`` without sorting, otherwise by one stable integer argsort
+  (:func:`_find_groups`);
 * counts, float sums and averages are ``np.bincount`` over the group ids;
   integer sums (exact in ``int64``) and MIN/MAX go through one stable
   argsort of the group ids, shared by all of them, plus ``reduceat``.
@@ -44,35 +45,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.executor.joins import _MAX_COMBINED_CODE
+from repro.executor.joins import dense_ids
 from repro.plan.expressions import ColumnRef
 from repro.plan.logical import AggregateSpec
 from repro.storage.dictionary import decode_lookup
+from repro.storage.index import dense_span
 from repro.storage.table import DataTable
-
-
-def _dense_limit(rows: int) -> int:
-    """Largest span worth a table of that many slots for ``rows`` rows."""
-    return max(4 * rows, 1024)
-
-
-def _dense_key(values: np.ndarray, dictionary: np.ndarray | None
-               ) -> tuple[np.ndarray, int]:
-    """One key column as order-preserving ints in ``[0, span)``.
-
-    Encoded columns use ``code + 1`` (NULL, code -1, becomes 0 and sorts
-    first); signed integers whose range is small against the row count use
-    ``value - min``; everything else (floats, wide or unsigned integers,
-    unencoded object columns) takes the inverse of one ``np.unique``.
-    """
-    if dictionary is not None:
-        return values.astype(np.int64) + 1, len(dictionary) + 1
-    if values.dtype.kind in "ib":
-        low, high = int(values.min()), int(values.max())
-        if high - low < _dense_limit(len(values)):
-            return values.astype(np.int64) - low, high - low + 1
-    uniques, inverse = np.unique(values, return_inverse=True)
-    return inverse, len(uniques)
 
 
 class _Groups:
@@ -109,22 +87,8 @@ def _find_groups(table: DataTable, group_by: tuple[ColumnRef, ...],
     """Partition ``table``'s rows by the ``group_by`` columns."""
     if not group_by:
         return _Groups(None, np.array([rows]), np.zeros(1, dtype=np.int64))
-    ids, span = None, 1
-    for ref in group_by:
-        key, key_span = _dense_key(table.column(ref.qualified),
-                                   table.dictionaries.get(ref.qualified))
-        if ids is None:
-            ids, span = key, key_span
-            continue
-        if span > _MAX_COMBINED_CODE // key_span:
-            # The next digit could overflow int64: renumber the prefix
-            # densely first (equal composites stay equal, order is kept).
-            uniques, ids = np.unique(ids, return_inverse=True)
-            span = len(uniques)
-        ids = ids * key_span + key
-        span *= key_span
-
-    if span <= _dense_limit(rows):
+    ids, span = dense_ids([table.column(ref.qualified) for ref in group_by])
+    if dense_span(0, span - 1, rows):
         per_id = np.bincount(ids, minlength=span)
         occupied = np.flatnonzero(per_id)
         if len(occupied) < span:

@@ -45,10 +45,9 @@ from repro.storage.table import DataTable
 
 @dataclass
 class MaterializationStats:
-    """Byte/column accounting of everything an execution materialized."""
+    """Byte accounting of everything an execution materialized."""
 
     gathered_bytes: int = 0
-    gathered_columns: int = 0
 
     def count(self, array: np.ndarray) -> None:
         """Record one materialized array (gathered column or copied vector).
@@ -56,7 +55,6 @@ class MaterializationStats:
         Dictionary codes gathered without decoding are charged what they
         are: four bytes a row.
         """
-        self.gathered_columns += 1
         if array.dtype == object:
             # Same accounting convention as DataTable.memory_bytes: pointer
             # plus an assumed 24-byte average string payload.

@@ -53,7 +53,6 @@ from repro.executor.aggregates import (  # noqa: F401  (re-exported)
 )
 from repro.executor.chunk import Chunk, MaterializationStats, merge_chunks
 from repro.executor.operators import (  # noqa: F401  (re-exported)
-    MAX_CROSS_PRODUCT_ROWS,
     Aggregate,
     CrossProduct,
     ExecContext,
@@ -72,8 +71,8 @@ from repro.storage.index import Matches
 from repro.storage.table import DataTable
 
 __all__ = [
-    "Executor", "ExecutionResult", "ExecutionError", "MAX_CROSS_PRODUCT_ROWS",
-    "group_aggregate", "union_all",
+    "Executor", "ExecutionResult", "ExecutionError", "group_aggregate",
+    "union_all",
 ]
 
 

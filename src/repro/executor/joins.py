@@ -1,14 +1,10 @@
-"""Low-level vectorized equi-join primitives.
+"""Low-level vectorized equi-join primitives and the engine's one key encoder.
 
 These helpers find the matches of an equi-join between two key arrays,
 keeping the whole join in numpy.  A hash join (:func:`equi_join_matches`)
 builds a transient :class:`~repro.storage.index.SortedIndex` over its build
 side and probes it, exactly as an index nested-loop join probes a base
-table's index, so one structure finds every join's matches.  The
-true-cardinality oracle counts a join's matches with
-:func:`join_result_size` (multi-key via :func:`combine_key_pair`) instead of
-materializing it; a count needs no row order, so it matches distinct values
-directly.
+table's index, so one structure finds every join's matches.
 
 Every join finds, for each probe key, the run of matching build rows as a
 start ``lo`` and a length ``count``, and returns them as a
@@ -17,18 +13,26 @@ against :data:`MAX_JOIN_RESULT_ROWS` before anything is allocated.  The
 operators expand only the index vectors their output keeps;
 :func:`equi_join_indices` expands both, as probe-major index pairs.
 
+:func:`dense_ids` decides key equality for everything that compares
+composite keys: GROUP BY ids, both sides of a multi-key join (encoded
+together, so equal keys get equal ids on both), and the true-cardinality
+oracle's :func:`count_matches`, which counts a join's matches as the dot
+product of its two sides' per-id row counts without materializing them.
+It addresses a key column directly exactly where the index would
+(:func:`~repro.storage.index.dense_span`).
+
 A NULL key matches nothing, by the engine's one NULL rule
 (:func:`repro.storage.dictionary.null_mask`): the index leaves NULL keys
-out, a multi-key join drops the rows with a NULL in any key column
-(:func:`~repro.storage.index.drop_null_rows`) before it encodes them and
-maps the positions back when a side is expanded, and a count skips them.
+out, and a multi-key join or count drops the rows with a NULL in any key
+column (:func:`~repro.storage.index.drop_null_rows`) before it encodes
+them; a join maps the positions back when a side is expanded.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.storage.index import Matches, SortedIndex, drop_null_rows
+from repro.storage.index import Matches, SortedIndex, dense_span, drop_null_rows
 
 #: Hard cap on the number of matches a single equi-join may materialize.
 #: Joins beyond this are the Python-engine analogue of the paper's 1000 s
@@ -81,73 +85,77 @@ def multi_key_matches(left_keys: list[np.ndarray],
         return equi_join_matches(left_keys[0], right_keys[0])
     left_keys, left_rows = drop_null_rows(left_keys)
     right_keys, right_rows = drop_null_rows(right_keys)
-    return equi_join_matches(*combine_key_pair(left_keys, right_keys)).remap(
-        left_rows, right_rows)
+    if len(left_keys[0]) == 0 or len(right_keys[0]) == 0:
+        return Matches.empty()
+    left_ids, right_ids, _ = _shared_ids(left_keys, right_keys)
+    return equi_join_matches(left_ids, right_ids).remap(left_rows, right_rows)
 
 
-#: Largest composite code value combine_key_pair lets the running encoding
-#: reach before it re-compresses the codes (conservatively half of int64).
+def count_matches(left_keys: list[np.ndarray],
+                  right_keys: list[np.ndarray]) -> int:
+    """Exact number of matches of :func:`multi_key_matches`, never
+    materialized and never capped: per key id, the left rows holding it
+    times the right rows holding it, summed."""
+    left_keys, _ = drop_null_rows(left_keys)
+    right_keys, _ = drop_null_rows(right_keys)
+    if len(left_keys[0]) == 0 or len(right_keys[0]) == 0:
+        return 0
+    left_ids, right_ids, span = _shared_ids(left_keys, right_keys)
+    return int(np.dot(np.bincount(left_ids, minlength=span),
+                      np.bincount(right_ids, minlength=span)))
+
+
+def _shared_ids(left_keys: list[np.ndarray], right_keys: list[np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both sides' keys as :func:`dense_ids` of one shared encoding (equal
+    keys, equal ids, on either side) and its span, renumbered densely when
+    the span is too wide to address directly."""
+    ids, span = dense_ids([np.concatenate(pair)
+                           for pair in zip(left_keys, right_keys)])
+    if not dense_span(0, span - 1, len(ids)):
+        uniques, ids = np.unique(ids, return_inverse=True)
+        span = len(uniques)
+    n_left = len(left_keys[0])
+    return ids[:n_left], ids[n_left:], span
+
+
+#: Largest span the running encoding of :func:`dense_ids` may reach before
+#: it renumbers its codes densely (conservatively half of int64).
 _MAX_COMBINED_CODE = 2 ** 62
 
 
-def combine_key_pair(left_keys: list[np.ndarray],
-                     right_keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Encode multi-column keys of both join sides into one shared code space.
+def dense_ids(columns: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """The rows of one or more equally long, non-empty key columns as
+    ``int64`` ids in ``[0, span)``: equal ids exactly for equal keys, in
+    the keys' lexicographic order (first column most significant).
 
-    Both sides of every key column are uniquified *together*, so equal values
-    on the two sides receive the same code and the composite codes are
-    directly comparable.
-
-    The running ``code * span + inverse`` encoding can overflow int64 when
-    the per-column distinct-value counts multiply up (many key columns, or a
-    few very high-cardinality ones).  Whenever the next extension would
-    exceed the safe range, the combined codes of *both* sides are
-    re-uniquified into a dense range first -- equal composites stay equal, so
-    the join semantics are unchanged while the magnitude resets to at most
-    the number of distinct composites seen so far.
+    A signed integer column whose values :func:`dense_span` lets an index
+    address directly becomes ``value - min``; any other column (floats,
+    wide or unsigned integers, object columns) takes the inverse of one
+    ``np.unique``.  The columns combine mixed-radix, ``ids * span +
+    key``; when the next column could overflow ``int64`` the ids so far
+    are renumbered densely first (equal composites stay equal, order is
+    kept).
     """
-    n_left = len(left_keys[0])
-    left_combined = np.zeros(n_left, dtype=np.int64)
-    right_combined = np.zeros(len(right_keys[0]), dtype=np.int64)
-    for left, right in zip(left_keys, right_keys):
-        merged = np.concatenate([left, right])
-        _, inverse = np.unique(merged, return_inverse=True)
-        span = int(inverse.max()) + 1 if len(inverse) else 1
-        current_max = 0
-        if len(left_combined):
-            current_max = max(current_max, int(left_combined.max()))
-        if len(right_combined):
-            current_max = max(current_max, int(right_combined.max()))
-        if current_max and span > _MAX_COMBINED_CODE // (current_max + 1):
-            both = np.concatenate([left_combined, right_combined])
-            _, dense = np.unique(both, return_inverse=True)
-            left_combined = dense[:n_left].astype(np.int64)
-            right_combined = dense[n_left:].astype(np.int64)
-        left_combined = left_combined * span + inverse[:n_left]
-        right_combined = right_combined * span + inverse[n_left:]
-    return left_combined, right_combined
+    ids, span = None, 1
+    for values in columns:
+        key, key_span = _dense_key(values)
+        if ids is None:
+            ids, span = key, key_span
+            continue
+        if span > _MAX_COMBINED_CODE // key_span:
+            uniques, ids = np.unique(ids, return_inverse=True)
+            span = len(uniques)
+        ids = ids * key_span + key
+        span *= key_span
+    return ids, span
 
 
-def join_result_size(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
-    """Exact number of matches of an equi-join without materializing them;
-    NULL keys match nothing."""
-    (left_keys,), _ = drop_null_rows([left_keys])
-    (right_keys,), _ = drop_null_rows([right_keys])
-    if len(left_keys) == 0 or len(right_keys) == 0:
-        return 0
-    left_vals, left_counts = np.unique(left_keys, return_counts=True)
-    right_vals, right_counts = np.unique(right_keys, return_counts=True)
-    # Match the two distinct-value lists.
-    pos = np.searchsorted(right_vals, left_vals)
-    pos_clipped = np.clip(pos, 0, len(right_vals) - 1)
-    matches = right_vals[pos_clipped] == left_vals
-    return int(np.sum(left_counts[matches] * right_counts[pos_clipped[matches]]))
-
-
-def multi_key_result_size(left_keys: list[np.ndarray],
-                          right_keys: list[np.ndarray]) -> int:
-    """Exact number of matches of :func:`multi_key_matches`."""
-    if len(left_keys) == 1:
-        return join_result_size(left_keys[0], right_keys[0])
-    return join_result_size(*combine_key_pair(drop_null_rows(left_keys)[0],
-                                              drop_null_rows(right_keys)[0]))
+def _dense_key(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """One key column as order-preserving ids in ``[0, span)``."""
+    if values.dtype.kind in "ib":
+        low, high = int(values.min()), int(values.max())
+        if dense_span(low, high, len(values)):
+            return values.astype(np.int64, copy=False) - low, high - low + 1
+    uniques, inverse = np.unique(values, return_inverse=True)
+    return inverse, len(uniques)

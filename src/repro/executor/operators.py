@@ -8,8 +8,10 @@ late-materialized :class:`~repro.executor.chunk.Chunk` inputs:
   predicate-carrying NL nodes: the equi-join kernel in
   :mod:`repro.executor.joins` serves both);
 * :class:`IndexNLJoin` -- index nested-loop join probing a sorted index,
-  then filtering the probed inner rows like a scan;
-* :class:`CrossProduct`-- predicate-less join (guarded Cartesian product);
+  then narrowing its matches to the probed inner rows that pass the inner
+  filters and every further ``=`` predicate;
+* :class:`CrossProduct`-- predicate-less join, under the same cap as every
+  other join;
 * :class:`Aggregate`   -- plan-root aggregation, the point where the
   aggregated columns are finally gathered (encoded strings as codes).
 
@@ -17,7 +19,8 @@ Scans and index joins filter through :func:`filter_rows`, over the stored
 columns (codes for encoded strings): no filter is evaluated on decoded
 values.  A join operator only finds its
 :class:`~repro.storage.index.Matches` (``matches``); the executor merges
-the inputs' row-id vectors with them (:func:`merge_chunks`), or a root
+the inputs' row-id vectors with them
+(:func:`~repro.executor.chunk.merge_chunks`), or a root
 :class:`Aggregate` reads them unmerged.  Operators never copy payload
 columns between them -- they pass chunks whose sources are row-id vectors
 into the stored tables.  The
@@ -37,28 +40,20 @@ from repro.executor.aggregates import (
     weighted_aggregate,
     weighted_exact,
 )
-from repro.executor.chunk import (
-    Chunk,
-    MaterializationStats,
-    TableSource,
-    merge_chunks,
-)
-from repro.executor.joins import multi_key_matches
+from repro.executor.chunk import Chunk, MaterializationStats, TableSource
+from repro.executor.joins import check_match_count, multi_key_matches
 from repro.executor.kernels import PredicateCompiler
 from repro.plan.expressions import ColumnRef, JoinPredicate
 from repro.plan.logical import AggregateSpec, RelationRef
-from repro.plan.physical import JoinMethod, JoinNode, PlanNode, ScanNode
+from repro.plan.physical import JoinNode, PlanNode, ScanNode
 from repro.storage.dictionary import null_mask, translate_filters
 from repro.storage.database import Database
 from repro.storage.index import Matches
 from repro.storage.table import DataTable
 
-#: Guard against accidental cross-product explosions in the executor.
-MAX_CROSS_PRODUCT_ROWS = 50_000_000
-
-
 class ExecutionError(RuntimeError):
-    """Raised when a plan cannot be executed (e.g. a runaway cross product)."""
+    """Raised when a plan cannot be executed (e.g. an INDEX_NL join over a
+    column without an index)."""
 
 
 @dataclass
@@ -157,16 +152,6 @@ def join_keys(ctx: ExecContext, left: Chunk, right: Chunk,
     return left_keys, right_keys
 
 
-def hash_join(ctx: ExecContext, left: Chunk, right: Chunk,
-              predicates: tuple[JoinPredicate, ...],
-              reads: frozenset[str]) -> Chunk:
-    """Equi-join two chunks on ``predicates``, keeping the sources that
-    cover an alias in ``reads`` (the body of :class:`HashJoin`, which the
-    true-cardinality oracle calls without a plan node)."""
-    matches = multi_key_matches(*join_keys(ctx, left, right, predicates))
-    return merge_chunks(left, right, matches, reads, ctx.stats)
-
-
 class HashJoin(Operator):
     """Equi-join: gather the key columns and match them."""
 
@@ -212,59 +197,33 @@ class IndexNLJoin(Operator):
         outer_ref = self.probe.other(index_column.alias)
         inner = Chunk((TableSource(relation, table),), table.num_rows)
         matches = index.matches(left.column(outer_ref, ctx.stats))
-        if self.residuals:
-            matches = _residual(ctx, left, inner_scan, table, matches,
-                                self.residuals)
-        elif inner_scan.filters:
+        if inner_scan.filters:
             # The inner rows are expanded to filter them; the probe side
-            # stays unexpanded until a consumer asks for it.
+            # stays unexpanded until a consumer (or a residual) asks for it.
             keep = filter_rows(ctx, relation, table, inner_scan.filters,
                                matches.row_ids())
             if keep is not None:
                 matches = matches.select(keep)
+        for pred in self.residuals:
+            inner_ref = (pred.left if relation.covers(pred.left.alias)
+                         else pred.right)
+            inner_values = table.gather(inner_ref.column, matches.row_ids())
+            equal = inner_values == left.column(
+                pred.other(inner_ref.alias), ctx.stats)[matches.probe_positions()]
+            if inner_values.dtype == object:  # NULL equals nothing, not even NULL
+                equal &= ~null_mask(inner_values)
+            matches = matches.select(np.flatnonzero(equal))
         return matches, inner
 
 
-def _residual(ctx: ExecContext, left: Chunk, inner_scan: ScanNode,
-              table: DataTable, matches: Matches,
-              residuals: tuple[JoinPredicate, ...]) -> Matches:
-    """The index matches that pass the inner scan's filters and the join
-    predicates besides the probed one, with both sides expanded."""
-    relation = inner_scan.relation
-    probe_positions, inner_rows = matches.pairs()
-    # The inner relation's filters run over the probed rows only.
-    keep = filter_rows(ctx, relation, table, inner_scan.filters, inner_rows)
-    if keep is not None:
-        probe_positions = probe_positions[keep]
-        inner_rows = inner_rows[keep]
-    # Apply any additional join predicates between the two sides.
-    mask = None
-    for pred in residuals:
-        inner_ref = (pred.left if relation.covers(pred.left.alias) else pred.right)
-        outer_side = pred.other(inner_ref.alias)
-        inner_values = table.gather(inner_ref.column, inner_rows)
-        pred_mask = (inner_values
-                     == left.column(outer_side, ctx.stats)[probe_positions])
-        if inner_values.dtype == object:  # NULL equals nothing, not even NULL
-            pred_mask &= ~null_mask(inner_values)
-        mask = pred_mask if mask is None else (mask & pred_mask)
-    if mask is not None:
-        probe_positions = probe_positions[mask]
-        inner_rows = inner_rows[mask]
-    return Matches(len(probe_positions), probe_positions, inner_rows)
-
-
 class CrossProduct(Operator):
-    """Predicate-less join: guarded Cartesian product of two chunks."""
+    """Predicate-less join: the Cartesian product of two chunks."""
 
     name = "CrossProduct"
 
     def matches(self, ctx: ExecContext, left: Chunk, right: Chunk) -> Matches:
         total = left.num_rows * right.num_rows
-        if total > MAX_CROSS_PRODUCT_ROWS:
-            raise ExecutionError(
-                f"cross product of {left.num_rows} x {right.num_rows} rows "
-                f"exceeds the executor's safety limit")
+        check_match_count(total)
         return Matches(
             total,
             lambda: np.repeat(np.arange(left.num_rows, dtype=np.int64),
@@ -300,13 +259,10 @@ class Aggregate:
     def reads_matches(self, root: PlanNode, database: Database) -> bool:
         """True when this aggregate over ``root`` may take
         :meth:`execute_matches`: no GROUP BY, a join with predicates at the
-        root (an index nested-loop one probing its one predicate), and an
-        exact weighted form for every function over its column's stored
-        type.  Decided from the plan and the column types, never a size."""
+        root, and an exact weighted form for every function over its
+        column's stored type.  Decided from the plan and the column types,
+        never a size."""
         if self.group_by or not isinstance(root, JoinNode) or not root.predicates:
-            return False
-        if (root.method is JoinMethod.INDEX_NL and isinstance(root.right, ScanNode)
-                and IndexNLJoin(root).residuals):
             return False
         relations = root.leaf_relations()
         for spec in self.aggregates:

@@ -121,10 +121,7 @@ class SubplanCache:
         """Cached chunk for ``signature`` that covers every alias in
         ``reads``, or None."""
         with self._lock:
-            try:
-                chunk = self._entries.get(signature)
-            except TypeError:  # unhashable literal somewhere in a predicate
-                return None
+            chunk = self._entries.get(signature)
             if chunk is None or not chunk.covers_all(reads):
                 self.misses += 1
                 return None
@@ -141,12 +138,8 @@ class SubplanCache:
                     or _touches_temp(signature)):
                 self.rejected += 1
                 return
-            try:
-                previous = self._entries.get(signature)
-                self._entries[signature] = chunk
-            except TypeError:
-                self.rejected += 1
-                return
+            previous = self._entries.get(signature)
+            self._entries[signature] = chunk
             if previous is not None:
                 self.total_bytes -= self._entry_bytes[signature]
             self._entry_bytes[signature] = cost
@@ -165,10 +158,7 @@ class SubplanCache:
         executor-reuse hit rate nor evicts entries the executor would reuse.
         """
         with self._lock:
-            try:
-                return self._entries.get(signature)
-            except TypeError:
-                return None
+            return self._entries.get(signature)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -4,11 +4,12 @@ The paper's *Optimal* baseline feeds the optimizer "the accurate cardinality
 of every possible intermediate result"; Figure 10's ``use_oracle`` sweep and
 the simulated learned estimators start from the same counts.  The oracle
 splits a connected sub-join into two counted, connected halves, materializes
-them with the executor's :class:`Scan` and :func:`hash_join`, and counts
-their matches with :func:`multi_key_result_size`: the join being counted is
-never materialized, and nothing is sampled (an intermediate beyond the
-executor's join-size cap raises its ``JoinOverflowError``, a timeout to the
-drivers).
+them with the executor's own :class:`Scan`, :func:`multi_key_matches` and
+:func:`merge_chunks`, and counts their matches with :func:`count_matches`,
+the key encoder the joins and GROUP BY use: the join being counted is never
+materialized, a count is never capped, and nothing is sampled (an
+intermediate beyond the executor's join-size cap raises its
+``JoinOverflowError``, a timeout to the drivers).
 Counts and halves are memoized per query until ``reset``.  ARCHITECTURE.md,
 "The oracle", gives the rule and its reasons.  The oracle's own cost is not
 charged to the measured execution time, exactly as in the paper.
@@ -16,9 +17,9 @@ charged to the measured execution time, exactly as in the paper.
 
 from __future__ import annotations
 
-from repro.executor.chunk import Chunk, MaterializationStats
-from repro.executor.joins import multi_key_result_size
-from repro.executor.operators import ExecContext, Scan, hash_join, join_keys
+from repro.executor.chunk import Chunk, MaterializationStats, merge_chunks
+from repro.executor.joins import count_matches, multi_key_matches
+from repro.executor.operators import ExecContext, Scan, join_keys
 from repro.optimizer.cardinality import CardinalityEstimator, MIN_ROWS
 from repro.plan.expressions import JoinPredicate, Predicate
 from repro.plan.logical import RelationRef
@@ -99,7 +100,7 @@ class TrueCardinalityOracle:
                 left_keys, right_keys = join_keys(
                     self._ctx, self._chunk(larger), self._chunk(smaller),
                     self._between(larger, smaller))
-                rows = multi_key_result_size(left_keys, right_keys)
+                rows = count_matches(left_keys, right_keys)
             self._counts[subset] = rows
             self.counted += 1
         return rows
@@ -133,13 +134,13 @@ class TrueCardinalityOracle:
                 chunk = Scan(self._scans[next(iter(subset))]).execute(self._ctx)
             else:
                 larger, smaller = self._split(subset)
+                left, right = self._chunk(larger), self._chunk(smaller)
+                matches = multi_key_matches(*join_keys(
+                    self._ctx, left, right, self._between(larger, smaller)))
                 # Keep every source: a later count may join on any of them.
-                chunk = hash_join(self._ctx, self._chunk(larger),
-                                  self._chunk(smaller),
-                                  self._between(larger, smaller),
-                                  frozenset().union(*(
-                                      self._scans[key].relation.covered_aliases
-                                      for key in subset)))
+                chunk = merge_chunks(left, right, matches, frozenset().union(*(
+                    self._scans[key].relation.covered_aliases for key in subset)),
+                    self._ctx.stats)
             self._chunks[subset] = chunk
         return chunk
 

@@ -8,9 +8,9 @@ from repro.catalog.types import DataType
 from repro.executor.executor import ExecutionError, Executor, group_aggregate, union_all
 from repro.executor.joins import (
     JoinOverflowError,
-    combine_key_pair,
+    count_matches,
+    dense_ids,
     equi_join_indices,
-    join_result_size,
     multi_key_matches,
 )
 from repro.executor.subplan_cache import SubplanCache
@@ -70,12 +70,12 @@ class TestJoinPrimitives:
         with pytest.raises(ValueError):
             multi_key_matches([np.array([1])], [])
 
-    def test_join_result_size_exact(self):
+    def test_count_matches_exact(self):
         rng = np.random.default_rng(1)
         left = rng.integers(0, 15, 500)
         right = rng.integers(0, 15, 400)
         li, _ = equi_join_indices(left, right)
-        assert join_result_size(left, right) == len(li)
+        assert count_matches([left], [right]) == len(li)
 
     def test_overflow_guard(self):
         left = np.zeros(10_000, dtype=np.int64)
@@ -83,7 +83,7 @@ class TestJoinPrimitives:
         with pytest.raises(JoinOverflowError):
             equi_join_indices(left, right)
 
-    def test_combine_key_pair_survives_span_overflow(self):
+    def test_dense_ids_survive_span_overflow(self):
         """Many high-cardinality key columns must not overflow the encoding.
 
         40 columns with ~100 distinct values each give a naive span product
@@ -105,17 +105,21 @@ class TestJoinPrimitives:
         }
         assert (0, 0) in expected
         assert pairs == expected
+        assert count_matches(left_keys, right_keys) == len(expected)
 
-    def test_combine_key_pair_codes_stay_in_range(self):
+    def test_dense_ids_stay_in_range(self):
         left_keys = [np.arange(1000, dtype=np.int64) * (k + 1) + k
                      for k in range(30)]
         right_keys = [arr.copy() for arr in left_keys]
-        lc, rc = combine_key_pair(left_keys, right_keys)
+        ids, span = dense_ids([np.concatenate(pair)
+                               for pair in zip(left_keys, right_keys)])
+        lc, rc = ids[:1000], ids[1000:]
         assert lc.dtype == np.int64 and rc.dtype == np.int64
-        assert lc.min() >= 0 and rc.min() >= 0
+        assert lc.min() >= 0 and rc.min() >= 0 and ids.max() < span
         # Every row matches exactly its own counterpart.
         assert np.array_equal(lc, rc)
         assert len(np.unique(lc)) == 1000
+        assert count_matches(left_keys, right_keys) == 1000
 
 
 def _key_shape(name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +174,7 @@ class TestEquiJoinOrder:
         li, ri = equi_join_indices(left, right)
         assert li.dtype == np.int64 and ri.dtype == np.int64
         assert list(zip(li.tolist(), ri.tolist())) == expected
-        assert join_result_size(left, right) == len(expected)
+        assert count_matches([left], [right]) == len(expected)
 
 
 #: Join predicates between ci (left input) and mk (right input); a pair
@@ -821,7 +825,7 @@ class TestAggregationHelpers:
 
         40 key columns with ~100 distinct values each give a naive span
         product of 100**40 -- far past int64 -- so this exercises the
-        re-uniquify fallback (same encoding as combine_key_pair).  Rows with
+        re-uniquify fallback (the multi-key join's encoding, dense_ids).  Rows with
         identical composites must land in one group, wrapped ids must not
         merge distinct composites.
         """
@@ -976,9 +980,9 @@ class TestAggregateKernelMatchesReference:
             decoded[ref.qualified] = columns[ref.qualified] = values
             if kind == "encoded":
                 # The "" key becomes a real NULL, under a dictionary wider
-                # than the values present (as borrowed from a base table):
-                # a little wider keeps the combined span dense, a lot wider
-                # forces the sort path.
+                # than the values present (as borrowed from a base table);
+                # the unused strings sort last, so the key encoder, which
+                # reads the codes present, sees the same span either way.
                 nulled = [None if v == "" else v for v in values]
                 unused = 5 if shape == "few_groups" else 1000
                 codes, dictionary = _encoded(
@@ -1037,6 +1041,51 @@ class TestAggregateKernelMatchesReference:
         np.testing.assert_array_equal(np.signbit(actual.column("g.k0")),
                                       np.signbit(expected.column("g.k0")))
         assert actual.to_rows() == expected.to_rows()
+
+    @pytest.mark.parametrize("spans", ((16, 29), (15, 31)),
+                             ids=("at-limit", "past-limit"))
+    def test_combined_span_straddling_the_dense_limit(self, spans):
+        """Two integer keys, each addressed directly, whose combined span
+        is exactly ``dense_span``'s limit for 100 rows (464, found by
+        ``bincount``) or one past it (465, found by sorting): the same
+        groups, order and elements as the reference either way."""
+        from repro.executor.aggregates import _find_groups
+        from repro.storage.index import dense_span
+        from tests.reference_aggregate import group_aggregate as reference
+
+        rows = 100
+        rng = np.random.default_rng(list(spans))
+        group_by = (ColumnRef("g", "k0"), ColumnRef("g", "k1"))
+        columns = {}
+        for ref, span in zip(group_by, spans):
+            # Both ends present, so the key's span is exactly ``span``.
+            values = rng.integers(0, span, rows) - 7
+            values[:2] = (-7, span - 8)
+            columns[ref.qualified] = values
+        strings = np.array([f"w{i:03d}" for i in rng.integers(0, 50, rows)],
+                           dtype=object)
+        codes, dictionary = _encoded(list(strings))
+        decoded = dict(columns, **{"v.i": rng.integers(-10 ** 6, 10 ** 6, rows),
+                                   "v.f": rng.normal(size=rows) * 1e3,
+                                   "v.enc": strings, "v.raw": strings})
+        table = DataTable("in", dict(decoded, **{"v.enc": codes}),
+                          dictionaries={"v.enc": dictionary})
+        dense = spans[0] * spans[1] <= 4 * rows + 64
+        assert bool(dense_span(0, spans[0] * spans[1] - 1, rows)) == dense
+        groups = _find_groups(table, group_by, rows)
+        assert (groups._order is None) == dense
+
+        expected = reference(decoded, group_by, AGGREGATES)
+        actual = group_aggregate(table, group_by, AGGREGATES)
+        assert actual.column_names == expected.column_names
+        assert actual.num_rows == expected.num_rows
+        for name in expected.column_names:
+            for g, w in zip(actual.column(name), expected.column(name)):
+                assert type(g) is type(w), (name, type(g), type(w))
+                if name in ("sum_f", "avg_f"):
+                    assert g == pytest.approx(w, rel=FLOAT_SUM_RTOL), name
+                else:
+                    assert g == w, name
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("kind", KEY_KINDS)

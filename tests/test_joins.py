@@ -250,6 +250,21 @@ class TestOverflow:
         with pytest.raises(JoinOverflowError):
             equi_join_matches(over, values)
 
+    def test_cross_product_checks_the_join_cap(self, low_cap):
+        """A cross product is capped like every other join: one past the
+        cap raises the same error before anything is expanded."""
+        from repro.executor.chunk import Chunk
+        from repro.executor.operators import CrossProduct
+        from repro.plan.logical import RelationRef
+        from repro.plan.physical import JoinNode, ScanNode
+
+        node = JoinNode(ScanNode(relation=RelationRef.base("a", "a")),
+                        ScanNode(relation=RelationRef.base("b", "b")), ())
+        left, right = Chunk((), 50), Chunk((), 20)
+        assert CrossProduct(node).matches(None, left, right).total == 1000
+        with pytest.raises(JoinOverflowError):
+            CrossProduct(node).matches(None, Chunk((), 1001), Chunk((), 1))
+
     @staticmethod
     def _one_key_db(tiny_schema):
         """``ci`` (1,000 rows) and ``mk`` (2,000 rows) that all share one

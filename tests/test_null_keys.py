@@ -13,10 +13,9 @@ from repro.catalog.schema import Column, ForeignKey, Schema, TableSchema
 from repro.catalog.types import DataType
 from repro.executor.executor import Executor
 from repro.executor.joins import (
+    count_matches,
     equi_join_indices,
-    join_result_size,
     multi_key_matches,
-    multi_key_result_size,
 )
 from repro.plan.expressions import ColumnRef, JoinPredicate
 from repro.plan.logical import AggregateSpec, Query, RelationRef, SPJQuery
@@ -41,20 +40,20 @@ class TestKernels:
         left = np.array([1.0, NAN])
         right = np.array([NAN, 1.0, NAN])
         assert _pairs(equi_join_indices(left, right)) == [(0, 1)]
-        assert join_result_size(left, right) == 1
+        assert count_matches([left], [right]) == 1
 
     def test_none_in_object_keys(self):
         left = np.array(["a", None, "b", None, "c"], dtype=object)
         right = np.array([None, "b", "a", "a"], dtype=object)
         # Probe-major; the two "a" rows in their stable sort order.
         assert _pairs(equi_join_indices(left, right)) == [(0, 2), (0, 3), (2, 1)]
-        assert join_result_size(left, right) == 3
+        assert count_matches([left], [right]) == 3
 
     def test_stray_nan_in_object_keys(self):
         left = np.array(["a", NAN], dtype=object)
         right = np.array([NAN, "a"], dtype=object)
         assert _pairs(equi_join_indices(left, right)) == [(0, 1)]
-        assert join_result_size(left, right) == 1
+        assert count_matches([left], [right]) == 1
 
     def test_two_column_key_with_null_in_one_column(self):
         left = [np.array([1, 1, 2, 2]),
@@ -63,13 +62,13 @@ class TestKernels:
                  np.array([None, "x", "y", None, None], dtype=object)]
         # (1, None) matches nothing on either side, not even (1, None).
         assert _pairs(multi_key_matches(left, right).pairs()) == [(0, 1), (2, 2), (3, 2)]
-        assert multi_key_result_size(left, right) == 3
+        assert count_matches(left, right) == 3
 
     def test_two_float_columns_with_nan(self):
         left = [np.array([1.0, 1.0, NAN]), np.array([0.5, NAN, 0.5])]
         right = [np.array([1.0, 1.0, NAN]), np.array([NAN, 0.5, 0.5])]
         assert _pairs(multi_key_matches(left, right).pairs()) == [(0, 1)]
-        assert multi_key_result_size(left, right) == 1
+        assert count_matches(left, right) == 1
 
 
 class TestIndex:

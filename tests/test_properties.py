@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) on the core invariants.
 
-* equi-join primitives agree with a brute-force reference on arbitrary key
-  arrays, and index probes with the previous kernel
-  (``tests/reference_join.py``) on dense and sparse key spans;
+* equi-join primitives and the oracle's count agree with a brute-force
+  reference on one to three key columns with NULL keys, and index probes
+  with the previous kernel (``tests/reference_join.py``) on dense and
+  sparse key spans;
 * a match object's lazily expanded sides are the pairs ``lookup_batch`` and
   the equi-joins return, on every index layout and with NULL keys, and
   asking for one side never expands the other;
@@ -28,9 +29,9 @@ from repro.core.ssa import CostFunction
 from repro.core.subquery import covers
 from repro.executor.executor import Executor
 from repro.executor.joins import (
+    count_matches,
     equi_join_indices,
     equi_join_matches,
-    join_result_size,
     multi_key_matches,
 )
 from repro.optimizer.optimizer import Optimizer
@@ -44,21 +45,6 @@ from tests.conftest import build_tiny_database
 # ----------------------------------------------------------------------
 # Join primitives
 # ----------------------------------------------------------------------
-keys = st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_size=60)
-
-
-@given(left=keys, right=keys)
-@settings(max_examples=60, deadline=None)
-def test_equi_join_matches_bruteforce(left, right):
-    left_arr = np.array(left, dtype=np.int64)
-    right_arr = np.array(right, dtype=np.int64)
-    li, ri = equi_join_indices(left_arr, right_arr)
-    expected = {(i, j) for i, lv in enumerate(left) for j, rv in enumerate(right)
-                if lv == rv}
-    assert {(int(a), int(b)) for a, b in zip(li, ri)} == expected
-    assert join_result_size(left_arr, right_arr) == len(expected)
-
-
 #: Key bounds: the small ones give dense indexes, the large one sparse.
 key_bounds = st.sampled_from((3, 40, 10 ** 12))
 
@@ -94,6 +80,31 @@ def _key_array(values: list, layout: str) -> np.ndarray:
 
 def _is_null(value) -> bool:
     return value is None or value != value
+
+
+@given(data=st.data(), layouts=st.lists(st.sampled_from(sorted(_MATCH_KEYS)),
+                                        min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_equi_join_matches_bruteforce(data, layouts):
+    """One to three key columns of any layout, NULL keys included: the
+    count, the matches' total and (on one key) the pairs are the nested
+    loop's."""
+    keys = st.tuples(*(_MATCH_KEYS[layout] for layout in layouts))
+    left = data.draw(st.lists(keys, max_size=60))
+    right = data.draw(st.lists(keys, max_size=60))
+    expected = {(i, j) for i, lk in enumerate(left) for j, rk in enumerate(right)
+                if not any(map(_is_null, lk + rk)) and lk == rk}
+
+    def columns(rows):
+        return [_key_array([row[c] for row in rows], layout)
+                for c, layout in enumerate(layouts)]
+
+    left_keys, right_keys = columns(left), columns(right)
+    if len(layouts) == 1:
+        li, ri = equi_join_indices(left_keys[0], right_keys[0])
+        assert set(zip(li.tolist(), ri.tolist())) == expected
+    assert (count_matches(left_keys, right_keys)
+            == multi_key_matches(left_keys, right_keys).total == len(expected))
 
 
 def _check_matches(make, expected_pairs):

@@ -351,8 +351,8 @@ def _pred(left, right):
 
 
 #: Root shapes: hash joins on one and on two keys (a NULL-able float),
-#: index nested-loop joins with and without an inner filter, and a join
-#: whose probe side is itself a join.
+#: index nested-loop joins with and without an inner filter or a further
+#: ``=`` predicate, and a join whose probe side is itself a join.
 ROOTS = {
     "hash": lambda: JoinNode(_scan("l"), _scan("r"), (_pred("l.k", "r.k"),)),
     "hash-two-keys": lambda: JoinNode(
@@ -363,6 +363,9 @@ ROOTS = {
     "index-nl-filter": lambda: JoinNode(
         _scan("l"), _scan("r", (Comparison(ColumnRef("r", "v"), "<=", 2),)),
         (_pred("l.k", "r.k"),),
+        method=JoinMethod.INDEX_NL, index_column=ColumnRef("r", "k")),
+    "index-nl-residual": lambda: JoinNode(
+        _scan("l"), _scan("r"), (_pred("l.k", "r.k"), _pred("l.v", "r.v")),
         method=JoinMethod.INDEX_NL, index_column=ColumnRef("r", "k")),
     "nested": lambda: JoinNode(
         JoinNode(_scan("l", (Comparison(ColumnRef("l", "v"), ">=", -3),)),
@@ -414,10 +417,6 @@ FALLBACKS = {
     "unencoded-strings": (ROOTS["hash"], (AggregateSpec("min", ColumnRef("l", "o"), "m"),)),
     "cross-product": (lambda: JoinNode(_scan("l"), _scan("r"), ()),
                       (AggregateSpec("count", None, "n"),)),
-    "index-nl-residual": (lambda: JoinNode(
-        _scan("l"), _scan("r"), (_pred("l.k", "r.k"), _pred("l.v", "r.v")),
-        method=JoinMethod.INDEX_NL, index_column=ColumnRef("r", "k")),
-        (AggregateSpec("count", None, "n"),)),
 }
 
 
