@@ -18,17 +18,21 @@ The :class:`QuerySplitExecutor` implements the full algorithm:
 
 Like every baseline, the executor is an :class:`~repro.reopt.base.AlgorithmBase`:
 ``run`` (non-SPJ blocks via :mod:`repro.core.nonspj`, timeout, temp cleanup)
-and step 3's materialize are the base's; the selection loop is QuerySplit's.
+and step 3 (``_step``: execute, ANALYZE, register, record) are the base's;
+the selection loop is QuerySplit's.  The selected subquery's plan outputs
+the base's one column rule (``_unit_columns``): the query's output columns
+within the subquery, then the columns every remaining subquery reads
+after it -- which are also the columns ANALYZE reads.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Not called here (ANALYZE runs in AlgorithmBase._collect_stats), but
+# Not called here (ANALYZE runs in AlgorithmBase._step), but
 # benchmarks/e2e/tracing.py looks the name up in this module to patch it.
 from repro.catalog.analyze import analyze_columns  # noqa: F401
 from repro.core.qsa import QSAStrategy, generate_subqueries
@@ -36,11 +40,10 @@ from repro.core.ssa import CostFunction, SubqueryEstimate, select_subquery
 from repro.executor.aggregates import _scalar_aggregate, group_aggregate
 from repro.executor.executor import Executor
 from repro.optimizer.optimizer import Optimizer
-from repro.plan.expressions import ColumnRef
 from repro.plan.logical import RelationRef, SPJQuery
 from repro.plan.physical import PhysicalPlan
 from repro.reopt.base import AlgorithmBase, BaselineConfig
-from repro.report import ExecutionReport, IterationRecord
+from repro.report import ExecutionReport
 from repro.storage.database import Database
 from repro.storage.table import DataTable
 
@@ -98,49 +101,29 @@ class QuerySplitExecutor(AlgorithmBase):
             subquery, plan = remaining.pop(idx)
             covered = subquery.covered_aliases()
 
-            extra = self._columns_to_retain(
-                subquery, [q for q, _ in remaining], spj)
             # The last subquery's result is the only one when the query
             # has no other: its scalar aggregates are the query's result.
             aggregated = (not remaining and not result_tables
                           and spj.covered_aliases() <= covered
                           and bool(spj.aggregates) and not spj.projections)
-            result = self.executor.execute(
-                plan, extra_columns=extra,
-                aggregates=spj.aggregates if aggregated else ())
-            report.total_time += result.wall_time
-
-            overlapping = [q for q, _ in remaining if q.covered_aliases() & covered]
-            materialized = bool(overlapping)
-            analyze_time = 0.0
-            stats_columns = 0
-            if overlapping:
-                temp_ref, analyze_time, stats_columns = self._materialize(
-                    result.table, tuple(dict.fromkeys(
-                        ref for q in overlapping
-                        for ref in q.columns_read_after(covered))),
-                    covered, report)
-                remaining = self._substitute(remaining, temp_ref)
+            read_after = tuple(dict.fromkeys(
+                ref for q, _ in remaining for ref in q.columns_read_after(covered)))
+            plan = replace(plan,
+                           output_columns=self._unit_columns(spj, covered, read_after),
+                           aggregates=spj.aggregates if aggregated else ())
+            materialized = any(q.covered_aliases() & covered for q, _ in remaining)
+            result, temp = self._step(
+                plan, report, subquery.name, read_after=read_after,
+                decide=lambda _rows: (materialized, True))
+            if temp is not None:
+                remaining = self._substitute(remaining, temp)
                 if not remaining:
                     # Every other subquery became redundant after substitution:
                     # the temporary we just built carries the final data.
                     result_tables.append(result.table)
             else:
                 result_tables.append(result.table)
-
             consumed.update(covered)
-            report.iterations.append(IterationRecord(
-                index=len(report.iterations),
-                description=subquery.name,
-                aliases=covered,
-                result_rows=result.join_rows,
-                wall_time=result.wall_time + analyze_time,
-                memory_bytes=result.table.memory_bytes,
-                materialized=materialized,
-                replanned=True,
-                stats_collected=materialized and self.config.collect_statistics,
-                stats_columns=stats_columns,
-            ))
 
         if aggregated:
             return result.table
@@ -171,26 +154,6 @@ class QuerySplitExecutor(AlgorithmBase):
                 continue
             substituted.append((q, plan))
         return substituted
-
-    @staticmethod
-    def _columns_to_retain(subquery: SPJQuery, remaining: list[SPJQuery],
-                           spj: SPJQuery) -> tuple[ColumnRef, ...]:
-        """Columns of ``subquery`` that later iterations or the output need."""
-        covered = subquery.covered_aliases()
-        needed: list[ColumnRef] = []
-        for ref in spj.output_columns():
-            if ref.alias in covered:
-                needed.append(ref)
-        for other in remaining:
-            for pred in other.join_predicates:
-                for ref in (pred.left, pred.right):
-                    if ref.alias in covered:
-                        needed.append(ref)
-            for pred in other.filters:
-                for ref in pred.column_refs():
-                    if ref.alias in covered:
-                        needed.append(ref)
-        return tuple(dict.fromkeys(needed))
 
     def _finalize(self, result_tables: list[DataTable], spj: SPJQuery) -> DataTable:
         """Cartesian-merge the result set and apply the final projection."""

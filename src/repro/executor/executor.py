@@ -19,8 +19,10 @@ with predicates (:meth:`~repro.executor.operators.Aggregate.reads_matches`
 decides, from the plan's shape and column types) never merges the root's
 matches: it folds each aggregated column at its own side's rows with that
 side's match counts (:meth:`~repro.storage.index.Matches.weights`), so the
-root builds no chunk and neither cache keeps one for it.  QuerySplit passes
-the query's scalar aggregates for its last subquery (``aggregates=``).
+root builds no chunk and neither cache keeps one for it.  The plan a driver
+passes in says what to return: QuerySplit gives its last subquery's plan the
+query's scalar aggregates, and every re-optimizer gives a unit's plan the
+columns a later plan reads (see :mod:`repro.reopt.base`).
 
 Two caches sit around the pipeline; both serve a chunk only to a consumer
 whose reads it covers:
@@ -63,8 +65,6 @@ from repro.executor.operators import (  # noqa: F401  (re-exported)
     Scan,
 )
 from repro.executor.subplan_cache import SubplanCache
-from repro.plan.expressions import ColumnRef
-from repro.plan.logical import AggregateSpec
 from repro.plan.physical import JoinMethod, JoinNode, PhysicalPlan, PlanNode, ScanNode
 from repro.storage.database import Database
 from repro.storage.index import Matches
@@ -139,33 +139,22 @@ class Executor:
     # Public API
     # ------------------------------------------------------------------
     def execute(self, plan: PhysicalPlan,
-                extra_columns: tuple[ColumnRef, ...] = (),
-                cache: dict[int, Chunk] | None = None,
-                aggregates: tuple[AggregateSpec, ...] = ()) -> ExecutionResult:
-        """Execute ``plan`` and return its result.
-
-        ``extra_columns`` lists columns that must survive into the output even
-        though the plan's own projection does not mention them (used when
-        materializing subquery results that later subqueries will join on).
+                cache: dict[int, Chunk] | None = None) -> ExecutionResult:
+        """Execute ``plan`` and return its result: the plan's aggregates, or
+        else its ``output_columns``.
 
         ``cache`` optionally maps ``id(plan_node)`` to previously computed
         chunks; the plan-driven re-optimization baselines use it to execute a
         physical plan incrementally (subtree by subtree) without recomputing
         already-executed subtrees.
-
-        ``aggregates`` are scalar aggregates to return instead of the
-        output columns, for a plan that carries none of its own (QuerySplit's
-        last subquery, whose result is the query's only one).
         """
         start = time.perf_counter()
         stats = MaterializationStats()
         ctx = ExecContext(database=self.database, stats=stats)
-        output_refs = tuple(dict.fromkeys(plan.output_columns + tuple(extra_columns)))
+        output_refs = tuple(dict.fromkeys(plan.output_columns))
         aggregate = None
         if plan.aggregates:
             aggregate = Aggregate(plan.query_name, plan.group_by, plan.aggregates)
-        elif aggregates:
-            aggregate = Aggregate(plan.query_name, (), tuple(aggregates))
         # The root aggregates or gathers exactly these columns (possibly
         # none), so it keeps the sources of their aliases only.
         root_refs = aggregate.refs if aggregate is not None else output_refs

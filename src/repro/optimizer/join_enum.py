@@ -57,7 +57,6 @@ class EnumeratorConfig:
 
     dp_relation_limit: int = 8
     enable_index_nl: bool = True
-    enable_hash: bool = True
     enable_nl: bool = True
     #: Multiplier applied to estimated cardinalities when evaluating plan
     #: robustness (used by the FS baseline); 1.0 disables the penalty.
@@ -323,26 +322,28 @@ class JoinEnumerator:
         splits, each group ``(output rows, splits)``.
 
         The DP passes one group, the splits of one mask; the greedy search
-        one group per connected pair of components.  Candidates are
-        compared in split order and, within a split, in the order HASH,
-        INDEX_NL, NL; a later candidate replaces the incumbent only when its
-        score is strictly lower.  This loop runs once per split of every
-        subset, so it works on floats only, with
-        :meth:`CostModel.join_cost`'s operations in the same order.  With
-        ``robustness_weight`` 0 a split is skipped, before its solutions are
-        unpacked, when none of its candidates can score strictly lower than
-        the incumbent: each costs ``child_cost`` (INDEX_NL: ``child_cost``
-        minus the replaced inner scan) plus ``emit`` with non-negative terms
-        added to it, and float addition is monotone in each operand, so no
-        candidate costs less than ``child_cost + emit``.  A side the
-        DP left unsolved (``_UNSOLVED``) makes ``child_cost`` infinite, so
-        the split is skipped too, or under the robust objective, which skips
-        nothing, scores infinite or NaN and never wins.
+        one group per connected pair of components.  A connected split
+        scores HASH, then INDEX_NL when its inner is indexed; a split with
+        no predicate between its sides scores NL only.  Candidates are
+        compared in split order and, within a split, in that order; a later
+        candidate replaces the incumbent only when its score is strictly
+        lower.  This loop runs once per split of every subset, so it works
+        on floats only, with :meth:`CostModel.join_cost`'s operations in the
+        same order.  With ``robustness_weight`` 0 a split is skipped, before
+        its solutions are unpacked, when none of its candidates can score
+        strictly lower than the incumbent: each costs ``child_cost``
+        (INDEX_NL: ``child_cost`` minus the replaced inner scan) plus
+        ``emit`` with non-negative terms added to it, and float addition is
+        monotone in each operand, so no candidate costs less than
+        ``child_cost + emit``.  A side the DP left unsolved (``_UNSOLVED``)
+        makes ``child_cost`` infinite, so the split is skipped too, or under
+        the robust objective, which skips nothing, scores infinite or NaN
+        and never wins.
         """
         config = self.config
         p = self.cost_model.params
         tuple_cost, operator_cost = p.cpu_tuple_cost, p.cpu_operator_cost
-        enable_hash, enable_nl = config.enable_hash, config.enable_nl
+        enable_nl = config.enable_nl
         solved, indexed_inner = search.solved, search.indexed_inner
         robust = config.robustness_weight > 0.0
         best: _Join | None = None
@@ -361,24 +362,20 @@ class JoinEnumerator:
                     continue
                 left_rows, left_cost, neighbours, _, left_probe = left_solved
                 right_rows, _, _, right_build, _ = right_solved
-                found = False
                 if neighbours & right:
-                    if enable_hash:
-                        found = True
-                        est_cost = child_cost + ((right_build + left_probe) + emit)
-                        score = est_cost if not robust else self._plan_score(
-                            JoinMethod.HASH, est_cost, left_rows, right_rows,
-                            out_rows, left_cost, right_cost)
-                        if score < best_score:
-                            best_score = score
-                            best = (est_cost, left, right, out_rows,
-                                    JoinMethod.HASH, None)
+                    est_cost = child_cost + ((right_build + left_probe) + emit)
+                    score = est_cost if not robust else self._plan_score(
+                        JoinMethod.HASH, est_cost, left_rows, right_rows,
+                        out_rows, left_cost, right_cost)
+                    if score < best_score:
+                        best_score = score
+                        best = (est_cost, left, right, out_rows,
+                                JoinMethod.HASH, None)
                     if indexed is not None:
                         per_probe, probes = indexed
                         for partner, index_column in probes:
                             if not partner & left:
                                 continue
-                            found = True
                             # The inner scan is replaced by index probes into
                             # the whole stored table.
                             est_cost = (child_cost - right_cost) + (
@@ -391,9 +388,9 @@ class JoinEnumerator:
                                 best = (est_cost, left, right, out_rows,
                                         JoinMethod.INDEX_NL, index_column)
                             break
-                if enable_nl and not found:
-                    # Last resort for connected splits, and the cross product
-                    # the DP is allowed for unconnected ones.
+                elif enable_nl:
+                    # The cross product the DP is allowed for unconnected
+                    # splits.
                     est_cost = child_cost + (
                         left_rows * right_rows * operator_cost + emit)
                     score = est_cost if not robust else self._plan_score(

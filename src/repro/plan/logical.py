@@ -186,21 +186,6 @@ class SPJQuery:
         refs.extend(spec.column for spec in self.aggregates if spec.column is not None)
         return tuple(refs)
 
-    def referenced_columns(self) -> tuple[ColumnRef, ...]:
-        """Every column referenced anywhere in the query, each once.
-
-        Outputs, then filter columns, then join columns, each in query
-        order -- never a set: the re-optimizers lay out materialized
-        temporaries in this order, and a layout that followed the hash seed
-        would hand each sampled column a different ANALYZE draw.
-        """
-        refs = list(self.output_columns())
-        for pred in self.filters:
-            refs.extend(pred.column_refs())
-        for pred in self.join_predicates:
-            refs.extend((pred.left, pred.right))
-        return tuple(dict.fromkeys(refs))
-
     @property
     def num_joins(self) -> int:
         """Number of join predicates."""

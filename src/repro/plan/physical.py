@@ -9,8 +9,8 @@ one of the three join methods the executor has:
 * ``INDEX_NL``  -- index nested-loop join: the outer child is probed against a
   B+tree-style index on the inner base table (the inner child must be a scan
   of an indexed base relation);
-* ``NL``        -- naive nested-loop join (only used as a last resort, e.g.
-  cross products).
+* ``NL``        -- naive nested-loop join (only for cross products: a
+  split with a join predicate is always a hash or index join).
 
 The optimizer annotates every node with its estimated output cardinality and
 cumulative cost, and the executor later fills in the *actual* values, which

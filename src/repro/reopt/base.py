@@ -31,19 +31,28 @@ are also reused across re-plans, queries, and whole policies by canonical
 signature (a re-planned remaining query usually re-joins the same filtered
 base relations, just in a different order).
 
+Every driver -- the baselines here and QuerySplit -- runs each unit through
+:meth:`AlgorithmBase._step`, and a unit's plan outputs the columns of one
+rule (:meth:`AlgorithmBase._unit_columns`): the query's output columns
+within the unit, then the columns a later plan reads
+(:meth:`~repro.plan.logical.SPJQuery.columns_read_after`), which are also
+the columns ANALYZE reads when the unit is materialized.  A predicate
+internal to the unit was applied inside it, so its columns are not kept.
+
 The executor serves a cached chunk only to a consumer whose reads it
-covers, and with the per-plan cache that always holds.  A subtree plan
-outputs every column the query references within its aliases
-(:meth:`_retained_columns`), so it and every node below it keep every
-relation with a referenced column; every later consumer -- a join above the
-checkpoint, or the final plan's root, which aggregates or gathers only the
-query's own columns -- reads a subset of those.
+covers, and with the per-plan cache that always holds.  A checkpoint's
+subtree, and every node below it, keeps every relation with a column of
+that rule; every later consumer reads a subset of those: a join above the
+checkpoint reads the columns of its predicates, which cross the unit's
+boundary and so are read after it, and the final plan's root aggregates
+or gathers only the query's own output columns.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.catalog.analyze import analyze_columns
@@ -51,7 +60,7 @@ from repro.catalog.schema import Schema
 from repro.catalog.statistics import TableStats
 from repro.core.nonspj import execute_query_tree
 from repro.executor.chunk import Chunk
-from repro.executor.executor import ExecutionError, Executor
+from repro.executor.executor import ExecutionError, ExecutionResult, Executor
 from repro.executor.joins import JoinOverflowError
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.oracle import TrueCardinalityOracle
@@ -82,7 +91,8 @@ class BaselineConfig:
 
 class AlgorithmBase:
     """Driver base of every algorithm, QuerySplit included: run() (non-SPJ
-    segmentation, deadline, temp cleanup) and the materialize step.
+    segmentation, deadline, temp cleanup) and the step every unit runs
+    through.
 
     ``name`` is what every report of the driver calls its algorithm;
     ``oracle`` is the true-cardinality oracle driving the optimizer, if any,
@@ -138,36 +148,65 @@ class AlgorithmBase:
         if self._deadline is not None and time.perf_counter() > self._deadline:
             raise QueryTimeout()
 
-    def _collect_stats(self, table: DataTable, refs: tuple[ColumnRef, ...]
-                       ) -> tuple[TableStats, float, bool]:
-        """ANALYZE the columns of ``table`` the next plan can ask about."""
-        start = time.perf_counter()
-        if self.config.collect_statistics:
-            stats = analyze_columns(
-                {ref.qualified: table.columns[ref.qualified] for ref in refs},
-                num_rows=table.num_rows, dictionaries=table.dictionaries)
-            return stats, time.perf_counter() - start, True
-        return (TableStats.row_count_only(table.num_rows),
-                time.perf_counter() - start, False)
+    def _step(self, plan: PhysicalPlan, report: ExecutionReport,
+              description: str, *, cache: dict[int, Chunk] | None = None,
+              read_after: tuple[ColumnRef, ...] = (),
+              decide: Callable[[int], tuple[bool, bool]] | None = None
+              ) -> tuple[ExecutionResult, RelationRef | None]:
+        """Execute ``plan`` as one unit of ``report`` and record it.
 
-    def _materialize(self, table: DataTable, refs: tuple[ColumnRef, ...],
-                     aliases: frozenset[str], report: ExecutionReport
-                     ) -> tuple[RelationRef, float, int]:
-        """ANALYZE ``refs`` of ``table``, charging ``report``, and register it
-        as a temporary covering ``aliases``.  Returns the temporary's
-        relation, the ANALYZE seconds and the number of columns analyzed."""
-        stats, analyze_time, collected = self._collect_stats(table, refs)
-        report.total_time += analyze_time
-        if collected:
-            report.stats_collections += 1
-        temp_name = self.database.register_temp(table, stats, aliases)
-        return RelationRef.temp(temp_name, aliases), analyze_time, len(stats.columns)
+        ``decide(rows)`` answers, from the plan's output rows, whether to
+        materialize the result and whether the unit counts as re-planned
+        (default: neither).  A materialized result is ANALYZEd on
+        ``read_after`` -- the columns a later plan can ask about -- and
+        registered as a temporary covering the plan's aliases.  Every
+        second is charged to ``report``.  Returns the execution result and
+        the temporary's relation (``None`` when not materialized)."""
+        result = self.executor.execute(plan, cache=cache)
+        report.total_time += result.wall_time
+        materialize, replanned = (decide(result.join_rows) if decide is not None
+                                  else (False, False))
+        aliases = plan.root.covered_aliases()
+        temp = None
+        analyze_time = 0.0
+        stats_columns = 0
+        if materialize:
+            start = time.perf_counter()
+            if self.config.collect_statistics:
+                table = result.table
+                stats = analyze_columns(
+                    {ref.qualified: table.columns[ref.qualified] for ref in read_after},
+                    num_rows=table.num_rows, dictionaries=table.dictionaries)
+                report.stats_collections += 1
+            else:
+                stats = TableStats.row_count_only(result.table.num_rows)
+            analyze_time = time.perf_counter() - start
+            report.total_time += analyze_time
+            stats_columns = len(stats.columns)
+            temp = RelationRef.temp(
+                self.database.register_temp(result.table, stats, aliases), aliases)
+        report.iterations.append(IterationRecord(
+            index=len(report.iterations),
+            description=description,
+            aliases=aliases,
+            result_rows=result.join_rows,
+            wall_time=result.wall_time + analyze_time,
+            memory_bytes=result.memory_bytes,
+            materialized=materialize,
+            replanned=replanned,
+            stats_collected=materialize and self.config.collect_statistics,
+            stats_columns=stats_columns,
+        ))
+        return result, temp
 
     @staticmethod
-    def _retained_columns(spj: SPJQuery, aliases: frozenset[str]) -> tuple[ColumnRef, ...]:
-        """Every column of ``spj`` (outputs and predicates) within ``aliases``,
-        in the fixed order of :meth:`SPJQuery.referenced_columns`."""
-        return tuple(ref for ref in spj.referenced_columns() if ref.alias in aliases)
+    def _unit_columns(spj: SPJQuery, covered: frozenset[str],
+                      read_after: tuple[ColumnRef, ...]) -> tuple[ColumnRef, ...]:
+        """What the plan of a unit covering ``covered`` outputs: ``spj``'s
+        output columns within it, then ``read_after``, each once."""
+        return tuple(dict.fromkeys(
+            [ref for ref in spj.output_columns() if ref.alias in covered]
+            + list(read_after)))
 
 
 class NonAdaptiveBaseline(AlgorithmBase):
@@ -175,19 +214,8 @@ class NonAdaptiveBaseline(AlgorithmBase):
 
     def _run_spj(self, spj: SPJQuery, report: ExecutionReport) -> DataTable:
         self._check_timeout()
-        plan = self.optimizer.plan(spj)
-        result = self.executor.execute(plan)
-        report.total_time += result.wall_time
-        report.iterations.append(IterationRecord(
-            index=len(report.iterations),
-            description=f"{spj.name}:full-plan",
-            aliases=spj.covered_aliases(),
-            result_rows=result.join_rows,
-            wall_time=result.wall_time,
-            memory_bytes=result.memory_bytes,
-            materialized=False,
-            replanned=False,
-        ))
+        result, _ = self._step(self.optimizer.plan(spj), report,
+                               f"{spj.name}:full-plan")
         return result.table
 
 
@@ -239,40 +267,26 @@ class ReoptimizerBase(AlgorithmBase):
             if node is None:
                 return self._finish(remaining, current_plan, cache, report)
             aliases = node.covered_aliases()
-            retained = self._retained_columns(spj, aliases)
-            subtree_plan = PhysicalPlan(query_name=f"{spj.name}:subplan",
-                                        root=node, output_columns=retained)
-            result = self.executor.execute(subtree_plan, cache=cache)
-            report.total_time += result.wall_time
-
-            estimated = max(node.est_rows, 1.0)
-            actual = max(result.join_rows, 1)
-            q_error = max(actual / estimated, estimated / actual)
-            triggered = q_error > self.trigger_threshold
-            materialize = triggered or self.always_materialize
-
-            analyze_time = 0.0
-            stats_columns = 0
-            if materialize:
-                temp_ref, analyze_time, stats_columns = self._materialize(
-                    result.table, remaining.columns_read_after(aliases),
-                    aliases, report)
-                remaining = remaining.substitute(temp_ref)
-                if triggered:
+            read_after = remaining.columns_read_after(aliases)
+            subtree_plan = PhysicalPlan(
+                query_name=f"{spj.name}:subplan", root=node,
+                output_columns=self._unit_columns(spj, aliases, read_after))
+            _, temp = self._step(
+                subtree_plan, report, f"{spj.name}:{'+'.join(sorted(aliases))}",
+                cache=cache, read_after=read_after,
+                decide=partial(self._decide, node))
+            if temp is not None:
+                remaining = remaining.substitute(temp)
+                if report.iterations[-1].replanned:
                     current_plan = None  # force a re-plan of the remaining query
 
-            report.iterations.append(IterationRecord(
-                index=len(report.iterations),
-                description=f"{spj.name}:{'+'.join(sorted(aliases))}",
-                aliases=aliases,
-                result_rows=result.table.num_rows,
-                wall_time=result.wall_time + analyze_time,
-                memory_bytes=result.table.memory_bytes,
-                materialized=materialize,
-                replanned=triggered,
-                stats_collected=materialize and self.config.collect_statistics,
-                stats_columns=stats_columns,
-            ))
+    def _decide(self, node: JoinNode, rows: int) -> tuple[bool, bool]:
+        """Materialize ``node``'s result of ``rows`` rows, and re-plan?  A
+        q-error above the threshold triggers both."""
+        estimated = max(node.est_rows, 1.0)
+        actual = max(rows, 1)
+        triggered = max(actual / estimated, estimated / actual) > self.trigger_threshold
+        return triggered or self.always_materialize, triggered
 
     def _next_point(self, points: list[JoinNode], remaining: SPJQuery,
                     consumed_points: set[int]) -> JoinNode | None:
@@ -299,16 +313,5 @@ class ReoptimizerBase(AlgorithmBase):
 
     def _finish(self, remaining: SPJQuery, plan: PhysicalPlan,
                 cache: dict[int, Chunk], report: ExecutionReport) -> DataTable:
-        result = self.executor.execute(plan, cache=cache)
-        report.total_time += result.wall_time
-        report.iterations.append(IterationRecord(
-            index=len(report.iterations),
-            description=f"{remaining.name}:final",
-            aliases=remaining.covered_aliases(),
-            result_rows=result.join_rows,
-            wall_time=result.wall_time,
-            memory_bytes=result.memory_bytes,
-            materialized=False,
-            replanned=False,
-        ))
+        result, _ = self._step(plan, report, f"{remaining.name}:final", cache=cache)
         return result.table

@@ -237,12 +237,11 @@ class ReferenceJoinEnumerator:
                     est_rows=output_rows, est_cost=cost))
             return candidates
 
-        if self.config.enable_hash:
-            cost = child_cost + self.cost_model.join_cost(
-                JoinMethod.HASH, left.est_rows, right.est_rows, output_rows)
-            candidates.append(JoinNode(
-                left=left, right=right, predicates=preds, method=JoinMethod.HASH,
-                est_rows=output_rows, est_cost=cost))
+        cost = child_cost + self.cost_model.join_cost(
+            JoinMethod.HASH, left.est_rows, right.est_rows, output_rows)
+        candidates.append(JoinNode(
+            left=left, right=right, predicates=preds, method=JoinMethod.HASH,
+            est_rows=output_rows, est_cost=cost))
 
         if self.config.enable_index_nl:
             index_column = self._indexed_inner_column(right, preds)
@@ -255,13 +254,6 @@ class ReferenceJoinEnumerator:
                     left=left, right=right, predicates=preds,
                     method=JoinMethod.INDEX_NL, index_column=index_column,
                     est_rows=output_rows, est_cost=cost))
-
-        if self.config.enable_nl and len(preds) > 0 and not candidates:
-            cost = child_cost + self.cost_model.join_cost(
-                JoinMethod.NL, left.est_rows, right.est_rows, output_rows)
-            candidates.append(JoinNode(
-                left=left, right=right, predicates=preds, method=JoinMethod.NL,
-                est_rows=output_rows, est_cost=cost))
         return candidates
 
     def _indexed_inner_column(self, right: PlanNode,

@@ -355,7 +355,7 @@ class _CheckingExecutor(Executor):
         self.executed = 0
 
     def execute(self, plan, *args, **kwargs):
-        [query] = [q for q, made in self.optimizer.made if made is plan]
+        [query] = [q for q, made in self.optimizer.made if made.root is plan.root]
         fresh = Optimizer(self.database).plan(query)
         assert plan.explain() == fresh.explain(), query.name
         self.executed += 1

@@ -1,5 +1,7 @@
 """Unit tests for the vectorized executor and its join primitives."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,12 @@ from repro.plan.physical import JoinMethod
 from repro.storage.database import Database
 from repro.storage.table import DataTable
 from tests.conftest import five_way_query
+
+#: One column of each relation of :func:`five_way_query`: a plan that
+#: outputs them keeps every relation's rows in every chunk it caches.
+FIVE_WAY_COLUMNS = (ColumnRef("t", "year"), ColumnRef("mk", "keyword_id"),
+                    ColumnRef("k", "kw"), ColumnRef("ci", "person_id"),
+                    ColumnRef("n", "gender"))
 
 
 class TestJoinPrimitives:
@@ -278,7 +286,7 @@ class TestExecutor:
             assert join.actual_rows is not None
             assert join.actual_time is not None
 
-    def test_extra_columns_survive(self, executor, optimizer):
+    def test_output_columns_survive(self, executor, optimizer):
         spj = five_way_query()
         sub = SPJQuery(name="sub",
                        relations=(RelationRef.base("t", "t"),
@@ -286,9 +294,10 @@ class TestExecutor:
                        join_predicates=(JoinPredicate(ColumnRef("mk", "movie_id"),
                                                       ColumnRef("t", "id")),),
                        filters=spj.filters_for(spj.relation("t")))
-        plan = optimizer.plan(sub)
-        result = executor.execute(plan, extra_columns=(ColumnRef("mk", "keyword_id"),
-                                                       ColumnRef("t", "year")))
+        plan = replace(optimizer.plan(sub),
+                       output_columns=(ColumnRef("mk", "keyword_id"),
+                                       ColumnRef("t", "year")))
+        result = executor.execute(plan)
         assert "mk.keyword_id" in result.table.column_names
         assert "t.year" in result.table.column_names
 
@@ -296,7 +305,7 @@ class TestExecutor:
         from repro.plan.physical import PhysicalPlan
 
         plan = optimizer.plan(five_way_query())
-        columns = tuple(five_way_query().referenced_columns())
+        columns = FIVE_WAY_COLUMNS
         cache = {}
         first_join = plan.join_nodes()[0]
         executor.execute(PhysicalPlan("sub", first_join, output_columns=columns),
@@ -377,8 +386,8 @@ class TestExecutor:
                                   RelationRef.base("mk", "mk")),
                        join_predicates=(JoinPredicate(ColumnRef("mk", "movie_id"),
                                                       ColumnRef("t", "id")),))
-        result = executor.execute(optimizer.plan(sub),
-                                  extra_columns=(ColumnRef("mk", "keyword_id"),))
+        result = executor.execute(replace(
+            optimizer.plan(sub), output_columns=(ColumnRef("mk", "keyword_id"),)))
         stats = analyze_table(result.table)
         temp_name = tiny_db.register_temp(result.table, stats, frozenset({"t", "mk"}))
         temp_ref = RelationRef.temp(temp_name, frozenset({"t", "mk"}))
@@ -638,7 +647,7 @@ class TestSubplanCache:
         cache = SubplanCache()
         executor = Executor(tiny_db, subplan_cache=cache)
         spj = five_way_query()
-        columns = tuple(spj.referenced_columns())
+        columns = FIVE_WAY_COLUMNS
 
         def output_rows(plan):
             """The plan's join rows: a scalar aggregate's root would read
@@ -670,8 +679,8 @@ class TestSubplanCache:
                                   RelationRef.base("mk", "mk")),
                        join_predicates=(JoinPredicate(ColumnRef("mk", "movie_id"),
                                                       ColumnRef("t", "id")),))
-        result = executor.execute(optimizer.plan(sub),
-                                  extra_columns=(ColumnRef("mk", "keyword_id"),))
+        result = executor.execute(replace(
+            optimizer.plan(sub), output_columns=(ColumnRef("mk", "keyword_id"),)))
         stats = analyze_table(result.table)
         temp_name = tiny_db.register_temp(result.table, stats,
                                           frozenset({"t", "mk"}))

@@ -358,10 +358,8 @@ def _densify(spj):
 
 ENUMERATOR_CONFIGS = {
     "default": EnumeratorConfig(),
-    "no-hash": EnumeratorConfig(enable_hash=False),
     "no-index-nl": EnumeratorConfig(enable_index_nl=False),
     "no-nl": EnumeratorConfig(enable_nl=False),
-    "nl-last-resort": EnumeratorConfig(enable_hash=False, enable_index_nl=False),
     "use": ALGORITHMS["USE"].config,
     "fs": ALGORITHMS["FS"].config,
     # The robust objective skips no split, so this is where its loop meets
@@ -438,9 +436,11 @@ class TestEnumeratorMatchesReference:
             methods.update(j.method for j in plan.join_nodes())
         # The comparison is only worth something if each scoring branch
         # actually produced winners.
-        assert methods >= {"default": {JoinMethod.HASH, JoinMethod.INDEX_NL},
-                           "no-hash": {JoinMethod.INDEX_NL, JoinMethod.NL},
-                           "nl-last-resort": {JoinMethod.NL}}.get(config_name, set())
+        assert methods >= {
+            "default": {JoinMethod.HASH, JoinMethod.INDEX_NL},
+            # The disconnected twins' cross products.
+            "no-index-nl": {JoinMethod.HASH, JoinMethod.NL},
+        }.get(config_name, set())
 
     def test_pessimistic_subclass_keeps_its_estimates(self, imdb_db, queries):
         """A DefaultCardinalityEstimator subclass that redefines

@@ -136,15 +136,15 @@ class TestSPJQuery:
             relations=(RelationRef.base("a", "t"), RelationRef.base("b", "k")))
         assert not disconnected.is_connected()
 
-    def test_num_joins_and_referenced_columns(self):
+    def test_num_joins_and_output_columns(self):
         spj = five_way_query()
         assert spj.num_joins == 4
-        refs = spj.referenced_columns()
-        # Ordered and de-duplicated (outputs, filters, joins), never a set:
-        # temporaries are laid out in this order.
-        assert refs[:4] == (ColumnRef("t", "year"), ColumnRef("k", "kw"),
-                            ColumnRef("n", "gender"), ColumnRef("mk", "movie_id"))
-        assert len(refs) == len(set(refs)) == 10
+        # COUNT(*) reads no column; MIN(t.year) reads one.
+        assert spj.output_columns() == (ColumnRef("t", "year"),)
+        refs = {*spj.output_columns(),
+                *(ref for pred in spj.filters for ref in pred.column_refs()),
+                *(ref for pred in spj.join_predicates for ref in (pred.left, pred.right))}
+        assert len(refs) == 10
 
     def test_substitute_replaces_covered_relations(self):
         spj = five_way_query()

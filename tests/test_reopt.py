@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -308,7 +309,6 @@ class TestTempStatistics:
     def test_surviving_multi_alias_filter_keeps_its_column_analyzed(self, tiny_db):
         from repro.plan.expressions import ColumnRef
         from repro.plan.logical import RelationRef, SPJQuery
-        from repro.plan.physical import PhysicalPlan
         from tests.test_plan import _ColumnLess
 
         base = five_way_query()
@@ -322,17 +322,59 @@ class TestTempStatistics:
                        filters=base.filters[:1],
                        join_predicates=base.join_predicates[:1])
         algorithm = make_algorithm("Reopt", tiny_db)
-        plan = algorithm.optimizer.plan(sub)
-        table = algorithm.executor.execute(PhysicalPlan(
-            "sub", plan.root,
-            output_columns=algorithm._retained_columns(spj, covered))).table
-        stats, _, collected = algorithm._collect_stats(
-            table, spj.columns_read_after(covered))
-        assert collected and stats.num_rows == table.num_rows
+        read_after = spj.columns_read_after(covered)
+        plan = replace(algorithm.optimizer.plan(sub),
+                       output_columns=algorithm._unit_columns(spj, covered, read_after))
+        report = ExecutionReport(query_name="sub", algorithm="Reopt", total_time=0.0)
+        try:
+            result, temp = algorithm._step(plan, report, "sub", read_after=read_after,
+                                           decide=lambda rows: (True, False))
+            stats = tiny_db.stats(temp.alias)
+        finally:
+            tiny_db.drop_temp_tables()
+        assert report.stats_collections == 1
+        assert stats.num_rows == result.table.num_rows
         assert list(stats.columns) == ["mk.keyword_id", "t.id", "t.year"]
         assert stats.columns["t.year"].histogram is not None
+        # The query outputs nothing, so the temporary holds what is read
+        # after it: the applied t-mk join's ``mk.movie_id`` is not kept.
+        assert result.table.column_names == list(stats.columns)
         kept = spj.substitute(RelationRef.temp("__temp_1", covered))
         assert year_below_id in kept.filters
+
+    @pytest.mark.parametrize("name", ["QuerySplit", "Reopt", "Pop", "IEF",
+                                      "Perron19", "OptRange"])
+    def test_temporaries_hold_outputs_then_columns_read_after(
+            self, imdb_db, monkeypatch, name):
+        """One column rule for every re-optimizer: a temporary holds the
+        query's output columns within its aliases, then the columns a later
+        plan reads -- which are exactly the ones ANALYZE ran on."""
+        from repro.storage.database import Database
+        from repro.workloads.job_queries import job_queries
+        from tests.test_optimizer import JOB_SLICE
+
+        registered = []
+        register_temp = Database.register_temp
+
+        def recording(self, table, stats, aliases):
+            registered.append((list(table.columns), list(stats.columns), aliases))
+            return register_temp(self, table, stats, aliases)
+
+        monkeypatch.setattr(Database, "register_temp", recording)
+        temps = 0
+        for query in job_queries():
+            if query.name not in JOB_SLICE:
+                continue
+            registered.clear()
+            report = make_algorithm(name, imdb_db).run(query)
+            assert not report.timed_out, (name, query.name)
+            for columns, analyzed, aliases in registered:
+                within = [ref.qualified for ref in query.spj.output_columns()
+                          if ref.alias in aliases]
+                assert columns == list(dict.fromkeys(within + analyzed)), (
+                    name, query.name, sorted(aliases))
+            temps += len(registered)
+        assert temps > 0
 
     def test_temp_nothing_can_ask_about_still_registers_with_row_count(
             self, tiny_db, monkeypatch):

@@ -174,7 +174,10 @@ class TestValidity:
             for spj in query.root.spj_leaves():
                 assert spj.is_connected(), query.name
                 table_of = {r.alias: r.table_name for r in spj.relations}
-                for ref in spj.referenced_columns():
+                for ref in (*spj.output_columns(),
+                            *(ref for pred in spj.filters for ref in pred.column_refs()),
+                            *(ref for pred in spj.join_predicates
+                              for ref in (pred.left, pred.right))):
                     table = tpch_db.schema.table(table_of[ref.alias])
                     assert table.has_column(ref.column), (query.name, ref)
 

@@ -17,7 +17,8 @@ def _load():
     return module
 
 
-def _document(crc=7, temp_bytes=100, hit_rate=0.25, plan_s=0.5, failed=0):
+def _document(crc=7, temp_bytes=100, hit_rate=0.25, plan_s=0.5, failed=0,
+              iterations=3.5):
     def metric(value, unit):
         return {"value": value, "unit": unit}
 
@@ -32,6 +33,7 @@ def _document(crc=7, temp_bytes=100, hit_rate=0.25, plan_s=0.5, failed=0):
             "storage.temp_register_s": metric(plan_s / 10, "s"),
             "storage.temp_bytes_peak": metric(temp_bytes, "bytes"),
             "serving.cache_hit_rate": metric(hit_rate, "ratio"),
+            "core.iterations_per_query": metric(iterations, "count"),
         }}}]}
 
 
@@ -50,6 +52,12 @@ def test_every_count_that_differs_is_listed():
         "0/gen_served/storage.temp_bytes_peak: 100 -> 90",
         "0/gen_served/trace.plan_crc32: 7 -> 8",
     ]
+
+
+def test_iterations_per_query_is_compared():
+    trace_diff = _load()
+    assert trace_diff.diff(_document(), _document(iterations=4.0)) == [
+        "0/gen_served/core.iterations_per_query: 3.5 -> 4.0"]
 
 
 def test_exit_status(tmp_path):

@@ -163,7 +163,10 @@ class TestJOBQueries:
     def test_query_columns_exist_in_schema(self):
         for query in job_queries():
             table_of = {r.alias: r.table_name for r in query.spj.relations}
-            for ref in query.spj.referenced_columns():
+            for ref in (*query.spj.output_columns(),
+                        *(ref for pred in query.spj.filters for ref in pred.column_refs()),
+                        *(ref for pred in query.spj.join_predicates
+                          for ref in (pred.left, pred.right))):
                 table = IMDB_SCHEMA.table(table_of[ref.alias])
                 assert table.has_column(ref.column), (query.name, ref)
 

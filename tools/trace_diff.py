@@ -3,8 +3,9 @@
 
 Compares the per-layer *counts* of two ``benchmarks/e2e/run.py --trace 1
 --seconds 0 --out X.json`` documents -- plan checksums, call counts, bytes,
-rows touched, temporary tables, the cache hit rate -- and each workload's
-attempted and failed query counts.  Timings are not compared.
+rows touched, temporary tables, per-query iterations, subqueries, re-plans
+and materializations, the cache hit rate and evictions -- and each
+workload's attempted and failed query counts.  Timings are not compared.
 
 Usage::
 
@@ -19,9 +20,17 @@ import json
 import sys
 
 
+#: Compared counts whose names no suffix rule below catches.
+COUNTS = frozenset({
+    "trace.plan_crc32", "serving.cache_hit_rate", "serving.cache_evictions",
+    "core.iterations_per_query", "core.subqueries_per_query",
+    "reopt.replans_per_query", "reopt.materializations_per_query",
+})
+
+
 def is_count(name: str) -> bool:
     """True for the per-layer metrics that must match exactly."""
-    return (name in ("trace.plan_crc32", "serving.cache_hit_rate")
+    return (name in COUNTS
             or name.endswith(("_calls", "_bytes", "_rows_touched"))
             or name.startswith("storage.temp_") and not name.endswith("_s"))
 
