@@ -40,26 +40,34 @@ class JoinEdge:
 
 @dataclass
 class JoinGraph:
-    """The directed join graph of an SPJ query."""
+    """The directed join graph of an SPJ query.
+
+    ``edges`` are fixed once the graph is built (they are a tuple): each
+    vertex's outgoing edges are indexed once, at construction, and
+    :meth:`neighbors_out` and :meth:`centers` read that index rather than
+    scanning the edges.
+    """
 
     vertices: tuple[str, ...]
-    edges: list[JoinEdge] = field(default_factory=list)
-    removed_edges: list[JoinEdge] = field(default_factory=list)
+    edges: tuple[JoinEdge, ...] = ()
+    removed_edges: tuple[JoinEdge, ...] = ()
+    #: vertex -> its outgoing edges (bidirectional edges leave both
+    #: endpoints), in ``edges`` order.
+    _outgoing: dict[str, list[JoinEdge]] = field(
+        init=False, repr=False, compare=False)
 
-    def outgoing(self, vertex: str) -> list[JoinEdge]:
-        """Edges leaving ``vertex`` (bidirectional edges leave both endpoints)."""
-        result = []
+    def __post_init__(self) -> None:
+        outgoing: dict[str, list[JoinEdge]] = {}
         for edge in self.edges:
-            if edge.source == vertex:
-                result.append(edge)
-            elif edge.bidirectional and edge.target == vertex:
-                result.append(edge)
-        return result
+            outgoing.setdefault(edge.source, []).append(edge)
+            if edge.bidirectional and edge.target != edge.source:
+                outgoing.setdefault(edge.target, []).append(edge)
+        self._outgoing = outgoing
 
     def neighbors_out(self, vertex: str) -> list[str]:
         """Vertices reachable over outgoing edges of ``vertex``."""
         targets = []
-        for edge in self.outgoing(vertex):
+        for edge in self._outgoing.get(vertex, ()):
             other = edge.target if edge.source == vertex else edge.source
             if other not in targets:
                 targets.append(other)
@@ -67,18 +75,18 @@ class JoinGraph:
 
     def centers(self) -> list[str]:
         """Vertices with at least one outgoing edge (subquery centers)."""
-        return [v for v in self.vertices if self.outgoing(v)]
+        return [v for v in self.vertices if v in self._outgoing]
 
     def reversed(self) -> "JoinGraph":
         """The graph with all directed edges reversed (PK-Center strategy)."""
         return JoinGraph(
             vertices=self.vertices,
-            edges=[
+            edges=tuple(
                 JoinEdge(source=e.target, target=e.source, predicate=e.predicate,
                          bidirectional=e.bidirectional, kind=e.kind)
                 for e in self.edges
-            ],
-            removed_edges=list(self.removed_edges),
+            ),
+            removed_edges=self.removed_edges,
         )
 
 
@@ -92,28 +100,34 @@ def build_join_graph(query: SPJQuery, schema: Schema,
         left_alias, right_alias = pred.left.alias, pred.right.alias
         left_table = table_of.get(left_alias, left_alias)
         right_table = table_of.get(right_alias, right_alias)
-        kind = schema.join_kind(left_table, pred.left.column,
-                                right_table, pred.right.column)
-        if kind == "pk-fk":
-            if schema.is_fk_reference(left_table, pred.left.column,
-                                      right_table, pred.right.column):
-                source, target = left_alias, right_alias
-            else:
-                source, target = right_alias, left_alias
-            edges.append(JoinEdge(source=source, target=target, predicate=pred,
-                                  bidirectional=False, kind=kind))
+        # A foreign key on either side makes the edge PK-FK (what
+        # Schema.join_kind calls "pk-fk"), directed from that side.
+        if schema.is_fk_reference(left_table, pred.left.column,
+                                  right_table, pred.right.column):
+            edges.append(JoinEdge(source=left_alias, target=right_alias,
+                                  predicate=pred, kind="pk-fk"))
+        elif schema.is_fk_reference(right_table, pred.right.column,
+                                    left_table, pred.left.column):
+            edges.append(JoinEdge(source=right_alias, target=left_alias,
+                                  predicate=pred, kind="pk-fk"))
         else:
+            kind = schema.join_kind(left_table, pred.left.column,
+                                    right_table, pred.right.column)
             edges.append(JoinEdge(source=left_alias, target=right_alias,
                                   predicate=pred, bidirectional=True, kind=kind))
 
-    graph = JoinGraph(vertices=vertices, edges=edges)
-    if remove_redundant:
-        _remove_redundant_edges(graph)
-    return graph
+    if not remove_redundant:
+        return JoinGraph(vertices=vertices, edges=tuple(edges))
+    kept, removed = _remove_redundant_edges(vertices, edges)
+    return JoinGraph(vertices=vertices, edges=kept, removed_edges=removed)
 
 
-def _remove_redundant_edges(graph: JoinGraph) -> None:
+def _remove_redundant_edges(vertices: tuple[str, ...], edges: list[JoinEdge]
+                            ) -> tuple[tuple[JoinEdge, ...], tuple[JoinEdge, ...]]:
     """Break cycles in the (undirected view of the) join graph.
+
+    Returns the kept edges, in ``edges`` order, and the removed ones, in
+    the order they were removed.
 
     Edges are removed one at a time until the graph is acyclic, preferring
     bidirectional (non-PK-FK) edges, exactly as the paper prescribes for
@@ -121,21 +135,20 @@ def _remove_redundant_edges(graph: JoinGraph) -> None:
     cycle :func:`_find_cycle` meets, the first bidirectional edge goes, or
     the first edge if every one is directed.
     """
-    # vertex -> neighbour -> keys (indexes into graph.edges) of the edges
+    # vertex -> neighbour -> keys (indexes into edges) of the edges
     # between them, in insertion order; a self-loop is listed once.
-    adjacency: dict[str, dict[str, list[int]]] = {v: {} for v in graph.vertices}
-    for key, edge in enumerate(graph.edges):
+    adjacency: dict[str, dict[str, list[int]]] = {v: {} for v in vertices}
+    for key, edge in enumerate(edges):
         adjacency.setdefault(edge.source, {}).setdefault(edge.target, []).append(key)
         if edge.target != edge.source:
             adjacency.setdefault(edge.target, {}).setdefault(
                 edge.source, []).append(key)
     removed: list[int] = []
     while (cycle := _find_cycle(adjacency, set(removed))) is not None:
-        removed.append(next((key for key in cycle if graph.edges[key].bidirectional),
+        removed.append(next((key for key in cycle if edges[key].bidirectional),
                             cycle[0]))
-    graph.removed_edges.extend(graph.edges[key] for key in removed)
-    graph.edges[:] = [edge for key, edge in enumerate(graph.edges)
-                      if key not in removed]
+    return (tuple(edge for key, edge in enumerate(edges) if key not in removed),
+            tuple(edges[key] for key in removed))
 
 
 def _find_cycle(adjacency: dict[str, dict[str, list[int]]],

@@ -127,8 +127,9 @@ class DefaultCardinalityEstimator(CardinalityEstimator):
         # Each factor below is the value estimate_rows would recompute for
         # every subset containing it, and they are multiplied in its order
         # (relations, then join predicates), so the product is bit-identical.
-        scans = [(1 << i, self.scan_rows(relation, masks.subset(1 << i)[1]))
-                 for i, relation in enumerate(masks.relations)]
+        scans = [(1 << i, self.scan_rows(relation, filters))
+                 for i, (relation, filters)
+                 in enumerate(zip(masks.relations, masks.relation_filters))]
         joins = [(pair, self.join_selectivity(pred, masks.relations))
                  for pair, pred in masks.joins]
 

@@ -197,28 +197,37 @@ class JoinEnumerator:
         search = _JoinSearch(masks, self.estimator.subset_estimator(masks),
                              predicate_table, flat=group_by_pair)
 
-        neighbours = dict.fromkeys((1 << i for i in range(len(masks.relations))), 0)
-        for pair, _ in predicate_table:
+        relations = masks.relations
+        neighbours = dict.fromkeys((1 << i for i in range(len(relations))), 0)
+        # relation bit -> [(partner bit, indexed column), ...]: each side of
+        # each predicate whose column is indexed in its base relation.
+        probes: dict[int, list[tuple[int, ColumnRef]]] = defaultdict(list)
+        index_nl = self.config.enable_index_nl
+        has_index = self.database.has_index
+        for pair, preds in predicate_table:
             low = pair & -pair
             neighbours[low] |= pair
             neighbours[pair ^ low] |= pair
-        for i, relation in enumerate(masks.relations):
+            if index_nl:
+                for pred in preds:
+                    for side in (pred.left, pred.right):
+                        bit = masks.bits[side.alias]
+                        owner = relations[bit.bit_length() - 1]
+                        if not owner.is_temp and has_index(owner.table_name,
+                                                           side.column):
+                            probes[bit].append((pair ^ bit, side))
+        for i, (relation, filters) in enumerate(zip(relations,
+                                                    masks.relation_filters)):
             bit = 1 << i
             table_rows = self.estimator.relation_rows(relation)
-            node = self._scan_node(query, relation, search.estimate(bit),
+            node = self._scan_node(relation, filters, search.estimate(bit),
                                    table_rows)
             search.scans[bit] = node
             search.solved[bit] = self._solution(node.est_rows, node.est_cost,
                                                 neighbours[bit])
-            if self.config.enable_index_nl and not relation.is_temp:
-                probes = [(pair ^ bit, side)
-                          for pair, preds in predicate_table if pair & bit
-                          for pred in preds for side in (pred.left, pred.right)
-                          if relation.covers(side.alias) and self.database.has_index(
-                              relation.table_name, side.column)]
-                if probes:
-                    search.indexed_inner[bit] = (
-                        self.cost_model.index_probe_cost(table_rows), probes)
+            if bit in probes:
+                search.indexed_inner[bit] = (
+                    self.cost_model.index_probe_cost(table_rows), probes[bit])
         return search
 
     def _solution(self, rows: float, cost: float, neighbours: int) -> _Solved:
@@ -233,9 +242,8 @@ class JoinEnumerator:
     # ------------------------------------------------------------------
     # Leaf plans
     # ------------------------------------------------------------------
-    def _scan_node(self, query: SPJQuery, relation: RelationRef,
+    def _scan_node(self, relation: RelationRef, filters: tuple[Predicate, ...],
                    rows: float, table_rows: float) -> ScanNode:
-        filters = query.filters_for(relation)
         cost = self.cost_model.scan_cost(
             table_rows, rows, len(filters),
             code_space_filters=self._code_space_filters(relation, filters))

@@ -34,14 +34,14 @@ class Optimizer:
         self.estimator = estimator or DefaultCardinalityEstimator(database)
         self.cost_model = cost_model or CostModel()
         self.config = config or EnumeratorConfig()
+        self.enumerator = JoinEnumerator(database, self.estimator,
+                                         self.cost_model, self.config)
         self.invocations = 0
 
     def plan(self, query: SPJQuery) -> PhysicalPlan:
         """Produce a physical plan for an SPJ query."""
         self.invocations += 1
-        enumerator = JoinEnumerator(self.database, self.estimator, self.cost_model,
-                                    self.config)
-        root = enumerator.plan(query)
+        root = self.enumerator.plan(query)
         return PhysicalPlan(
             query_name=query.name,
             root=root,

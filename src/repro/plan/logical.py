@@ -22,7 +22,6 @@ Non-SPJ queries (needed for TPC-H and DSB) are trees of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 from repro.plan.expressions import ColumnRef, JoinPredicate, Predicate
@@ -230,22 +229,16 @@ class SPJQuery:
             return self
         kept = [r for r in self.relations if not (r.covered_aliases & temp.covered_aliases)]
         # The temporary covers everything the replaced relations covered (it
-        # may cover more aliases than this query uses; that is fine).
+        # may cover more aliases than this query uses; that is fine).  If it
+        # does not, a remaining predicate reads a lost alias and the new
+        # query's validation raises.
         new_relations = tuple(kept) + (temp,)
-        new_covered = frozenset().union(*(r.covered_aliases for r in new_relations))
-
         new_filters = tuple(
             pred for pred in self.filters
             if not _internal_to(pred, temp.covered_aliases))
         new_joins = tuple(
             pred for pred in self.join_predicates
             if not _internal_to(pred, temp.covered_aliases))
-        # Sanity: every remaining predicate must still be answerable.
-        for pred in itertools.chain(new_filters, new_joins):
-            for alias in pred.aliases():
-                if alias not in new_covered:
-                    raise ValueError(
-                        f"substitution broke predicate {pred}: alias {alias!r} lost")
         return replace(self, relations=new_relations, filters=new_filters,
                        join_predicates=new_joins)
 
@@ -300,6 +293,12 @@ class RelationMasks:
     #: one relation are absent: they were applied when that temporary was
     #: materialized.
     joins: tuple[tuple[int, JoinPredicate], ...]
+    #: Per relation, the filters it answers alone (``subset(1 << i)``'s
+    #: filters, which are ``query.filters_for(relations[i])``), in
+    #: ``query.filters`` order.
+    relation_filters: tuple[tuple[Predicate, ...], ...]
+    #: Original alias -> the bit of the relation covering it.
+    bits: dict[str, int] = field(compare=False)
 
     @classmethod
     def of(cls, query: SPJQuery) -> "RelationMasks":
@@ -309,17 +308,24 @@ class RelationMasks:
             for alias in relation.covered_aliases:
                 bit_of[alias] = 1 << i
         filters = []
+        own: list[list[Predicate]] = [[] for _ in query.relations]
         for pred in query.filters:
             mask = 0
             for alias in pred.aliases():
                 mask |= bit_of[alias]
             filters.append((mask, pred))
+            if not mask:  # reads no relation: every relation answers it
+                for own_filters in own:
+                    own_filters.append(pred)
+            elif not mask & (mask - 1):  # reads one relation
+                own[mask.bit_length() - 1].append(pred)
         joins = []
         for pred in query.join_predicates:
             left, right = bit_of[pred.left.alias], bit_of[pred.right.alias]
             if left != right:
                 joins.append((left | right, pred))
-        return cls(query.name, query.relations, tuple(filters), tuple(joins))
+        return cls(query.name, query.relations, tuple(filters), tuple(joins),
+                   tuple(map(tuple, own)), bit_of)
 
     def subset(self, mask: int) -> tuple[tuple[RelationRef, ...],
                                          tuple[Predicate, ...],

@@ -260,6 +260,10 @@ class RandomQueryGenerator:
         self._tables = tuple(sorted(database.base_table_names))
         self._connected = tuple(sorted(
             {e.left_table for e in self._edges} | {e.right_table for e in self._edges}))
+        #: table -> its :meth:`_table_columns`, computed on first use.  Base
+        #: tables' statistics are fixed once loaded, so these are too.
+        self._columns: dict[str, tuple[tuple[str, ColumnStats, bool,
+                                              tuple[str, ...]], ...]] = {}
 
     # ------------------------------------------------------------------
     # Stream interface
@@ -318,7 +322,7 @@ class RandomQueryGenerator:
             member = set(joined)
             candidates = [
                 edge for edge in self._edges
-                if sum(t in member for t in (edge.left_table, edge.right_table)) == 1
+                if (edge.left_table in member) != (edge.right_table in member)
             ]
             if not candidates:
                 break
@@ -337,29 +341,40 @@ class RandomQueryGenerator:
     # ------------------------------------------------------------------
     # Predicate sampling: shapes and literals from ANALYZE statistics
     # ------------------------------------------------------------------
+    def _table_columns(self, table: str
+                       ) -> tuple[tuple[str, ColumnStats, bool, tuple[str, ...]], ...]:
+        """``(column, stats, is primary key, applicable filter shapes)`` of
+        every column of ``table`` with usable ANALYZE statistics, in schema
+        order; derived once per table."""
+        columns = self._columns.get(table)
+        if columns is None:
+            stats = self.database.stats(table)
+            schema = self.database.schema.table(table)
+            columns = []
+            for column in schema.column_names:
+                column_stats = stats.column(column)
+                if column_stats is not None and column_stats.analyzed:
+                    columns.append((column, column_stats,
+                                    column == schema.primary_key,
+                                    self._applicable_shapes(column_stats)))
+            columns = self._columns[table] = tuple(columns)
+        return columns
+
     def _analyzed_columns(self, tables: tuple[str, ...]
                           ) -> Iterator[tuple[str, str, ColumnStats]]:
         """Every ``(table, column, stats)`` with usable ANALYZE statistics."""
         for table in tables:
-            stats = self.database.stats(table)
-            for column in self.database.schema.table(table).column_names:
-                column_stats = stats.column(column)
-                if column_stats is not None and column_stats.analyzed:
-                    yield table, column, column_stats
+            for column, column_stats, _, _ in self._table_columns(table):
+                yield table, column, column_stats
 
     def _filter_candidates(self, tables: tuple[str, ...],
                            join_key_columns: set[tuple[str, str]]
                            ) -> list[tuple[str, str, ColumnStats, tuple[str, ...]]]:
         """``(table, column, stats, applicable shapes)`` per filterable column."""
-        candidates = []
-        for table, column, column_stats in self._analyzed_columns(tables):
-            pk = self.database.schema.table(table).primary_key
-            if (table, column) in join_key_columns or column == pk:
-                continue
-            shapes = self._applicable_shapes(column_stats)
-            if shapes:
-                candidates.append((table, column, column_stats, shapes))
-        return candidates
+        return [(table, column, column_stats, shapes)
+                for table in tables
+                for column, column_stats, is_pk, shapes in self._table_columns(table)
+                if shapes and not is_pk and (table, column) not in join_key_columns]
 
     def _applicable_shapes(self, stats: ColumnStats) -> tuple[str, ...]:
         shapes = []

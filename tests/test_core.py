@@ -30,15 +30,18 @@ from repro.plan.logical import (
     AggregateNode,
     AggregateSpec,
     Query,
+    RelationMasks,
     RelationRef,
     SPJNode,
     SPJQuery,
     UnionNode,
 )
-from repro.workloads.dsb import DSB_SCHEMA, dsb_queries
-from repro.workloads.imdb import IMDB_SCHEMA
+from repro.reopt.registry import make_algorithm
+from repro.workloads.dsb import DSB_SCHEMA, build_dsb_database, dsb_queries
+from repro.workloads.imdb import IMDB_SCHEMA, build_imdb_database
 from repro.workloads.job_queries import job_queries
-from repro.workloads.tpch import TPCH_SCHEMA, tpch_queries
+from repro.workloads.sqlgen import JoinSamplerConfig, RandomQueryGenerator
+from repro.workloads.tpch import TPCH_SCHEMA, build_tpch_database, tpch_queries
 from tests.conftest import five_way_query, with_implied_edges
 
 #: Removed-edge lists of every workload query and of its twin with implied
@@ -53,6 +56,31 @@ PINNED_IMPLIED_EDGE_REMOVALS = {
     "tpch": (55, "6f6c2acbff4b59a3"),
     "dsb": (82, "a4bf1166b1130272"),
 }
+
+
+#: Each fixed suite: its schema, queries and database builder.
+SUITES = {"job": (IMDB_SCHEMA, job_queries, build_imdb_database),
+          "tpch": (TPCH_SCHEMA, tpch_queries, build_tpch_database),
+          "dsb": (DSB_SCHEMA, dsb_queries, build_dsb_database)}
+
+
+def suite_blocks():
+    """``(schema, block)`` for every SPJ block of JOB, TPC-H and DSB."""
+    for schema, queries, _ in SUITES.values():
+        for query in queries():
+            for spj in query.root.spj_leaves():
+                yield schema, spj
+
+
+@pytest.fixture(scope="module")
+def generated_blocks():
+    """The SPJ blocks of 200 generated IMDB queries with 1-4 joins, fk-fk
+    (bidirectional) edges included."""
+    generator = RandomQueryGenerator(
+        build_imdb_database(scale=0.1), seed=0,
+        join_config=JoinSamplerConfig(min_joins=1, max_joins=4, fk_only=False))
+    return [spj for query in generator.generate(200)
+            for spj in query.root.spj_leaves()]
 
 
 class TestJoinGraph:
@@ -102,6 +130,27 @@ class TestJoinGraph:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
         removals = sum(line.count(" = ") for line in lines)
         assert (removals, digest) == PINNED_IMPLIED_EDGE_REMOVALS[workload]
+
+    def test_outgoing_index_matches_a_scan_of_the_edges(self):
+        """``neighbors_out`` and ``centers``, which read the per-vertex
+        index of outgoing edges, answer what a scan of every edge does, on
+        every suite block, its twin with implied edges (which loses edges to
+        cycle removal) and both their reversed graphs."""
+        graphs = 0
+        for schema, spj in suite_blocks():
+            for query in (spj, with_implied_edges(spj)):
+                graph = build_join_graph(query, schema)
+                for g in (graph, graph.reversed()):
+                    graphs += 1
+                    scanned = {v: [e for e in g.edges if e.source == v
+                                   or (e.bidirectional and e.target == v)]
+                               for v in g.vertices}
+                    for v, edges in scanned.items():
+                        neighbours = list(dict.fromkeys(
+                            e.target if e.source == v else e.source for e in edges))
+                        assert g.neighbors_out(v) == neighbours, (spj.name, v)
+                    assert g.centers() == [v for v in g.vertices if scanned[v]]
+        assert graphs > 400
 
     def test_join_graph_needs_no_graph_library(self):
         """``import repro.reopt.registry`` (every algorithm, QuerySplit's
@@ -201,10 +250,14 @@ class TestQSA:
         monkeypatch.setattr(subquery, "coverage_gaps", counting)
         return calls
 
-    def test_covering_split_is_checked_once(self, tiny_schema, monkeypatch):
+    def test_covering_split_is_checked_zero_times(self, tiny_schema, monkeypatch):
+        """An acyclic join graph and single-relation filters cannot leave a
+        gap, so the split is not checked at all."""
         calls = self._count_coverage_checks(monkeypatch)
-        generate_subqueries(five_way_query(), tiny_schema, QSAStrategy.FK_CENTER)
-        assert calls == [2]
+        subqueries = generate_subqueries(five_way_query(), tiny_schema,
+                                         QSAStrategy.FK_CENTER)
+        assert calls == []
+        assert coverage_gaps(subqueries, five_way_query()) == []
 
     def test_repaired_split_is_validated(self, tiny_schema, monkeypatch):
         """A removed cycle edge (ci.id = mk.id) no other predicate implies
@@ -226,6 +279,58 @@ class TestQSA:
         monkeypatch.setattr(qsa, "_repair_coverage", lambda query, subs: subs)
         with pytest.raises(AssertionError, match="not covered"):
             generate_subqueries(cyclic, tiny_schema, QSAStrategy.FK_CENTER)
+
+    @pytest.mark.parametrize("strategy", list(QSAStrategy))
+    def test_skipped_check_would_find_no_gap(self, strategy, generated_blocks,
+                                             monkeypatch):
+        """Coverage by construction: wherever the split is not checked (no
+        filter reads two relations and no join-graph edge was removed), the
+        check finds nothing on the split returned -- for every suite block,
+        its twin with implied edges, and 200 generated blocks."""
+        import repro.core.qsa as qsa
+
+        checked = []
+        monkeypatch.setattr(qsa, "coverage_gaps", lambda subs, query: (
+            checked.append(query.name) or coverage_gaps(subs, query)))
+        blocks = [(schema, query) for schema, spj in suite_blocks()
+                  for query in (spj, with_implied_edges(spj))]
+        blocks += [(IMDB_SCHEMA, spj) for spj in generated_blocks]
+        skipped = 0
+        for schema, query in blocks:
+            checked.clear()
+            subqueries = generate_subqueries(query, schema, strategy)
+            if not checked:
+                skipped += 1
+                assert coverage_gaps(subqueries, query) == [], query.name
+        assert skipped > 300
+        if strategy is not QSAStrategy.MIN_SUBQUERY:
+            # Cycle removal on the implied-edge twins is what forces checks.
+            assert len(blocks) - skipped > 100
+
+    @pytest.mark.parametrize("strategy", [QSAStrategy.FK_CENTER,
+                                          QSAStrategy.PK_CENTER])
+    def test_lost_edge_still_repaired(self, tiny_schema, strategy, monkeypatch):
+        """TPC-H q9 (its ``l.l_partkey = p.p_partkey`` edge is removed) and,
+        under FK-Center, the cyclic five-way query still go through the
+        repair step.  (Under PK-Center the center ``t`` holds both ``ci`` and
+        ``mk``, so the cyclic query's removed edge leaves no gap.)"""
+        import repro.core.qsa as qsa
+
+        repaired = []
+        repair = qsa._repair_coverage
+        monkeypatch.setattr(qsa, "_repair_coverage", lambda query, subs: (
+            repaired.append(query.name) or repair(query, subs)))
+        q9 = next(q for q in tpch_queries() if q.name == "tpch-q9")
+        for spj in q9.root.spj_leaves():
+            assert covers(generate_subqueries(spj, TPCH_SCHEMA, strategy), spj)
+        spj = five_way_query()
+        cyclic = SPJQuery(
+            name="cyclic", relations=spj.relations, filters=spj.filters,
+            join_predicates=spj.join_predicates + (
+                JoinPredicate(ColumnRef("ci", "id"), ColumnRef("mk", "id")),))
+        assert covers(generate_subqueries(cyclic, tiny_schema, strategy), cyclic)
+        assert repaired == (["tpch-q9", "cyclic"]
+                            if strategy is QSAStrategy.FK_CENTER else ["tpch-q9"])
 
     def test_every_strategy_covers_job_queries(self, tiny_schema):
         """Property: all three strategies produce covering sets for all samples."""
@@ -275,6 +380,35 @@ class TestSSA:
         idx = select_subquery(estimates, CostFunction.GLOBAL_DEEP, plan)
         deepest = plan.join_nodes()[0].covered_aliases()
         assert deepest <= estimates[idx].subquery.covered_aliases() or idx in range(len(estimates))
+
+
+class TestRelationMasks:
+    def test_relation_filters_equal_filters_for(self, monkeypatch):
+        """The filters ``RelationMasks`` carries per relation are
+        ``filters_for(relation)`` -- for every suite block and for every
+        subquery QuerySplit plans over the suites, substituted ones (with a
+        temporary among their relations) included."""
+        planned = []
+        plan = Optimizer.plan
+
+        def recording(optimizer, query):
+            planned.append(query)
+            return plan(optimizer, query)
+
+        monkeypatch.setattr(Optimizer, "plan", recording)
+        for _, queries, build in SUITES.values():
+            database = build(scale=0.1)
+            for query in queries():
+                make_algorithm("QuerySplit", database).run(query)
+        substituted = [q for q in planned if any(r.is_temp for r in q.relations)]
+        assert len(substituted) > 100
+        blocks = [spj for _, spj in suite_blocks()] + planned
+        for query in blocks:
+            masks = RelationMasks.of(query)
+            assert masks.relation_filters == tuple(
+                query.filters_for(relation) for relation in query.relations), query.name
+            for i, relation in enumerate(query.relations):
+                assert masks.subset(1 << i)[1] == masks.relation_filters[i]
 
 
 class TestQuerySplitDriver:

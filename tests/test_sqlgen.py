@@ -10,6 +10,10 @@ Covers the two hard guarantees the subsystem makes:
   seed databases under every registered policy.
 """
 
+import dataclasses
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.bench.harness import HarnessConfig, run_generated
@@ -23,6 +27,7 @@ from repro.workloads.sqlgen import (
     RandomQueryGenerator,
     join_edges,
 )
+from repro.workloads.imdb import build_imdb_database
 from repro.workloads.tpch import build_tpch_database
 
 
@@ -101,6 +106,47 @@ class TestDeterminism:
         a = make_generator(build_tpch_database(scale=0.1), seed=5).generate(10)
         b = make_generator(build_tpch_database(scale=0.1), seed=5).generate(10)
         assert a == b
+
+
+def _plain(value):
+    """``value`` as nested tuples of builtins, with class names: a text that
+    depends neither on the hash seed nor on numpy's scalar repr."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, frozenset):
+        return tuple(sorted(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return tuple(sorted((k, _plain(v)) for k, v in value.items()))
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def stream_digest(queries) -> str:
+    text = "\n".join(repr(_plain(query)) for query in queries)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedStreams:
+    """The first 200 queries of two streams, pinned: a change to how the
+    generator samples (or caches what it samples from) must leave every
+    query byte-identical."""
+
+    def test_served_stream(self):
+        """The served benchmark's stream: IMDB 0.1, seed 0, 1-3 joins."""
+        generator = RandomQueryGenerator(
+            build_imdb_database(scale=0.1), seed=0,
+            join_config=JoinSamplerConfig(min_joins=1, max_joins=3))
+        assert stream_digest(generator.generate(200)) == "083239c0547a0c7d"
+
+    def test_fk_fk_group_by_point_drop_stream(self, tpch_db):
+        generator = RandomQueryGenerator(
+            tpch_db, seed=7,
+            join_config=JoinSamplerConfig(max_joins=4, fk_only=False),
+            aggregate_config=AggregateSamplerConfig(group_by_probability=0.3),
+            predicate_config=PredicateSamplerConfig(point_drop_rate=0.5))
+        assert stream_digest(generator.generate(200)) == "1bf8ba31ff183f29"
 
 
 class TestPointDropKnob:
