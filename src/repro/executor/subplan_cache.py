@@ -23,8 +23,10 @@ every policy/algorithm it runs.
 
 Keying rules (see ARCHITECTURE.md for the full discussion):
 
-* subtrees touching **temporary tables are never cached** -- temp names are
-  recycled between queries, so their signatures are not stable;
+* subtrees touching **temporary tables have no key** -- temp names are
+  recycled between queries, so :meth:`~repro.plan.physical.PlanNode.signature`
+  returns ``None`` for them and the executor neither looks them up nor
+  stores them;
 * entries larger than ``max_rows`` are not cached (memory bound);
 * entries are evicted LRU beyond ``max_entries``.
 
@@ -45,10 +47,6 @@ from repro.executor.chunk import Chunk
 
 #: Signature type: (frozenset of scan tuples, frozenset of join predicates).
 Signature = tuple[frozenset, frozenset]
-
-
-def _touches_temp(signature: Signature) -> bool:
-    return any(scan[3] for scan in signature[0])
 
 
 class SubplanCache:
@@ -134,8 +132,7 @@ class SubplanCache:
         replacing any entry under ``signature``."""
         cost = self._chunk_bytes(chunk)
         with self._lock:
-            if (chunk.num_rows > self.max_rows or cost > self.max_bytes
-                    or _touches_temp(signature)):
+            if chunk.num_rows > self.max_rows or cost > self.max_bytes:
                 self.rejected += 1
                 return
             previous = self._entries.get(signature)

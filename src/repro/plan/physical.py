@@ -89,8 +89,9 @@ class PlanNode:
         visit(self)
         return tuple(joins)
 
-    def signature(self) -> tuple[frozenset, frozenset]:
-        """Canonical logical signature of this subtree's result.
+    def signature(self) -> tuple[frozenset, frozenset] | None:
+        """Canonical logical signature of this subtree's result, or ``None``
+        when the subtree scans a temporary.
 
         Two subtrees with equal signatures produce the same multiset of rows:
         the signature records *what* is computed (filtered scans + applied
@@ -98,7 +99,9 @@ class PlanNode:
         join method, index choice).  The engine-level
         :class:`~repro.executor.subplan_cache.SubplanCache` keys on it, which
         is what lets different re-optimization policies share each other's
-        executed subtrees.
+        executed subtrees.  A temporary's name is recycled between queries,
+        so a subtree over one has no stable key: the walk stops at the first
+        temp scan, and the cache neither looks it up nor stores it.
         """
         scans: list[tuple] = []
         preds: list = []
@@ -106,6 +109,8 @@ class PlanNode:
         while stack:
             node = stack.pop()
             if isinstance(node, ScanNode):
+                if node.relation.is_temp:
+                    return None
                 scans.append(scan_signature(node.relation, node.filters))
             elif isinstance(node, JoinNode):
                 preds.extend(node.predicates)

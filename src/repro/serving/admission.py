@@ -14,5 +14,8 @@ class AdmissionPolicy(str, enum.Enum):
 
     #: Reject immediately; the request counts as shed, never executes.
     SHED = "shed"
-    #: Apply back-pressure: the submitter blocks until a slot frees.
+    #: Apply back-pressure: a submitter that finds the queue full blocks
+    #: until the queue has drained to half its capacity
+    #: (``queue_capacity // 2``; one free slot for capacities 1 and 2),
+    #: so it is woken once per half-drain, not once per take.  Never sheds.
     BLOCK = "block"

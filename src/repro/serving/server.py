@@ -2,8 +2,18 @@
 
 One FIFO ``deque`` under one ``Condition`` and three transitions:
 :meth:`EngineServer.submit` is an arrival (SHED records a shed outcome on
-a full queue, BLOCK makes the submitter wait for a slot), ``_take`` starts
-the queue head on a free worker, and ``_finish`` records the completion.
+a full queue, BLOCK makes the submitter wait until the queue has drained
+to its low-water mark, ``queue_capacity // 2``), ``_take`` starts the
+queue head on a free worker, and ``_finish`` records the completion.
+
+A waiting thread is woken only when it has something to do.  A blocked
+submitter waits for the low-water mark and :meth:`~EngineServer.shutdown`
+for an empty queue, so ``_take`` notifies only when it leaves the queue
+at or below the mark.  A wake-up per take would make the woken thread
+take the GIL from a worker in the middle of its query once per query; at
+the mark it is once per ``capacity - capacity // 2`` queries, the way a
+socket wakes its writers once half its buffer is free.  For capacities 1
+and 2 the mark is "one slot free".
 
 On the **wall clock** (the default), :meth:`~EngineServer.start` builds
 one session view of the database and one ``make_algorithm`` runner per
@@ -102,6 +112,8 @@ class EngineServer:
         self.outcomes: list[QueryOutcome] = []
         self._queue: deque[tuple[QueryTicket, QueryOutcome]] = deque()
         self._cond = threading.Condition()
+        #: A blocked submitter resumes once at most this many are queued.
+        self._low_water = self.config.queue_capacity // 2
         self._closed = False
         self._threads: list[threading.Thread] = []
         self._epoch = time.perf_counter()
@@ -127,7 +139,8 @@ class EngineServer:
         self._now = max(self._now, until)
 
     def _wait_for_worker(self) -> None:
-        """With the lock held, wait until a worker has taken a query."""
+        """With the lock held, wait until a worker has taken a query (on the
+        wall clock, one that left the queue at the low-water mark)."""
         if self.service_time is None:
             self._cond.wait()
         else:
@@ -197,7 +210,7 @@ class EngineServer:
                     outcome.shed = True
                     self.outcomes.append(outcome)
                     return False
-                while len(self._queue) >= self.config.queue_capacity:
+                while len(self._queue) > self._low_water:
                     self._wait_for_worker()
             outcome.admit_time = self.now()
             self._queue.append((ticket, outcome))
@@ -214,7 +227,9 @@ class EngineServer:
             ticket, outcome = self._queue.popleft()
             outcome.worker = worker
             outcome.start_time = self.now()
-            self._cond.notify_all()  # a slot freed: wake a blocked submitter
+            if len(self._queue) <= self._low_water:
+                # A blocked submitter, or shutdown() draining, may resume.
+                self._cond.notify_all()
         return ticket, outcome
 
     def _finish(self, outcome: QueryOutcome) -> None:

@@ -30,7 +30,7 @@ from repro.plan.expressions import (
     StringPrefix,
 )
 from repro.plan.logical import AggregateSpec, RelationRef, SPJQuery
-from repro.plan.physical import JoinMethod
+from repro.plan.physical import JoinMethod, scan_signature
 from repro.storage.database import Database
 from repro.storage.table import DataTable
 from tests.conftest import five_way_query
@@ -669,11 +669,19 @@ class TestSubplanCache:
         assert executor.execute(replan).table.to_rows() == fresh
         assert cache.hits == hits_before + 2
 
-    def test_temp_subtrees_not_cached(self, tiny_db, optimizer):
+    def test_temp_subtrees_are_neither_looked_up_nor_cached(
+            self, tiny_db, optimizer, monkeypatch):
         from repro.catalog.analyze import analyze_table
 
         cache = SubplanCache()
         executor = Executor(tiny_db, subplan_cache=cache)
+        keys = []
+        for name in ("get", "put"):
+            method = getattr(cache, name)
+            monkeypatch.setattr(
+                cache, name,
+                lambda signature, *args, _method=method:
+                    keys.append(signature) or _method(signature, *args))
         sub = SPJQuery(name="sub",
                        relations=(RelationRef.base("t", "t"),
                                   RelationRef.base("mk", "mk")),
@@ -692,10 +700,16 @@ class TestSubplanCache:
                                            ColumnRef("k", "id")),),
             aggregates=(AggregateSpec("count", None, "cnt"),),
         )
-        rejected_before = cache.rejected
-        executor.execute(optimizer.plan(over_temp))
+        plan = optimizer.plan(over_temp)
+        keys.clear()
+        executor.execute(plan)
         tiny_db.drop_temp_tables()
-        assert cache.rejected > rejected_before
+        # Only the base scan of k is keyed; the temp scan and the join
+        # over it have no signature, so the cache never sees them.
+        assert plan.root.signature() is None
+        assert [scans for scans, _preds in keys] == [
+            frozenset({scan_signature(RelationRef.base("k", "k"), ())})] * 2
+        assert cache.rejected == 0
         for (scans, _preds) in list(cache._entries):
             assert not any(scan[3] for scan in scans), "temp subtree was cached"
 

@@ -158,6 +158,24 @@ class TestVirtualClockSimulation:
         for earlier, later in zip(finishes, finishes[1:]):
             assert later == pytest.approx(earlier + 0.35)
 
+    def test_block_resumes_at_half_drain(self):
+        """A full capacity-4 queue admits its blocked submitter only once it
+        has drained to 2: arrivals 6 and 8 wait for two takes each, and the
+        arrival behind each is admitted at the same instant."""
+        arrivals = metronome(10, gap=0.1)
+        outcomes, order = simulate_served(
+            arrivals, workers=1, queue_capacity=4,
+            policy=AdmissionPolicy.BLOCK, service_time=lambda a: 0.35)
+        assert order == list(range(10))
+        assert [o.admit_time for o in outcomes] == pytest.approx(
+            [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.15, 1.15, 1.85, 1.85])
+        starts = [o.start_time for o in outcomes]
+        assert starts == pytest.approx([0.1 + 0.35 * i for i in range(10)])
+        for o in outcomes:  # never more than four admitted and waiting
+            waiting = sum(1 for w in outcomes
+                          if w.admit_time <= o.admit_time < w.start_time)
+            assert waiting <= 4
+
     def test_timeouts_fire_deterministically(self):
         arrivals = metronome(9, gap=1.0)  # unloaded: every arrival admitted
         slow = {2, 5, 8}
@@ -314,6 +332,33 @@ class TestRealServerSmoke:
         assert summary["errors"] == 0
         assert summary["timeouts"] == 0
         assert sorted(o.index for o in result.outcomes) == list(range(24))
+
+    def test_blocked_submitter_waits_once_per_half_drain(self, db):
+        """64 queries offered at once to one worker and a capacity-8 queue:
+        each time the submitter blocks, it resumes with at most 4 queued and
+        admits at least 4 before blocking again, so it waits at most
+        ceil((64 - 8) / 4) + 1 times, not once per take."""
+        queries = make_stream(db, seed=SEED).generate(64)
+        server = EngineServer(db, ServingConfig(
+            workers=1, queue_capacity=8, admission=AdmissionPolicy.BLOCK))
+        wait = server._wait_for_worker
+        waits = 0
+
+        def counted_wait() -> None:
+            nonlocal waits
+            waits += 1
+            wait()
+
+        server._wait_for_worker = counted_wait
+        server.start()
+        for index, query in enumerate(queries):
+            assert server.submit(QueryTicket(index=index, query=query,
+                                             user_id=0, arrival_time=0.0))
+        blocked = waits
+        outcomes = server.shutdown()
+        assert [o.index for o in outcomes] == list(range(64))
+        assert not any(o.error for o in outcomes)
+        assert blocked <= -(-(64 - 8) // 4) + 1
 
     @pytest.mark.parametrize("policy", list(AdmissionPolicy))
     def test_bad_algorithm_raises_to_the_caller(self, db, policy):
