@@ -17,6 +17,13 @@ adds minimal subqueries for any join predicate whose endpoints never co-occur
 (which can happen after redundant-edge removal on unusual join graphs).  The
 check that finds such a gap runs only where one can exist (see
 :func:`generate_subqueries`).
+
+Every strategy's set overlaps as one group, so the QuerySplit loop ends
+with one subquery covering the block.  On a disconnected join graph the
+subqueries fall into one group per component, and a connecting subquery
+is appended: one relation of each group with its filters, and no join
+predicate (none joins two components) -- a cross product, which SSA ranks
+like any other subquery.
 """
 
 from __future__ import annotations
@@ -69,7 +76,8 @@ def generate_subqueries(query: SPJQuery, schema: Schema,
     -- for the center strategies -- when the join graph lost an edge; only
     then is the set checked, repaired when a gap shows (one two-relation
     subquery per uncovered join predicate) and, with ``validate``, checked
-    again.
+    again.  Last, a set that falls into more than one overlapping group
+    gets its connecting subquery (:func:`_connect`).
     """
     if len(query.relations) <= 2:
         # One subquery over every relation holds every predicate.
@@ -91,6 +99,7 @@ def generate_subqueries(query: SPJQuery, schema: Schema,
         subqueries = _repair_coverage(query, subqueries)
         if validate:
             assert_covers(subqueries, query)
+    _connect(scopes, subqueries)
     return subqueries
 
 
@@ -161,6 +170,26 @@ def _min_subqueries(scopes: _Scopes) -> list[SPJQuery]:
         subqueries.append(scopes.subquery(relations, len(subqueries)))
     scopes.add_uncovered(subqueries)
     return subqueries
+
+
+# ----------------------------------------------------------------------
+# Connecting subquery
+# ----------------------------------------------------------------------
+def _connect(scopes: _Scopes, subqueries: list[SPJQuery]) -> None:
+    """Append the connecting subquery when ``subqueries`` fall into more
+    than one group of overlapping subqueries: over the first relation, in
+    query order, of each group."""
+    groups: list[frozenset[str]] = []
+    for sub in subqueries:
+        aliases = sub.covered_aliases()
+        touching = [g for g in groups if g & aliases]
+        groups = [g for g in groups if not g & aliases] + [aliases.union(*touching)]
+    if len(groups) > 1:
+        firsts: dict[frozenset[str], RelationRef] = {}
+        for relation in scopes.query.relations:
+            group = next(g for g in groups if relation.alias in g)
+            firsts.setdefault(group, relation)
+        subqueries.append(scopes.subquery(list(firsts.values()), len(subqueries)))
 
 
 # ----------------------------------------------------------------------

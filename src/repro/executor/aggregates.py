@@ -1,7 +1,8 @@
 """Grouping and aggregation on dense integer keys.
 
 One kernel, :func:`group_aggregate`, serves the plan-root ``Aggregate``
-operator, QuerySplit's ``_finalize`` and the non-SPJ aggregation nodes.  It
+operator (the last plan of every driver, QuerySplit's last subquery
+included) and the non-SPJ aggregation nodes.  It
 takes a :class:`~repro.storage.table.DataTable` whose dictionary-encoded
 string columns are still ``int32`` codes (see
 :mod:`repro.storage.dictionary`) and never looks at a string to find a
@@ -236,7 +237,9 @@ def weighted_aggregate(total: int,
 
 def _scalar_aggregate(table: DataTable, aggregates: tuple[AggregateSpec, ...]
                       ) -> DataTable:
-    """Ungrouped aggregates: :func:`group_aggregate` with no keys."""
+    """Ungrouped aggregates: :func:`group_aggregate` with no keys.  Nothing
+    in the engine calls it; the end-to-end benchmark's tracer patches it by
+    name (through :mod:`repro.core.splitter`)."""
     return group_aggregate(table, (), aggregates)
 
 

@@ -20,9 +20,10 @@ decides, from the plan's shape and column types) never merges the root's
 matches: it folds each aggregated column at its own side's rows with that
 side's match counts (:meth:`~repro.storage.index.Matches.weights`), so the
 root builds no chunk and neither cache keeps one for it.  The plan a driver
-passes in says what to return: QuerySplit gives its last subquery's plan the
-query's scalar aggregates, and every re-optimizer gives a unit's plan the
-columns a later plan reads (see :mod:`repro.reopt.base`).
+passes in says what to return: every driver's last plan, QuerySplit's last
+subquery's included, computes the query's output
+(:func:`~repro.optimizer.optimizer.block_output`), and every other unit's
+plan outputs the columns a later plan reads (see :mod:`repro.reopt.base`).
 
 Two caches sit around the pipeline; both serve a chunk only to a consumer
 whose reads it covers:

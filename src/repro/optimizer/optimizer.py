@@ -23,6 +23,16 @@ from repro.plan.physical import PhysicalPlan
 from repro.storage.database import Database
 
 
+def block_output(query: SPJQuery) -> dict[str, tuple]:
+    """The ``PhysicalPlan`` fields that make a plan's root compute
+    ``query``'s whole output: its projections, or its aggregates grouped by
+    its projections -- projections next to aggregates are the GROUP BY
+    keys.  Every plan the optimizer makes carries them, and so does the
+    plan of QuerySplit's last subquery."""
+    return {"output_columns": query.projections, "aggregates": query.aggregates,
+            "group_by": query.projections if query.aggregates else ()}
+
+
 class Optimizer:
     """Cost-based optimizer over the in-memory database."""
 
@@ -39,18 +49,11 @@ class Optimizer:
         self.invocations = 0
 
     def plan(self, query: SPJQuery) -> PhysicalPlan:
-        """Produce a physical plan for an SPJ query."""
+        """Produce a physical plan for an SPJ query, its root computing the
+        query's output (:func:`block_output`)."""
         self.invocations += 1
         root = self.enumerator.plan(query)
-        return PhysicalPlan(
-            query_name=query.name,
-            root=root,
-            output_columns=query.projections,
-            aggregates=query.aggregates,
-            # Projections next to aggregates are the GROUP BY keys (what
-            # QuerySplit's _finalize groups such a block by).
-            group_by=query.projections if query.aggregates else (),
-        )
+        return PhysicalPlan(query_name=query.name, root=root, **block_output(query))
 
     def estimate(self, query: SPJQuery) -> tuple[float, float]:
         """Return ``(C(q), S(q))``: estimated plan cost and output cardinality.

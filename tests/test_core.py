@@ -572,44 +572,145 @@ class TestPlanOnce:
         assert kept is untouched and plan is plans[1]
 
 
-class TestFinalizeCarriesDictionaries:
-    """The Cartesian merge repeats/tiles codes; each column keeps the
-    dictionary of the one result table it came from."""
+class _BlockRecorder(QuerySplitExecutor):
+    """Records every SPJ block it runs with the iterations it ran for it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.blocks = []
+
+    def _run_spj(self, spj, report):
+        start = len(report.iterations)
+        table = super()._run_spj(spj, report)
+        self.blocks.append((spj, report.iterations[start:]))
+        return table
+
+
+def assert_temporaries_read(database, queries, policies=ALL_POLICIES) -> int:
+    """Run query ``i`` under ``policies[i % len(policies)]``: in every block,
+    every unit but the last is materialized, the last is not, and the last
+    covers the block.  Returns the number of blocks checked."""
+    checked = 0
+    for index, query in enumerate(queries):
+        strategy, cost_function = policies[index % len(policies)]
+        runner = _BlockRecorder(database, Optimizer(database), config=QuerySplitConfig(
+            qsa_strategy=strategy, cost_function=cost_function))
+        report = runner.run(query)
+        if report.timed_out:
+            continue
+        for spj, iterations in runner.blocks:
+            context = (query.name, spj.name, strategy, cost_function)
+            *earlier, last = iterations
+            assert all(it.materialized for it in earlier), context
+            assert not last.materialized, context
+            assert last.aliases == spj.covered_aliases(), context
+            checked += 1
+    return checked
+
+
+class TestEveryTemporaryIsRead:
+    """QuerySplit materializes a unit only when a later unit reads it."""
+
+    def test_generated_stream(self):
+        from tests.test_differential import build_differential_database, make_stream
+
+        database = build_differential_database()
+        generator = make_stream(database)
+        queries = [generator.query_at(index) for index in range(200)]
+        assert assert_temporaries_read(database, queries) == 200
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_suite_blocks(self, suite):
+        _, queries, build = SUITES[suite]
+        queries = queries()
+        blocks = sum(len(q.root.spj_leaves()) for q in queries)
+        assert assert_temporaries_read(build(scale=0.1), queries) == blocks
+
+
+def overlap_groups(subqueries: list[SPJQuery]) -> int:
+    """How many groups of overlapping subqueries ``subqueries`` fall into."""
+    groups: list[frozenset[str]] = []
+    for sub in subqueries:
+        merged = sub.covered_aliases()
+        apart = [g for g in groups if not g & merged]
+        groups = apart + [merged.union(*(g for g in groups if g & merged))]
+    return len(groups)
+
+
+class TestDisconnectedBlocks:
+    """A block over two join components, {mk, k} and {ci, n}: QSA connects
+    their subqueries, and the last subquery's plan crosses the components
+    (the executor's ``CrossProduct``) and computes the block's output.  Each
+    component outputs an encoded string column under its own dictionary,
+    where code 0 is a different string."""
+
+    PROJECTIONS = (ColumnRef("k", "kw"), ColumnRef("n", "gender"))
 
     @staticmethod
-    def _tables():
-        import numpy as np
+    def _block(**output) -> SPJQuery:
+        from repro.plan.expressions import Comparison
 
-        from repro.storage.table import DataTable
+        return SPJQuery(
+            name="disconnected",
+            relations=tuple(RelationRef.base(a, a) for a in ("mk", "k", "ci", "n")),
+            filters=(Comparison(ColumnRef("mk", "id"), "<=", 40),
+                     Comparison(ColumnRef("ci", "id"), "<=", 25)),
+            join_predicates=(
+                JoinPredicate(ColumnRef("mk", "keyword_id"), ColumnRef("k", "id")),
+                JoinPredicate(ColumnRef("ci", "person_id"), ColumnRef("n", "id"))),
+            **output)
 
-        left = DataTable("l", {"a.s": np.array([1, 0, -1], dtype=np.int32),
-                               "a.x": np.array([10, 20, 30])},
-                         dictionaries={"a.s": np.array(["p", "q"], dtype=object)})
-        # Code 0 is "q" here: merging must not mix the two code spaces.
-        right = DataTable("r", {"b.s": np.array([0, 1], dtype=np.int32)},
-                          dictionaries={"b.s": np.array(["q", "r"], dtype=object)})
-        return left, right
+    @pytest.mark.parametrize("strategy", list(QSAStrategy))
+    def test_split_is_connected(self, tiny_schema, strategy):
+        block = self._block()
+        subqueries = generate_subqueries(block, tiny_schema, strategy)
+        assert overlap_groups(subqueries) == 1
+        connecting = subqueries[-1]
+        assert connecting.covered_aliases() == {"mk", "ci"}
+        # A cross product of its two relations, each filtered.
+        assert not connecting.join_predicates
+        assert len(connecting.filters) == 2
+        assert covers(subqueries, block)
 
-    def test_projection_of_a_two_table_merge(self, tiny_db):
-        runner = QuerySplitExecutor(tiny_db, Optimizer(tiny_db))
-        left, right = self._tables()
-        spj = SPJQuery(name="merge", relations=(),
-                       projections=(ColumnRef("a", "s"), ColumnRef("b", "s")))
-        merged = runner._finalize([left, right], spj)
-        assert merged.dictionary("a.s") is left.dictionary("a.s")
-        assert merged.dictionary("b.s") is right.dictionary("b.s")
-        assert merged.to_rows() == [("q", "q"), ("q", "r"), ("p", "q"),
-                                    ("p", "r"), (None, "q"), (None, "r")]
+    @pytest.mark.parametrize("strategy, cost_function", ALL_POLICIES)
+    def test_projection_matches_default(self, tiny_db, strategy, cost_function):
+        query = Query.from_spj(self._block(projections=self.PROJECTIONS))
+        expected = make_algorithm("Default", tiny_db).run(query).final_table
+        report = QuerySplitExecutor(
+            tiny_db, Optimizer(tiny_db),
+            config=QuerySplitConfig(qsa_strategy=strategy,
+                                    cost_function=cost_function)).run(query)
+        table = report.final_table
+        assert table.column_names == expected.column_names
+        assert table.dictionary("k.kw") is tiny_db.table("k").dictionary("kw")
+        assert table.dictionary("n.gender") is tiny_db.table("n").dictionary("gender")
+        assert expected.num_rows > 100
+        assert sorted(table.to_rows()) == sorted(expected.to_rows())
 
-    def test_grouping_a_two_table_merge(self, tiny_db):
-        runner = QuerySplitExecutor(tiny_db, Optimizer(tiny_db))
-        spj = SPJQuery(name="merge", relations=(),
-                       projections=(ColumnRef("b", "s"),),
-                       aggregates=(AggregateSpec("min", ColumnRef("a", "s"), "lo"),
-                                   AggregateSpec("sum", ColumnRef("a", "x"), "x"),
-                                   AggregateSpec("count", None, "n")))
-        out = runner._finalize(list(self._tables()), spj)
-        assert out.to_rows() == [("q", "p", 60, 3), ("r", "p", 60, 3)]
+    @pytest.mark.parametrize("strategy, cost_function", ALL_POLICIES)
+    def test_group_by_matches_the_oracle(self, tiny_db, strategy, cost_function):
+        from tests.reference_eval import (
+            assert_results_match,
+            canonicalize_table,
+            reference_execute,
+        )
+
+        aggregates = (AggregateSpec("min", ColumnRef("n", "name"), "lo"),
+                      AggregateSpec("sum", ColumnRef("mk", "id"), "ids"),
+                      AggregateSpec("count", None, "n"))
+        block = self._block(projections=self.PROJECTIONS, aggregates=aggregates)
+        twin = Query(name="twin", root=AggregateNode(
+            child=SPJNode(self._block()), group_by=self.PROJECTIONS,
+            aggregates=aggregates))
+        expected = reference_execute(tiny_db, twin)
+        assert len(expected) > 10
+        report = QuerySplitExecutor(
+            tiny_db, Optimizer(tiny_db),
+            config=QuerySplitConfig(qsa_strategy=strategy,
+                                    cost_function=cost_function)).run(
+            Query.from_spj(block))
+        assert_results_match(expected, canonicalize_table(report.final_table),
+                             context=f"{strategy}, {cost_function}")
 
 
 class TestNonSPJ:

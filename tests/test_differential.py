@@ -327,8 +327,9 @@ class TestTpchOracle:
     def test_aggregate_folded_into_the_spj_block_is_grouped(
             self, tpch_db, queries, expected, policy):
         """An SPJ block with projections *and* aggregates groups by its
-        projections under every policy (the plan-root Aggregate used to
-        scalar-aggregate it while QuerySplit's _finalize grouped)."""
+        projections under every policy: every driver's last plan takes its
+        output from ``block_output``, so the plan-root Aggregate of a
+        baseline and of QuerySplit's last subquery group the same way."""
         from dataclasses import replace
 
         from repro.plan.logical import Query
@@ -342,6 +343,51 @@ class TestTpchOracle:
         assert_results_match(expected["tpch-q12"],
                              canonicalize_table(report.final_table),
                              context=f"{policy}, folded q12")
+
+
+class TestDsbOracle:
+    """DSB against the row-at-a-time oracle, policy by policy: every query
+    whose tree the oracle evaluates (an SPJ block, or one GROUP BY over
+    one), and the union of two projected blocks against ``Default``."""
+
+    POLICIES = ("QuerySplit", "Default", "Reopt", "Pop")
+    SCALE = 0.1
+    UNION = "dsb-nonspj-9"
+
+    @pytest.fixture(scope="class")
+    def dsb_db(self):
+        from repro.workloads.dsb import build_dsb_database
+
+        return build_dsb_database(scale=self.SCALE)
+
+    @pytest.fixture(scope="class")
+    def expected(self, dsb_db):
+        from repro.workloads.dsb import dsb_queries
+
+        return {q.name: (q, reference_execute(dsb_db, q))
+                for q in dsb_queries() if q.name != self.UNION}
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_against_the_oracle(self, dsb_db, expected, policy):
+        assert len(expected) == 24
+        assert any(len(groups) > 1 for _, groups in expected.values())
+        runner = make_algorithm(policy, dsb_db)
+        for name, (query, groups) in expected.items():
+            report = runner.run(query)
+            assert report.final_table is not None, (policy, name)
+            assert_results_match(groups, canonicalize_table(report.final_table),
+                                 context=f"{policy} [{name}]")
+
+    @pytest.mark.parametrize("policy", ("QuerySplit", "Reopt", "Pop"))
+    def test_union_of_projected_blocks(self, dsb_db, policy):
+        from repro.workloads.dsb import dsb_queries
+
+        [union] = [q for q in dsb_queries() if q.name == self.UNION]
+        expected = make_algorithm("Default", dsb_db).run(union).final_table
+        assert expected.num_rows > 0
+        table = make_algorithm(policy, dsb_db).run(union).final_table
+        assert table.column_names == expected.column_names
+        assert sorted(table.to_rows()) == sorted(expected.to_rows())
 
 
 class TestTempStatisticsCoverage:
